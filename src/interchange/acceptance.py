@@ -242,9 +242,9 @@ def check_schur_scalarity(config: SuiteConfig) -> CheckResult:
     worst_off = 0.0
     worst_value = 0.0
     for n in range(2, config.scalarity_max_n + 1):
-        w = complete(n)
+        op = delta_of_weights(complete(n))
         for p in partitions(n):
-            m = YoungOrthogonalRep(p).delta_matrix(w)
+            m = YoungOrthogonalRep(p).delta_matrix(op)
             diag = n * (n - 1) // 2 - content_sum(p)
             off = m - np.diag(np.diag(m))
             worst_off = max(worst_off, float(np.abs(off).max()) / max(diag, 1))

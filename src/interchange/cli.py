@@ -8,7 +8,8 @@ Schemas for all eight documents ship under interchange/schemas/.
 
 Exit status: 0 on success, 1 when a verified property fails or the requested
 quantity does not exist (for example mixing numbers of a disconnected
-graph), 2 for unusable flags or parameters.
+graph), 2 for unusable flags or parameters, size caps, and degenerate
+weights (for example a graph with no edges).
 """
 
 import argparse
@@ -55,6 +56,7 @@ SUBCOMMANDS = (
 
 _DEFAULT_SAMPLES = 100_000
 _DEFAULT_TOL = 1e-9
+_MAX_SEED = 2**64 - 1  # the seed keys a uint64 Philox counter
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,14 @@ class RunConfig:
     level: str = "desk"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ParameterError(f"--tol must be > 0, got {self.tol}")
-        if self.seed < 0:
-            raise ParameterError(f"--seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ParameterError(f"--tol must be finite and > 0, got {self.tol}")
+        if not 0 <= self.seed <= _MAX_SEED:
+            raise ParameterError(f"--seed must be in [0, 2**64 - 1], got {self.seed}")
         if self.samples is not None and self.samples < 1:
             raise ParameterError(f"--samples must be >= 1, got {self.samples}")
-        if self.t is not None and self.t < 0:
-            raise ParameterError(f"--t must be >= 0, got {self.t}")
+        if self.t is not None and not (math.isfinite(self.t) and self.t >= 0):
+            raise ParameterError(f"--t must be finite and >= 0, got {self.t}")
 
     def weights(self) -> WeightFunction:
         assert self.graph is not None

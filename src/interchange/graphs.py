@@ -7,6 +7,7 @@ Everything downstream (random walks, interchange generators, spectra) is
 parameterized by one of these.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -21,7 +22,7 @@ class WeightFunction:
 
     Entries are stored sparsely as a mapping from canonical pairs (i, j) with
     i < j to strictly positive weights.  Zero weights supplied at construction
-    are dropped; negative weights and self pairs are rejected.
+    are dropped; negative or non-finite weights and self pairs are rejected.
     """
 
     __slots__ = ("n", "_entries", "_vertex_weights")
@@ -36,6 +37,8 @@ class WeightFunction:
             if i == j:
                 raise ParameterError(f"self pair ({i}, {i}) is not allowed")
             w = float(w)
+            if not math.isfinite(w):
+                raise ParameterError(f"non-finite weight {w} on pair ({i}, {j})")
             if w < 0:
                 raise ParameterError(f"negative weight {w} on pair ({i}, {j})")
             key = (i, j) if i < j else (j, i)
@@ -299,8 +302,12 @@ def load_weight_file(path: str | Path) -> WeightFunction:
     lines and lines starting with '#' are ignored.  Duplicate pairs are
     rejected.
     """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read weight file {path}: {exc}") from exc
     lines = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             lines.append(stripped)

@@ -1,18 +1,21 @@
-"""Real group algebra of the symmetric group and exact operator checks.
+"""Signed pair operators on the symmetric group and exact operator checks.
 
 Permutations are tuples: p[i] is the image of i, composition is
-compose(p, q)(i) = p[q[i]].  A group algebra element is a finitely supported
-real coefficient vector c indexed by permutations; it acts on functions over
-the symmetric group by (A f)(tau) = sum_sigma c_sigma f(sigma tau).  In the
-basis of all permutations in lexicographic order this action is the matrix
-M[tau, g] = c(g tau^{-1}), which is symmetric whenever c is self adjoint
-(c_sigma = c of sigma^{-1}).
+compose(p, q)(i) = p[q[i]].  Every operator checked here has the form
+    sum_{i<j} c_ij (1 - (i j))
+for a finite, symmetric, zero-diagonal coefficient matrix c of either sign;
+PairOperator holds that matrix.  It acts on functions over the symmetric
+group by (A f)(tau) = sum_{i<j} c_ij (f(tau) - f((i j) tau)).  In the basis
+of all permutations in lexicographic order this is a symmetric n! x n!
+matrix, and on each irreducible representation rho it is the block
+sum_{i<j} c_ij (I - rho((i j))) (see irreps.YoungOrthogonalRep.delta_matrix).
 
 The interchange generator for a weight function w is
     delta_of_weights(w) = sum_{i<j} w_ij (1 - (i j)),
-a self adjoint, positive semidefinite element.  Two operator inequalities
-are checked exactly here by assembling the gap element and testing positive
-semidefiniteness of its matrix:
+with c = w, which is positive semidefinite.  Two operator inequalities are
+checked exactly here by building the signed gap operator and testing
+positive semidefiniteness on the regular representation or on every
+irreducible block:
 
 * the octopus inequality: for a hub vertex h,
       sum_i w_hi (1 - (h i))  >=  sum_{i<j} (w_hi w_hj / w_h) (1 - (i j)),
@@ -24,7 +27,7 @@ the symmetric eigendecomposition of the regular representation matrix.
 """
 
 import itertools
-import math
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -42,10 +45,6 @@ PSD_TOL = 1e-9
 
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
-
-
-def is_perm(p: Perm) -> bool:
-    return sorted(p) == list(range(len(p)))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -101,110 +100,69 @@ def all_perms(n: int) -> list[Perm]:
     return list(itertools.permutations(range(n)))
 
 
-class GroupAlgebraElement:
-    """Finitely supported real function on the symmetric group."""
+@dataclass(frozen=True, eq=False)
+class PairOperator:
+    """Signed pair operator sum_{i<j} c_ij (1 - (i j)) on n points.
 
-    __slots__ = ("n", "coeffs")
+    c is a finite, symmetric n x n matrix with a zero diagonal; the
+    coefficients may have either sign.  Symmetry makes the operator self
+    adjoint, so its regular and irreducible blocks are symmetric matrices.
+    """
 
-    def __init__(self, n: int, coeffs: dict[Perm, float] | None = None):
-        self.n = n
-        self.coeffs: dict[Perm, float] = {}
-        if coeffs:
-            for p, c in coeffs.items():
-                if len(p) != n or not is_perm(p):
-                    raise ParameterError(f"{p} is not a permutation of {n} points")
-                if c != 0.0:
-                    self.coeffs[p] = self.coeffs.get(p, 0.0) + float(c)
+    c: np.ndarray
 
-    @classmethod
-    def identity(cls, n: int) -> "GroupAlgebraElement":
-        return cls(n, {identity_perm(n): 1.0})
+    def __post_init__(self):
+        try:
+            c = np.array(self.c, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError("pair coefficients must be a real matrix") from exc
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 2:
+            raise ParameterError(f"pair coefficients need an n x n matrix, n >= 2, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ParameterError("pair coefficients must be finite")
+        if not np.array_equal(c, c.T):
+            raise ParameterError("pair coefficients must be symmetric")
+        if np.diag(c).any():
+            raise ParameterError("pair coefficients must have a zero diagonal")
+        c.setflags(write=False)
+        object.__setattr__(self, "c", c)
 
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check_same_group(other)
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0.0) + c
-        return GroupAlgebraElement(self.n, out)
+    @property
+    def n(self) -> int:
+        return self.c.shape[0]
 
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: float) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.n, {p: scalar * c for p, c in self.coeffs.items()}
-        )
-
-    def __matmul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """Composition of the associated operators."""
-        self._check_same_group(other)
-        out: dict[Perm, float] = {}
-        for sigma, a in self.coeffs.items():
-            for rho, b in other.coeffs.items():
-                g = compose(rho, sigma)
-                out[g] = out.get(g, 0.0) + a * b
-        return GroupAlgebraElement(self.n, out)
-
-    def _check_same_group(self, other: "GroupAlgebraElement") -> None:
-        if self.n != other.n:
-            raise ParameterError(f"mixing elements over {self.n} and {other.n} points")
-
-    def adjoint(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.n, {invert(p): c for p, c in self.coeffs.items()})
-
-    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
-        for p, c in self.coeffs.items():
-            if abs(c - self.coeffs.get(invert(p), 0.0)) > tol:
-                return False
-        return True
-
-    def coefficient(self, p: Perm) -> float:
-        return self.coeffs.get(p, 0.0)
-
-    def max_abs_coefficient(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def __repr__(self) -> str:
-        return f"GroupAlgebraElement(n={self.n}, support={len(self.coeffs)})"
+    def pairs(self) -> list[tuple[int, int, float]]:
+        """Nonzero (i, j, c_ij) with i < j, in lexicographic pair order."""
+        rows, cols = np.nonzero(np.triu(self.c, 1))
+        return [(int(i), int(j), float(self.c[i, j])) for i, j in zip(rows, cols)]
 
 
-def nabla(n: int, i: int, j: int) -> GroupAlgebraElement:
-    """1 - (i j), the positive semidefinite swap defect on pair {i, j}."""
-    return GroupAlgebraElement(
-        n, {identity_perm(n): 1.0, transposition_perm(n, i, j): -1.0}
-    )
-
-
-def delta_of_weights(w: WeightFunction) -> GroupAlgebraElement:
+def delta_of_weights(w: WeightFunction) -> PairOperator:
     """Interchange generator sum_{i<j} w_ij (1 - (i j))."""
-    coeffs: dict[Perm, float] = {identity_perm(w.n): 0.0}
-    for (i, j), weight in w.edges():
-        coeffs[identity_perm(w.n)] += weight
-        coeffs[transposition_perm(w.n, i, j)] = -weight
-    return GroupAlgebraElement(w.n, coeffs)
+    return PairOperator(w.dense())
 
 
-def delta_complete(n: int) -> GroupAlgebraElement:
-    """Generator of the interchange process on the complete graph, central."""
-    coeffs: dict[Perm, float] = {identity_perm(n): n * (n - 1) / 2.0}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs[transposition_perm(n, i, j)] = -1.0
-    return GroupAlgebraElement(n, coeffs)
+def regular_rep_matrix(a: PairOperator) -> np.ndarray:
+    """Matrix of sum_{i<j} c_ij (I - P_ij) on functions over S_n, size n! x n!.
 
-
-def regular_rep_matrix(a: GroupAlgebraElement) -> np.ndarray:
-    """Matrix of (A f)(tau) = sum_sigma c_sigma f(sigma tau), size n! x n!."""
-    if a.n > REGULAR_REP_MAX_N:
-        raise CapError(
-            f"regular representation capped at n <= {REGULAR_REP_MAX_N}, got {a.n}"
-        )
-    perms = all_perms(a.n)
-    index = {p: k for k, p in enumerate(perms)}
+    Rows and columns follow all_perms(n); (P_ij f)(tau) = f((i j) tau), so
+    M[tau, (i j) tau] = -c_ij and every diagonal entry is sum_{i<j} c_ij.
+    """
+    n = a.n
+    if n > REGULAR_REP_MAX_N:
+        raise CapError(f"regular representation capped at n <= {REGULAR_REP_MAX_N}, got {n}")
+    perms = np.array(all_perms(n))
+    # base-n codes increase with lexicographic order, so searchsorted ranks them
+    place = n ** np.arange(n - 1, -1, -1)
+    codes = perms @ place
+    rows = np.arange(len(perms))
     m = np.zeros((len(perms), len(perms)))
-    for sigma, c in a.coeffs.items():
-        for t_idx, tau in enumerate(perms):
-            m[t_idx, index[compose(sigma, tau)]] += c
+    pairs = a.pairs()
+    for i, j, c in pairs:
+        relabel = np.arange(n)
+        relabel[[i, j]] = j, i
+        m[rows, np.searchsorted(codes, relabel[perms] @ place)] = -c
+    m[rows, rows] = sum(c for _, _, c in pairs)
     return m
 
 
@@ -213,10 +171,8 @@ class PsdVerdict(NamedTuple):
     min_eigenvalue: float
 
 
-def is_psd(
-    a: GroupAlgebraElement, tol: float = PSD_TOL, method: str = "auto"
-) -> PsdVerdict:
-    """Decide positive semidefiniteness of a self adjoint element.
+def is_psd(a: PairOperator, tol: float = PSD_TOL, method: str = "auto") -> PsdVerdict:
+    """Decide positive semidefiniteness of a pair operator.
 
     method "regular" assembles the full n! x n! matrix (n <= 7); "irrep"
     diagonalizes each irreducible block instead and reaches n <= 10; "auto"
@@ -224,8 +180,6 @@ def is_psd(
     verdict tolerates eigenvalues down to -tol times the largest matrix
     entry in absolute value.
     """
-    if not a.is_self_adjoint():
-        raise ParameterError("positive semidefiniteness needs a self adjoint element")
     if method == "auto":
         method = "regular" if a.n <= EXACT_SEMIGROUP_MAX_N else "irrep"
     if method == "regular":
@@ -241,8 +195,8 @@ def is_psd(
     return PsdVerdict(psd=min_eig >= -tol * max(scale, 1e-300), min_eigenvalue=min_eig)
 
 
-def octopus_gap(n: int, hub: int, arm_weights: Iterable[float]) -> GroupAlgebraElement:
-    """Gap element of the octopus inequality for a hub and its arm weights.
+def octopus_gap(n: int, hub: int, arm_weights: Iterable[float]) -> PairOperator:
+    """Gap operator of the octopus inequality for a hub and its arm weights.
 
     arm_weights lists w(hub, v) for the non-hub vertices v in increasing
     order.  Returns sum_i w_hi (1 - (h i)) minus
@@ -259,16 +213,13 @@ def octopus_gap(n: int, hub: int, arm_weights: Iterable[float]) -> GroupAlgebraE
     hub_weight = sum(arms)
     if hub_weight <= 0:
         raise DegenerateWeightError("octopus needs at least one positive arm")
-    gap = GroupAlgebraElement(n)
-    for v, a in zip(others, arms):
-        if a > 0:
-            gap = gap + a * nabla(n, hub, v)
-    for x in range(len(others)):
-        for y in range(x + 1, len(others)):
-            c = arms[x] * arms[y] / hub_weight
-            if c > 0:
-                gap = gap - c * nabla(n, others[x], others[y])
-    return gap
+    a = np.array(arms)
+    c = np.zeros((n, n))
+    c[hub, others] = a
+    c[others, hub] = a
+    c[np.ix_(others, others)] = -np.outer(a, a) / hub_weight
+    np.fill_diagonal(c, 0.0)
+    return PairOperator(c)
 
 
 def octopus_check(
@@ -282,13 +233,11 @@ def octopus_check(
     return is_psd(octopus_gap(n, hub, arm_weights), tol=tol, method=method)
 
 
-def doubling_gap(u: LiftedWeight) -> GroupAlgebraElement:
+def doubling_gap(u: LiftedWeight) -> PairOperator:
     """(2 + 2 eps) Delta_u - Delta_{u^(2)}, both taken off the diagonal."""
-    eps = u.epsilon
-    doubled = double_weight(u)
     lhs = delta_of_weights(u.off_diagonal_weights())
-    rhs = delta_of_weights(doubled.off_diagonal_weights())
-    return (2.0 + 2.0 * eps) * lhs - rhs
+    rhs = delta_of_weights(double_weight(u).off_diagonal_weights())
+    return PairOperator((2.0 + 2.0 * u.epsilon) * lhs.c - rhs.c)
 
 
 def doubling_inequality_check(

@@ -38,6 +38,7 @@ import numpy as np
 from .chain import theorem_bound
 from .errors import CapError, ParameterError
 from .graphs import WeightFunction
+from .group_algebra import PairOperator, delta_of_weights
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -247,23 +248,23 @@ class YoungOrthogonalRep:
             m = self._apply_left(a, m)
         return m
 
-    def delta_matrix(self, w: WeightFunction) -> np.ndarray:
-        """Block of the interchange generator: sum w_ij (I - rho((i, j)))."""
-        if w.n != self.n:
-            raise ParameterError(f"weights on {w.n} points, representation on {self.n}")
-        total = sum(weight for _, weight in w.edges())
-        out = total * np.eye(self.dim)
+    def delta_matrix(self, op: PairOperator) -> np.ndarray:
+        """Block of a pair operator: sum_{i<j} c_ij (I - rho((i, j)))."""
+        if op.n != self.n:
+            raise ParameterError(f"operator on {op.n} points, representation on {self.n}")
+        pairs = op.pairs()
+        out = sum(c for _, _, c in pairs) * np.eye(self.dim)
         by_anchor: dict[int, list[tuple[int, float]]] = {}
-        for (i, j), weight in w.edges():
-            by_anchor.setdefault(i, []).append((j, weight))
+        for i, j, c in pairs:
+            by_anchor.setdefault(i, []).append((j, c))
         for i, targets in by_anchor.items():
             cur = self.adjacent_matrix(i)
             reached = i + 1
-            for j, weight in sorted(targets):
+            for j, c in targets:
                 while reached < j:
                     cur = self._apply_left(reached, self._apply_right(cur, reached))
                     reached += 1
-                out -= weight * cur
+                out -= c * cur
         return out
 
 
@@ -301,7 +302,7 @@ def delta_on_irrep(w: WeightFunction, p: Sequence[int]) -> IrrepSpectrum:
     """Eigenvalues of the generator block for weights w and partition p."""
     p = validate_partition(p, w.n)
     rep = _rep(p)
-    eigenvalues = np.linalg.eigvalsh(rep.delta_matrix(w))
+    eigenvalues = np.linalg.eigvalsh(rep.delta_matrix(delta_of_weights(w)))
     eigenvalues.setflags(write=False)
     return IrrepSpectrum(
         partition=p, dim=rep.dim, eigenvalues=eigenvalues, lambda_complete=lambda_kn(p)
@@ -326,8 +327,8 @@ def assembled_spectrum(w: WeightFunction) -> np.ndarray:
     return np.sort(np.concatenate(blocks))
 
 
-def min_eigenvalue_on_irreps(a) -> tuple[float, float]:
-    """Smallest eigenvalue of a self adjoint element across all blocks.
+def min_eigenvalue_on_irreps(a: PairOperator) -> tuple[float, float]:
+    """Smallest eigenvalue of a pair operator across all irreducible blocks.
 
     Returns (min eigenvalue, scale), where scale is the largest absolute
     entry seen across blocks, for use in relative tolerance checks.
@@ -337,12 +338,8 @@ def min_eigenvalue_on_irreps(a) -> tuple[float, float]:
     min_eig = math.inf
     scale = 0.0
     for p in partitions(a.n):
-        rep = _rep(p)
-        block = np.zeros((rep.dim, rep.dim))
-        for perm, c in a.coeffs.items():
-            block += c * rep.matrix(perm)
+        block = _rep(p).delta_matrix(a)
         scale = max(scale, float(np.abs(block).max()))
-        block = 0.5 * (block + block.T)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(block).min()))
     return min_eig, scale
 

@@ -189,6 +189,37 @@ class TestErrorPaths:
         assert code == 0
         assert json.loads(out)["lmix"] == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cycles", "--graph", "complete:3", "--k", "2", "--t", "nan"], "--t must be finite"),
+            (["qhf", "--graph", "complete:3", "--t", "inf"], "--t must be finite"),
+            (["octopus", "--graph", "star:4", "--tol", "nan"], "--tol must be finite"),
+            (["qhf", "--graph", "complete:3", "--t", "0.1", "--samples", "10",
+              "--seed", "18446744073709551616"], "--seed must be in"),
+            (["mix", "--graph", "file:{tmp}/missing.w"], "cannot read weight file"),
+            (["octopus", "--graph", "file:{tmp}/nan.w"], "non-finite weight"),
+            (["mix", "--graph", "file:{tmp}/nan.w"], "non-finite weight"),
+            (["mix", "--graph", "file:{tmp}/inf.w"], "non-finite weight"),
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
+        (tmp_path / "nan.w").write_text("3 2\n0 1 nan\n1 2 1.0\n")
+        (tmp_path / "inf.w").write_text("3 2\n0 1 inf\n1 2 1.0\n")
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    def test_degenerate_weights_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "empty.w"
+        path.write_text("3 0\n")
+        code = main(["octopus", "--graph", f"file:{path}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "at least one vertex with an edge" in captured.err
+
     def test_run_config_validation(self):
         with pytest.raises(ParameterError):
             RunConfig(command="mix", graph="complete:3", tol=0.0)

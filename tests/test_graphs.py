@@ -45,6 +45,12 @@ def test_negative_weight_rejected():
         WeightFunction(3, {(0, 1): -0.5})
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_rejected(weight):
+    with pytest.raises(ParameterError):
+        WeightFunction(3, {(0, 1): 1.0, (1, 2): weight})
+
+
 def test_self_pair_rejected():
     with pytest.raises(ParameterError):
         WeightFunction(3, {(1, 1): 1.0})

@@ -207,7 +207,7 @@ def test_complete_graph_blocks_are_scalar(n):
     w = complete(n)
     for p in partitions(n):
         rep = YoungOrthogonalRep(p)
-        block = rep.delta_matrix(w)
+        block = rep.delta_matrix(delta_of_weights(w))
         target = float(lambda_kn(p))
         assert np.abs(block - target * np.eye(rep.dim)).max() <= 1e-9 * max(target, 1.0)
 
