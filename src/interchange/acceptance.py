@@ -29,13 +29,14 @@ from .chain import LiftedWeight
 from .cycles import (
     coefficient_dimension_sum,
     cycle_coefficients,
+    cycle_count_blocks,
     exact_cycles_bruteforce,
     expected_cycles_spectral,
     family_lambda_dim,
     first_family_range,
+    mc_per_sample,
     oracle_t_grid,
     second_family_range,
-    simulate_interchange,
 )
 from .errors import ParameterError
 from .graphs import (
@@ -375,10 +376,7 @@ def _mc_cycle_table(
     w: WeightFunction, ks: tuple[int, ...], t: float, samples: int, seed: int
 ) -> dict[int, tuple[float, float]]:
     """Shared-trajectory MC means and standard errors for several k at once."""
-    values = np.empty((samples, len(ks)))
-    for idx in range(samples):
-        counts = simulate_interchange(w, t, seed, idx).counts
-        values[idx] = [counts[k] for k in ks]
+    values = mc_per_sample(w, t, samples, seed, lambda c: c[:, list(ks)])
     means = values.mean(axis=0)
     stderrs = values.std(axis=0, ddof=1) / math.sqrt(samples)
     return {k: (float(means[c]), float(stderrs[c])) for c, k in enumerate(ks)}
@@ -561,10 +559,9 @@ def check_qhf_observables(config: SuiteConfig) -> CheckResult:
 
     invariant_failures = 0
     for name, w in SUITE_GRAPHS[:6]:
-        for idx in range(50):
-            counts = simulate_interchange(w, 0.7, config.seed, idx).counts
-            weighted = sum(k * k * int(counts[k]) for k in range(1, w.n + 1))
-            invariant_failures += weighted > w.n**2
+        for counts in cycle_count_blocks(w, 0.7, 50, config.seed):
+            weighted = counts @ np.arange(w.n + 1) ** 2
+            invariant_failures += int((weighted > w.n**2).sum())
 
     passed = not zero_failures and oracle_ok and invariant_failures == 0
     return _result(

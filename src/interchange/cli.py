@@ -26,6 +26,7 @@ import numpy as np
 from .acceptance import SuiteReport, empirical_constant_table, run_suite
 from .chain import lift_lazy, mixing_report
 from .cycles import (
+    MAX_SEED,
     exact_cycles_bruteforce,
     expected_cycles_mc,
     expected_cycles_spectral,
@@ -56,7 +57,6 @@ SUBCOMMANDS = (
 
 _DEFAULT_SAMPLES = 100_000
 _DEFAULT_TOL = 1e-9
-_MAX_SEED = 2**64 - 1  # the seed keys a uint64 Philox counter
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ParameterError(f"--tol must be finite and > 0, got {self.tol}")
-        if not 0 <= self.seed <= _MAX_SEED:
+        if not 0 <= self.seed <= MAX_SEED:
             raise ParameterError(f"--seed must be in [0, 2**64 - 1], got {self.seed}")
         if self.samples is not None and self.samples < 1:
             raise ParameterError(f"--samples must be >= 1, got {self.samples}")

@@ -13,14 +13,20 @@ The same partitions admit closed forms for the complete graph eigenvalue and
 the dimension, which this module exposes and cross-checks against the content
 sum and hook length routes.
 
-The simulator runs the process literally: Poisson clocks ring at total rate
-sum_{i<j} w_ij, exponential waiting times, each ring swaps the marbles on an
-edge chosen with probability proportional to its weight.  Trajectories are
-seeded per (master seed, trajectory index) with a counter-based generator so
-batches are reproducible in any execution order.
+Every Monte Carlo estimator here (and in qhf and acceptance) is a reduction
+over cycle_count_blocks, which simulates trajectories MC_BLOCK at a time by
+uniformization: with R = sum_{i<j} w_ij, each trajectory's event count is
+Poisson(R t) and each event swaps the marbles on an edge drawn with
+probability w_ij / R, which is the law of the process with independent
+Poisson clocks.  Block b draws from Philox keyed by (seed, b), so a block's
+counts depend only on the seed, its index and its size, never on how many
+blocks are run or in what order.  simulate_interchange runs one trajectory
+literally (exponential waiting times, one event at a time) and is kept as
+the reference oracle the tests compare the engine against.
 """
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,8 +172,20 @@ def family_lambda_dim(n: int, k: int, i: int, family: str) -> tuple[int, int]:
     return lam, dim
 
 
+MC_BLOCK = 512  # trajectories per block; fixed, because it keys the streams
+MC_MAX_SAMPLES = 10_000_000
+MC_MAX_EVENTS = 100_000_000  # expected swap events, summed over trajectories
+MAX_SEED = 2**64 - 1  # the seed keys a uint64 Philox counter
+_STEP_CHUNK = 32  # event steps whose edge picks are drawn together
+
+
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ParameterError(f"time must be finite and >= 0, got {t}")
+
+
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator for one trajectory of one batch."""
+    """Counter-based generator for one trajectory of the reference simulator."""
     if seed < 0 or index < 0:
         raise ParameterError("seed and trajectory index must be nonnegative")
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
@@ -194,16 +212,19 @@ class Trajectory:
 def simulate_interchange(
     w: WeightFunction, t: float, seed: int = 0, index: int = 0
 ) -> Trajectory:
-    """Run the process to time t and return the final configuration.
+    """Run the process to time t one event at a time: the reference oracle.
 
     Zero total weight is not an error: no clock ever rings and the identity
     is returned.
     """
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t}")
+    _check_time(t)
     rng = trajectory_rng(seed, index)
     edges = list(w.edges())
     rate = float(sum(weight for _, weight in edges))
+    if rate * t > MC_MAX_EVENTS:
+        raise CapError(
+            f"expected {rate * t:.3g} events exceeds the cap of {MC_MAX_EVENTS} per run"
+        )
     marbles = list(range(w.n))
     events = 0
     if rate > 0.0 and t > 0.0:
@@ -240,34 +261,166 @@ def simulate_interchange(
     )
 
 
+def cycle_counts_batch(perms: np.ndarray) -> np.ndarray:
+    """Cycle counts (m, n+1) of each row of an (m, n) array of permutations.
+
+    Pointer doubling: after r rounds label[i] is the smallest point among the
+    first 2^r iterates of i, so once 2^r >= n it names the cycle through i.
+    """
+    m, n = perms.shape
+    label = np.tile(np.arange(n), (m, 1))
+    jump = perms
+    for _ in range((n - 1).bit_length()):
+        label = np.minimum(label, np.take_along_axis(label, jump, axis=1))
+        jump = np.take_along_axis(jump, jump, axis=1)
+    rows = np.arange(m)[:, None]
+    lengths = np.bincount((rows * n + label).ravel(), minlength=m * n).reshape(m, n)
+    counts = np.bincount(
+        (rows * (n + 1) + lengths).ravel(), minlength=m * (n + 1)
+    ).reshape(m, n + 1)
+    counts[:, 0] = 0  # points that do not name their cycle
+    if (counts @ np.arange(n + 1) != n).any():
+        raise ConsistencyError("cycle lengths must sum to the number of marbles")
+    return counts
+
+
+def _philox(seed: int, block: int, region: int) -> np.random.Generator:
+    """Counter region `region` of block `block`'s Philox stream."""
+    return np.random.Generator(
+        np.random.Philox(
+            counter=np.array([0, region, 0, 0], dtype=np.uint64),
+            key=np.array([seed, block], dtype=np.uint64),
+        )
+    )
+
+
+def _swap_steps(
+    perms: np.ndarray, ends: np.ndarray, cumulative: np.ndarray,
+    u: np.ndarray, active: list[int],
+) -> None:
+    """Apply event steps to perms: at step j its first active[j] rows swap.
+
+    Row r swaps at step j the ends of the edge whose cumulative-probability
+    interval holds the uniform draw u[r, j].
+    """
+    picks = np.searchsorted(cumulative, u, side="right").T
+    offsets = np.arange(len(u)) * perms.shape[1]
+    first = ends[0].take(picks) + offsets  # flat positions, one row per step
+    second = ends[1].take(picks) + offsets
+    flat = perms.reshape(-1)
+    for j, rows in enumerate(active):
+        a, b = first[j, :rows], second[j, :rows]
+        flat[a], flat[b] = flat[b], flat[a]
+
+
+def _block_counts(
+    n: int, ends: np.ndarray, cumulative: np.ndarray, mean_events: float,
+    seed: int, block: int, m: int,
+) -> np.ndarray:
+    """Cycle counts of trajectories block * MC_BLOCK + r for r < m.
+
+    Region 0 of the block's stream holds the Poisson event counts, and region
+    c + 1 an (m, _STEP_CHUNK) array of uniforms that pick the edges of event
+    steps c * _STEP_CHUNK onwards, one row per trajectory.  Both are drawn in
+    trajectory order, so trajectory r gets the same draws whatever m is.
+    """
+    perms = np.tile(np.arange(n), (m, 1))
+    events = _philox(seed, block, 0).poisson(mean_events, m)
+    # Row r of perms holds trajectory order[r]; ranked by event count, the
+    # rows still swapping at step s are a prefix.
+    order = np.argsort(-events, kind="stable")
+    last = int(events.max())
+    for chunk, first in enumerate(range(0, last, _STEP_CHUNK)):
+        step = np.arange(first, min(first + _STEP_CHUNK, last))
+        active = (events[:, None] > step).sum(axis=0).tolist()
+        u = _philox(seed, block, chunk + 1).random((m, _STEP_CHUNK))
+        u = u[order[: active[0]], : len(active)]  # a copy, so the full draw is freed
+        _swap_steps(perms, ends, cumulative, u, active)
+    counts = np.empty((m, n + 1), dtype=np.int64)
+    counts[order] = cycle_counts_batch(perms)
+    return counts
+
+
+def cycle_count_blocks(
+    w: WeightFunction, t: float, samples: int, seed: int = 0
+) -> Iterator[np.ndarray]:
+    """Cycle counts of `samples` trajectories at time t, one block at a time.
+
+    Yields int arrays of shape (m, n+1): row r of block b holds counts[k],
+    the number of k-cycles of trajectory b * MC_BLOCK + r, with m = MC_BLOCK
+    except in the last block.  Block b draws from Philox keyed by (seed, b),
+    so the first N rows of a run with more samples equal a run with N.
+    Arguments are checked when called, before any block is simulated.
+    """
+    _check_time(t)
+    if samples < 1:
+        raise ParameterError(f"need samples >= 1, got {samples}")
+    if samples > MC_MAX_SAMPLES:
+        raise CapError(f"Monte Carlo capped at {MC_MAX_SAMPLES} samples, got {samples}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ParameterError(f"seed must be in [0, 2**64 - 1], got {seed}")
+    edges = list(w.edges())
+    ends = np.array([pair for pair, _ in edges], dtype=np.intp).reshape(-1, 2).T.copy()
+    weights = np.array([weight for _, weight in edges])
+    mean_events = float(weights.sum()) * t if t > 0 else 0.0
+    if samples * mean_events > MC_MAX_EVENTS:
+        raise CapError(
+            f"expected {samples * mean_events:.3g} events exceeds the Monte Carlo cap "
+            f"of {MC_MAX_EVENTS}; lower the samples or the time"
+        )
+    cumulative = np.cumsum(weights)
+    if edges:
+        # ends at exactly 1, so every uniform draw in [0, 1) picks an edge
+        cumulative /= cumulative[-1]
+    return (
+        _block_counts(w.n, ends, cumulative, mean_events, seed, block,
+                      min(MC_BLOCK, samples - start))
+        for block, start in enumerate(range(0, samples, MC_BLOCK))
+    )
+
+
+def mc_per_sample(
+    w: WeightFunction, t: float, samples: int, seed: int,
+    reduce: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """reduce(counts) over every block, one value (or row) per trajectory.
+
+    Each block's values are copied into one preallocated array, so no block
+    outlives its reduction.
+    """
+    out = None
+    for block, counts in enumerate(cycle_count_blocks(w, t, samples, seed)):
+        values = reduce(counts)
+        if out is None:
+            out = np.empty((samples,) + values.shape[1:], dtype=values.dtype)
+        out[block * MC_BLOCK : block * MC_BLOCK + len(values)] = values
+    return out
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    samples = len(values)
+    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return float(values.mean()), stderr
+
+
 def expected_cycles_mc(
     w: WeightFunction, k: int, t: float, samples: int, seed: int = 0
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E(s_k(t)) with its standard error."""
-    if samples < 1:
-        raise ParameterError(f"need samples >= 1, got {samples}")
     if not 1 <= k <= w.n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}")
-    values = np.empty(samples)
-    for idx in range(samples):
-        values[idx] = simulate_interchange(w, t, seed, idx).counts[k]
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return float(values.mean()), stderr
+    return _mean_stderr(mc_per_sample(w, t, samples, seed, lambda c: c[:, k]))
 
 
 def large_cycle_probability(
     w: WeightFunction, t: float, samples: int, seed: int = 0
 ) -> tuple[float, float]:
     """MC probability that some cycle is strictly longer than n/2."""
-    if samples < 1:
-        raise ParameterError(f"need samples >= 1, got {samples}")
     threshold = w.n // 2
-    hits = 0
-    for idx in range(samples):
-        counts = simulate_interchange(w, t, seed, idx).counts
-        if counts[threshold + 1 :].sum() > 0:
-            hits += 1
-    p = hits / samples
+    hits = mc_per_sample(
+        w, t, samples, seed, lambda c: c[:, threshold + 1 :].any(axis=1)
+    )
+    p = int(hits.sum()) / samples
     return p, math.sqrt(p * (1.0 - p) / samples)
 
 
@@ -275,16 +428,11 @@ def large_cycle_mass(
     w: WeightFunction, t: float, samples: int, seed: int = 0
 ) -> tuple[float, float]:
     """MC estimate of the expected number of cycles with n/2 <= length <= 3n/4."""
-    if samples < 1:
-        raise ParameterError(f"need samples >= 1, got {samples}")
     lo = (w.n + 1) // 2
     hi = (3 * w.n) // 4
-    values = np.empty(samples)
-    for idx in range(samples):
-        counts = simulate_interchange(w, t, seed, idx).counts
-        values[idx] = counts[lo : hi + 1].sum()
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return float(values.mean()), stderr
+    return _mean_stderr(
+        mc_per_sample(w, t, samples, seed, lambda c: c[:, lo : hi + 1].sum(axis=1))
+    )
 
 
 def exact_cycles_bruteforce(w: WeightFunction, k: int, t: float) -> float:

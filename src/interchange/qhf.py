@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import simulate_interchange
-from .errors import ParameterError
+from .cycles import mc_per_sample
+from .errors import ConsistencyError
 from .graphs import WeightFunction
 from .group_algebra import InterchangeExact, cycle_counts
 
@@ -53,12 +53,13 @@ class QhfEstimate:
     batches: int
 
 
-def _cycle_observables(counts: np.ndarray, n: int) -> tuple[float, float]:
-    """(2^alpha, sum_k k^2 alpha_k) for one trajectory's cycle counts."""
-    alpha = int(counts[1:].sum())
-    weighted = int(sum(k * k * int(counts[k]) for k in range(1, n + 1)))
-    assert weighted <= n * n, "sum of k^2 alpha_k can never exceed n^2"
-    return float(2.0**alpha), float(weighted)
+def _cycle_observables(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2^alpha, sum_k k^2 alpha_k) for cycle counts along the last axis."""
+    alpha = counts[..., 1:].sum(axis=-1)
+    weighted = counts @ np.arange(n + 1) ** 2
+    if (weighted > n * n).any():
+        raise ConsistencyError("sum of k^2 alpha_k can never exceed n^2")
+    return 2.0**alpha, weighted.astype(float)
 
 
 def qhf_mc(
@@ -70,15 +71,11 @@ def qhf_mc(
     error is the spread of per-batch ratios.  Fewer than two batches give
     zero reported error.
     """
-    if samples < 1:
-        raise ParameterError(f"need samples >= 1, got {samples}")
-    z_vals = np.empty(samples)
-    num_vals = np.empty(samples)
-    for idx in range(samples):
-        counts = simulate_interchange(w, t, seed, idx).counts
+    def observables(counts: np.ndarray) -> np.ndarray:
         weight, spin = _cycle_observables(counts, w.n)
-        z_vals[idx] = weight
-        num_vals[idx] = spin * weight
+        return np.column_stack((weight, spin * weight))
+
+    z_vals, num_vals = mc_per_sample(w, t, samples, seed, observables).T
     batches = min(_BATCHES, samples)
     z_batches = np.array([b.mean() for b in np.array_split(z_vals, batches)])
     ratio_batches = np.array(

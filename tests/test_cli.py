@@ -201,6 +201,10 @@ class TestErrorPaths:
             (["octopus", "--graph", "file:{tmp}/nan.w"], "non-finite weight"),
             (["mix", "--graph", "file:{tmp}/nan.w"], "non-finite weight"),
             (["mix", "--graph", "file:{tmp}/inf.w"], "non-finite weight"),
+            (["cycles", "--graph", "complete:4", "--k", "2", "--t", "1",
+              "--samples", "100000000000"], "Monte Carlo capped at"),
+            (["large-cycles", "--graph", "complete:4", "--t", "1e12", "--samples", "1"],
+             "exceeds the Monte Carlo cap"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):

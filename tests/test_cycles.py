@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from interchange.cycles import (
+    MC_BLOCK,
+    MC_MAX_EVENTS,
+    MC_MAX_SAMPLES,
     CycleFormula,
     Trajectory,
     coefficient_dimension_sum,
     cycle_coefficients,
+    cycle_count_blocks,
+    cycle_counts_batch,
     exact_cycles_bruteforce,
     expected_cycles_mc,
     expected_cycles_spectral,
@@ -22,7 +29,20 @@ from interchange.cycles import (
 )
 from interchange.errors import CapError, ConsistencyError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, path, star
-from interchange.irreps import hook_dim, lambda_kn
+from interchange.group_algebra import InterchangeExact, cycle_counts
+from interchange.irreps import delta_on_irrep, hook_dim, lambda_kn
+
+# Upper 0.1% points of the chi-square law, by degrees of freedom.
+CHI2_CRITICAL_1E3 = {4: 18.467, 6: 22.458}
+CHI2_GRAPHS = {
+    "complete:4": complete(4),
+    "path:4": path(4),
+    "star:5": star(5),
+    # unequal weights, so a wrong edge-pick law shows
+    "weighted:4": WeightFunction(
+        4, {(0, 1): 3.0, (0, 2): 1.5, (0, 3): 0.25, (1, 2): 0.5, (2, 3): 1.0}
+    ),
+}
 
 
 class TestCoefficients:
@@ -243,9 +263,95 @@ class TestSimulator:
         with pytest.raises(ParameterError):
             simulate_interchange(complete(3), -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time(self, t):
+        with pytest.raises(ParameterError):
+            simulate_interchange(complete(4), t)
+
+    def test_event_cap(self):
+        # complete(4) has total rate 6, so this asks for about 6e12 events
+        with pytest.raises(CapError):
+            simulate_interchange(complete(4), 1e12)
+
     def test_rng_rejects_negative_keys(self):
         with pytest.raises(ParameterError):
             trajectory_rng(-1, 0)
+
+
+def _blocks(w, t, samples, seed):
+    return np.concatenate(list(cycle_count_blocks(w, t, samples, seed)))
+
+
+class TestEngine:
+    @pytest.mark.parametrize("name", CHI2_GRAPHS)
+    def test_cycle_types_match_exact_distribution(self, name):
+        # chi-square over cycle types at t = 0.5 / gap; every expected cell
+        # holds about 100 or more of the 20k samples
+        w = CHI2_GRAPHS[name]
+        t = 0.5 / delta_on_irrep(w, (w.n - 1, 1)).lambda_min
+        process = InterchangeExact(w)
+        want: dict[tuple, float] = {}
+        for p, perm in zip(process.distribution(t), process.permutations):
+            key = tuple(cycle_counts(perm).tolist())
+            want[key] = want.get(key, 0.0) + p
+        samples = 20_000
+        seen = dict.fromkeys(want, 0)
+        for row in _blocks(w, t, samples, seed=2024):
+            seen[tuple(row.tolist())] += 1
+        assert sum(seen.values()) == samples  # no cycle type outside S_n
+        stat = sum((seen[k] - samples * p) ** 2 / (samples * p) for k, p in want.items())
+        assert stat < CHI2_CRITICAL_1E3[len(want) - 1], (stat, seen)
+
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=8)))
+    def test_batch_counter_matches_cycle_counts(self, perms):
+        counts = cycle_counts_batch(np.array(perms))
+        n = len(perms[0])
+        for row, perm in zip(counts, perms):
+            assert row.tolist() == cycle_counts(tuple(perm)).tolist()
+            assert row @ np.arange(n + 1) == n
+
+    def test_same_seed_same_blocks(self):
+        w = star(6)
+        a = list(cycle_count_blocks(w, 0.8, 2 * MC_BLOCK + 5, seed=3))
+        b = list(cycle_count_blocks(w, 0.8, 2 * MC_BLOCK + 5, seed=3))
+        assert [x.shape for x in a] == [(MC_BLOCK, 7), (MC_BLOCK, 7), (5, 7)]
+        assert all((x == y).all() for x, y in zip(a, b))
+        assert not (_blocks(w, 0.8, 100, seed=4) == a[0][:100]).all()
+
+    def test_prefix_of_larger_run(self):
+        w = path(7)
+        n_rows = MC_BLOCK + 100
+        assert (_blocks(w, 2.0, n_rows, 9) == _blocks(w, 2.0, 2 * n_rows, 9)[:n_rows]).all()
+
+    @pytest.mark.parametrize("w, t", [(complete(5), 0.0), (WeightFunction(4, {}), 3.0)])
+    def test_no_events_gives_identity(self, w, t):
+        identity = np.zeros(w.n + 1, dtype=np.int64)
+        identity[1] = w.n
+        assert (_blocks(w, t, 600, seed=1) == identity).all()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bad_time(self, t):
+        with pytest.raises(ParameterError):
+            cycle_count_blocks(complete(4), t, 10, seed=0)
+
+    def test_bad_samples_and_seed(self):
+        with pytest.raises(ParameterError):
+            cycle_count_blocks(complete(4), 1.0, 0, seed=0)
+        with pytest.raises(ParameterError):
+            cycle_count_blocks(complete(4), 1.0, 10, seed=-1)
+        with pytest.raises(ParameterError):
+            cycle_count_blocks(complete(4), 1.0, 10, seed=2**64)
+
+    def test_caps(self):
+        with pytest.raises(CapError, match="samples"):
+            cycle_count_blocks(complete(4), 0.0, MC_MAX_SAMPLES + 1, seed=0)
+        # complete(4) has total rate 6: the event cap counts samples * 6 * t
+        for samples in (1, MC_MAX_SAMPLES):
+            t = MC_MAX_EVENTS / (6 * samples)
+            cycle_count_blocks(complete(4), 0.999 * t, samples, seed=0)  # admitted
+            with pytest.raises(CapError, match="events"):
+                cycle_count_blocks(complete(4), 1.001 * t, samples, seed=0)
 
 
 class TestMonteCarlo:
@@ -291,6 +397,15 @@ class TestMonteCarlo:
             large_cycle_probability(complete(3), 1.0, 0)
         with pytest.raises(ParameterError):
             expected_cycles_mc(complete(3), 4, 1.0, 10)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time(self, t):
+        with pytest.raises(ParameterError):
+            expected_cycles_mc(complete(4), 2, t, 10)
+        with pytest.raises(ParameterError):
+            large_cycle_probability(complete(4), t, 10)
+        with pytest.raises(ParameterError):
+            large_cycle_mass(complete(4), t, 10)
 
     def test_large_cycle_mass_positive_after_burn_in(self):
         # at t = 10/n the mass of cycles with n/2 <= length <= 3n/4 is

@@ -99,6 +99,11 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError):
             qhf_mc(complete(3), 0.1, samples=0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time(self, t):
+        with pytest.raises(ParameterError):
+            qhf_mc(complete(4), t, samples=10)
+
     def test_hamming_magnetization_reported(self):
         # report-only run on the 3x3 rook graph at t past 1/sqrt(n); the
         # estimate just has to be a sane magnetization with finite error bars
