@@ -44,12 +44,25 @@ class LazyChain:
                 f"vertex {isolated} has zero total weight; lazy chain undefined"
             )
         n = w.n
-        p = w.dense() / (2.0 * wi[:, None])
+        p = w.dense()
+        edges = np.count_nonzero(p)
+        p /= 2.0 * wi[:, None]
+        if np.count_nonzero(p) < edges:
+            raise DegenerateWeightError(
+                "a transition probability underflows to zero on a weighted edge; "
+                "the weight ratios are too extreme"
+            )
         np.fill_diagonal(p, 0.5)
+        pi = wi / wi.sum()
+        if (pi == 0).any():
+            raise DegenerateWeightError(
+                f"the stationary weight of vertex {int(np.argmin(pi))} underflows to zero; "
+                "the weight ratios are too extreme"
+            )
         self.weights = w
         self.n = n
         self.matrix = p
-        self.pi = wi / wi.sum()
+        self.pi = pi
         self.connected = w.is_connected()
         self._dyadic: dict[int, np.ndarray] = {0: p}
 
@@ -87,11 +100,6 @@ def lazy_chain(w: WeightFunction) -> LazyChain:
     return LazyChain(w)
 
 
-def transition_power(chain: LazyChain, t: int) -> np.ndarray:
-    """t-step transition matrix."""
-    return chain.power(t)
-
-
 def min_stationary_ratio(chain: LazyChain, t: int) -> float:
     """min over (i, j) of p_t(i, j) / pi(j); nondecreasing in t."""
     return float((chain.power(t) / chain.pi[None, :]).min())
@@ -120,7 +128,7 @@ def _search_first_time(condition, guard_cap: int = 60) -> int:
             lo = mid
     return hi
 
-def lmix(chain: LazyChain, tie_guard: float = TIE_GUARD) -> int | float:
+def lmix(chain: LazyChain) -> int | float:
     """First time every p_t(i, j) strictly exceeds (3/4) pi(j).
 
     Returns math.inf when the weight function is disconnected.  The strict
@@ -130,15 +138,15 @@ def lmix(chain: LazyChain, tie_guard: float = TIE_GUARD) -> int | float:
     if not chain.connected:
         return math.inf
     return _search_first_time(
-        lambda t: min_stationary_ratio(chain, t) > 0.75 + tie_guard
+        lambda t: min_stationary_ratio(chain, t) > 0.75 + TIE_GUARD
     )
 
 
-def tv_mix(chain: LazyChain, tie_guard: float = TIE_GUARD) -> int | float:
+def tv_mix(chain: LazyChain) -> int | float:
     """First time the worst-row total variation distance drops below 1/4."""
     if not chain.connected:
         return math.inf
-    return _search_first_time(lambda t: tv_distance(chain, t) < 0.25 - tie_guard)
+    return _search_first_time(lambda t: tv_distance(chain, t) < 0.25 - TIE_GUARD)
 
 
 class DeltaResult(NamedTuple):
@@ -197,16 +205,12 @@ class MixingReport:
     theorem_bound: float | None
 
 
-def delta_clause_diagnostics(w: WeightFunction, report: MixingReport) -> ClauseDiagnostics:
+def _clause_diagnostics(w: WeightFunction, lmix_value: int | float) -> ClauseDiagnostics:
     """Lower bound diagnostics for delta.
 
     Reports (min positive w_ij / max_i w_i)^2, whether w is regular (in which
     case delta is bounded below by an absolute constant), and 1 / (2 lmix).
     """
-    return _clause_diagnostics(w, report.lmix)
-
-
-def _clause_diagnostics(w: WeightFunction, lmix_value: int | float) -> ClauseDiagnostics:
     ratio = w.min_positive_weight() / float(w.vertex_weights.max())
     half_inv = 0.0 if math.isinf(lmix_value) else 1.0 / (2.0 * lmix_value)
     return ClauseDiagnostics(
@@ -216,26 +220,17 @@ def _clause_diagnostics(w: WeightFunction, lmix_value: int | float) -> ClauseDia
     )
 
 
-def theorem_bound(w: WeightFunction) -> float:
-    """(delta / lmix) * (min_i w_i)^2 / w_tot for connected w.
+def mixing_report(w: WeightFunction) -> MixingReport:
+    """Compute lmix, tv mixing time, delta, the clause diagnostics, and the
+    theorem bound (delta / lmix) * (min_i w_i)^2 / w_tot.
 
-    This is the graph-dependent factor of the main comparison bound; no
-    universal constant is folded in.
+    The theorem bound is the graph-dependent factor of the main comparison
+    bound; no universal constant is folded in.  For disconnected w, delta and
+    the theorem bound are None.
     """
     chain = lazy_chain(w)
     lm = lmix(chain)
-    if math.isinf(lm):
-        raise DisconnectedError("theorem bound undefined for disconnected weights")
-    d = delta(chain, lm).delta
-    wi_min = float(w.vertex_weights.min())
-    return (d / lm) * (wi_min * wi_min) / w.total_weight
-
-
-def mixing_report(w: WeightFunction, tie_guard: float = TIE_GUARD) -> MixingReport:
-    """Compute lmix, tv mixing time, delta, and the clause diagnostics."""
-    chain = lazy_chain(w)
-    lm = lmix(chain, tie_guard)
-    mix = tv_mix(chain, tie_guard)
+    mix = tv_mix(chain)
     if math.isinf(lm):
         return MixingReport(
             lmix=lm,

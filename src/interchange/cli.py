@@ -41,7 +41,7 @@ from .errors import (
 )
 from .graphs import WeightFunction, parse_graph_spec
 from .group_algebra import EXACT_SEMIGROUP_MAX_N, doubling_inequality_check, octopus_check
-from .irreps import aldous_check, comparison_constant
+from .irreps import comparison_constant
 from .qhf import qhf_mc
 
 SUBCOMMANDS = (
@@ -200,7 +200,7 @@ def _cmd_verify_doubling(config: RunConfig) -> tuple[dict, bool]:
 def _cmd_compare(config: RunConfig) -> tuple[dict, bool]:
     w = config.weights()
     report = comparison_constant(w)
-    aldous = aldous_check(w)
+    aldous = report.aldous
     rows = [
         {
             "partition": list(row.partition),

@@ -40,6 +40,7 @@ from .irreps import (
     delta_on_irrep,
     hook_dim,
     lambda_kn,
+    standard_partition,
     validate_partition,
 )
 
@@ -448,7 +449,7 @@ def exact_cycles_bruteforce(w: WeightFunction, k: int, t: float) -> float:
 
 def oracle_t_grid(w: WeightFunction) -> np.ndarray:
     """Times {0, 0.01, 0.1, 0.5, 1, 5} scaled by the spectral gap of w."""
-    gap = delta_on_irrep(w, (w.n - 1, 1) if w.n > 2 else (1, 1)).lambda_min
+    gap = delta_on_irrep(w, standard_partition(w.n)).lambda_min
     if gap <= 1e-12:
         raise ParameterError("t grid needs a connected weight function")
     return np.array([0.0, 0.01, 0.1, 0.5, 1.0, 5.0]) / gap

@@ -10,11 +10,15 @@ parameterized by one of these.
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DegenerateWeightError, ParameterError
+from .errors import CapError, DegenerateWeightError, ParameterError
+
+# Largest vertex count a graph spec may name.  Every dense route builds n x n
+# matrices, and hypercube:10, the largest graph in use, has 1024 vertices.
+MAX_VERTICES = 1024
 
 
 class WeightFunction:
@@ -127,30 +131,6 @@ class WeightFunction:
         return f"WeightFunction(n={self.n}, edges={len(self._entries)})"
 
 
-class DegreeStats(NamedTuple):
-    vertex_weights: np.ndarray
-    total_weight: float
-    min_vertex_weight: float
-    min_positive_weight: float
-    connected: bool
-
-
-def degree_stats(w: WeightFunction) -> DegreeStats:
-    """Summary statistics of a weight function.
-
-    Raises DegenerateWeightError when every weight is zero, since neither the
-    minimum positive weight nor any derived chain is defined in that case.
-    """
-    min_positive = w.min_positive_weight()
-    return DegreeStats(
-        vertex_weights=w.vertex_weights,
-        total_weight=w.total_weight,
-        min_vertex_weight=float(w.vertex_weights.min()),
-        min_positive_weight=min_positive,
-        connected=w.is_connected(),
-    )
-
-
 @dataclass(frozen=True)
 class GraphFamily:
     """A named graph family instance, e.g. GraphFamily("complete", (5,))."""
@@ -162,6 +142,12 @@ class GraphFamily:
         return build_family(self)
 
 
+def _check_vertex_count(n: int, what: str) -> None:
+    """Raise CapError before any edge list is built for an oversized graph."""
+    if n > MAX_VERTICES:
+        raise CapError(f"{what} has {n} vertices; graphs are capped at {MAX_VERTICES}")
+
+
 def _pairs(edges: Iterable[tuple[int, int]]) -> dict[tuple[int, int], float]:
     return {(i, j) if i < j else (j, i): 1.0 for i, j in edges}
 
@@ -170,6 +156,7 @@ def complete(n: int) -> WeightFunction:
     """Unit weights on every pair of n vertices."""
     if n < 2:
         raise ParameterError(f"complete graph needs n >= 2, got {n}")
+    _check_vertex_count(n, f"complete:{n}")
     return WeightFunction(n, _pairs((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -177,6 +164,7 @@ def cycle(n: int) -> WeightFunction:
     """Unit weights along a single n-cycle."""
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
+    _check_vertex_count(n, f"cycle:{n}")
     return WeightFunction(n, _pairs((i, (i + 1) % n) for i in range(n)))
 
 
@@ -184,6 +172,7 @@ def path(n: int) -> WeightFunction:
     """Unit weights along a path 0 - 1 - ... - (n-1)."""
     if n < 2:
         raise ParameterError(f"path needs n >= 2, got {n}")
+    _check_vertex_count(n, f"path:{n}")
     return WeightFunction(n, _pairs((i, i + 1) for i in range(n - 1)))
 
 
@@ -191,6 +180,7 @@ def star(n: int) -> WeightFunction:
     """Unit weights from center 0 to each of the n - 1 leaves."""
     if n < 2:
         raise ParameterError(f"star needs n >= 2, got {n}")
+    _check_vertex_count(n, f"star:{n}")
     return WeightFunction(n, _pairs((0, i) for i in range(1, n)))
 
 
@@ -198,6 +188,9 @@ def hypercube(d: int) -> WeightFunction:
     """Unit weights on the d-dimensional Boolean hypercube (n = 2^d vertices)."""
     if d < 1:
         raise ParameterError(f"hypercube needs dimension >= 1, got {d}")
+    # compare exponents: 2^d itself is unbounded in d
+    if d >= MAX_VERTICES.bit_length():
+        raise CapError(f"hypercube:{d} has 2^{d} vertices; graphs are capped at {MAX_VERTICES}")
     n = 1 << d
     edges = []
     for x in range(n):
@@ -218,6 +211,7 @@ def hamming2(m: int) -> WeightFunction:
     if m < 2:
         raise ParameterError(f"hamming2 needs alphabet size >= 2, got {m}")
     n = m * m
+    _check_vertex_count(n, f"hamming2:{m}")
     edges = []
     for x in range(n):
         a1, b1 = divmod(x, m)
@@ -239,6 +233,14 @@ def regular_tree(degree: int, depth: int) -> WeightFunction:
         raise ParameterError(f"tree degree must be >= 2, got {degree}")
     if depth < 1:
         raise ParameterError(f"tree depth must be >= 1, got {depth}")
+    # count level by level, stopping once past the cap (each level adds >= 2)
+    n, level = 1, degree
+    for _ in range(depth):
+        n += level
+        if n > MAX_VERTICES:
+            break
+        level *= degree - 1
+    _check_vertex_count(n, f"regular-tree:{degree},{depth}")
     edges = []
     next_label = 1
     frontier = [0]
@@ -320,6 +322,7 @@ def load_weight_file(path: str | Path) -> WeightFunction:
         n, count = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ParameterError(f"bad header {lines[0]!r} in weight file {path}") from exc
+    _check_vertex_count(n, f"weight file {path}")
     body = lines[1:]
     if len(body) != count:
         raise ParameterError(

@@ -22,8 +22,8 @@ irreducible block:
 * the doubling bound: for a lifted weight u with diagonal fraction eps,
       (2 + 2 eps) Delta_u  >=  Delta_{u^(2)}.
 
-Exact semigroup distributions exp(-t Delta_w) are available for n <= 5 via
-the symmetric eigendecomposition of the regular representation matrix.
+Exact distributions exp(-t Delta_w) of the process are available for n <= 5
+via the symmetric eigendecomposition of the regular representation matrix.
 """
 
 import itertools
@@ -41,6 +41,7 @@ Perm = tuple[int, ...]
 REGULAR_REP_MAX_N = 7
 EXACT_SEMIGROUP_MAX_N = 5
 PSD_TOL = 1e-9
+TV_MIX_TIME_TOL = 1e-6
 
 
 def identity_perm(n: int) -> Perm:
@@ -84,15 +85,6 @@ def cycle_counts(p: Perm) -> np.ndarray:
             length += 1
         counts[length] += 1
     return counts
-
-
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Cycle lengths of p, largest first."""
-    counts = cycle_counts(p)
-    out: list[int] = []
-    for length in range(len(p), 0, -1):
-        out.extend([length] * int(counts[length]))
-    return tuple(out)
 
 
 def all_perms(n: int) -> list[Perm]:
@@ -223,14 +215,10 @@ def octopus_gap(n: int, hub: int, arm_weights: Iterable[float]) -> PairOperator:
 
 
 def octopus_check(
-    n: int,
-    hub: int,
-    arm_weights: Iterable[float],
-    tol: float = PSD_TOL,
-    method: str = "auto",
+    n: int, hub: int, arm_weights: Iterable[float], tol: float = PSD_TOL
 ) -> PsdVerdict:
     """Verify the octopus inequality for one hub configuration."""
-    return is_psd(octopus_gap(n, hub, arm_weights), tol=tol, method=method)
+    return is_psd(octopus_gap(n, hub, arm_weights), tol=tol)
 
 
 def doubling_gap(u: LiftedWeight) -> PairOperator:
@@ -240,11 +228,9 @@ def doubling_gap(u: LiftedWeight) -> PairOperator:
     return PairOperator((2.0 + 2.0 * u.epsilon) * lhs.c - rhs.c)
 
 
-def doubling_inequality_check(
-    u: LiftedWeight, tol: float = PSD_TOL, method: str = "auto"
-) -> PsdVerdict:
+def doubling_inequality_check(u: LiftedWeight, tol: float = PSD_TOL) -> PsdVerdict:
     """Verify the doubling inequality for one lifted weight."""
-    return is_psd(doubling_gap(u), tol=tol, method=method)
+    return is_psd(doubling_gap(u), tol=tol)
 
 
 class InterchangeExact:
@@ -258,7 +244,7 @@ class InterchangeExact:
     def __init__(self, w: WeightFunction):
         if w.n > EXACT_SEMIGROUP_MAX_N:
             raise CapError(
-                f"exact semigroup capped at n <= {EXACT_SEMIGROUP_MAX_N}, got {w.n}"
+                f"exact distribution capped at n <= {EXACT_SEMIGROUP_MAX_N}, got {w.n}"
             )
         self.weights = w
         self.permutations = all_perms(w.n)
@@ -279,30 +265,24 @@ class InterchangeExact:
         return float(0.5 * np.abs(self.distribution(t) - 1.0 / size).sum())
 
 
-def interchange_exact(w: WeightFunction, t: float) -> np.ndarray:
-    """Exact interchange distribution at time t over all_perms(w.n)."""
-    return InterchangeExact(w).distribution(t)
-
-
-def interchange_tv_mix_exact(
-    w: WeightFunction, t_tol: float = 1e-6, semigroup: InterchangeExact | None = None
-) -> float:
+def interchange_tv_mix_exact(w: WeightFunction) -> float:
     """First time the interchange process is within 1/4 of uniform in TV.
 
     Located by doubling and bisection on the continuous time axis; the
-    result is accurate to t_tol.  Raises DisconnectedError when the weight
-    function is disconnected (the process then never approaches uniform).
+    result is accurate to TV_MIX_TIME_TOL.  Raises DisconnectedError when the
+    weight function is disconnected (the process then never approaches
+    uniform).
     """
     if not w.is_connected():
         raise DisconnectedError("interchange mixing needs a connected weight function")
-    process = semigroup if semigroup is not None else InterchangeExact(w)
+    process = InterchangeExact(w)
     hi = 1.0 / w.total_weight
     while process.tv_from_uniform(hi) >= 0.25:
         hi *= 2.0
         if hi > 1e9:
             raise DegenerateWeightError("interchange process failed to mix")
     lo = 0.0
-    while hi - lo > t_tol:
+    while hi - lo > TV_MIX_TIME_TOL:
         mid = 0.5 * (lo + hi)
         if process.tv_from_uniform(mid) < 0.25:
             hi = mid

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import theorem_bound
+from .chain import mixing_report
 from .errors import CapError, ParameterError
 from .graphs import WeightFunction
 from .group_algebra import PairOperator, delta_of_weights
@@ -45,6 +45,7 @@ Tableau = tuple[tuple[int, ...], ...]
 
 PARTITION_MAX_N = 12
 IRREP_MAX_N = 10
+ALDOUS_TOL = 1e-9
 
 
 def validate_partition(parts: Sequence[int], n: int | None = None) -> Partition:
@@ -76,6 +77,15 @@ def partitions(n: int) -> list[Partition]:
 
     extend(n, n, [])
     return out
+
+
+def standard_partition(n: int) -> Partition:
+    """The partition [n-1, 1] whose block carries the Laplacian spectral gap.
+
+    For n = 2 it is [1, 1], the sign block, which is then the only nontrivial
+    one.
+    """
+    return (n - 1, 1) if n > 2 else (1, 1)
 
 
 def conjugate_partition(p: Partition) -> Partition:
@@ -279,11 +289,6 @@ def _rep(partition: Partition) -> YoungOrthogonalRep:
     return YoungOrthogonalRep(partition)
 
 
-def transposition_matrix(p: Sequence[int], i: int, j: int) -> np.ndarray:
-    """Representation matrix of the transposition (i, j) for shape p."""
-    return _rep(validate_partition(p)).transposition_matrix(i, j)
-
-
 @dataclass(frozen=True)
 class IrrepSpectrum:
     """Spectrum of the interchange generator restricted to one partition."""
@@ -351,26 +356,27 @@ class AldousReport(NamedTuple):
     spectral_gap: float
 
 
-def aldous_check(w: WeightFunction, tol: float = 1e-9) -> AldousReport:
+def aldous_check(spectra: Sequence[IrrepSpectrum]) -> AldousReport:
     """Check that the standard partition [n-1, 1] attains the spectral gap.
 
-    margin is the smallest lambda_1(w, rho) - lambda_1(w, [n-1, 1]) over
-    partitions rho other than [n] and [n-1, 1] (infinite when there are no
-    such partitions, i.e. n = 2); the check holds when margin >= -tol.
+    spectra is the output of all_spectra(w).  margin is the smallest
+    lambda_1(w, rho) - lambda_1(w, [n-1, 1]) over partitions rho other than
+    [n] and [n-1, 1] (infinite when there are no such partitions, i.e. n = 2);
+    the check holds when margin >= -ALDOUS_TOL.
     """
-    spectra = all_spectra(w)
-    standard = (w.n - 1, 1) if w.n > 2 else (1, 1)
+    n = sum(spectra[0].partition)
+    standard = standard_partition(n)
     gap = next(s.lambda_min for s in spectra if s.partition == standard)
     margin = math.inf
     worst: Partition | None = None
     for s in spectra:
-        if s.partition in ((w.n,), standard):
+        if s.partition in ((n,), standard):
             continue
         if s.lambda_min - gap < margin:
             margin = s.lambda_min - gap
             worst = s.partition
     return AldousReport(
-        holds=margin >= -tol, worst_partition=worst, margin=margin, spectral_gap=gap
+        holds=margin >= -ALDOUS_TOL, worst_partition=worst, margin=margin, spectral_gap=gap
     )
 
 
@@ -388,7 +394,7 @@ class ComparisonReport:
 
     a_star: float
     argmin_partition: Partition | None
-    aldous_gap: float
+    aldous: AldousReport
     theorem_bound: float | None
     empirical_c: float | None
     rows: tuple[PartitionRow, ...]
@@ -397,8 +403,8 @@ class ComparisonReport:
 def comparison_constant(w: WeightFunction) -> ComparisonReport:
     """a*(w) = min over nontrivial partitions of lambda_1(w, rho) / lambda_kn(rho).
 
-    Also reports the per-partition table, the spectral gap at [n-1, 1], the
-    mixing-based lower bound b(w), and the ratio a* / b(w).  For
+    Also reports the per-partition table, the Aldous check of the same
+    spectra, the mixing-based lower bound b(w), and the ratio a* / b(w).  For
     disconnected w the constant is 0 and b(w) is undefined (reported None).
     """
     spectra = all_spectra(w)
@@ -414,11 +420,9 @@ def comparison_constant(w: WeightFunction) -> ComparisonReport:
         if ratio < a_star:
             a_star = ratio
             argmin = s.partition
-    standard = (w.n - 1, 1) if w.n > 2 else (1, 1)
-    gap = next(s.lambda_min for s in spectra if s.partition == standard)
     a_star = max(a_star, 0.0)
     if w.is_connected():
-        bound = theorem_bound(w)
+        bound = mixing_report(w).theorem_bound
         empirical = a_star / bound
     else:
         bound = None
@@ -426,7 +430,7 @@ def comparison_constant(w: WeightFunction) -> ComparisonReport:
     return ComparisonReport(
         a_star=a_star,
         argmin_partition=argmin,
-        aldous_gap=gap,
+        aldous=aldous_check(spectra),
         theorem_bound=bound,
         empirical_c=empirical,
         rows=tuple(rows),

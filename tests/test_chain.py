@@ -8,7 +8,6 @@ from interchange.chain import (
     DeltaResult,
     LazyChain,
     delta,
-    delta_clause_diagnostics,
     double_weight,
     is_regular,
     lazy_chain,
@@ -16,8 +15,6 @@ from interchange.chain import (
     lmix,
     min_stationary_ratio,
     mixing_report,
-    theorem_bound,
-    transition_power,
     tv_distance,
     tv_mix,
     verify_probability_bounds,
@@ -67,7 +64,7 @@ def test_complete3_transition_matrix():
 
 def test_complete3_two_step_probabilities():
     chain = lazy_chain(complete(3))
-    p2 = transition_power(chain, 2)
+    p2 = chain.power(2)
     assert np.allclose(np.diag(p2), 3 / 8)
     off = p2[~np.eye(3, dtype=bool)]
     assert np.allclose(off, 5 / 16)
@@ -83,7 +80,7 @@ def test_star4_stationary():
 
 def test_transition_power_zero_is_identity():
     chain = lazy_chain(path(4))
-    assert np.array_equal(transition_power(chain, 0), np.eye(4))
+    assert np.array_equal(chain.power(0), np.eye(4))
 
 
 def test_lmix_complete3_is_two():
@@ -201,7 +198,7 @@ def test_is_regular():
 def test_clause_diagnostics_path3():
     w = path(3)
     report = mixing_report(w)
-    diag = delta_clause_diagnostics(w, report)
+    diag = report.clause_bounds
     assert diag.edge_degree_ratio_sq == pytest.approx((1 / 2) ** 2)
     assert diag.regular is False
     assert diag.half_inverse_lmix == pytest.approx(1 / (2 * report.lmix))
@@ -209,13 +206,14 @@ def test_clause_diagnostics_path3():
 
 
 def test_theorem_bound_complete3():
-    assert theorem_bound(complete(3)) == pytest.approx(16 / 99, abs=1e-12)
+    assert mixing_report(complete(3)).theorem_bound == pytest.approx(16 / 99, abs=1e-12)
 
 
 def test_theorem_bound_scaling():
     # delta and lmix are scale free while min w_i^2 / w_tot is linear in scale
     w = cycle(5)
-    assert theorem_bound(w.scaled(2.0)) == pytest.approx(2.0 * theorem_bound(w))
+    bound = mixing_report(w).theorem_bound
+    assert mixing_report(w.scaled(2.0)).theorem_bound == pytest.approx(2.0 * bound)
 
 
 def test_mixing_report_complete3():

@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from interchange import acceptance, irreps
 from interchange.acceptance import ALL_CHECKS, SuiteConfig, run_suite
 from interchange.cli import RunConfig, _suite_payload, main, render_json, schema_for
 from interchange.errors import ParameterError
@@ -69,6 +72,19 @@ class TestReports:
         assert payload["aldous"] is True
         assert len(payload["rows"]) == 3
         check_against_schema(payload, "compare")
+
+    def test_compare_solves_each_partition_once(self, capsys, monkeypatch):
+        calls = []
+        solve = irreps.delta_on_irrep
+
+        def counted(w, p):
+            calls.append(tuple(p))
+            return solve(w, p)
+
+        monkeypatch.setattr(irreps, "delta_on_irrep", counted)
+        code, _ = run_cli(capsys, ["compare", "--graph", "path:5"])
+        assert code == 0
+        assert sorted(calls) == sorted(irreps.partitions(5))
 
     def test_cycles_with_all_routes(self, capsys):
         code, out = run_cli(
@@ -205,16 +221,26 @@ class TestErrorPaths:
               "--samples", "100000000000"], "Monte Carlo capped at"),
             (["large-cycles", "--graph", "complete:4", "--t", "1e12", "--samples", "1"],
              "exceeds the Monte Carlo cap"),
+            (["mix", "--graph", "file:{tmp}/extreme.w"], "weight ratios are too extreme"),
+            (["compare", "--graph", "file:{tmp}/extreme.w"], "weight ratios are too extreme"),
+            (["mix", "--graph", "hypercube:40"], "graphs are capped at"),
+            (["mix", "--graph", "regular-tree:3,40"], "graphs are capped at"),
+            (["mix", "--graph", "complete:100000"], "graphs are capped at"),
+            (["mix", "--graph", "hamming2:1000"], "graphs are capped at"),
+            (["mix", "--graph", "file:{tmp}/huge.w"], "graphs are capped at"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         (tmp_path / "nan.w").write_text("3 2\n0 1 nan\n1 2 1.0\n")
         (tmp_path / "inf.w").write_text("3 2\n0 1 inf\n1 2 1.0\n")
+        (tmp_path / "extreme.w").write_text("3 2\n0 1 1e-300\n1 2 1e300\n")
+        (tmp_path / "huge.w").write_text("1000000000 0\n")
         code = main([arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_degenerate_weights_exit_2(self, capsys, tmp_path):
         path = tmp_path / "empty.w"
@@ -262,13 +288,24 @@ class TestSuitePlumbing:
         with pytest.raises(ParameterError):
             SuiteConfig.for_level("galactic")
 
-    def test_thread_env_var(self, monkeypatch):
-        monkeypatch.setenv("INTERCHANGE_THREADS", "2")
-        report = run_suite(names=("mixing_numbers",))
-        assert report.passed
-        monkeypatch.setenv("INTERCHANGE_THREADS", "zero")
-        with pytest.raises(ParameterError):
-            run_suite(names=("mixing_numbers",))
+    def test_checks_run_in_the_calling_thread(self, monkeypatch):
+        names = ("mixing_numbers", "probability_bounds")
+        threads = []
+
+        def recorded(check):
+            def run(config):
+                threads.append(threading.current_thread())
+                return check(config)
+            return run
+
+        for name in names:
+            monkeypatch.setitem(acceptance.ALL_CHECKS, name, recorded(ALL_CHECKS[name]))
+        start = time.perf_counter()
+        report = run_suite(names=names)
+        wall = time.perf_counter() - start
+        assert threads == [threading.current_thread()] * len(names)
+        # each timing is rounded to the millisecond
+        assert sum(report.timings.values()) <= wall + 0.5e-3 * len(names)
 
     def test_schema_for_unknown_command(self):
         with pytest.raises(ParameterError):

@@ -10,7 +10,6 @@ from interchange.graphs import (
     build_family,
     complete,
     cycle,
-    degree_stats,
     dump_weight_file,
     hamming2,
     hypercube,
@@ -24,11 +23,10 @@ from interchange.graphs import (
 
 def test_complete_three_degree_stats():
     w = complete(3)
-    stats = degree_stats(w)
-    assert np.allclose(stats.vertex_weights, [2.0, 2.0, 2.0])
-    assert stats.total_weight == 6.0
-    assert stats.min_positive_weight == 1.0
-    assert stats.connected
+    assert np.allclose(w.vertex_weights, [2.0, 2.0, 2.0])
+    assert w.total_weight == 6.0
+    assert w.min_positive_weight() == 1.0
+    assert w.is_connected()
 
 
 def test_weights_are_symmetric_and_zero_free():
@@ -64,13 +62,12 @@ def test_duplicate_pair_rejected():
 def test_all_zero_weights_degenerate():
     w = WeightFunction(3, {(0, 1): 0.0})
     with pytest.raises(DegenerateWeightError):
-        degree_stats(w)
+        w.min_positive_weight()
 
 
 def test_two_disjoint_edges_disconnected():
     w = WeightFunction(4, {(0, 1): 1.0, (2, 3): 1.0})
     assert not w.is_connected()
-    assert degree_stats(w).connected is False
 
 
 def test_path_three_weights():

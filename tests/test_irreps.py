@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interchange.errors import CapError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, hamming2, path, star
@@ -26,7 +28,6 @@ from interchange.irreps import (
     min_eigenvalue_on_irreps,
     partitions,
     standard_tableaux,
-    transposition_matrix,
     validate_partition,
 )
 
@@ -176,8 +177,8 @@ def test_matrix_is_a_homomorphism():
             )
 
 
-def test_transposition_matrix_convenience_wrapper():
-    m = transposition_matrix((2, 1), 0, 1)
+def test_transposition_matrix_two_one_shape():
+    m = YoungOrthogonalRep((2, 1)).transposition_matrix(0, 1)
     assert np.allclose(m, np.diag([1.0, -1.0]))
 
 
@@ -241,7 +242,7 @@ def test_min_eigenvalue_on_irreps_matches_regular_route():
 
 
 def test_aldous_check_path3():
-    report = aldous_check(path(3))
+    report = aldous_check(all_spectra(path(3)))
     assert report.holds
     assert report.spectral_gap == pytest.approx(1.0, abs=1e-10)
     assert report.worst_partition == (1, 1, 1)
@@ -249,7 +250,7 @@ def test_aldous_check_path3():
 
 
 def test_aldous_check_two_vertices():
-    report = aldous_check(complete(2))
+    report = aldous_check(all_spectra(complete(2)))
     assert report.holds
     assert report.worst_partition is None
     assert math.isinf(report.margin)
@@ -259,14 +260,14 @@ def test_aldous_random_graphs():
     rng = np.random.default_rng(16)
     for _ in range(15):
         w = random_connected(rng, int(rng.integers(3, 7)))
-        assert aldous_check(w).holds
+        assert aldous_check(all_spectra(w)).holds
 
 
 def test_comparison_constant_path3():
     report = comparison_constant(path(3))
     assert report.a_star == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert report.argmin_partition == (2, 1)
-    assert report.aldous_gap == pytest.approx(1.0, abs=1e-10)
+    assert report.aldous.spectral_gap == pytest.approx(1.0, abs=1e-10)
     assert report.theorem_bound == pytest.approx(report.a_star / report.empirical_c)
     by_partition = {row.partition: row for row in report.rows}
     assert by_partition[(3,)].ratio is None
@@ -278,7 +279,7 @@ def test_comparison_constant_path3():
 def test_comparison_constant_complete_is_one(n):
     report = comparison_constant(complete(n))
     assert report.a_star == pytest.approx(1.0, abs=1e-9)
-    assert report.aldous_gap == pytest.approx(n, abs=1e-9)
+    assert report.aldous.spectral_gap == pytest.approx(n, abs=1e-9)
 
 
 def test_comparison_constant_positive_iff_connected():
@@ -296,10 +297,32 @@ def test_comparison_constant_positive_iff_connected():
 def test_comparison_constant_known_graphs():
     # the 4-cycle: Laplacian gap 2 against complete-graph scalar 4
     report = comparison_constant(hamming2(2))
-    assert report.aldous_gap == pytest.approx(2.0, abs=1e-9)
+    assert report.aldous.spectral_gap == pytest.approx(2.0, abs=1e-9)
     assert 0.0 < report.a_star <= 0.5 + 1e-12
     report = comparison_constant(star(5))
     assert report.a_star > 0
+
+
+@st.composite
+def connected_weights(draw, max_n: int = 7) -> WeightFunction:
+    """A random spanning tree plus random extra pairs, all weights in [0.1, 5]."""
+    n = draw(st.integers(2, max_n))
+    weight = st.floats(0.1, 5.0)
+    entries = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in entries and draw(st.booleans()):
+                entries[(i, j)] = draw(weight)
+    return WeightFunction(n, entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_weights())
+def test_aldous_gap_is_laplacian_gap(w):
+    # independent oracle for the [n-1, 1] block: the weighted graph Laplacian
+    laplacian = np.diag(w.vertex_weights) - w.dense()
+    want = np.linalg.eigvalsh(laplacian)[1]
+    assert comparison_constant(w).aldous.spectral_gap == pytest.approx(want, abs=1e-9)
 
 
 def test_all_spectra_sizes():
