@@ -56,12 +56,12 @@ from .group_algebra import (
     regular_rep_matrix,
 )
 from .irreps import (
-    YoungOrthogonalRep,
     aldous_check,
     all_spectra,
     assembled_spectrum,
     comparison_constant,
     content_sum,
+    delta_blocks,
     delta_on_irrep,
     hook_dim,
     lambda_kn,
@@ -242,8 +242,7 @@ def check_schur_scalarity(config: SuiteConfig) -> CheckResult:
     worst_value = 0.0
     for n in range(2, config.scalarity_max_n + 1):
         op = delta_of_weights(complete(n))
-        for p in partitions(n):
-            m = YoungOrthogonalRep(p).delta_matrix(op)
+        for p, m in delta_blocks(op, partitions(n)):
             diag = n * (n - 1) // 2 - content_sum(p)
             off = m - np.diag(np.diag(m))
             worst_off = max(worst_off, float(np.abs(off).max()) / max(diag, 1))

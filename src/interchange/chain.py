@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateWeightError, DisconnectedError
+from .errors import ConsistencyError, DegenerateWeightError, DisconnectedError, ParameterError
 from .graphs import WeightFunction
 
 TIE_GUARD = 1e-12
@@ -61,6 +61,7 @@ class LazyChain:
             )
         self.weights = w
         self.n = n
+        p.setflags(write=False)
         self.matrix = p
         self.pi = pi
         self.connected = w.is_connected()
@@ -71,17 +72,25 @@ class LazyChain:
         if k not in self._dyadic:
             prev = self.dyadic_power(k - 1)
             self._dyadic[k] = _checked_product(prev, prev)
+            self._dyadic[k].setflags(write=False)
         return self._dyadic[k]
 
     def power(self, t: int) -> np.ndarray:
-        """P^t for integer t >= 0 via the cached dyadic powers."""
+        """P^t for integer t >= 0 via the cached dyadic powers.
+
+        Takes popcount(t) - 1 products once the dyadic powers are cached.
+        The result may be a cached power itself, which is read-only.
+        """
         if t < 0:
             raise ValueError(f"time must be >= 0, got {t}")
-        result = np.eye(self.n)
+        if t == 0:
+            return np.eye(self.n)
+        result = None
         k = 0
         while t:
             if t & 1:
-                result = _checked_product(result, self.dyadic_power(k))
+                factor = self.dyadic_power(k)
+                result = factor if result is None else _checked_product(result, factor)
             t >>= 1
             k += 1
         return result
@@ -265,11 +274,11 @@ class LiftedWeight:
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"lifted weight needs a square matrix, got {matrix.shape}")
+            raise ParameterError(f"lifted weight needs a square matrix, got {matrix.shape}")
         if not np.allclose(matrix, matrix.T, atol=1e-12):
-            raise ValueError("lifted weight matrix must be symmetric")
+            raise ParameterError("lifted weight matrix must be symmetric")
         if (matrix < 0).any():
-            raise ValueError("lifted weight matrix must be nonnegative")
+            raise ParameterError("lifted weight matrix must be nonnegative")
         self.matrix = matrix
         self.n = matrix.shape[0]
         self.vertex_weights = matrix.sum(axis=1)

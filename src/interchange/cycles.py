@@ -33,10 +33,11 @@ import numpy as np
 
 from .errors import CapError, ConsistencyError, ParameterError
 from .graphs import WeightFunction
-from .group_algebra import InterchangeExact, Perm, cycle_counts, identity_perm
+from .group_algebra import InterchangeExact, Perm, cycle_counts, delta_of_weights, identity_perm
 from .irreps import (
     IRREP_MAX_N,
     Partition,
+    delta_blocks,
     delta_on_irrep,
     hook_dim,
     lambda_kn,
@@ -125,8 +126,10 @@ def expected_cycles_spectral(w: WeightFunction, k: int, t):
     if (t_arr < 0).any():
         raise ParameterError("time must be >= 0")
     total = np.zeros_like(t_arr)
-    for p, a in cycle_coefficients(w.n, k).terms:
-        eigenvalues = delta_on_irrep(w, p).eigenvalues
+    terms = cycle_coefficients(w.n, k).terms
+    blocks = delta_blocks(delta_of_weights(w), [p for p, _ in terms])
+    for (_, a), (_, block) in zip(terms, blocks):
+        eigenvalues = np.linalg.eigvalsh(block)
         total = total + a * np.exp(-t_arr[..., None] * eigenvalues).sum(axis=-1)
     result = total / k
     return float(result) if np.isscalar(t) or t_arr.ndim == 0 else result

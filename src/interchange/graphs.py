@@ -20,13 +20,19 @@ from .errors import CapError, DegenerateWeightError, ParameterError
 # matrices, and hypercube:10, the largest graph in use, has 1024 vertices.
 MAX_VERTICES = 1024
 
+# Largest total weight w_tot = sum_i w_i.  Below it every vertex weight, the
+# total, products of two of them (w_hi w_hj in the octopus gap, w_i^2 in the
+# theorem bound) and small multiples of those stay finite.
+MAX_TOTAL_WEIGHT = 1e150
+
 
 class WeightFunction:
     """Immutable symmetric weight function on vertices {0, ..., n-1}.
 
     Entries are stored sparsely as a mapping from canonical pairs (i, j) with
     i < j to strictly positive weights.  Zero weights supplied at construction
-    are dropped; negative or non-finite weights and self pairs are rejected.
+    are dropped; negative or non-finite weights, self pairs and a total
+    weight above MAX_TOTAL_WEIGHT are rejected.
     """
 
     __slots__ = ("n", "_entries", "_vertex_weights")
@@ -50,6 +56,12 @@ class WeightFunction:
                 raise ParameterError(f"duplicate pair {key}")
             if w > 0:
                 canonical[key] = w
+        total = 2.0 * sum(canonical.values())
+        if not total <= MAX_TOTAL_WEIGHT:
+            raise ParameterError(
+                f"total weight {total:g} exceeds the cap {MAX_TOTAL_WEIGHT:g}; "
+                "scale the weights down"
+            )
         self.n = n
         self._entries = canonical
         wi = np.zeros(n)

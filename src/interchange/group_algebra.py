@@ -8,7 +8,7 @@ PairOperator holds that matrix.  It acts on functions over the symmetric
 group by (A f)(tau) = sum_{i<j} c_ij (f(tau) - f((i j) tau)).  In the basis
 of all permutations in lexicographic order this is a symmetric n! x n!
 matrix, and on each irreducible representation rho it is the block
-sum_{i<j} c_ij (I - rho((i j))) (see irreps.YoungOrthogonalRep.delta_matrix).
+sum_{i<j} c_ij (I - rho((i j))) (see irreps.delta_blocks).
 
 The interchange generator for a weight function w is
     delta_of_weights(w) = sum_{i<j} w_ij (1 - (i j)),
@@ -167,7 +167,8 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL, method: str = "auto") -> PsdVe
     """Decide positive semidefiniteness of a pair operator.
 
     method "regular" assembles the full n! x n! matrix (n <= 7); "irrep"
-    diagonalizes each irreducible block instead and reaches n <= 10; "auto"
+    diagonalizes the irreducible blocks of the operator's support instead
+    and reaches n <= 10; "auto"
     picks the regular route up to n = 5 and the irrep route beyond.  The
     verdict tolerates eigenvalues down to -tol times the largest matrix
     entry in absolute value.

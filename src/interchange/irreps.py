@@ -2,14 +2,27 @@
 
 Irreducible representations are indexed by partitions of n.  The matrices
 here use Young's orthogonal form: the basis is indexed by standard Young
-tableaux, and the adjacent transposition (a, a+1) acts on the basis vector
-of a tableau T through the axial distance d between the cells holding a and
-a+1 (content of the cell of a+1 minus content of the cell of a):
+tableaux, sorted lexicographically by the row of each value 0, 1, ..., n-1,
+and the adjacent transposition s_a = (a, a+1) acts on the basis vector of a
+tableau T through the axial distance d between the cells holding a and a+1
+(content of the cell of a+1 minus content of the cell of a):
 
 * entries in the same row give a diagonal entry +1,
 * entries in the same column give a diagonal entry -1,
 * otherwise the diagonal entry is 1/d and T pairs with the tableau T'
   obtained by swapping a and a+1, with off diagonal entry sqrt(1 - 1/d^2).
+
+Young's basis is adapted to the chain S_1 < S_2 < ... < S_n: restricted to
+the permutations of the first n-1 points, rho_lambda is the direct sum of
+the rho_mu over the partitions mu left by removing one corner of lambda,
+and in the sorted basis the tableaux holding n-1 in that corner are mu's
+tableaux in mu's order.  Blocks of a pair operator are therefore built by
+the branching rule
+    D_lambda(c) = (+)_mu D_mu(c on the first n-1 points)
+                  + sum_{i<n-1} c_{i,n-1} (I - rho_lambda((i, n-1))),
+reaching the last sum by walking down from s_{n-2} with
+(i, n-1) = s_i (i+1, n-1) s_i.  The sub-blocks of one operator are built
+once, level by level, and shared by every partition that branches to them.
 
 All representation matrices are symmetric orthogonal involutions on
 transpositions, so the generator restricted to a partition,
@@ -31,12 +44,12 @@ equals the spectral gap of the weighted graph Laplacian.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .chain import mixing_report
-from .errors import CapError, ParameterError
+from .errors import CapError, ConsistencyError, ParameterError
 from .graphs import WeightFunction
 from .group_algebra import PairOperator, delta_of_weights
 
@@ -105,7 +118,8 @@ def hook_dim(p: Partition) -> int:
         for c in range(row_len):
             product *= (row_len - c - 1) + (cols[c] - r - 1) + 1
     dim, remainder = divmod(math.factorial(n), product)
-    assert remainder == 0, "hook product must divide n!"
+    if remainder:
+        raise ConsistencyError(f"hook product {product} does not divide {n}!")
     return dim
 
 
@@ -161,13 +175,53 @@ class _AdjacentAction(NamedTuple):
     partner: np.ndarray
 
 
+def _corners(p: Partition) -> list[tuple[int, Partition]]:
+    """(row, p less that row's last cell) for each removable corner of p."""
+    out = []
+    for r, length in enumerate(p):
+        if r + 1 == len(p) or p[r + 1] < length:
+            out.append((r, p[:r] + ((length - 1,) if length > 1 else ()) + p[r + 1 :]))
+    return out
+
+
+def _tableau_arrays(p: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Row and content of each value in every standard tableau of shape p.
+
+    Returns two (dim, n) int arrays, one tableau per row, in the order of
+    standard_tableaux(p).  Values are placed one at a time: every partial
+    tableau grows by one in each row that has room and is shorter than the
+    row above.
+    """
+    n = sum(p)
+    caps = np.array(p)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    cols = np.zeros((1, 0), dtype=np.int64)
+    lengths = np.zeros((1, len(p)), dtype=np.int64)
+    for _ in range(n):
+        above = np.hstack((np.full((len(lengths), 1), n), lengths[:, :-1]))
+        grow, r = np.nonzero((lengths < caps) & (lengths < above))
+        rows = np.column_stack((rows[grow], r))
+        cols = np.column_stack((cols[grow], lengths[grow, r]))
+        lengths = lengths[grow]
+        lengths[np.arange(len(grow)), r] += 1
+    order = np.lexsort(rows.T[::-1])
+    return rows[order], (cols - rows)[order]
+
+
 class YoungOrthogonalRep:
     """Orthogonal irreducible representation attached to one partition.
 
-    Adjacent transpositions are stored in a compressed two-entries-per-row
-    form, so multiplying any matrix by an adjacent generator costs O(dim^2).
-    General transpositions (i, j) are reached by conjugation,
-    (i, j) = (j-1, j)(i, j-1)(j-1, j), walking j upward.
+    Tableaux are held only as integer arrays of the row and content of each
+    value.  Adjacent transpositions are stored in a compressed
+    two-entries-per-row form, so multiplying any matrix by an adjacent
+    generator costs O(dim^2).  branches lists, for each corner of the
+    diagram, the partition mu left when the corner is removed and the basis
+    indices of the tableaux holding n-1 there: in the sorted basis those
+    tableaux are mu's basis in mu's order, so rho restricted to S_{n-1} is
+    the direct sum of the rho_mu placed at those indices.  Pair operator
+    blocks are built by the branching rule (delta_matrix, delta_blocks);
+    transposition_matrix and matrix build single group elements and serve as
+    references.
     """
 
     def __init__(self, partition: Sequence[int]):
@@ -177,31 +231,22 @@ class YoungOrthogonalRep:
             raise CapError(f"representation matrices capped at n <= {IRREP_MAX_N}")
         self.partition = p
         self.n = n
-        self.tableaux = standard_tableaux(p)
-        self.dim = len(self.tableaux)
-        index = {t: k for k, t in enumerate(self.tableaux)}
-        positions = []
-        for t in self.tableaux:
-            pos = [(0, 0)] * n
-            for r, row in enumerate(t):
-                for c, value in enumerate(row):
-                    pos[value] = (r, c)
-            positions.append(pos)
+        rows, contents = _tableau_arrays(p)
+        self.dim = len(rows)
+        # base-len(p) codes increase with the sort order, so searchsorted ranks them
+        place = len(p) ** np.arange(n - 1, -1, -1)
+        codes = rows @ place
         self._adjacent: list[_AdjacentAction] = []
         for a in range(n - 1):
-            diag = np.zeros(self.dim)
+            d = contents[:, a + 1] - contents[:, a]
+            paired = np.abs(d) > 1
             off = np.zeros(self.dim)
+            off[paired] = np.sqrt(1.0 - 1.0 / (d[paired] * d[paired]))
+            swapped = codes + (rows[:, a + 1] - rows[:, a]) * (place[a] - place[a + 1])
             partner = np.arange(self.dim)
-            for k, t in enumerate(self.tableaux):
-                r1, c1 = positions[k][a]
-                r2, c2 = positions[k][a + 1]
-                d = (c2 - r2) - (c1 - r1)
-                diag[k] = 1.0 / d
-                if abs(d) > 1:
-                    swapped = _swap_values(t, a, a + 1)
-                    partner[k] = index[swapped]
-                    off[k] = math.sqrt(1.0 - 1.0 / (d * d))
-            self._adjacent.append(_AdjacentAction(diag, off, partner))
+            partner[paired] = np.searchsorted(codes, swapped[paired])
+            self._adjacent.append(_AdjacentAction(1.0 / d, off, partner))
+        self.branches = [(mu, np.flatnonzero(rows[:, -1] == r)) for r, mu in _corners(p)]
 
     def _apply_left(self, a: int, m: np.ndarray) -> np.ndarray:
         act = self._adjacent[a]
@@ -259,32 +304,71 @@ class YoungOrthogonalRep:
         return m
 
     def delta_matrix(self, op: PairOperator) -> np.ndarray:
-        """Block of a pair operator: sum_{i<j} c_ij (I - rho((i, j)))."""
+        """Block of a pair operator: sum_{i<j} c_ij (I - rho((i, j))).
+
+        Built by the branching rule from the blocks of op on its first n-1
+        points; delta_blocks shares those across several partitions.
+        """
         if op.n != self.n:
             raise ParameterError(f"operator on {op.n} points, representation on {self.n}")
-        pairs = op.pairs()
-        out = sum(c for _, _, c in pairs) * np.eye(self.dim)
-        by_anchor: dict[int, list[tuple[int, float]]] = {}
-        for i, j, c in pairs:
-            by_anchor.setdefault(i, []).append((j, c))
-        for i, targets in by_anchor.items():
-            cur = self.adjacent_matrix(i)
-            reached = i + 1
-            for j, c in targets:
-                while reached < j:
-                    cur = self._apply_left(reached, self._apply_right(cur, reached))
-                    reached += 1
-                out -= c * cur
+        return self._branch(op.c, _sub_blocks(op.c, [self.partition]))
+
+    def _branch(self, c: np.ndarray, below: Mapping[Partition, np.ndarray]) -> np.ndarray:
+        """Block of c on its first self.n points, from its blocks on one point fewer.
+
+        below maps each partition of self.n - 1 that this one branches to
+        onto its block.  The pairs (i, n-1) are reached by walking down from
+        the adjacent (n-2, n-1) with (i, n-1) = s_i (i+1, n-1) s_i, and the
+        walk stops at the smallest i with c_{i, n-1} != 0.
+        """
+        m = self.n - 1
+        out = np.zeros((self.dim, self.dim))
+        for mu, index in self.branches:
+            out[index[:, None], index] = below[mu]
+        last = c[:m, m]
+        touched = np.flatnonzero(last)
+        if touched.size:
+            out.flat[:: self.dim + 1] += last.sum()
+            t = self.adjacent_matrix(m - 1)
+            for i in range(m - 1, touched[0] - 1, -1):
+                if i < m - 1:
+                    t = self._apply_left(i, self._apply_right(t, i))
+                out -= last[i] * t
         return out
 
 
-def _swap_values(t: Tableau, a: int, b: int) -> Tableau:
-    return tuple(
-        tuple(b if v == a else a if v == b else v for v in row) for row in t
-    )
+def _sub_blocks(c: np.ndarray, targets: Iterable[Partition]) -> dict[Partition, np.ndarray]:
+    """Blocks of c on its first n-1 points for each partition the targets branch to.
+
+    Built upward from S_0 one point at a time; each level holds only the
+    partitions that some target reaches, and only one level is kept.
+    """
+    levels = [set(targets)]
+    for _ in range(len(c) - 1):
+        levels.append({mu for lam in levels[-1] for mu, _ in _rep(lam).branches})
+    # S_0 has one block, the 1 x 1 zero block of the empty operator
+    below = {(): np.zeros((1, 1))}
+    for level in reversed(levels[1:]):
+        below = {lam: _rep(lam)._branch(c, below) for lam in level}
+    return below
 
 
-@lru_cache(maxsize=128)
+def delta_blocks(
+    op: PairOperator, targets: Sequence[Sequence[int]]
+) -> Iterator[tuple[Partition, np.ndarray]]:
+    """(partition, block of op) for each target partition of op.n, in order.
+
+    The sub-blocks on S_{n-1} and below are built once and shared by every
+    target; each top-level block is built when it is reached and not kept.
+    """
+    targets = [validate_partition(p, op.n) for p in targets]
+    below = _sub_blocks(op.c, targets)
+    for p in targets:
+        yield p, _rep(p)._branch(op.c, below)
+
+
+# unbounded, but the cap IRREP_MAX_N bounds it to the 138 partitions of n <= 10
+@lru_cache(maxsize=None)
 def _rep(partition: Partition) -> YoungOrthogonalRep:
     return YoungOrthogonalRep(partition)
 
@@ -303,22 +387,28 @@ class IrrepSpectrum:
         return float(self.eigenvalues[0])
 
 
+def _spectra(op: PairOperator, targets: Sequence[Partition]) -> Iterator[IrrepSpectrum]:
+    for p, block in delta_blocks(op, targets):
+        eigenvalues = np.linalg.eigvalsh(block)
+        eigenvalues.setflags(write=False)
+        yield IrrepSpectrum(
+            partition=p, dim=len(block), eigenvalues=eigenvalues, lambda_complete=lambda_kn(p)
+        )
+
+
 def delta_on_irrep(w: WeightFunction, p: Sequence[int]) -> IrrepSpectrum:
     """Eigenvalues of the generator block for weights w and partition p."""
-    p = validate_partition(p, w.n)
-    rep = _rep(p)
-    eigenvalues = np.linalg.eigvalsh(rep.delta_matrix(delta_of_weights(w)))
-    eigenvalues.setflags(write=False)
-    return IrrepSpectrum(
-        partition=p, dim=rep.dim, eigenvalues=eigenvalues, lambda_complete=lambda_kn(p)
-    )
+    return next(_spectra(delta_of_weights(w), [p]))
 
 
 def all_spectra(w: WeightFunction) -> list[IrrepSpectrum]:
-    """Generator spectra for every partition of w.n, in partition order."""
+    """Generator spectra for every partition of w.n, in partition order.
+
+    One eigensolve per partition; the blocks share their sub-blocks.
+    """
     if w.n > IRREP_MAX_N:
         raise CapError(f"per-partition spectra capped at n <= {IRREP_MAX_N}")
-    return [delta_on_irrep(w, p) for p in partitions(w.n)]
+    return list(_spectra(delta_of_weights(w), partitions(w.n)))
 
 
 def assembled_spectrum(w: WeightFunction) -> np.ndarray:
@@ -336,14 +426,26 @@ def min_eigenvalue_on_irreps(a: PairOperator) -> tuple[float, float]:
     """Smallest eigenvalue of a pair operator across all irreducible blocks.
 
     Returns (min eigenvalue, scale), where scale is the largest absolute
-    entry seen across blocks, for use in relative tolerance checks.
+    entry across the blocks, for use in relative tolerance checks.
+
+    Only the operator's support counts: the k points whose row of c is
+    nonzero, relabeled 0 .. k-1.  Relabeling conjugates every block by a
+    group element, which keeps its spectrum; and Young's basis of any
+    partition of n, restricted to S_k, is block diagonal with the blocks of
+    partitions of k, each of which occurs for some partition of n.  So the
+    blocks over the partitions of k carry the same minimum, and the same
+    largest entry as the blocks over the partitions of n once the support
+    is relabeled first.  The zero operator gives (0.0, 0.0).
     """
     if a.n > IRREP_MAX_N:
         raise CapError(f"per-partition route capped at n <= {IRREP_MAX_N}")
+    support = np.flatnonzero(a.c.any(axis=1))
+    if not support.size:
+        return 0.0, 0.0
+    op = PairOperator(a.c[np.ix_(support, support)])
     min_eig = math.inf
     scale = 0.0
-    for p in partitions(a.n):
-        block = _rep(p).delta_matrix(a)
+    for _, block in delta_blocks(op, partitions(op.n)):
         scale = max(scale, float(np.abs(block).max()))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(block).min()))
     return min_eig, scale

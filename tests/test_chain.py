@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from interchange import chain as chain_module
 from interchange.chain import (
     BoundCheckReport,
     DeltaResult,
     LazyChain,
+    LiftedWeight,
     delta,
     double_weight,
     is_regular,
@@ -19,7 +21,7 @@ from interchange.chain import (
     tv_mix,
     verify_probability_bounds,
 )
-from interchange.errors import DegenerateWeightError, DisconnectedError
+from interchange.errors import DegenerateWeightError, DisconnectedError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, hamming2, hypercube, path, star
 
 
@@ -81,6 +83,39 @@ def test_star4_stationary():
 def test_transition_power_zero_is_identity():
     chain = lazy_chain(path(4))
     assert np.array_equal(chain.power(0), np.eye(4))
+
+
+def test_power_products_match_popcount(monkeypatch):
+    chain = lazy_chain(cycle(6))
+    oracle = np.eye(6)
+    powers = [oracle]
+    for _ in range(40):
+        oracle = oracle @ chain.matrix
+        powers.append(oracle)
+    chain.power(32)  # caches the dyadic powers up to P^32
+    products = []
+    checked = chain_module._checked_product
+
+    def counted(a, b):
+        products.append(1)
+        return checked(a, b)
+
+    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    for t in range(1, 41):
+        products.clear()
+        assert np.allclose(chain.power(t), powers[t], atol=1e-14)
+        assert len(products) == bin(t).count("1") - 1
+    with pytest.raises(ValueError):
+        chain.power(1)[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.ones((2, 3)), np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([[0.0, -1.0], [-1.0, 0.0]])],
+)
+def test_lifted_weight_rejects_invalid(matrix):
+    with pytest.raises(ParameterError):
+        LiftedWeight(matrix)
 
 
 def test_lmix_complete3_is_two():

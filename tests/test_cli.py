@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -74,17 +75,18 @@ class TestReports:
         check_against_schema(payload, "compare")
 
     def test_compare_solves_each_partition_once(self, capsys, monkeypatch):
-        calls = []
-        solve = irreps.delta_on_irrep
+        sizes = []
+        solve = np.linalg.eigvalsh
 
-        def counted(w, p):
-            calls.append(tuple(p))
-            return solve(w, p)
+        def counted(block):
+            sizes.append(len(block))
+            return solve(block)
 
-        monkeypatch.setattr(irreps, "delta_on_irrep", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         code, _ = run_cli(capsys, ["compare", "--graph", "path:5"])
         assert code == 0
-        assert sorted(calls) == sorted(irreps.partitions(5))
+        assert len(sizes) == len(irreps.partitions(5)) == 7
+        assert sorted(sizes) == sorted(irreps.hook_dim(p) for p in irreps.partitions(5))
 
     def test_cycles_with_all_routes(self, capsys):
         code, out = run_cli(
@@ -228,13 +230,20 @@ class TestErrorPaths:
             (["mix", "--graph", "complete:100000"], "graphs are capped at"),
             (["mix", "--graph", "hamming2:1000"], "graphs are capped at"),
             (["mix", "--graph", "file:{tmp}/huge.w"], "graphs are capped at"),
+            (["verify-doubling", "--graph", "file:{tmp}/big.w"], "exceeds the cap"),
+            (["mix", "--graph", "file:{tmp}/big.w"], "exceeds the cap"),
+            (["octopus", "--graph", "file:{tmp}/big2.w"], "exceeds the cap"),
+            (["octopus", "--graph", "file:{tmp}/overflow.w"], "exceeds the cap"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         (tmp_path / "nan.w").write_text("3 2\n0 1 nan\n1 2 1.0\n")
         (tmp_path / "inf.w").write_text("3 2\n0 1 inf\n1 2 1.0\n")
-        (tmp_path / "extreme.w").write_text("3 2\n0 1 1e-300\n1 2 1e300\n")
+        (tmp_path / "extreme.w").write_text("3 2\n0 1 1e-300\n1 2 1e100\n")
+        (tmp_path / "overflow.w").write_text("3 2\n0 1 1e-300\n1 2 1e300\n")
         (tmp_path / "huge.w").write_text("1000000000 0\n")
+        (tmp_path / "big.w").write_text("3 2\n0 1 1e308\n1 2 1e308\n")
+        (tmp_path / "big2.w").write_text("2 1\n0 1 1e308\n")
         code = main([arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
         assert code == 2

@@ -5,6 +5,7 @@ import pytest
 
 from interchange.errors import DegenerateWeightError, ParameterError
 from interchange.graphs import (
+    MAX_TOTAL_WEIGHT,
     GraphFamily,
     WeightFunction,
     build_family,
@@ -47,6 +48,14 @@ def test_negative_weight_rejected():
 def test_non_finite_weight_rejected(weight):
     with pytest.raises(ParameterError):
         WeightFunction(3, {(0, 1): 1.0, (1, 2): weight})
+
+
+def test_total_weight_cap():
+    at_cap = WeightFunction(3, {(0, 1): MAX_TOTAL_WEIGHT / 4, (1, 2): MAX_TOTAL_WEIGHT / 4})
+    assert at_cap.total_weight == MAX_TOTAL_WEIGHT
+    for entries in ({(0, 1): 1e308, (1, 2): 1e308}, {(0, 1): MAX_TOTAL_WEIGHT}):
+        with pytest.raises(ParameterError, match="exceeds the cap"):
+            WeightFunction(3, entries)
 
 
 def test_self_pair_rejected():

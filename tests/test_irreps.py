@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interchange.errors import CapError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, hamming2, path, star
 from interchange.group_algebra import (
+    PairOperator,
     all_perms,
     compose,
     delta_of_weights,
+    is_psd,
     regular_rep_matrix,
     transposition_perm,
 )
@@ -22,6 +24,7 @@ from interchange.irreps import (
     comparison_constant,
     conjugate_partition,
     content_sum,
+    delta_blocks,
     delta_on_irrep,
     hook_dim,
     lambda_kn,
@@ -116,6 +119,127 @@ def test_standard_tableaux_counts_and_validity():
                     assert all(a < b for a, b in zip(row, row[1:]))
                 for r in range(1, len(t)):
                     assert all(a < b for a, b in zip(t[r - 1], t[r]))
+
+
+def per_tableau_adjacent(p):
+    """The per-tableau definition of the adjacent actions and the branches."""
+    tableaux = standard_tableaux(p)
+    n = sum(p)
+    index = {t: k for k, t in enumerate(tableaux)}
+    positions = []
+    for t in tableaux:
+        pos = [(0, 0)] * n
+        for r, row in enumerate(t):
+            for c, value in enumerate(row):
+                pos[value] = (r, c)
+        positions.append(pos)
+    actions = []
+    for a in range(n - 1):
+        diag = np.zeros(len(tableaux))
+        off = np.zeros(len(tableaux))
+        partner = np.arange(len(tableaux))
+        for k, t in enumerate(tableaux):
+            r1, c1 = positions[k][a]
+            r2, c2 = positions[k][a + 1]
+            d = (c2 - r2) - (c1 - r1)
+            diag[k] = 1.0 / d
+            if abs(d) > 1:
+                swapped = tuple(
+                    tuple(a + 1 if v == a else a if v == a + 1 else v for v in row) for row in t
+                )
+                partner[k] = index[swapped]
+                off[k] = math.sqrt(1.0 - 1.0 / (d * d))
+        actions.append((diag, off, partner))
+    branches: dict[int, tuple[list[int], list]] = {}
+    for k, t in enumerate(tableaux):
+        rest = tuple(row for row in (tuple(v for v in row if v != n - 1) for row in t) if row)
+        indices, rests = branches.setdefault(positions[k][n - 1][0], ([], []))
+        indices.append(k)
+        rests.append(rest)
+    return actions, [branches[r] for r in sorted(branches)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_array_built_reps_match_per_tableau_definition(n):
+    for p in partitions(n):
+        rep = YoungOrthogonalRep(p)
+        actions, branches = per_tableau_adjacent(p)
+        assert rep.dim == len(standard_tableaux(p))
+        assert len(rep._adjacent) == len(actions)
+        for act, (diag, off, partner) in zip(rep._adjacent, actions):
+            assert np.array_equal(act.diag, diag)
+            assert np.array_equal(act.off, off)
+            assert np.array_equal(act.partner, partner)
+        assert len(rep.branches) == len(branches)
+        for (mu, index), (indices, rests) in zip(rep.branches, branches):
+            assert index.tolist() == indices
+            # less n-1, the tableaux holding n-1 in one corner are mu's basis in mu's order
+            assert rests == (standard_tableaux(mu) if mu else [()])
+
+
+def random_pair_coefficients(draw, n: int, values) -> np.ndarray:
+    c = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            c[i, j] = c[j, i] = draw(values)
+    return c
+
+
+@st.composite
+def signed_operators(draw, max_n: int = 7) -> PairOperator:
+    """Signed c on n <= max_n points with a random pattern of zero pairs."""
+    n = draw(st.integers(2, max_n))
+    values = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    return PairOperator(random_pair_coefficients(draw, n, values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_operators())
+def test_branching_blocks_match_transposition_sum(op):
+    n = op.n
+    scale = np.abs(op.c).sum()
+    for p, block in delta_blocks(op, partitions(n)):
+        rep = YoungOrthogonalRep(p)
+        want = np.zeros((rep.dim, rep.dim))
+        for i, j, c in op.pairs():
+            want += c * (np.eye(rep.dim) - rep.transposition_matrix(i, j))
+        assert np.abs(block - want).max() <= 1e-12 * scale
+        assert np.array_equal(rep.delta_matrix(op), block)
+
+
+@st.composite
+def operators_on_a_support(draw, max_n: int = 6) -> PairOperator:
+    """Quarter-integer signed c in [-3, 3] on a random subset of n <= max_n points.
+
+    Quarter integers keep negative eigenvalues away from the tolerance band,
+    where the two routes' different scales could split a verdict.
+    """
+    n = draw(st.integers(2, max_n))
+    support = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    values = st.integers(-12, 12).map(lambda q: q / 4)
+    c = np.zeros((n, n))
+    c[np.ix_(support, support)] = random_pair_coefficients(draw, len(support), values)
+    return PairOperator(c)
+
+
+def single_pair(n: int, i: int, j: int, c: float) -> PairOperator:
+    m = np.zeros((n, n))
+    m[i, j] = m[j, i] = c
+    return PairOperator(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(operators_on_a_support())
+@example(PairOperator(np.zeros((6, 6))))
+@example(single_pair(6, 2, 5, -1.5))
+@example(single_pair(6, 1, 4, 0.75))
+def test_support_route_matches_regular_route(op):
+    irrep = is_psd(op, method="irrep")
+    regular = is_psd(op, method="regular")
+    assert irrep.psd == regular.psd
+    assert irrep.min_eigenvalue == pytest.approx(regular.min_eigenvalue, abs=1e-9)
+    if not op.c.any():
+        assert min_eigenvalue_on_irreps(op) == (0.0, 0.0)
 
 
 def test_yor_adjacent_matrices_standard_block():
