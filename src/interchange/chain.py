@@ -13,6 +13,13 @@ chain is reversible.  Three quantities drive everything else here:
 * delta: 1 / delta = prod_k (1 + eps_k) where eps_k is the largest diagonal
   entry of the 2^k-step transition matrix, taken over 0 <= k <= log2(lmix).
 
+Every P^t comes from the cached dyadic powers P^(2^k).  The heat-kernel
+bounds are checked at every t up to lmix without a product per step: by
+Chapman-Kolmogorov, p_t(i, j) <= max P^a for all t >= a, which bounds the
+slack on a whole interval of times from one evaluated power, so a branch and
+bound over t evaluates only the times whose interval it cannot rule out.  The
+reported worst slacks are still the exact minima over every t.
+
 Strict inequalities are evaluated with a small tie guard so that exact ties
 (which occur on tiny graphs) resolve the same way in floating point as they
 do in exact arithmetic: a value within the guard of the threshold counts as
@@ -292,12 +299,11 @@ class LiftedWeight:
 
     def off_diagonal_weights(self) -> WeightFunction:
         """The plain weight function given by the off-diagonal entries."""
-        entries = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.matrix[i, j] > 0:
-                    entries[(i, j)] = float(self.matrix[i, j])
-        return WeightFunction(self.n, entries)
+        rows, cols = np.triu_indices(self.n, 1)
+        values = self.matrix[rows, cols]
+        keep = values > 0
+        pairs = zip(rows[keep].tolist(), cols[keep].tolist())
+        return WeightFunction(self.n, dict(zip(pairs, values[keep].tolist())))
 
 
 def lift_lazy(w: WeightFunction) -> LiftedWeight:
@@ -337,25 +343,60 @@ def verify_probability_bounds(chain: LazyChain, w: WeightFunction) -> BoundCheck
     The ratio w_i / min* w_ij is scale free, so the bound applies to any
     normalization of w.  For regular w the stronger form
     p_t(i, j) <= 30 / t^(1/4) is checked as well.  Slack is the minimum of
-    (bound - p_t) over the checked range; the bounds hold iff it is >= 0.
+    (bound - p_t) over 1 <= t <= lmix; the bounds hold iff it is >= 0.
+
+    The slacks are the exact minima over every t, found by branch and bound
+    rather than one product per step.  For t >= a, Chapman-Kolmogorov gives
+    p_t(i, j) = sum_k p_(t-a)(i, k) p_a(k, j) <= max P^a, so for every t
+    strictly inside (a, b) the slack is at least
+    30 min_i(w_i / min* w) / sqrt(b - 1) - max P^a, and the regular slack at
+    least 30 / (b - 1)^(1/4) - max P^a.  The slack is evaluated exactly at
+    t = 1 and t = lmix; an interval is dropped once both lower bounds reach
+    the worst slacks found so far, and is otherwise split at its midpoint,
+    where the slack is evaluated exactly from the dyadic powers.  Only max P^a
+    is kept of each evaluated power.
     """
     lm = lmix(chain)
     if math.isinf(lm):
         raise DisconnectedError("probability bounds apply to connected weights only")
+    lm = int(lm)
     ratio = w.vertex_weights / w.min_positive_weight()
+    ratio_min = float(ratio.min())
     regular = is_regular(w)
     worst = math.inf
     worst_regular = math.inf
-    power = np.eye(chain.n)
-    for t in range(1, int(lm) + 1):
-        power = _checked_product(power, chain.matrix)
-        slack = float(((_PROBABILITY_CONSTANT / math.sqrt(t)) * ratio[:, None] - power).min())
-        worst = min(worst, slack)
+
+    def evaluate(t: int) -> float:
+        """Fold the exact slacks at t into the worst ones; return max P^t."""
+        nonlocal worst, worst_regular
+        power = chain.power(t)
+        peak = float(power.max())
+        # fl(x - y) is monotone in y, so subtracting the row maxima gives the
+        # same minimum as subtracting every entry
+        worst = min(worst, float(
+            ((_PROBABILITY_CONSTANT / math.sqrt(t)) * ratio - power.max(axis=1)).min()
+        ))
         if regular:
-            slack_r = float((_PROBABILITY_CONSTANT / t**0.25 - power).min())
-            worst_regular = min(worst_regular, slack_r)
+            worst_regular = min(worst_regular, _PROBABILITY_CONSTANT / t**0.25 - peak)
+        return peak
+
+    stack = [(1, lm, evaluate(1))]
+    if lm > 1:
+        evaluate(lm)
+    while stack:
+        a, b, peak_a = stack.pop()
+        if b - a < 2:
+            continue
+        bound_ok = _PROBABILITY_CONSTANT * ratio_min / math.sqrt(b - 1) - peak_a >= worst
+        if bound_ok and regular:
+            bound_ok = _PROBABILITY_CONSTANT / (b - 1) ** 0.25 - peak_a >= worst_regular
+        if bound_ok:
+            continue
+        mid = (a + b) // 2
+        stack.append((mid, b, evaluate(mid)))
+        stack.append((a, mid, peak_a))
     return BoundCheckReport(
-        lmix=int(lm),
+        lmix=lm,
         holds=worst >= 0.0,
         worst_slack=worst,
         regular=regular,

@@ -464,19 +464,17 @@ def aldous_check(spectra: Sequence[IrrepSpectrum]) -> AldousReport:
     spectra is the output of all_spectra(w).  margin is the smallest
     lambda_1(w, rho) - lambda_1(w, [n-1, 1]) over partitions rho other than
     [n] and [n-1, 1] (infinite when there are no such partitions, i.e. n = 2);
-    the check holds when margin >= -ALDOUS_TOL.
+    the check holds when margin >= -ALDOUS_TOL.  worst_partition is the first
+    partition, in partition order, whose difference is within ALDOUS_TOL of
+    the margin, so exact ties do not fall to rounding.
     """
     n = sum(spectra[0].partition)
     standard = standard_partition(n)
     gap = next(s.lambda_min for s in spectra if s.partition == standard)
-    margin = math.inf
-    worst: Partition | None = None
-    for s in spectra:
-        if s.partition in ((n,), standard):
-            continue
-        if s.lambda_min - gap < margin:
-            margin = s.lambda_min - gap
-            worst = s.partition
+    others = [(s.lambda_min - gap, s.partition) for s in spectra
+              if s.partition not in ((n,), standard)]
+    margin = min((diff for diff, _ in others), default=math.inf)
+    worst = next((p for diff, p in others if diff <= margin + ALDOUS_TOL), None)
     return AldousReport(
         holds=margin >= -ALDOUS_TOL, worst_partition=worst, margin=margin, spectral_gap=gap
     )

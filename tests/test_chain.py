@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interchange import chain as chain_module
 from interchange.chain import (
@@ -36,6 +38,21 @@ def random_connected(rng: np.random.Generator, n: int) -> WeightFunction:
         w = WeightFunction(n, entries)
         if entries and w.is_connected() and (w.vertex_weights > 0).all():
             return w
+
+
+@st.composite
+def connected_weights(draw, max_n: int = 12) -> WeightFunction:
+    """Random positive weights on a random spanning tree plus random chords."""
+    n = draw(st.integers(2, max_n))
+    entries = {}
+    for j in range(1, n):
+        i = draw(st.integers(0, j - 1))
+        entries[(i, j)] = draw(st.floats(0.2, 3.0))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in entries and draw(st.booleans()):
+                entries[(i, j)] = draw(st.floats(0.2, 3.0))
+    return WeightFunction(n, entries)
 
 
 def brute_force_lmix(chain: LazyChain, cap: int = 4096) -> int:
@@ -203,6 +220,14 @@ def test_sandwich_on_standard_graphs():
         assert lm / 8.0 <= mx <= lm
 
 
+@settings(max_examples=60)
+@given(connected_weights())
+def test_sandwich_on_random_weights(w):
+    chain = lazy_chain(w)
+    lm, mx = lmix(chain), tv_mix(chain)
+    assert lm / 8.0 <= mx <= lm
+
+
 def test_monotone_profiles():
     for w in [complete(4), path(5), cycle(6)]:
         chain = lazy_chain(w)
@@ -274,6 +299,27 @@ def test_lift_lazy_complete3():
     assert u.epsilon == pytest.approx(0.5)
 
 
+def literal_off_diagonal_weights(u: LiftedWeight) -> WeightFunction:
+    entries = {}
+    for i in range(u.n):
+        for j in range(i + 1, u.n):
+            if u.matrix[i, j] > 0:
+                entries[(i, j)] = float(u.matrix[i, j])
+    return WeightFunction(u.n, entries)
+
+
+@settings(max_examples=40)
+@given(connected_weights(), st.integers(0, 3))
+def test_off_diagonal_weights_matches_double_loop(w, doublings):
+    u = lift_lazy(w)
+    for _ in range(doublings):
+        u = double_weight(u)
+    got, want = u.off_diagonal_weights(), literal_off_diagonal_weights(u)
+    assert got.n == want.n
+    assert list(got.edges()) == list(want.edges())
+    assert np.array_equal(got.vertex_weights, want.vertex_weights)
+
+
 def test_double_preserves_row_masses():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -338,3 +384,94 @@ def test_probability_bounds_disconnected_rejected():
     w = WeightFunction(4, {(0, 1): 1.0, (2, 3): 1.0})
     with pytest.raises(DisconnectedError):
         verify_probability_bounds(lazy_chain(w), w)
+
+
+def sequential_probability_bounds(chain: LazyChain, w: WeightFunction) -> BoundCheckReport:
+    """Reference: evaluate both slacks at every t up to lmix, one product per step."""
+    constant = chain_module._PROBABILITY_CONSTANT
+    lm = lmix(chain)
+    if math.isinf(lm):
+        raise DisconnectedError("probability bounds apply to connected weights only")
+    ratio = w.vertex_weights / w.min_positive_weight()
+    regular = is_regular(w)
+    worst = math.inf
+    worst_regular = math.inf
+    power = np.eye(chain.n)
+    for t in range(1, int(lm) + 1):
+        power = chain_module._checked_product(power, chain.matrix)
+        slack = float(((constant / math.sqrt(t)) * ratio[:, None] - power).min())
+        worst = min(worst, slack)
+        if regular:
+            slack_r = float((constant / t**0.25 - power).min())
+            worst_regular = min(worst_regular, slack_r)
+    return BoundCheckReport(
+        lmix=int(lm),
+        holds=worst >= 0.0,
+        worst_slack=worst,
+        regular=regular,
+        regular_holds=(worst_regular >= 0.0) if regular else None,
+        regular_worst_slack=worst_regular if regular else None,
+    )
+
+
+def assert_reports_agree(got: BoundCheckReport, want: BoundCheckReport) -> None:
+    assert (got.lmix, got.holds, got.regular, got.regular_holds) == (
+        want.lmix, want.holds, want.regular, want.regular_holds
+    )
+    # the slacks are differences of entries of order one, so a few ulps of
+    # absolute error from the different product order are allowed near zero
+    assert got.worst_slack == pytest.approx(want.worst_slack, rel=1e-12, abs=1e-14)
+    if want.regular:
+        assert got.regular_worst_slack == pytest.approx(
+            want.regular_worst_slack, rel=1e-12, abs=1e-14
+        )
+
+
+@pytest.mark.parametrize(
+    "w", [path(2), path(16), cycle(16), star(8), complete(6), hypercube(3)]
+)
+def test_probability_bounds_match_sequential_on_families(w):
+    chain = lazy_chain(w)
+    assert_reports_agree(
+        verify_probability_bounds(chain, w), sequential_probability_bounds(chain, w)
+    )
+
+
+# With the paper's constant 30 the worst slack sits at t = lmix on every graph
+# tried, where it is evaluated exactly, so an unsound pruning would go unseen.
+# Smaller constants move the plain minimum inside the range.  The regular
+# minimum stays at an end on every regular graph tried, but not on irregular
+# chains, so a regular w (complete) is also checked against the random chain.
+# Both are fair inputs: the pruning rests on p_t <= max P^a for t >= a, which
+# holds for every chain and every constant.
+@settings(max_examples=80)
+@given(
+    connected_weights(),
+    st.sampled_from([chain_module._PROBABILITY_CONSTANT, 1.0, 0.3, 0.1, 0.03]),
+    st.booleans(),
+)
+def test_probability_bounds_match_sequential_oracle(w, constant, regular_w):
+    chain = lazy_chain(w)
+    bound_w = complete(w.n) if regular_w else w
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain_module, "_PROBABILITY_CONSTANT", constant)
+        got = verify_probability_bounds(chain, bound_w)
+        want = sequential_probability_bounds(chain, bound_w)
+    assert_reports_agree(got, want)
+
+
+def test_probability_bounds_product_count(monkeypatch):
+    # the per-step loop takes lmix = 13580 products on path(128)
+    products = []
+    checked = chain_module._checked_product
+
+    def counted(a, b):
+        products.append(1)
+        return checked(a, b)
+
+    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    w = path(128)
+    report = verify_probability_bounds(lazy_chain(w), w)
+    assert report.lmix == 13580
+    assert report.holds
+    assert len(products) <= 200

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -378,6 +379,22 @@ def test_aldous_check_two_vertices():
     assert report.holds
     assert report.worst_partition is None
     assert math.isinf(report.margin)
+
+
+def test_aldous_worst_partition_star5():
+    # [3, 2] and [3, 1, 1] both have lambda_min = 2; the tie goes to the
+    # first in partition order, whichever side rounding puts each value
+    spectra = all_spectra(star(5))
+    assert aldous_check(spectra).worst_partition == (3, 2)
+    for shift in (-1e-13, 1e-13):
+        nudged = [
+            dataclasses.replace(s, eigenvalues=s.eigenvalues + shift)
+            if s.partition == (3, 1, 1) else s
+            for s in spectra
+        ]
+        report = aldous_check(nudged)
+        assert report.worst_partition == (3, 2)
+        assert report.margin == pytest.approx(1.0 + min(shift, 0.0), abs=1e-15)
 
 
 def test_aldous_random_graphs():
