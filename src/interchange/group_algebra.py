@@ -168,8 +168,8 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL, method: str = "auto") -> PsdVe
 
     method "regular" assembles the full n! x n! matrix (n <= 7); "irrep"
     diagonalizes the irreducible blocks of the operator's support instead
-    and reaches n <= 10; "auto"
-    picks the regular route up to n = 5 and the irrep route beyond.  The
+    (the points whose row of c is nonzero, at most 10 of them, for any n);
+    "auto" picks the regular route up to n = 5 and the irrep route beyond.  The
     verdict tolerates eigenvalues down to -tol times the largest matrix
     entry in absolute value.
     """

@@ -16,13 +16,19 @@ Young's basis is adapted to the chain S_1 < S_2 < ... < S_n: restricted to
 the permutations of the first n-1 points, rho_lambda is the direct sum of
 the rho_mu over the partitions mu left by removing one corner of lambda,
 and in the sorted basis the tableaux holding n-1 in that corner are mu's
-tableaux in mu's order.  Blocks of a pair operator are therefore built by
-the branching rule
+tableaux in mu's order.  Each representation is therefore assembled from
+the cached representations of its corners: the actions of s_0 .. s_{n-3}
+are copied from the rho_mu, and only s_{n-2} is computed.  Blocks of a pair
+operator are built by the same branching rule,
     D_lambda(c) = (+)_mu D_mu(c on the first n-1 points)
                   + sum_{i<n-1} c_{i,n-1} (I - rho_lambda((i, n-1))),
-reaching the last sum by walking down from s_{n-2} with
-(i, n-1) = s_i (i+1, n-1) s_i.  The sub-blocks of one operator are built
-once, level by level, and shared by every partition that branches to them.
+with the last-point sum Y_lambda(a) = sum_{i<n-1} a_i rho_lambda((i, n-1))
+in Horner form: (i, n-1) = s_{n-2} (i, n-2) s_{n-2} for i < n-2 gives
+    Y_lambda(a) = a_{n-2} rho_lambda(s_{n-2})
+                  + rho_lambda(s_{n-2}) [(+)_mu Y_mu(a_{<n-2})] rho_lambda(s_{n-2}),
+one conjugation per partition and level.  The sub-blocks of one operator,
+and the Y_mu of one column of c, are built once and shared by every
+partition that branches to them.
 
 All representation matrices are symmetric orthogonal involutions on
 transpositions, so the generator restricted to a partition,
@@ -170,9 +176,20 @@ def standard_tableaux(p: Partition) -> list[Tableau]:
 
 
 class _AdjacentAction(NamedTuple):
+    """The adjacent actions of one rep, stacked: row a holds s_a's entries."""
+
     diag: np.ndarray
     off: np.ndarray
     partner: np.ndarray
+
+
+# Row codes: digit v (from the most significant) is the row of value v.  The
+# base bounds the row index for every partition within IRREP_MAX_N, so a code
+# keeps its meaning between n - 1 and n, and 10**10 fits in an int64.
+_CODE_BASE = IRREP_MAX_N
+
+# last-point sums Y_mu of one column of a pair operator, by partition mu
+_Memo = dict[Partition, np.ndarray]
 
 
 def _corners(p: Partition) -> list[tuple[int, Partition]]:
@@ -184,44 +201,25 @@ def _corners(p: Partition) -> list[tuple[int, Partition]]:
     return out
 
 
-def _tableau_arrays(p: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Row and content of each value in every standard tableau of shape p.
-
-    Returns two (dim, n) int arrays, one tableau per row, in the order of
-    standard_tableaux(p).  Values are placed one at a time: every partial
-    tableau grows by one in each row that has room and is shorter than the
-    row above.
-    """
-    n = sum(p)
-    caps = np.array(p)
-    rows = np.zeros((1, 0), dtype=np.int64)
-    cols = np.zeros((1, 0), dtype=np.int64)
-    lengths = np.zeros((1, len(p)), dtype=np.int64)
-    for _ in range(n):
-        above = np.hstack((np.full((len(lengths), 1), n), lengths[:, :-1]))
-        grow, r = np.nonzero((lengths < caps) & (lengths < above))
-        rows = np.column_stack((rows[grow], r))
-        cols = np.column_stack((cols[grow], lengths[grow, r]))
-        lengths = lengths[grow]
-        lengths[np.arange(len(grow)), r] += 1
-    order = np.lexsort(rows.T[::-1])
-    return rows[order], (cols - rows)[order]
-
-
 class YoungOrthogonalRep:
     """Orthogonal irreducible representation attached to one partition.
 
-    Tableaux are held only as integer arrays of the row and content of each
-    value.  Adjacent transpositions are stored in a compressed
-    two-entries-per-row form, so multiplying any matrix by an adjacent
-    generator costs O(dim^2).  branches lists, for each corner of the
-    diagram, the partition mu left when the corner is removed and the basis
-    indices of the tableaux holding n-1 there: in the sorted basis those
-    tableaux are mu's basis in mu's order, so rho restricted to S_{n-1} is
-    the direct sum of the rho_mu placed at those indices.  Pair operator
-    blocks are built by the branching rule (delta_matrix, delta_blocks);
-    transposition_matrix and matrix build single group elements and serve as
-    references.
+    The rep is built from the cached reps of the partitions mu left by
+    removing one corner of the diagram.  The tableaux holding n-1 in one
+    corner are mu's tableaux in mu's order, and their row codes are mu's codes
+    with that corner's row appended; one sort of these (distinct) codes gives the
+    sorted basis, and branches lists, for each corner, mu and the basis
+    indices of its tableaux.  So rho restricted to S_{n-1} is the direct sum
+    of the rho_mu placed at those indices, and the actions of s_0 .. s_{n-3}
+    are copied from the rho_mu.  Only s_{n-2} is new: it reads the row and
+    content of the values n-2 and n-1, and finds each partner by searching
+    the sorted codes.
+
+    Adjacent transpositions are stored in a compressed two-entries-per-row
+    form, stacked as (n-1, dim) arrays, so multiplying any matrix by an
+    adjacent generator costs O(dim^2).  Pair operator blocks are built by
+    the branching rule (delta_matrix, delta_blocks); transposition_matrix and
+    matrix build single group elements and serve as references.
     """
 
     def __init__(self, partition: Sequence[int]):
@@ -231,41 +229,71 @@ class YoungOrthogonalRep:
             raise CapError(f"representation matrices capped at n <= {IRREP_MAX_N}")
         self.partition = p
         self.n = n
-        rows, contents = _tableau_arrays(p)
-        self.dim = len(rows)
-        # base-len(p) codes increase with the sort order, so searchsorted ranks them
-        place = len(p) ** np.arange(n - 1, -1, -1)
-        codes = rows @ place
-        self._adjacent: list[_AdjacentAction] = []
-        for a in range(n - 1):
-            d = contents[:, a + 1] - contents[:, a]
-            paired = np.abs(d) > 1
-            off = np.zeros(self.dim)
-            off[paired] = np.sqrt(1.0 - 1.0 / (d[paired] * d[paired]))
-            swapped = codes + (rows[:, a + 1] - rows[:, a]) * (place[a] - place[a + 1])
-            partner = np.arange(self.dim)
-            partner[paired] = np.searchsorted(codes, swapped[paired])
-            self._adjacent.append(_AdjacentAction(1.0 / d, off, partner))
-        self.branches = [(mu, np.flatnonzero(rows[:, -1] == r)) for r, mu in _corners(p)]
+        if n == 1:
+            # one tableau and no adjacent transposition; S_0 is the empty partition
+            self.dim = 1
+            self._codes = self._last_row = self._last_content = np.zeros(1, dtype=np.int64)
+            self._adjacent = _AdjacentAction(
+                np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1), dtype=np.intp)
+            )
+            self.branches = [((), np.zeros(1, dtype=np.intp))]
+            return
+        corners = _corners(p)
+        subs = [_rep(mu) for _, mu in corners]
+        codes = np.concatenate([sub._codes * _CODE_BASE + r for (r, _), sub in zip(corners, subs)])
+        order = np.argsort(codes)
+        self.dim = len(codes)
+        self._codes = codes[order]
+        position = np.empty(self.dim, dtype=np.intp)
+        position[order] = np.arange(self.dim)
+        dims = [sub.dim for sub in subs]
+        indices = np.split(position, np.cumsum(dims[:-1]))
+        self.branches = [(mu, index) for (_, mu), index in zip(corners, indices)]
+
+        diag = np.empty((n - 1, self.dim))
+        off = np.zeros((n - 1, self.dim))
+        partner = np.empty((n - 1, self.dim), dtype=np.intp)
+        for sub, index in zip(subs, indices):
+            diag[:-1, index] = sub._adjacent.diag
+            off[:-1, index] = sub._adjacent.off
+            partner[:-1, index] = index[sub._adjacent.partner]
+        # s_{n-2}: value n-2 sits where mu put its last value, n-1 in the corner
+        last_row = np.repeat([r for r, _ in corners], dims)[order]
+        self._last_row = last_row
+        self._last_content = (np.asarray(p)[last_row] - 1) - last_row
+        before_row = np.concatenate([sub._last_row for sub in subs])[order]
+        before_content = np.concatenate([sub._last_content for sub in subs])[order]
+        d = self._last_content - before_content
+        paired = np.abs(d) > 1
+        diag[-1] = 1.0 / d
+        off[-1, paired] = np.sqrt(1.0 - 1.0 / (d[paired] * d[paired]))
+        swapped = self._codes + (last_row - before_row) * (_CODE_BASE - 1)
+        partner[-1] = np.arange(self.dim)
+        partner[-1, paired] = np.searchsorted(self._codes, swapped[paired])
+        self._adjacent = _AdjacentAction(diag, off, partner)
 
     def _apply_left(self, a: int, m: np.ndarray) -> np.ndarray:
-        act = self._adjacent[a]
-        return act.diag[:, None] * m + act.off[:, None] * m[act.partner, :]
+        act = self._adjacent
+        return act.diag[a, :, None] * m + act.off[a, :, None] * m[act.partner[a], :]
 
     def _apply_right(self, m: np.ndarray, a: int) -> np.ndarray:
-        act = self._adjacent[a]
-        return m * act.diag[None, :] + m[:, act.partner] * act.off[None, :]
+        act = self._adjacent
+        return m * act.diag[a] + m[:, act.partner[a]] * act.off[a]
 
     def adjacent_matrix(self, a: int) -> np.ndarray:
         """Dense matrix of the adjacent transposition (a, a+1)."""
         if not 0 <= a < self.n - 1:
             raise ParameterError(f"adjacent index {a} out of range for n={self.n}")
-        act = self._adjacent[a]
         m = np.zeros((self.dim, self.dim))
-        idx = np.arange(self.dim)
-        m[idx, idx] = act.diag
-        m[idx, act.partner] += act.off
+        self._add_adjacent(m, a, 1.0)
         return m
+
+    def _add_adjacent(self, m: np.ndarray, a: int, scale: float) -> None:
+        """m += scale * rho(s_a), touching only the two entries per row."""
+        act = self._adjacent
+        idx = np.arange(self.dim)
+        m[idx, idx] += scale * act.diag[a]
+        m[idx, act.partner[a]] += scale * act.off[a]
 
     def transposition_matrix(self, i: int, j: int) -> np.ndarray:
         """Dense matrix of the transposition (i, j), i != j."""
@@ -311,29 +339,48 @@ class YoungOrthogonalRep:
         """
         if op.n != self.n:
             raise ParameterError(f"operator on {op.n} points, representation on {self.n}")
-        return self._branch(op.c, _sub_blocks(op.c, [self.partition]))
+        return self._branch(op.c, _sub_blocks(op.c, [self.partition]), {})
 
-    def _branch(self, c: np.ndarray, below: Mapping[Partition, np.ndarray]) -> np.ndarray:
+    def _branch(
+        self, c: np.ndarray, below: Mapping[Partition, np.ndarray], memo: _Memo
+    ) -> np.ndarray:
         """Block of c on its first self.n points, from its blocks on one point fewer.
 
         below maps each partition of self.n - 1 that this one branches to
-        onto its block.  The pairs (i, n-1) are reached by walking down from
-        the adjacent (n-2, n-1) with (i, n-1) = s_i (i+1, n-1) s_i, and the
-        walk stops at the smallest i with c_{i, n-1} != 0.
+        onto its block.  memo holds the last-point sums of column self.n - 1
+        of c on smaller partitions (see _last_sum) and is shared by every
+        partition of self.n built from that column.
         """
         m = self.n - 1
         out = np.zeros((self.dim, self.dim))
         for mu, index in self.branches:
             out[index[:, None], index] = below[mu]
         last = c[:m, m]
-        touched = np.flatnonzero(last)
-        if touched.size:
+        if last.any():
             out.flat[:: self.dim + 1] += last.sum()
-            t = self.adjacent_matrix(m - 1)
-            for i in range(m - 1, touched[0] - 1, -1):
-                if i < m - 1:
-                    t = self._apply_left(i, self._apply_right(t, i))
-                out -= last[i] * t
+            out -= self._last_sum(last, memo)
+        return out
+
+    def _last_sum(self, a: np.ndarray, memo: _Memo) -> np.ndarray:
+        """Y(a) = sum_{i<n-1} a_i rho((i, n-1)) for a vector a of length n-1.
+
+        Horner form over the chain of subgroups: since (i, n-1) =
+        s_{n-2} (i, n-2) s_{n-2} for i < n-2,
+            Y(a) = a_{n-2} rho(s_{n-2}) + rho(s_{n-2}) [(+)_mu Y_mu(a_{<n-2})] rho(s_{n-2}),
+        where Y_mu(a_{<n-2}) lives on S_{n-1}, block diagonal over the
+        corners mu.  One conjugation per partition; the Y_mu are looked up
+        in memo (keyed by partition, which fixes the prefix of a) and the
+        recursion stops where the rest of a is zero.
+        """
+        s = self.n - 2
+        out = np.zeros((self.dim, self.dim))
+        if a[:s].any():
+            for mu, index in self.branches:
+                if mu not in memo:
+                    memo[mu] = _rep(mu)._last_sum(a[:s], memo)
+                out[index[:, None], index] = memo[mu]
+            out = self._apply_left(s, self._apply_right(out, s))
+        self._add_adjacent(out, s, a[s])
         return out
 
 
@@ -341,7 +388,8 @@ def _sub_blocks(c: np.ndarray, targets: Iterable[Partition]) -> dict[Partition, 
     """Blocks of c on its first n-1 points for each partition the targets branch to.
 
     Built upward from S_0 one point at a time; each level holds only the
-    partitions that some target reaches, and only one level is kept.
+    partitions that some target reaches, and only one level is kept, with
+    the last-point sums of its own column of c.
     """
     levels = [set(targets)]
     for _ in range(len(c) - 1):
@@ -349,7 +397,8 @@ def _sub_blocks(c: np.ndarray, targets: Iterable[Partition]) -> dict[Partition, 
     # S_0 has one block, the 1 x 1 zero block of the empty operator
     below = {(): np.zeros((1, 1))}
     for level in reversed(levels[1:]):
-        below = {lam: _rep(lam)._branch(c, below) for lam in level}
+        memo: _Memo = {}
+        below = {lam: _rep(lam)._branch(c, below, memo) for lam in level}
     return below
 
 
@@ -358,13 +407,15 @@ def delta_blocks(
 ) -> Iterator[tuple[Partition, np.ndarray]]:
     """(partition, block of op) for each target partition of op.n, in order.
 
-    The sub-blocks on S_{n-1} and below are built once and shared by every
-    target; each top-level block is built when it is reached and not kept.
+    The sub-blocks on S_{n-1} and below, and the last-point sums of the last
+    column on S_{n-1} and below, are built once and shared by every target;
+    each top-level block is built when it is reached and not kept.
     """
     targets = [validate_partition(p, op.n) for p in targets]
     below = _sub_blocks(op.c, targets)
+    memo: _Memo = {}
     for p in targets:
-        yield p, _rep(p)._branch(op.c, below)
+        yield p, _rep(p)._branch(op.c, below, memo)
 
 
 # unbounded, but the cap IRREP_MAX_N bounds it to the 138 partitions of n <= 10
@@ -435,13 +486,17 @@ def min_eigenvalue_on_irreps(a: PairOperator) -> tuple[float, float]:
     partitions of k, each of which occurs for some partition of n.  So the
     blocks over the partitions of k carry the same minimum, and the same
     largest entry as the blocks over the partitions of n once the support
-    is relabeled first.  The zero operator gives (0.0, 0.0).
+    is relabeled first.  The zero operator gives (0.0, 0.0).  The cap
+    IRREP_MAX_N therefore applies to the support, not to a.n.
     """
-    if a.n > IRREP_MAX_N:
-        raise CapError(f"per-partition route capped at n <= {IRREP_MAX_N}")
     support = np.flatnonzero(a.c.any(axis=1))
     if not support.size:
         return 0.0, 0.0
+    if support.size > IRREP_MAX_N:
+        raise CapError(
+            f"per-partition route capped at a support of {IRREP_MAX_N} points, "
+            f"got {support.size}"
+        )
     op = PairOperator(a.c[np.ix_(support, support)])
     min_eig = math.inf
     scale = 0.0

@@ -57,6 +57,16 @@ class TestReports:
         assert len(payload["hubs"]) == 4
         check_against_schema(payload, "octopus")
 
+    @pytest.mark.parametrize("graph, n", [("path:12", 12), ("cycle:40", 40)])
+    def test_octopus_beyond_ten_vertices_on_small_supports(self, capsys, graph, n):
+        # each hub's gap lives on the hub and its two neighbours
+        code, out = run_cli(capsys, ["octopus", "--graph", graph])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert [entry["hub"] for entry in payload["hubs"]] == list(range(n))
+        check_against_schema(payload, "octopus")
+
     def test_verify_doubling(self, capsys):
         code, out = run_cli(capsys, ["verify-doubling", "--graph", "complete:3"])
         assert code == 0
@@ -234,6 +244,7 @@ class TestErrorPaths:
             (["mix", "--graph", "file:{tmp}/big.w"], "exceeds the cap"),
             (["octopus", "--graph", "file:{tmp}/big2.w"], "exceeds the cap"),
             (["octopus", "--graph", "file:{tmp}/overflow.w"], "exceeds the cap"),
+            (["octopus", "--graph", "star:11"], "capped at a support of 10 points"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):

@@ -160,17 +160,18 @@ def per_tableau_adjacent(p):
     return actions, [branches[r] for r in sorted(branches)]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_array_built_reps_match_per_tableau_definition(n):
     for p in partitions(n):
         rep = YoungOrthogonalRep(p)
         actions, branches = per_tableau_adjacent(p)
         assert rep.dim == len(standard_tableaux(p))
-        assert len(rep._adjacent) == len(actions)
-        for act, (diag, off, partner) in zip(rep._adjacent, actions):
-            assert np.array_equal(act.diag, diag)
-            assert np.array_equal(act.off, off)
-            assert np.array_equal(act.partner, partner)
+        act = rep._adjacent
+        assert act.diag.shape == act.off.shape == act.partner.shape == (n - 1, rep.dim)
+        for a, (diag, off, partner) in enumerate(actions):
+            assert np.array_equal(act.diag[a], diag)
+            assert np.array_equal(act.off[a], off)
+            assert np.array_equal(act.partner[a], partner)
         assert len(rep.branches) == len(branches)
         for (mu, index), (indices, rests) in zip(rep.branches, branches):
             assert index.tolist() == indices
@@ -206,6 +207,28 @@ def test_branching_blocks_match_transposition_sum(op):
             want += c * (np.eye(rep.dim) - rep.transposition_matrix(i, j))
         assert np.abs(block - want).max() <= 1e-12 * scale
         assert np.array_equal(rep.delta_matrix(op), block)
+
+
+def test_last_point_sums_take_one_conjugation_per_node(monkeypatch):
+    # column k-1 of c conjugates once for each partition of j, 3 <= j <= k, that
+    # its Horner recursion reaches; below j = 3 the prefix of the column is empty
+    calls = []
+    apply_left = YoungOrthogonalRep._apply_left
+
+    def counted(rep, a, m):
+        calls.append((rep.partition, a))
+        return apply_left(rep, a, m)
+
+    monkeypatch.setattr(YoungOrthogonalRep, "_apply_left", counted)
+    n = 8
+    dense = np.random.default_rng(18).uniform(0.5, 1.5, (n, n))
+    list(delta_blocks(PairOperator(np.triu(dense, 1) + np.triu(dense, 1).T), partitions(n)))
+    assert len(calls) == sum(len(partitions(j)) for k in range(3, n + 1) for j in range(3, k + 1))
+    assert all(a == sum(p) - 2 for p, a in calls)
+    calls.clear()
+    # a path touches only the pair (k-2, k-1) of each column: no conjugation at all
+    list(delta_blocks(delta_of_weights(path(n)), partitions(n)))
+    assert calls == []
 
 
 @st.composite
@@ -348,14 +371,6 @@ def test_standard_block_matches_graph_laplacian():
         assert np.allclose(block.eigenvalues, lap_eigs[1:], atol=1e-9)
 
 
-def test_assembled_spectrum_matches_regular_representation():
-    rng = np.random.default_rng(14)
-    for n in (3, 4):
-        w = random_connected(rng, n)
-        direct = np.sort(np.linalg.eigvalsh(regular_rep_matrix(delta_of_weights(w))))
-        assert np.allclose(assembled_spectrum(w), direct, atol=1e-8)
-
-
 def test_min_eigenvalue_on_irreps_matches_regular_route():
     rng = np.random.default_rng(15)
     w = random_connected(rng, 4)
@@ -455,6 +470,13 @@ def connected_weights(draw, max_n: int = 7) -> WeightFunction:
             if (i, j) not in entries and draw(st.booleans()):
                 entries[(i, j)] = draw(weight)
     return WeightFunction(n, entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_weights(max_n=5))
+def test_assembled_spectrum_matches_regular_representation(w):
+    direct = np.sort(np.linalg.eigvalsh(regular_rep_matrix(delta_of_weights(w))))
+    assert np.allclose(assembled_spectrum(w), direct, rtol=0, atol=1e-12 * direct[-1])
 
 
 @settings(max_examples=40, deadline=None)
