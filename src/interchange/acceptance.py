@@ -26,11 +26,11 @@ from .chain import (
 from .chain import LiftedWeight
 from .cycles import (
     coefficient_dimension_sum,
-    cycle_coefficients,
     cycle_count_blocks,
     exact_cycles_bruteforce,
     expected_cycles_spectral,
     family_lambda_dim,
+    family_partition,
     first_family_range,
     mc_per_sample,
     oracle_t_grid,
@@ -257,10 +257,7 @@ def check_schur_scalarity(config: SuiteConfig) -> CheckResult:
             ):
                 for i in rng_:
                     lam, dim = family_lambda_dim(n, k, i, family)
-                    if family == "first":
-                        p = (k - i - 1, n - k + 1) + (1,) * i
-                    else:
-                        p = (n - k, k - i) + (1,) * i
+                    p = family_partition(n, k, i, family)
                     families += 1
                     formula_failures += lam != lambda_kn(p) or dim != hook_dim(p)
     passed = worst_off <= 1e-9 and worst_value <= 1e-9 and formula_failures == 0

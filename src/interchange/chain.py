@@ -33,11 +33,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateWeightError, DisconnectedError, ParameterError
-from .graphs import WeightFunction
+from .graphs import MAX_TOTAL_WEIGHT, WeightFunction
 
 TIE_GUARD = 1e-12
 _ROW_SUM_TOL = 1e-10
 _PROBABILITY_CONSTANT = 30.0
+# Largest total mass of a lifted weight, what lift_lazy can produce (doubling
+# keeps the mass); the allowance absorbs a few ulps of rounding in the sum.
+_MAX_LIFTED_MASS = 2.0 * MAX_TOTAL_WEIGHT * (1.0 + 1e-9)
+# largest k tried when doubling the time, 2^k, while locating lmix or tv_mix
+_DOUBLING_GUARD = 60
 
 
 class LazyChain:
@@ -89,7 +94,7 @@ class LazyChain:
         The result may be a cached power itself, which is read-only.
         """
         if t < 0:
-            raise ValueError(f"time must be >= 0, got {t}")
+            raise ParameterError(f"time must be >= 0, got {t}")
         if t == 0:
             return np.eye(self.n)
         result = None
@@ -126,14 +131,14 @@ def tv_distance(chain: LazyChain, t: int) -> float:
     return float(0.5 * np.abs(chain.power(t) - chain.pi[None, :]).sum(axis=1).max())
 
 
-def _search_first_time(condition, guard_cap: int = 60) -> int:
+def _search_first_time(condition) -> int:
     """Smallest integer t >= 1 with condition(t), given condition is monotone."""
     if condition(1):
         return 1
     k = 0
     while not condition(1 << (k + 1)):
         k += 1
-        if k > guard_cap:
+        if k > _DOUBLING_GUARD:
             raise ConsistencyError("mixing condition never met on a connected chain")
     lo, hi = 1 << k, 1 << (k + 1)
     while hi - lo > 1:
@@ -143,6 +148,7 @@ def _search_first_time(condition, guard_cap: int = 60) -> int:
         else:
             lo = mid
     return hi
+
 
 def lmix(chain: LazyChain) -> int | float:
     """First time every p_t(i, j) strictly exceeds (3/4) pi(j).
@@ -275,17 +281,25 @@ class LiftedWeight:
     The lift of a lazy chain puts u_ij = w_ij off the diagonal and u_ii = w_i,
     so each row mass doubles: u_i = 2 w_i.  Doubling maps u to
     u2_ij = sum_k u_ik u_kj / u_k, which preserves row masses and tracks the
-    two-step transition probabilities of the lazy walk.
+    two-step transition probabilities of the lazy walk.  The matrix must be
+    finite, nonnegative and symmetric, with a total mass of at most
+    2 MAX_TOTAL_WEIGHT (up to rounding), the most lift_lazy can produce.
     """
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ParameterError(f"lifted weight needs a square matrix, got {matrix.shape}")
+        if not (np.isfinite(matrix).all() and (matrix >= 0).all()):
+            raise ParameterError("lifted weight matrix must be finite and nonnegative")
+        # the entries are checked first: each under the cap, their sum cannot overflow
+        if matrix.max(initial=0.0) > _MAX_LIFTED_MASS or matrix.sum() > _MAX_LIFTED_MASS:
+            raise ParameterError(
+                f"lifted weight total mass exceeds the cap {_MAX_LIFTED_MASS:g}; "
+                "scale the weights down"
+            )
         if not np.allclose(matrix, matrix.T, atol=1e-12):
             raise ParameterError("lifted weight matrix must be symmetric")
-        if (matrix < 0).any():
-            raise ParameterError("lifted weight matrix must be nonnegative")
         self.matrix = matrix
         self.n = matrix.shape[0]
         self.vertex_weights = matrix.sum(axis=1)
@@ -296,14 +310,6 @@ class LiftedWeight:
         if (self.vertex_weights <= 0).any():
             raise DegenerateWeightError("epsilon undefined with a zero-mass vertex")
         return float((np.diag(self.matrix) / self.vertex_weights).max())
-
-    def off_diagonal_weights(self) -> WeightFunction:
-        """The plain weight function given by the off-diagonal entries."""
-        rows, cols = np.triu_indices(self.n, 1)
-        values = self.matrix[rows, cols]
-        keep = values > 0
-        pairs = zip(rows[keep].tolist(), cols[keep].tolist())
-        return WeightFunction(self.n, dict(zip(pairs, values[keep].tolist())))
 
 
 def lift_lazy(w: WeightFunction) -> LiftedWeight:

@@ -159,12 +159,14 @@ def _cmd_mix(config: RunConfig) -> tuple[dict, bool]:
 
 def _cmd_octopus(config: RunConfig) -> tuple[dict, bool]:
     w = config.weights()
+    dense = w.dense()
     hubs = []
-    for hub in range(w.n):
-        arms = [w.weight(hub, v) for v in range(w.n) if v != hub]
-        if sum(arms) <= 0:
+    for hub, row in enumerate(dense):
+        # the gap lives on the hub and its neighbours: hub 0, arms 1 .. deg
+        arms = row[row > 0]
+        if not arms.size:
             continue
-        verdict = octopus_check(w.n, hub, arms, tol=config.tol)
+        verdict = octopus_check(len(arms) + 1, 0, arms, tol=config.tol)
         hubs.append(
             {"hub": hub, "psd": verdict.psd, "min_eigenvalue": verdict.min_eigenvalue}
         )

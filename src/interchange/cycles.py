@@ -33,19 +33,16 @@ import numpy as np
 
 from .errors import CapError, ConsistencyError, ParameterError
 from .graphs import WeightFunction
-from .group_algebra import InterchangeExact, Perm, cycle_counts, delta_of_weights, identity_perm
+from .group_algebra import InterchangeExact, Perm, check_time, cycle_counts, delta_of_weights
 from .irreps import (
     IRREP_MAX_N,
     Partition,
     delta_blocks,
     delta_on_irrep,
     hook_dim,
-    lambda_kn,
     standard_partition,
     validate_partition,
 )
-
-_BRUTE_FORCE_MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,8 @@ class CycleFormula:
         return 0
 
 
-def _family_partition(n: int, k: int, i: int, family: str) -> Partition:
+def family_partition(n: int, k: int, i: int, family: str) -> Partition:
+    """Member i of a family: [k-i-1, n-k+1, 1^i] (first) or [n-k, k-i, 1^i] (second)."""
     if family == "first":
         parts = (k - i - 1, n - k + 1) + (1,) * i
     elif family == "second":
@@ -99,13 +97,13 @@ def cycle_coefficients(n: int, k: int) -> CycleFormula:
     terms: list[tuple[Partition, int]] = [((n,), 1)]
     seen = {(n,)}
     for i in first_family_range(n, k):
-        p = _family_partition(n, k, i, "first")
+        p = family_partition(n, k, i, "first")
         if p in seen:
             raise ConsistencyError(f"duplicate partition {p} in coefficient table")
         seen.add(p)
         terms.append((p, (-1) ** (i + 1)))
     for i in second_family_range(n, k):
-        p = _family_partition(n, k, i, "second")
+        p = family_partition(n, k, i, "second")
         if p in seen:
             raise ConsistencyError(f"duplicate partition {p} in coefficient table")
         seen.add(p)
@@ -122,9 +120,7 @@ def expected_cycles_spectral(w: WeightFunction, k: int, t):
     """E(s_k(t)) by the spectral formula.  t may be a scalar or an array."""
     if w.n > IRREP_MAX_N:
         raise CapError(f"spectral route capped at n <= {IRREP_MAX_N}")
-    t_arr = np.asarray(t, dtype=float)
-    if (t_arr < 0).any():
-        raise ParameterError("time must be >= 0")
+    t_arr = check_time(t)
     total = np.zeros_like(t_arr)
     terms = cycle_coefficients(w.n, k).terms
     blocks = delta_blocks(delta_of_weights(w), [p for p, _ in terms])
@@ -183,11 +179,6 @@ MAX_SEED = 2**64 - 1  # the seed keys a uint64 Philox counter
 _STEP_CHUNK = 32  # event steps whose edge picks are drawn together
 
 
-def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0):
-        raise ParameterError(f"time must be finite and >= 0, got {t}")
-
-
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator for one trajectory of the reference simulator."""
     if seed < 0 or index < 0:
@@ -221,7 +212,7 @@ def simulate_interchange(
     Zero total weight is not an error: no clock ever rings and the identity
     is returned.
     """
-    _check_time(t)
+    check_time(t)
     rng = trajectory_rng(seed, index)
     edges = list(w.edges())
     rate = float(sum(weight for _, weight in edges))
@@ -356,7 +347,7 @@ def cycle_count_blocks(
     so the first N rows of a run with more samples equal a run with N.
     Arguments are checked when called, before any block is simulated.
     """
-    _check_time(t)
+    check_time(t)
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
     if samples > MC_MAX_SAMPLES:
@@ -440,9 +431,7 @@ def large_cycle_mass(
 
 
 def exact_cycles_bruteforce(w: WeightFunction, k: int, t: float) -> float:
-    """E(s_k(t)) summed over all permutations with exact probabilities."""
-    if w.n > _BRUTE_FORCE_MAX_N:
-        raise CapError(f"brute force capped at n <= {_BRUTE_FORCE_MAX_N}")
+    """E(s_k(t)) summed over all permutations with exact probabilities, n <= 5."""
     process = InterchangeExact(w)
     dist = process.distribution(t)
     return float(

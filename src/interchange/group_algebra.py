@@ -14,8 +14,9 @@ The interchange generator for a weight function w is
     delta_of_weights(w) = sum_{i<j} w_ij (1 - (i j)),
 with c = w, which is positive semidefinite.  Two operator inequalities are
 checked exactly here by building the signed gap operator and testing
-positive semidefiniteness on the regular representation or on every
-irreducible block:
+positive semidefiniteness on its support, the points whose row of c is
+nonzero: on the regular representation of a support of at most 5 points,
+and on every irreducible block of a support of 6 to 10 points:
 
 * the octopus inequality: for a hub vertex h,
       sum_i w_hi (1 - (h i))  >=  sum_{i<j} (w_hi w_hj / w_h) (1 - (i j)),
@@ -163,28 +164,36 @@ class PsdVerdict(NamedTuple):
     min_eigenvalue: float
 
 
-def is_psd(a: PairOperator, tol: float = PSD_TOL, method: str = "auto") -> PsdVerdict:
-    """Decide positive semidefiniteness of a pair operator.
+def is_psd(a: PairOperator, tol: float = PSD_TOL) -> PsdVerdict:
+    """Decide positive semidefiniteness of a pair operator on its support.
 
-    method "regular" assembles the full n! x n! matrix (n <= 7); "irrep"
-    diagonalizes the irreducible blocks of the operator's support instead
-    (the points whose row of c is nonzero, at most 10 of them, for any n);
-    "auto" picks the regular route up to n = 5 and the irrep route beyond.  The
-    verdict tolerates eigenvalues down to -tol times the largest matrix
-    entry in absolute value.
+    The support is the k points whose row of c is nonzero.  Relabeled
+    0 .. k-1, the operator keeps its smallest eigenvalue and its largest
+    matrix entry: relabeling conjugates by a group element, and the regular
+    representation of S_n restricted to S_k is a multiple of that of S_k.
+    A support of at most 5 points is decided on its k! x k! regular
+    representation, a larger one on its irreducible blocks, capped at
+    IRREP_MAX_N points whatever n is.  The zero operator is PSD with minimum
+    eigenvalue 0.  Eigenvalues down to -tol times the largest matrix entry in
+    absolute value are tolerated.
     """
-    if method == "auto":
-        method = "regular" if a.n <= EXACT_SEMIGROUP_MAX_N else "irrep"
-    if method == "regular":
-        m = regular_rep_matrix(a)
-        scale = float(np.abs(m).max())
-        min_eig = float(np.linalg.eigvalsh(m).min()) if scale > 0 else 0.0
-    elif method == "irrep":
-        from .irreps import min_eigenvalue_on_irreps
+    from .irreps import IRREP_MAX_N, min_eigenvalue_on_irreps
 
-        min_eig, scale = min_eigenvalue_on_irreps(a)
+    support = np.flatnonzero(a.c.any(axis=1))
+    if not support.size:
+        return PsdVerdict(psd=True, min_eigenvalue=0.0)
+    if support.size > IRREP_MAX_N:
+        raise CapError(
+            f"per-partition route capped at a support of {IRREP_MAX_N} points, "
+            f"got {support.size}"
+        )
+    op = PairOperator(a.c[np.ix_(support, support)])
+    if op.n <= EXACT_SEMIGROUP_MAX_N:
+        m = regular_rep_matrix(op)
+        scale = float(np.abs(m).max())
+        min_eig = float(np.linalg.eigvalsh(m).min())
     else:
-        raise ParameterError(f"unknown method {method!r}")
+        min_eig, scale = min_eigenvalue_on_irreps(op)
     return PsdVerdict(psd=min_eig >= -tol * max(scale, 1e-300), min_eigenvalue=min_eig)
 
 
@@ -223,15 +232,22 @@ def octopus_check(
 
 
 def doubling_gap(u: LiftedWeight) -> PairOperator:
-    """(2 + 2 eps) Delta_u - Delta_{u^(2)}, both taken off the diagonal."""
-    lhs = delta_of_weights(u.off_diagonal_weights())
-    rhs = delta_of_weights(double_weight(u).off_diagonal_weights())
-    return PairOperator((2.0 + 2.0 * u.epsilon) * lhs.c - rhs.c)
+    """(2 + 2 eps) Delta_u - Delta_{u^(2)}, from the upper triangles of u and u^(2)."""
+    upper = (2.0 + 2.0 * u.epsilon) * np.triu(u.matrix, 1) - np.triu(double_weight(u).matrix, 1)
+    return PairOperator(upper + upper.T)
 
 
 def doubling_inequality_check(u: LiftedWeight, tol: float = PSD_TOL) -> PsdVerdict:
     """Verify the doubling inequality for one lifted weight."""
     return is_psd(doubling_gap(u), tol=tol)
+
+
+def check_time(t) -> np.ndarray:
+    """t (a time or an array of times) as a float array; each must be finite and >= 0."""
+    t_arr = np.asarray(t, dtype=float)
+    if not (np.isfinite(t_arr).all() and (t_arr >= 0).all()):
+        raise ParameterError(f"time must be finite and >= 0, got {t}")
+    return t_arr
 
 
 class InterchangeExact:
@@ -255,11 +271,9 @@ class InterchangeExact:
         self._id_row = self.eigenvectors[0, :]
 
     def distribution(self, t: float) -> np.ndarray:
-        """Probabilities over all_perms(n) after time t >= 0."""
-        if t < 0:
-            raise ParameterError(f"time must be >= 0, got {t}")
-        dist = self.eigenvectors @ (np.exp(-t * self.eigenvalues) * self._id_row)
-        return dist
+        """Probabilities over all_perms(n) after a finite time t >= 0."""
+        check_time(t)
+        return self.eigenvectors @ (np.exp(-t * self.eigenvalues) * self._id_row)
 
     def tv_from_uniform(self, t: float) -> float:
         size = len(self.permutations)

@@ -477,30 +477,12 @@ def min_eigenvalue_on_irreps(a: PairOperator) -> tuple[float, float]:
     """Smallest eigenvalue of a pair operator across all irreducible blocks.
 
     Returns (min eigenvalue, scale), where scale is the largest absolute
-    entry across the blocks, for use in relative tolerance checks.
-
-    Only the operator's support counts: the k points whose row of c is
-    nonzero, relabeled 0 .. k-1.  Relabeling conjugates every block by a
-    group element, which keeps its spectrum; and Young's basis of any
-    partition of n, restricted to S_k, is block diagonal with the blocks of
-    partitions of k, each of which occurs for some partition of n.  So the
-    blocks over the partitions of k carry the same minimum, and the same
-    largest entry as the blocks over the partitions of n once the support
-    is relabeled first.  The zero operator gives (0.0, 0.0).  The cap
-    IRREP_MAX_N therefore applies to the support, not to a.n.
+    entry across the blocks of the partitions of a.n, for relative tolerance
+    checks.  group_algebra.is_psd calls this on an operator's support.
     """
-    support = np.flatnonzero(a.c.any(axis=1))
-    if not support.size:
-        return 0.0, 0.0
-    if support.size > IRREP_MAX_N:
-        raise CapError(
-            f"per-partition route capped at a support of {IRREP_MAX_N} points, "
-            f"got {support.size}"
-        )
-    op = PairOperator(a.c[np.ix_(support, support)])
     min_eig = math.inf
     scale = 0.0
-    for _, block in delta_blocks(op, partitions(op.n)):
+    for _, block in delta_blocks(a, partitions(a.n)):
         scale = max(scale, float(np.abs(block).max()))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(block).min()))
     return min_eig, scale

@@ -24,7 +24,22 @@ from interchange.chain import (
     verify_probability_bounds,
 )
 from interchange.errors import DegenerateWeightError, DisconnectedError, ParameterError
-from interchange.graphs import WeightFunction, complete, cycle, hamming2, hypercube, path, star
+from interchange.graphs import (
+    MAX_TOTAL_WEIGHT,
+    WeightFunction,
+    complete,
+    cycle,
+    hamming2,
+    hypercube,
+    path,
+    star,
+)
+from interchange.group_algebra import (
+    PairOperator,
+    delta_of_weights,
+    doubling_gap,
+    doubling_inequality_check,
+)
 
 
 def random_connected(rng: np.random.Generator, n: int) -> WeightFunction:
@@ -102,6 +117,14 @@ def test_transition_power_zero_is_identity():
     assert np.array_equal(chain.power(0), np.eye(4))
 
 
+def test_negative_time_is_a_parameter_error():
+    chain = lazy_chain(path(4))
+    for call in (chain.power, lambda t: min_stationary_ratio(chain, t),
+                 lambda t: tv_distance(chain, t)):
+        with pytest.raises(ParameterError):
+            call(-1)
+
+
 def test_power_products_match_popcount(monkeypatch):
     chain = lazy_chain(cycle(6))
     oracle = np.eye(6)
@@ -128,11 +151,28 @@ def test_power_products_match_popcount(monkeypatch):
 
 @pytest.mark.parametrize(
     "matrix",
-    [np.ones((2, 3)), np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([[0.0, -1.0], [-1.0, 0.0]])],
+    [
+        np.ones((2, 3)),
+        np.array([[0.0, 1.0], [2.0, 0.0]]),
+        np.array([[0.0, -1.0], [-1.0, 0.0]]),
+        np.array([[0.0, math.inf], [math.inf, 0.0]]),
+        np.full((2, 2), 1e308),
+    ],
 )
 def test_lifted_weight_rejects_invalid(matrix):
     with pytest.raises(ParameterError):
         LiftedWeight(matrix)
+
+
+def test_lift_and_doubling_at_the_total_weight_cap():
+    # summing the lift of this graph rounds an ulp above 2 MAX_TOTAL_WEIGHT,
+    # and the doubled weight carries more than MAX_TOTAL_WEIGHT off its diagonal
+    w = cycle(6).scaled(MAX_TOTAL_WEIGHT / 12.0)
+    u = lift_lazy(w)
+    for _ in range(3):
+        u = double_weight(u)
+        assert np.allclose(u.vertex_weights, 2.0 * w.vertex_weights, rtol=1e-12, atol=0.0)
+    assert doubling_inequality_check(lift_lazy(w)).psd
 
 
 def test_lmix_complete3_is_two():
@@ -299,25 +339,25 @@ def test_lift_lazy_complete3():
     assert u.epsilon == pytest.approx(0.5)
 
 
-def literal_off_diagonal_weights(u: LiftedWeight) -> WeightFunction:
-    entries = {}
-    for i in range(u.n):
-        for j in range(i + 1, u.n):
-            if u.matrix[i, j] > 0:
-                entries[(i, j)] = float(u.matrix[i, j])
-    return WeightFunction(u.n, entries)
-
-
 @settings(max_examples=40)
 @given(connected_weights(), st.integers(0, 3))
-def test_off_diagonal_weights_matches_double_loop(w, doublings):
+def test_doubling_gap_matches_weight_function_construction(w, doublings):
+    # the literal construction: each lifted weight's off-diagonal entries as a
+    # WeightFunction, then its interchange generator
+    def off_diagonal_generator(u: LiftedWeight) -> PairOperator:
+        entries = {}
+        for i in range(u.n):
+            for j in range(i + 1, u.n):
+                if u.matrix[i, j] > 0:
+                    entries[(i, j)] = float(u.matrix[i, j])
+        return delta_of_weights(WeightFunction(u.n, entries))
+
     u = lift_lazy(w)
     for _ in range(doublings):
         u = double_weight(u)
-    got, want = u.off_diagonal_weights(), literal_off_diagonal_weights(u)
-    assert got.n == want.n
-    assert list(got.edges()) == list(want.edges())
-    assert np.array_equal(got.vertex_weights, want.vertex_weights)
+    lhs = off_diagonal_generator(u)
+    rhs = off_diagonal_generator(double_weight(u))
+    assert np.array_equal(doubling_gap(u).c, (2.0 + 2.0 * u.epsilon) * lhs.c - rhs.c)
 
 
 def test_double_preserves_row_masses():

@@ -9,7 +9,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from interchange import acceptance, irreps
+from interchange import acceptance, group_algebra, irreps
 from interchange.acceptance import ALL_CHECKS, SuiteConfig, run_suite
 from interchange.cli import RunConfig, _suite_payload, main, render_json, schema_for
 from interchange.errors import ParameterError
@@ -57,7 +57,9 @@ class TestReports:
         assert len(payload["hubs"]) == 4
         check_against_schema(payload, "octopus")
 
-    @pytest.mark.parametrize("graph, n", [("path:12", 12), ("cycle:40", 40)])
+    @pytest.mark.parametrize(
+        "graph, n", [("path:12", 12), ("cycle:40", 40), ("path:1024", 1024)]
+    )
     def test_octopus_beyond_ten_vertices_on_small_supports(self, capsys, graph, n):
         # each hub's gap lives on the hub and its two neighbours
         code, out = run_cli(capsys, ["octopus", "--graph", graph])
@@ -66,6 +68,21 @@ class TestReports:
         assert payload["passed"] is True
         assert [entry["hub"] for entry in payload["hubs"]] == list(range(n))
         check_against_schema(payload, "octopus")
+
+    def test_octopus_gaps_live_on_the_hub_star(self, capsys, monkeypatch):
+        # a cycle hub has two neighbours, so no gap may span more than 3 points
+        sizes = []
+        decide = group_algebra.is_psd
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.n)
+            return decide(a, *args, **kwargs)
+
+        monkeypatch.setattr(group_algebra, "is_psd", counted)
+        code, _ = run_cli(capsys, ["octopus", "--graph", "cycle:64"])
+        assert code == 0
+        assert len(sizes) == 64
+        assert max(sizes) <= 3
 
     def test_verify_doubling(self, capsys):
         code, out = run_cli(capsys, ["verify-doubling", "--graph", "complete:3"])

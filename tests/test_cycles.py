@@ -401,6 +401,12 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time(self, t):
         with pytest.raises(ParameterError):
+            expected_cycles_spectral(complete(4), 2, t)
+        with pytest.raises(ParameterError):
+            expected_cycles_spectral(complete(4), 2, np.array([0.5, t]))
+        with pytest.raises(ParameterError):
+            exact_cycles_bruteforce(complete(4), 2, t)
+        with pytest.raises(ParameterError):
             expected_cycles_mc(complete(4), 2, t, 10)
         with pytest.raises(ParameterError):
             large_cycle_probability(complete(4), t, 10)

@@ -9,6 +9,7 @@ from interchange.chain import LiftedWeight, lift_lazy
 from interchange.errors import CapError, DegenerateWeightError, DisconnectedError, ParameterError
 from interchange.graphs import WeightFunction, complete, path
 from interchange.group_algebra import (
+    PSD_TOL,
     InterchangeExact,
     PairOperator,
     all_perms,
@@ -26,6 +27,7 @@ from interchange.group_algebra import (
     regular_rep_matrix,
     transposition_perm,
 )
+from interchange.irreps import min_eigenvalue_on_irreps
 
 
 def random_connected(rng: np.random.Generator, n: int) -> WeightFunction:
@@ -178,26 +180,31 @@ def signed_pair_coefficients(draw) -> np.ndarray:
     return c + c.T
 
 
+def assert_psd_routes_agree(op: PairOperator) -> None:
+    """The regular matrix, the irrep blocks and is_psd give one verdict and minimum."""
+    m = regular_rep_matrix(op)
+    regular = float(np.linalg.eigvalsh(m).min())
+    irrep, irrep_scale = min_eigenvalue_on_irreps(op)
+    verdict = is_psd(op)
+    assert irrep == pytest.approx(regular, abs=1e-9)
+    assert verdict.min_eigenvalue == pytest.approx(regular, abs=1e-9)
+    assert verdict.psd == (regular >= -PSD_TOL * np.abs(m).max())
+    assert verdict.psd == (irrep >= -PSD_TOL * irrep_scale)
+
+
 @settings(max_examples=40, deadline=None)
 @given(signed_pair_coefficients())
 def test_regular_rep_matches_literal_definition(c):
     op = PairOperator(c)
     assert np.allclose(regular_rep_matrix(op), literal_regular_rep(c), atol=1e-12)
-    regular = is_psd(op, method="regular")
-    irrep = is_psd(op, method="irrep")
-    assert regular.psd == irrep.psd
-    assert regular.min_eigenvalue == pytest.approx(irrep.min_eigenvalue, abs=1e-9)
+    assert_psd_routes_agree(op)
 
 
 def test_is_psd_routes_agree():
     rng = np.random.default_rng(3)
     for _ in range(5):
         w = random_connected(rng, 4)
-        gap = doubling_gap(lift_lazy(w))
-        regular = is_psd(gap, method="regular")
-        irrep = is_psd(gap, method="irrep")
-        assert regular.psd == irrep.psd
-        assert regular.min_eigenvalue == pytest.approx(irrep.min_eigenvalue, abs=1e-9)
+        assert_psd_routes_agree(doubling_gap(lift_lazy(w)))
 
 
 def test_octopus_star3_full_spectrum():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from interchange.errors import CapError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, hamming2, path, star
 from interchange.group_algebra import (
+    PSD_TOL,
     PairOperator,
     all_perms,
     compose,
@@ -258,12 +259,17 @@ def single_pair(n: int, i: int, j: int, c: float) -> PairOperator:
 @example(single_pair(6, 2, 5, -1.5))
 @example(single_pair(6, 1, 4, 0.75))
 def test_support_route_matches_regular_route(op):
-    irrep = is_psd(op, method="irrep")
-    regular = is_psd(op, method="regular")
-    assert irrep.psd == regular.psd
-    assert irrep.min_eigenvalue == pytest.approx(regular.min_eigenvalue, abs=1e-9)
+    m = regular_rep_matrix(op)
+    regular = float(np.linalg.eigvalsh(m).min())
+    irrep, irrep_scale = min_eigenvalue_on_irreps(op)
+    verdict = is_psd(op)
+    assert irrep == pytest.approx(regular, abs=1e-9)
+    assert verdict.min_eigenvalue == pytest.approx(regular, abs=1e-9)
+    assert verdict.psd == (regular >= -PSD_TOL * np.abs(m).max())
+    assert verdict.psd == (irrep >= -PSD_TOL * irrep_scale)
     if not op.c.any():
         assert min_eigenvalue_on_irreps(op) == (0.0, 0.0)
+        assert tuple(verdict) == (True, 0.0)
 
 
 def test_yor_adjacent_matrices_standard_block():

@@ -4,6 +4,7 @@ import pytest
 
 from interchange.errors import CapError, ParameterError
 from interchange.graphs import WeightFunction, complete, path, star
+from interchange.group_algebra import InterchangeExact
 from interchange.qhf import QhfEstimate, qhf_exact, qhf_mc
 
 
@@ -103,6 +104,10 @@ class TestMonteCarlo:
     def test_non_finite_time(self, t):
         with pytest.raises(ParameterError):
             qhf_mc(complete(4), t, samples=10)
+        with pytest.raises(ParameterError):
+            qhf_exact(complete(4), t)
+        with pytest.raises(ParameterError):
+            InterchangeExact(complete(4)).distribution(t)
 
     def test_hamming_magnetization_reported(self):
         # report-only run on the 3x3 rook graph at t past 1/sqrt(n); the
