@@ -282,8 +282,9 @@ class LiftedWeight:
     so each row mass doubles: u_i = 2 w_i.  Doubling maps u to
     u2_ij = sum_k u_ik u_kj / u_k, which preserves row masses and tracks the
     two-step transition probabilities of the lazy walk.  The matrix must be
-    finite, nonnegative and symmetric, with a total mass of at most
-    2 MAX_TOTAL_WEIGHT (up to rounding), the most lift_lazy can produce.
+    finite, nonnegative and exactly symmetric (doubling_gap reads only the
+    upper triangle), with a total mass of at most 2 MAX_TOTAL_WEIGHT (up to
+    rounding), the most lift_lazy can produce.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -298,8 +299,8 @@ class LiftedWeight:
                 f"lifted weight total mass exceeds the cap {_MAX_LIFTED_MASS:g}; "
                 "scale the weights down"
             )
-        if not np.allclose(matrix, matrix.T, atol=1e-12):
-            raise ParameterError("lifted weight matrix must be symmetric")
+        if not np.array_equal(matrix, matrix.T):
+            raise ParameterError("lifted weight matrix must be exactly symmetric")
         self.matrix = matrix
         self.n = matrix.shape[0]
         self.vertex_weights = matrix.sum(axis=1)

@@ -6,6 +6,9 @@ byte-identical documents, except for the suite report's "timings" section,
 which records wall-clock seconds and is documented as non-deterministic.
 Schemas for all eight documents ship under interchange/schemas/.
 
+Each subcommand imports the modules it runs when it runs, so a command-line
+call loads only what its subcommand needs.
+
 Exit status: 0 on success, 1 when a verified property fails or the requested
 quantity does not exist (for example mixing numbers of a disconnected
 graph), 2 for unusable flags or parameters, size caps, and degenerate
@@ -13,25 +16,14 @@ weights (for example a graph with no edges).
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .acceptance import SuiteReport, empirical_constant_table, run_suite
-from .chain import lift_lazy, mixing_report
-from .cycles import (
-    MAX_SEED,
-    exact_cycles_bruteforce,
-    expected_cycles_mc,
-    expected_cycles_spectral,
-    large_cycle_probability,
-)
 from .errors import (
     CapError,
     DegenerateWeightError,
@@ -39,10 +31,10 @@ from .errors import (
     InterchangeError,
     ParameterError,
 )
-from .graphs import WeightFunction, parse_graph_spec
-from .group_algebra import EXACT_SEMIGROUP_MAX_N, doubling_inequality_check, octopus_check
-from .irreps import comparison_constant
-from .qhf import qhf_mc
+from .graphs import MAX_SEED, WeightFunction, parse_graph_spec
+
+if TYPE_CHECKING:
+    from .acceptance import SuiteReport
 
 SUBCOMMANDS = (
     "mix",
@@ -119,6 +111,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    import csv
+
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -133,11 +127,15 @@ def schema_for(command: str) -> dict:
     """The JSON schema shipped for a subcommand's report."""
     if command not in SUBCOMMANDS:
         raise ParameterError(f"unknown subcommand {command!r}")
+    from importlib import resources
+
     path = resources.files("interchange").joinpath("schemas", f"{command}.schema.json")
     return json.loads(path.read_text())
 
 
 def _cmd_mix(config: RunConfig) -> tuple[dict, bool]:
+    from .chain import mixing_report
+
     w = config.weights()
     report = mixing_report(w)
     if not math.isfinite(report.lmix):
@@ -158,6 +156,8 @@ def _cmd_mix(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_octopus(config: RunConfig) -> tuple[dict, bool]:
+    from .group_algebra import octopus_check
+
     w = config.weights()
     dense = w.dense()
     hubs = []
@@ -184,6 +184,9 @@ def _cmd_octopus(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_verify_doubling(config: RunConfig) -> tuple[dict, bool]:
+    from .chain import lift_lazy
+    from .group_algebra import doubling_inequality_check
+
     w = config.weights()
     u = lift_lazy(w)
     verdict = doubling_inequality_check(u, tol=config.tol)
@@ -200,6 +203,8 @@ def _cmd_verify_doubling(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_compare(config: RunConfig) -> tuple[dict, bool]:
+    from .irreps import comparison_constant
+
     w = config.weights()
     report = comparison_constant(w)
     aldous = report.aldous
@@ -245,6 +250,9 @@ def _cmd_compare(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_cycles(config: RunConfig) -> tuple[dict, bool]:
+    from .cycles import exact_cycles_bruteforce, expected_cycles_mc, expected_cycles_spectral
+    from .group_algebra import EXACT_SEMIGROUP_MAX_N
+
     w = config.weights()
     if config.k is None or config.t is None:
         raise ParameterError("cycles needs --k and --t")
@@ -271,6 +279,8 @@ def _cmd_cycles(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_large_cycles(config: RunConfig) -> tuple[dict, bool]:
+    from .cycles import large_cycle_probability
+
     w = config.weights()
     if config.t is None:
         raise ParameterError("large-cycles needs --t")
@@ -289,6 +299,8 @@ def _cmd_large_cycles(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_qhf(config: RunConfig) -> tuple[dict, bool]:
+    from .qhf import qhf_mc
+
     w = config.weights()
     if config.t is None:
         raise ParameterError("qhf needs --t")
@@ -309,7 +321,7 @@ def _cmd_qhf(config: RunConfig) -> tuple[dict, bool]:
     return payload, True
 
 
-def _suite_payload(report: SuiteReport) -> dict:
+def _suite_payload(report: "SuiteReport") -> dict:
     return {
         "level": report.level,
         "seed": report.seed,
@@ -329,6 +341,8 @@ def _suite_payload(report: SuiteReport) -> dict:
 
 
 def _cmd_suite(config: RunConfig) -> tuple[dict, bool]:
+    from .acceptance import empirical_constant_table, run_suite
+
     report = run_suite(level=config.level, seed=config.seed)
     if config.csv:
         table = empirical_constant_table()

@@ -20,19 +20,26 @@ Poisson(R t) and each event swaps the marbles on an edge drawn with
 probability w_ij / R, which is the law of the process with independent
 Poisson clocks.  Block b draws from Philox keyed by (seed, b), so a block's
 counts depend only on the seed, its index and its size, never on how many
-blocks are run or in what order.  simulate_interchange runs one trajectory
-literally (exponential waiting times, one event at a time) and is kept as
-the reference oracle the tests compare the engine against.
+blocks are run or in what order.  Edges are picked from a guide table
+(indexed search: Chen and Asau, AIIE Trans. 1974; Devroye, Non-Uniform Random
+Variate Generation, 1986, III.2.4), built once per call: a power-of-two number
+of cells, each whole cell naming its edge's ends outright, with a binary
+search only for draws in the few cells that a cumulative probability splits.
+Every pick equals the binary search's, so the streams are those of the plain
+searchsorted engine.  simulate_interchange runs one trajectory literally
+(exponential waiting times, one event at a time) and is kept as the
+reference oracle the tests compare the engine against.
 """
 
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapError, ConsistencyError, ParameterError
-from .graphs import WeightFunction
+from .graphs import MAX_SEED, WeightFunction
 from .group_algebra import InterchangeExact, Perm, check_time, cycle_counts, delta_of_weights
 from .irreps import (
     IRREP_MAX_N,
@@ -175,8 +182,10 @@ def family_lambda_dim(n: int, k: int, i: int, family: str) -> tuple[int, int]:
 MC_BLOCK = 512  # trajectories per block; fixed, because it keys the streams
 MC_MAX_SAMPLES = 10_000_000
 MC_MAX_EVENTS = 100_000_000  # expected swap events, summed over trajectories
-MAX_SEED = 2**64 - 1  # the seed keys a uint64 Philox counter
 _STEP_CHUNK = 32  # event steps whose edge picks are drawn together
+_GUIDE_MIN_CELLS = 1 << 12
+_GUIDE_MAX_CELLS = 1 << 20
+_GUIDE_CELLS_PER_EDGE = 4
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -289,19 +298,74 @@ def _philox(seed: int, block: int, region: int) -> np.random.Generator:
     )
 
 
-def _swap_steps(
-    perms: np.ndarray, ends: np.ndarray, cumulative: np.ndarray,
-    u: np.ndarray, active: list[int],
-) -> None:
+class _GuideTable(NamedTuple):
+    """Edge picks by cell (indexed search): a uniform u lies in cell floor(u * G).
+
+    G, the cell count, is a power of two, so u * G is exact.  A cell is whole
+    when no cumulative probability lies strictly inside it: every u there picks
+    the same edge, whose ends `first` and `second` hold.  They hold -1 in the
+    other (split) cells, whose draws are searched in `scaled`, the cumulative
+    probabilities times G.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    ends: np.ndarray
+    scaled: np.ndarray
+
+
+def _guide_table(ends: np.ndarray, weights: np.ndarray) -> _GuideTable:
+    """Guide table for picking edge i with probability weights[i] / sum(weights).
+
+    About _GUIDE_CELLS_PER_EDGE cells per edge, at least _GUIDE_MIN_CELLS and at
+    most _GUIDE_MAX_CELLS.  Endpoints that fit, such as those of every graph
+    spec (at most MAX_VERTICES vertices), are stored as int16: the largest
+    such table takes 4 MB.
+    """
+    cumulative = np.cumsum(weights)
+    # ends at exactly 1, so every uniform draw in [0, 1) picks an edge
+    cumulative /= cumulative[-1]
+    cells = 1 << (_GUIDE_CELLS_PER_EDGE * len(weights) - 1).bit_length()
+    cells = min(max(cells, _GUIDE_MIN_CELLS), _GUIDE_MAX_CELLS)
+    scaled = cumulative * cells  # exact
+    # Cell c picks edge #{i : scaled[i] <= c} = #{i : ceil(scaled[i]) <= c},
+    # so edge e fills the cells from ceil(scaled[e - 1]) up to ceil(scaled[e]).
+    bounds = np.ceil(scaled)
+    widths = np.diff(bounds, prepend=0.0).astype(np.intp)
+    dtype = np.int16 if ends.max() < 2**15 else np.intp
+    first, second = (np.repeat(end.astype(dtype), widths) for end in ends)
+    split = bounds[bounds != scaled].astype(np.intp) - 1
+    first[split] = second[split] = -1
+    return _GuideTable(first, second, ends, scaled)
+
+
+def _pick_ends(guide: _GuideTable, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both ends of the edge each uniform in u picks.
+
+    That edge is searchsorted(cumulative, u, side="right"), as in
+    simulate_interchange: looked up by cell, searched in a split cell.
+    """
+    scaled = u * len(guide.first)
+    cells = scaled.astype(np.intp)
+    first = guide.first.take(cells)
+    second = guide.second.take(cells)
+    split = first < 0
+    if split.any():
+        picks = np.searchsorted(guide.scaled, scaled[split], side="right")
+        first[split] = guide.ends[0].take(picks)
+        second[split] = guide.ends[1].take(picks)
+    return first, second
+
+
+def _swap_steps(perms: np.ndarray, guide: _GuideTable, u: np.ndarray, active: list[int]) -> None:
     """Apply event steps to perms: at step j its first active[j] rows swap.
 
-    Row r swaps at step j the ends of the edge whose cumulative-probability
-    interval holds the uniform draw u[r, j].
+    Row r swaps at step j the ends of the edge picked by the uniform u[r, j].
     """
-    picks = np.searchsorted(cumulative, u, side="right").T
+    first, second = _pick_ends(guide, u.T)
     offsets = np.arange(len(u)) * perms.shape[1]
-    first = ends[0].take(picks) + offsets  # flat positions, one row per step
-    second = ends[1].take(picks) + offsets
+    first = first + offsets  # flat positions, one row per step
+    second = second + offsets
     flat = perms.reshape(-1)
     for j, rows in enumerate(active):
         a, b = first[j, :rows], second[j, :rows]
@@ -309,7 +373,7 @@ def _swap_steps(
 
 
 def _block_counts(
-    n: int, ends: np.ndarray, cumulative: np.ndarray, mean_events: float,
+    n: int, guide: _GuideTable | None, mean_events: float,
     seed: int, block: int, m: int,
 ) -> np.ndarray:
     """Cycle counts of trajectories block * MC_BLOCK + r for r < m.
@@ -330,7 +394,7 @@ def _block_counts(
         active = (events[:, None] > step).sum(axis=0).tolist()
         u = _philox(seed, block, chunk + 1).random((m, _STEP_CHUNK))
         u = u[order[: active[0]], : len(active)]  # a copy, so the full draw is freed
-        _swap_steps(perms, ends, cumulative, u, active)
+        _swap_steps(perms, guide, u, active)
     counts = np.empty((m, n + 1), dtype=np.int64)
     counts[order] = cycle_counts_batch(perms)
     return counts
@@ -363,12 +427,9 @@ def cycle_count_blocks(
             f"expected {samples * mean_events:.3g} events exceeds the Monte Carlo cap "
             f"of {MC_MAX_EVENTS}; lower the samples or the time"
         )
-    cumulative = np.cumsum(weights)
-    if edges:
-        # ends at exactly 1, so every uniform draw in [0, 1) picks an edge
-        cumulative /= cumulative[-1]
+    guide = _guide_table(ends, weights) if edges else None
     return (
-        _block_counts(w.n, ends, cumulative, mean_events, seed, block,
+        _block_counts(w.n, guide, mean_events, seed, block,
                       min(MC_BLOCK, samples - start))
         for block, start in enumerate(range(0, samples, MC_BLOCK))
     )

@@ -25,6 +25,10 @@ MAX_VERTICES = 1024
 # theorem bound) and small multiples of those stay finite.
 MAX_TOTAL_WEIGHT = 1e150
 
+# Largest seed a command or Monte Carlo run accepts: the seed keys a uint64
+# Philox counter.
+MAX_SEED = 2**64 - 1
+
 
 class WeightFunction:
     """Immutable symmetric weight function on vertices {0, ..., n-1}.

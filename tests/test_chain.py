@@ -157,6 +157,8 @@ def test_power_products_match_popcount(monkeypatch):
         np.array([[0.0, -1.0], [-1.0, 0.0]]),
         np.array([[0.0, math.inf], [math.inf, 0.0]]),
         np.full((2, 2), 1e308),
+        # nearly symmetric: the triangles disagree in the sixth digit
+        np.array([[1.0, 1.0, 0.5], [1.000009, 1.0, 0.2], [0.5, 0.2, 1.0]]),
     ],
 )
 def test_lifted_weight_rejects_invalid(matrix):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -9,6 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import interchange
 from interchange import acceptance, group_algebra, irreps
 from interchange.acceptance import ALL_CHECKS, SuiteConfig, run_suite
 from interchange.cli import RunConfig, _suite_payload, main, render_json, schema_for
@@ -357,3 +359,34 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lmix"] == 2
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The interchange modules a fresh interpreter holds after running code."""
+    src = os.path.dirname(os.path.dirname(interchange.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = (
+        "import json, sys; "
+        "print(json.dumps([m for m in sys.modules if m.startswith('interchange')]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_subcommand_module():
+    assert _loaded_after("import interchange.cli") == {
+        "interchange", "interchange.cli", "interchange.errors", "interchange.graphs",
+    }
+
+
+def test_subcommand_loads_only_what_it_runs():
+    loaded = _loaded_after(
+        "from interchange.cli import main; main(['mix', '--graph', 'path:4'])"
+    )
+    assert "interchange.chain" in loaded
+    heavy = {"cycles", "irreps", "qhf", "acceptance", "group_algebra"}
+    assert not loaded & {f"interchange.{name}" for name in heavy}

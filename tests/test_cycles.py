@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from interchange.cycles import (
@@ -11,6 +12,8 @@ from interchange.cycles import (
     MC_MAX_SAMPLES,
     CycleFormula,
     Trajectory,
+    _guide_table,
+    _pick_ends,
     coefficient_dimension_sum,
     cycle_coefficients,
     cycle_count_blocks,
@@ -28,7 +31,7 @@ from interchange.cycles import (
     trajectory_rng,
 )
 from interchange.errors import CapError, ConsistencyError, ParameterError
-from interchange.graphs import WeightFunction, complete, cycle, path, star
+from interchange.graphs import WeightFunction, complete, cycle, parse_graph_spec, path, star
 from interchange.group_algebra import InterchangeExact, cycle_counts
 from interchange.irreps import delta_on_irrep, hook_dim, lambda_kn
 
@@ -282,7 +285,100 @@ def _blocks(w, t, samples, seed):
     return np.concatenate(list(cycle_count_blocks(w, t, samples, seed)))
 
 
+# Column sums and a SHA-256 digest of the little-endian int64 counts of
+# cycle_count_blocks(w, t, 600, seed=5), recorded from the binary-search
+# edge picks: any change to the Monte Carlo streams fails here.
+GOLDEN_STREAMS = {
+    "path:10": (
+        parse_graph_spec("path:10"), 250.0,
+        [0, 612, 293, 218, 152, 122, 109, 75, 65, 69, 61],
+        "e7daab742dfe5324b11c28dbbd3e2b2fa45c7b083ac9df591bab333cd4490c62",
+    ),
+    "hamming2:3": (
+        parse_graph_spec("hamming2:3"), 0.5,
+        [0, 1266, 414, 242, 148, 123, 75, 71, 33, 18],
+        "a022d87e9fbd988ef2137fb449ae69e4b2183d72b41260b24a81b392a9700a58",
+    ),
+    "weighted:4": (
+        CHI2_GRAPHS["weighted:4"], 1.5,
+        [0, 718, 311, 168, 139],
+        "a115bff3044cff9afcd611968a574ff72809d156e31a3962d02c6a62f72f64a4",
+    ),
+}
+
+
+class TestGuideTable:
+    """Edge picks by cell must equal searchsorted(cumulative, u, side="right")."""
+
+    @staticmethod
+    def check_picks(weights, draws, base=0):
+        weights = np.array(weights)
+        ends = base + np.stack([np.arange(len(weights)), np.arange(len(weights)) + 1])
+        guide = _guide_table(ends, weights)
+        cells = len(guide.first)
+        assert cells & (cells - 1) == 0 and cells >= 4 * len(weights)
+        cumulative = np.cumsum(weights)
+        cumulative /= cumulative[-1]
+        # the lowest and highest draw of every cell, each cumulative entry and
+        # the draw just below it, then the given draws
+        bounds = np.arange(cells) / cells
+        u = np.concatenate([
+            bounds,
+            np.nextafter(bounds[1:], 0.0),
+            [1.0 - 2.0**-53],
+            cumulative[:-1],
+            np.nextafter(cumulative[:-1], 0.0),
+            draws,
+        ])
+        u = u[u < 1.0]  # weights lost to rounding leave entries at 1, which no draw reaches
+        want = np.searchsorted(cumulative, u, side="right")
+        first, second = _pick_ends(guide, u)
+        assert (first == ends[0, want]).all() and (second == ends[1, want]).all()
+        return guide
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.01, 100.0), st.floats(1e-300, 1e100)),
+            min_size=1, max_size=64,
+        ),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=32),
+    )
+    @example(weights=[1.0, 1.0, 2.0], draws=[])
+    @example(weights=[1.0, 2.0], draws=[1.0 / 3.0])
+    @example(weights=[1.0, 1e-300, 1.0], draws=[0.5])
+    def test_picks_equal_searchsorted(self, weights, draws):
+        self.check_picks(weights, draws)
+
+    def test_entries_on_cell_edges_split_no_cell(self):
+        # cumulative 1/4, 1/2, 1: every entry is a cell edge
+        guide = self.check_picks([1.0, 1.0, 2.0], [0.25, 0.5])
+        assert (guide.first >= 0).all()
+        assert (np.bincount(guide.first) == len(guide.first) * np.array([0.25, 0.25, 0.5])).all()
+
+    def test_one_split_cell_per_inner_entry(self):
+        guide = self.check_picks([1.0, 2.0, 4.0], [])
+        assert (guide.first < 0).sum() == 2  # 1/7 and 3/7 are not dyadic
+
+    @pytest.mark.parametrize("base", [2**15 - 2, 2**16 + 1])
+    def test_ends_beyond_int16(self, base):
+        # library weight functions are not capped at MAX_VERTICES
+        self.check_picks([1.0, 2.0, 4.0], [], base)
+
+    def test_table_size(self):
+        assert len(self.check_picks([1.0], []).first) == 2**12
+        many = np.ones(2**18)
+        guide = _guide_table(np.zeros((2, len(many)), dtype=np.intp), many)
+        assert len(guide.first) == 2**20 and guide.first.dtype == np.int16
+
+
 class TestEngine:
+    @pytest.mark.parametrize("name", GOLDEN_STREAMS)
+    def test_streams_are_pinned(self, name):
+        w, t, column_sums, digest = GOLDEN_STREAMS[name]
+        counts = _blocks(w, t, 600, seed=5)
+        assert counts.sum(axis=0).tolist() == column_sums
+        assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("name", CHI2_GRAPHS)
     def test_cycle_types_match_exact_distribution(self, name):
         # chi-square over cycle types at t = 0.5 / gap; every expected cell
