@@ -7,9 +7,12 @@ chain is reversible.  Three quantities drive everything else here:
 * lmix: the first integer time t at which p_t(i, j) > (3/4) pi(j) holds for
   every pair strictly.  The minimum of p_t(i, j) / pi(j) over pairs is
   nondecreasing in t, which justifies locating lmix by doubling the time
-  until the condition holds and then binary searching.
+  until the condition holds and then lifting the largest failing time one
+  bit at a time, from the highest: P^lo P^(2^j) is one product per bit, and
+  the lifted power is kept when it still fails.
 * tv_mix: the first integer time at which the worst-row total variation
-  distance from pi drops below 1/4.  It sits between lmix / 8 and lmix.
+  distance from pi drops below 1/4, found by the same search.  It sits
+  between lmix / 8 and lmix.
 * delta: 1 / delta = prod_k (1 + eps_k) where eps_k is the largest diagonal
   entry of the 2^k-step transition matrix, taken over 0 <= k <= log2(lmix).
 
@@ -43,6 +46,8 @@ _PROBABILITY_CONSTANT = 30.0
 _MAX_LIFTED_MASS = 2.0 * MAX_TOTAL_WEIGHT * (1.0 + 1e-9)
 # largest k tried when doubling the time, 2^k, while locating lmix or tv_mix
 _DOUBLING_GUARD = 60
+# rows per block when summing total variation distances
+_TV_ROWS = 32
 
 
 class LazyChain:
@@ -123,31 +128,53 @@ def lazy_chain(w: WeightFunction) -> LazyChain:
 
 def min_stationary_ratio(chain: LazyChain, t: int) -> float:
     """min over (i, j) of p_t(i, j) / pi(j); nondecreasing in t."""
-    return float((chain.power(t) / chain.pi[None, :]).min())
+    return _min_ratio(chain.power(t), chain.pi)
 
 
 def tv_distance(chain: LazyChain, t: int) -> float:
     """max over rows i of the total variation distance between p_t(i, .) and pi."""
-    return float(0.5 * np.abs(chain.power(t) - chain.pi[None, :]).sum(axis=1).max())
+    return _worst_tv(chain.power(t), chain.pi)
 
 
-def _search_first_time(condition) -> int:
-    """Smallest integer t >= 1 with condition(t), given condition is monotone."""
-    if condition(1):
+def _min_ratio(power: np.ndarray, pi: np.ndarray) -> float:
+    # fl(x / y) is monotone in x for y > 0, so dividing the column minima gives
+    # the same minimum as dividing every entry, without an n x n temporary
+    return float((power.min(axis=0) / pi).min())
+
+
+def _worst_tv(power: np.ndarray, pi: np.ndarray) -> float:
+    # row by row the same sums as over the whole matrix, but the temporaries
+    # hold _TV_ROWS rows, not n
+    return max(
+        float(0.5 * np.abs(power[i : i + _TV_ROWS] - pi).sum(axis=1).max())
+        for i in range(0, len(power), _TV_ROWS)
+    )
+
+
+def _search_first_time(chain: LazyChain, condition) -> int:
+    """Smallest integer t >= 1 with condition(P^t), given condition is monotone in t.
+
+    Doubling brackets t between the dyadic times 2^k, which fails, and
+    2^(k+1), which holds.  Then, from bit k-1 down, the largest failing time
+    lo is lifted to lo + 2^j whenever P^lo P^(2^j) still fails: one product
+    per bit, where a binary search would build each midpoint's power anew.
+    """
+    if condition(chain.matrix):
         return 1
     k = 0
-    while not condition(1 << (k + 1)):
+    while not condition(chain.dyadic_power(k + 1)):
         k += 1
         if k > _DOUBLING_GUARD:
             raise ConsistencyError("mixing condition never met on a connected chain")
-    lo, hi = 1 << k, 1 << (k + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if condition(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lo, failing = 1 << k, chain.dyadic_power(k)
+    for j in reversed(range(k)):
+        candidate = _checked_product(failing, chain.dyadic_power(j))
+        if not condition(candidate):
+            lo, failing = lo + (1 << j), candidate
+        # dropped before the next product, so at most two n x n powers are
+        # live beside the dyadic ones
+        del candidate
+    return lo + 1
 
 
 def lmix(chain: LazyChain) -> int | float:
@@ -160,7 +187,7 @@ def lmix(chain: LazyChain) -> int | float:
     if not chain.connected:
         return math.inf
     return _search_first_time(
-        lambda t: min_stationary_ratio(chain, t) > 0.75 + TIE_GUARD
+        chain, lambda power: _min_ratio(power, chain.pi) > 0.75 + TIE_GUARD
     )
 
 
@@ -168,7 +195,9 @@ def tv_mix(chain: LazyChain) -> int | float:
     """First time the worst-row total variation distance drops below 1/4."""
     if not chain.connected:
         return math.inf
-    return _search_first_time(lambda t: tv_distance(chain, t) < 0.25 - TIE_GUARD)
+    return _search_first_time(
+        chain, lambda power: _worst_tv(power, chain.pi) < 0.25 - TIE_GUARD
+    )
 
 
 class DeltaResult(NamedTuple):

@@ -44,7 +44,7 @@ from .group_algebra import InterchangeExact, Perm, check_time, cycle_counts, del
 from .irreps import (
     IRREP_MAX_N,
     Partition,
-    delta_blocks,
+    _block_spectra,
     delta_on_irrep,
     hook_dim,
     standard_partition,
@@ -130,9 +130,9 @@ def expected_cycles_spectral(w: WeightFunction, k: int, t):
     t_arr = check_time(t)
     total = np.zeros_like(t_arr)
     terms = cycle_coefficients(w.n, k).terms
-    blocks = delta_blocks(delta_of_weights(w), [p for p, _ in terms])
-    for (_, a), (_, block) in zip(terms, blocks):
-        eigenvalues = np.linalg.eigvalsh(block)
+    spectra = _block_spectra(delta_of_weights(w), [p for p, _ in terms])
+    for p, a in terms:
+        eigenvalues = spectra[p].eigenvalues
         total = total + a * np.exp(-t_arr[..., None] * eigenvalues).sum(axis=-1)
     result = total / k
     return float(result) if np.isscalar(t) or t_arr.ndim == 0 else result

@@ -30,6 +30,16 @@ one conjugation per partition and level.  The sub-blocks of one operator,
 and the Y_mu of one column of c, are built once and shared by every
 partition that branches to them.
 
+Conjugate partitions share one eigensolve.  rho_{lambda'} = sgn (x) rho_lambda
+(Sagan, The Symmetric Group, 2nd ed., 2.7), so the block of lambda' is
+similar to c.sum() I - D_lambda(c) (c.sum() over ordered pairs), by a signed
+permutation that keeps the magnitude of every off-diagonal entry.  Every
+per-partition solve goes through _block_spectra, which builds and solves only
+the first of each conjugate pair of targets in tuple order and reads the
+other's spectrum, c.sum() minus the eigenvalues reversed, and its largest
+entry off that one block; the conjugate's rep and top-level block are never
+built.  At n = 10 that is 22 eigensolves for the 42 partitions.
+
 All representation matrices are symmetric orthogonal involutions on
 transpositions, so the generator restricted to a partition,
     Delta_w | rho = sum_{i<j} w_ij (I - rho((i j))),
@@ -438,12 +448,59 @@ class IrrepSpectrum:
         return float(self.eigenvalues[0])
 
 
-def _spectra(op: PairOperator, targets: Sequence[Partition]) -> Iterator[IrrepSpectrum]:
-    for p, block in delta_blocks(op, targets):
+class _BlockSpectrum(NamedTuple):
+    eigenvalues: np.ndarray  # ascending, read-only
+    scale: float  # largest absolute entry of the block
+
+
+def _block_spectra(
+    op: PairOperator, targets: Sequence[Sequence[int]]
+) -> dict[Partition, _BlockSpectrum]:
+    """Spectrum and largest entry of op's block on each target, in target order.
+
+    rho_{lambda'} = sgn (x) rho_lambda, and in Young's orthogonal form a
+    signed permutation Q (T -> T transposed) gives rho_{lambda'}(tau) =
+    -Q rho_lambda(tau) Q^T on every transposition, so
+        D_{lambda'}(c) = Q (c.sum() I - D_lambda(c)) Q^T,
+    c.sum() being the sum over ordered pairs.  When both partitions of a
+    conjugate pair are targets, only the one first in tuple order is built
+    and solved: the other's eigenvalues are c.sum() minus its eigenvalues
+    reversed, and its largest entry is the larger of the largest
+    off-diagonal entry (Q keeps magnitudes) and the largest |c.sum() - diag|.
+    Self-conjugate partitions, [n] and the standard partition are always
+    solved directly, so the spectral gap keeps its direct eigenvalue.
+    """
+    targets = [validate_partition(p, op.n) for p in targets]
+    wanted = set(targets)
+    standard = standard_partition(op.n)
+    mirror = {}  # solved partition -> its conjugate, read off its spectrum
+    for q in wanted:
+        p = conjugate_partition(q)
+        if p > q and p in wanted and q != standard:
+            mirror[p] = q
+    total = float(op.c.sum())
+    out: dict[Partition, _BlockSpectrum] = {}
+    solved = [p for p in dict.fromkeys(targets) if p not in mirror.values()]
+    for p, block in delta_blocks(op, solved):
         eigenvalues = np.linalg.eigvalsh(block)
         eigenvalues.setflags(write=False)
+        out[p] = _BlockSpectrum(eigenvalues, float(np.abs(block).max()))
+        if p in mirror:
+            diagonal = float(np.abs(total - block.diagonal()).max())
+            np.fill_diagonal(block, 0.0)  # the block is not kept
+            conjugate = total - eigenvalues[::-1]
+            conjugate.setflags(write=False)
+            out[mirror[p]] = _BlockSpectrum(conjugate, max(float(np.abs(block).max()), diagonal))
+    return {p: out[p] for p in targets}
+
+
+def _spectra(op: PairOperator, targets: Sequence[Partition]) -> Iterator[IrrepSpectrum]:
+    for p, solved in _block_spectra(op, targets).items():
         yield IrrepSpectrum(
-            partition=p, dim=len(block), eigenvalues=eigenvalues, lambda_complete=lambda_kn(p)
+            partition=p,
+            dim=len(solved.eigenvalues),
+            eigenvalues=solved.eigenvalues,
+            lambda_complete=lambda_kn(p),
         )
 
 
@@ -479,13 +536,16 @@ def min_eigenvalue_on_irreps(a: PairOperator) -> tuple[float, float]:
     Returns (min eigenvalue, scale), where scale is the largest absolute
     entry across the blocks of the partitions of a.n, for relative tolerance
     checks.  group_algebra.is_psd calls this on an operator's support.
+
+    Only one block of each conjugate pair is built and solved (see
+    _block_spectra): with D the block of lambda, eigenvalues e_0 <= ... and
+    s = c.sum(), the pair contributes min(e_0, s - e_last) to the minimum and
+    max(|D|.max(), |s - diag D|.max()) to the scale, the second term being
+    the conjugate block's largest entry since off-diagonal entries keep
+    their magnitude.
     """
-    min_eig = math.inf
-    scale = 0.0
-    for _, block in delta_blocks(a, partitions(a.n)):
-        scale = max(scale, float(np.abs(block).max()))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(block).min()))
-    return min_eig, scale
+    spectra = _block_spectra(a, partitions(a.n)).values()
+    return min(float(s.eigenvalues[0]) for s in spectra), max(s.scale for s in spectra)
 
 
 class AldousReport(NamedTuple):

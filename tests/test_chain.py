@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from interchange import chain as chain_module
 from interchange.chain import (
+    TIE_GUARD,
     BoundCheckReport,
     DeltaResult,
     LazyChain,
@@ -268,6 +269,52 @@ def test_sandwich_on_random_weights(w):
     chain = lazy_chain(w)
     lm, mx = lmix(chain), tv_mix(chain)
     assert lm / 8.0 <= mx <= lm
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_weights())
+def test_mixing_times_are_first_times_of_a_linear_scan(w):
+    chain = lazy_chain(w)
+    t = 1
+    while not min_stationary_ratio(chain, t) > 0.75 + TIE_GUARD:
+        t += 1
+    assert lmix(chain) == t
+    t = 1
+    while not tv_distance(chain, t) < 0.25 - TIE_GUARD:
+        t += 1
+    assert tv_mix(chain) == t
+
+
+def test_mixing_search_takes_one_product_per_bit(monkeypatch):
+    # lmix(path(20)) = 304: P^2 .. P^512 by doubling (9 products), then one
+    # lift per bit below 256 (8); tv_mix = 137 reuses those powers and lifts
+    # 7 bits below 128.  A binary search over times took 38 products here.
+    products = []
+    checked = chain_module._checked_product
+
+    def counted(a, b):
+        products.append(1)
+        return checked(a, b)
+
+    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    report = mixing_report(path(20))
+    assert (report.lmix, report.mix) == (304, 137)
+    assert len(products) == 9 + 8 + 7
+
+
+@pytest.mark.parametrize("n", [1, 5, 2 * chain_module._TV_ROWS + 3])
+def test_blocked_profiles_equal_whole_matrix_formulas(n):
+    # bit for bit: the row blocks sum the same rows, and fl(x / y) is
+    # monotone in x for y > 0
+    rng = np.random.default_rng(n)
+    power = rng.uniform(0.0, 1.0, (n, n))
+    power /= power.sum(axis=1, keepdims=True)
+    pi = rng.uniform(0.5, 1.5, n)
+    pi /= pi.sum()
+    assert chain_module._worst_tv(power, pi) == float(
+        0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()
+    )
+    assert chain_module._min_ratio(power, pi) == float((power / pi[None, :]).min())
 
 
 def test_monotone_profiles():

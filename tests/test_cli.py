@@ -114,8 +114,11 @@ class TestReports:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         code, _ = run_cli(capsys, ["compare", "--graph", "path:5"])
         assert code == 0
-        assert len(sizes) == len(irreps.partitions(5)) == 7
-        assert sorted(sizes) == sorted(irreps.hook_dim(p) for p in irreps.partitions(5))
+        # one solve per conjugate pair: [1^5], [2,1^3] and [2,2,1] are read
+        # off [5], [4,1] and [3,2]; [3,1,1] is self-conjugate
+        kept = [(5,), (4, 1), (3, 2), (3, 1, 1)]
+        assert len(sizes) == 4
+        assert sorted(sizes) == sorted(irreps.hook_dim(p) for p in kept) == [1, 4, 5, 6]
 
     def test_cycles_with_all_routes(self, capsys):
         code, out = run_cli(

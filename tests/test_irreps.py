@@ -20,6 +20,8 @@ from interchange.group_algebra import (
 )
 from interchange.irreps import (
     YoungOrthogonalRep,
+    _block_spectra,
+    _rep,
     aldous_check,
     all_spectra,
     assembled_spectrum,
@@ -208,6 +210,46 @@ def test_branching_blocks_match_transposition_sum(op):
             want += c * (np.eye(rep.dim) - rep.transposition_matrix(i, j))
         assert np.abs(block - want).max() <= 1e-12 * scale
         assert np.array_equal(rep.delta_matrix(op), block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_operators(), st.randoms(use_true_random=False))
+def test_conjugate_spectra_match_direct_blocks(op, random):
+    # the conjugate of a pair is read off the other's spectrum, whatever the
+    # order of the targets; every block is also solved directly here
+    targets = partitions(op.n)
+    random.shuffle(targets)
+    spectra = _block_spectra(op, targets)
+    assert list(spectra) == targets
+    direct = {p: _rep(p).delta_matrix(op) for p in targets}
+    scale = max(float(np.abs(block).max()) for block in direct.values())
+    tol = 1e-12 * scale
+    for p, block in direct.items():
+        want = np.linalg.eigvalsh(block)
+        assert np.abs(spectra[p].eigenvalues - want).max() <= tol
+        assert spectra[p].scale == pytest.approx(float(np.abs(block).max()), abs=tol)
+    min_eig, min_scale = min_eigenvalue_on_irreps(op)
+    assert min_eig == pytest.approx(min(float(np.linalg.eigvalsh(b)[0]) for b in direct.values()),
+                                    abs=tol)
+    assert min_scale == pytest.approx(scale, abs=tol)
+
+
+def test_is_psd_solves_one_block_per_conjugate_pair(monkeypatch):
+    sizes = []
+    solve = np.linalg.eigvalsh
+
+    def counted(block):
+        sizes.append(len(block))
+        return solve(block)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    n = 10
+    dense = np.random.default_rng(10).uniform(0.5, 1.5, (n, n))
+    assert is_psd(PairOperator(np.triu(dense, 1) + np.triu(dense, 1).T)).psd
+    # 20 conjugate pairs and the self-conjugate [5,2,1,1,1] and [4,3,2,1]
+    kept = [p for p in partitions(n) if p >= conjugate_partition(p)]
+    assert len(sizes) == len(kept) == 22
+    assert sorted(sizes) == sorted(hook_dim(p) for p in kept)
 
 
 def test_last_point_sums_take_one_conjugation_per_node(monkeypatch):
