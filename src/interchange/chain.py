@@ -234,10 +234,9 @@ class ClauseDiagnostics(NamedTuple):
 
 def is_regular(w: WeightFunction) -> bool:
     """True when all positive weights are equal and all vertex weights agree."""
-    weights = [weight for _, weight in w.edges()]
-    if not weights:
+    if not w.weights.size:
         return False
-    wmin, wmax = min(weights), max(weights)
+    wmin, wmax = float(w.weights.min()), float(w.weights.max())
     vi = w.vertex_weights
     return math.isclose(wmin, wmax, rel_tol=1e-12) and math.isclose(
         float(vi.min()), float(vi.max()), rel_tol=1e-12

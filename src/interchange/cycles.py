@@ -418,16 +418,13 @@ def cycle_count_blocks(
         raise CapError(f"Monte Carlo capped at {MC_MAX_SAMPLES} samples, got {samples}")
     if not 0 <= seed <= MAX_SEED:
         raise ParameterError(f"seed must be in [0, 2**64 - 1], got {seed}")
-    edges = list(w.edges())
-    ends = np.array([pair for pair, _ in edges], dtype=np.intp).reshape(-1, 2).T.copy()
-    weights = np.array([weight for _, weight in edges])
-    mean_events = float(weights.sum()) * t if t > 0 else 0.0
+    mean_events = float(w.weights.sum()) * t if t > 0 else 0.0
     if samples * mean_events > MC_MAX_EVENTS:
         raise CapError(
             f"expected {samples * mean_events:.3g} events exceeds the Monte Carlo cap "
             f"of {MC_MAX_EVENTS}; lower the samples or the time"
         )
-    guide = _guide_table(ends, weights) if edges else None
+    guide = _guide_table(w.ends, w.weights) if w.weights.size else None
     return (
         _block_counts(w.n, guide, mean_events, seed, block,
                       min(MC_BLOCK, samples - start))

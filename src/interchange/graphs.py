@@ -4,13 +4,12 @@ A weight function assigns a weight w_ij >= 0 to every unordered pair of
 vertices {i, j}.  Pairs with weight zero are treated as absent, so a weight
 function is the same thing as a weighted undirected graph without self loops.
 Everything downstream (random walks, interchange generators, spectra) is
-parameterized by one of these.
+parameterized by one of these.  It is stored as sorted pair arrays, which
+every consumer reads and which the graph families build with array code.
 """
 
-import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -33,129 +32,149 @@ MAX_SEED = 2**64 - 1
 class WeightFunction:
     """Immutable symmetric weight function on vertices {0, ..., n-1}.
 
-    Entries are stored sparsely as a mapping from canonical pairs (i, j) with
-    i < j to strictly positive weights.  Zero weights supplied at construction
-    are dropped; negative or non-finite weights, self pairs and a total
-    weight above MAX_TOTAL_WEIGHT are rejected.
+    Storage is three read-only arrays: `ends`, a (2, m) intp array of the
+    pairs (i, j) with i < j in lexicographic order, `weights`, their m weights,
+    all > 0, and `vertex_weights`, w_i = sum_j w_ij.  WeightFunction(n, entries)
+    takes a mapping {(i, j): w_ij} in which either order of a pair may appear;
+    the graph families and load_weight_file pass arrays to _from_arrays.
+
+    Validation runs in this order: vertex range, self pairs, finiteness, sign,
+    duplicates (after canonicalising each pair to (min, max), so a pair given
+    twice is rejected even when one of its weights is zero), and the cap on the
+    total weight, checked on the largest weight before the sum so the sum cannot
+    overflow.  Zero weights pass validation and are then dropped.  The vertex
+    weights are summed pair by pair in the order the pairs were given, which
+    keeps them bit-identical to a running sum over the input.
     """
 
-    __slots__ = ("n", "_entries", "_vertex_weights")
+    __slots__ = ("n", "ends", "weights", "vertex_weights")
 
     def __init__(self, n: int, entries: Mapping[tuple[int, int], float]):
+        # object dtype: _assign converts the indices, so a huge one is a ParameterError
+        pairs = np.array(list(entries), dtype=object).reshape(-1, 2)
+        self._assign(n, pairs[:, 0], pairs[:, 1], list(entries.values()))
+
+    @classmethod
+    def _from_arrays(cls, n: int, first, second, weights) -> "WeightFunction":
+        """Weight function with weight weights[k] on the pair {first[k], second[k]}."""
+        w = cls.__new__(cls)
+        w._assign(n, first, second, weights)
+        return w
+
+    def _assign(self, n: int, first, second, weights) -> None:
         if not isinstance(n, int) or n < 2:
             raise ParameterError(f"need at least 2 vertices, got n={n}")
-        canonical: dict[tuple[int, int], float] = {}
-        for (i, j), w in entries.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise ParameterError(f"pair ({i}, {j}) out of range for n={n}")
-            if i == j:
-                raise ParameterError(f"self pair ({i}, {i}) is not allowed")
-            w = float(w)
-            if not math.isfinite(w):
-                raise ParameterError(f"non-finite weight {w} on pair ({i}, {j})")
-            if w < 0:
-                raise ParameterError(f"negative weight {w} on pair ({i}, {j})")
-            key = (i, j) if i < j else (j, i)
-            if key in canonical:
-                raise ParameterError(f"duplicate pair {key}")
-            if w > 0:
-                canonical[key] = w
-        total = 2.0 * sum(canonical.values())
+        try:
+            first = np.asarray(first, dtype=np.intp)
+            second = np.asarray(second, dtype=np.intp)
+        except OverflowError as exc:
+            raise ParameterError(f"a vertex index is out of range for n={n}") from exc
+        weights = np.asarray(weights, dtype=float)
+
+        def reject(bad: np.ndarray, message: str) -> None:
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ParameterError(message.format(
+                    i=int(first[k]), j=int(second[k]), w=float(weights[k])
+                ))
+
+        reject((first < 0) | (first >= n) | (second < 0) | (second >= n),
+               f"pair ({{i}}, {{j}}) out of range for n={n}")
+        reject(first == second, "self pair ({i}, {i}) is not allowed")
+        reject(~np.isfinite(weights), "non-finite weight {w} on pair ({i}, {j})")
+        reject(weights < 0, "negative weight {w} on pair ({i}, {j})")
+        low, high = np.minimum(first, second), np.maximum(first, second)
+        codes = low * n + high
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        repeated = codes[1:] == codes[:-1]
+        if repeated.any():
+            code = int(codes[np.argmax(repeated)])
+            raise ParameterError(f"duplicate pair ({code // n}, {code % n})")
+        # the largest weight first: when it passes, the sum cannot overflow
+        total = 2.0 * float(weights.max()) if weights.size else 0.0
+        if total <= MAX_TOTAL_WEIGHT:
+            total = 2.0 * float(weights.sum())
         if not total <= MAX_TOTAL_WEIGHT:
             raise ParameterError(
                 f"total weight {total:g} exceeds the cap {MAX_TOTAL_WEIGHT:g}; "
                 "scale the weights down"
             )
+        # bincount adds in input order: (low_0, high_0, low_1, high_1, ...)
+        vertex_weights = np.bincount(
+            np.column_stack((low, high)).ravel(), np.repeat(weights, 2), minlength=n
+        ).astype(float)
+        order = order[weights[order] > 0]
         self.n = n
-        self._entries = canonical
-        wi = np.zeros(n)
-        for (i, j), w in canonical.items():
-            wi[i] += w
-            wi[j] += w
-        self._vertex_weights = wi
-        self._vertex_weights.setflags(write=False)
-
-    def weight(self, i: int, j: int) -> float:
-        """Weight of the unordered pair {i, j}; zero when absent."""
-        if i == j:
-            return 0.0
-        key = (i, j) if i < j else (j, i)
-        return self._entries.get(key, 0.0)
+        self.ends = np.stack((low[order], high[order]))
+        self.weights = weights[order]
+        self.vertex_weights = vertex_weights
+        for array in (self.ends, self.weights, self.vertex_weights):
+            array.setflags(write=False)
 
     def edges(self) -> Iterator[tuple[tuple[int, int], float]]:
-        """Iterate over ((i, j), weight) with i < j and weight > 0, sorted."""
-        return iter(sorted(self._entries.items()))
+        """Iterate over ((i, j), weight) with i < j and weight > 0, sorted.
 
-    @property
-    def vertex_weights(self) -> np.ndarray:
-        """Vector of w_i = sum_j w_ij."""
-        return self._vertex_weights
+        Yields Python ints and floats, so repr() of a weight is its shortest
+        round-trip form.
+        """
+        first, second = self.ends.tolist()
+        return zip(zip(first, second), self.weights.tolist())
 
     @property
     def total_weight(self) -> float:
         """w_tot = sum_i w_i, which is twice the sum of all pair weights."""
-        return float(self._vertex_weights.sum())
+        return float(self.vertex_weights.sum())
 
     def min_positive_weight(self) -> float:
         """Smallest strictly positive pair weight."""
-        if not self._entries:
+        if not self.weights.size:
             raise DegenerateWeightError("all weights are zero")
-        return min(self._entries.values())
+        return float(self.weights.min())
 
     def dense(self) -> np.ndarray:
         """Symmetric n x n matrix of pair weights with zero diagonal."""
         m = np.zeros((self.n, self.n))
-        for (i, j), w in self._entries.items():
-            m[i, j] = w
-            m[j, i] = w
+        first, second = self.ends
+        m[first, second] = m[second, first] = self.weights
         return m
 
     def is_connected(self) -> bool:
         """True when every vertex is reachable through positive weights."""
-        if not self._entries:
-            return self.n == 1
-        adjacency: list[list[int]] = [[] for _ in range(self.n)]
-        for (i, j) in self._entries:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        seen = [False] * self.n
-        stack = [0]
+        adjacency = np.zeros((self.n, self.n), dtype=bool)
+        first, second = self.ends
+        adjacency[first, second] = adjacency[second, first] = True
+        seen = np.zeros(self.n, dtype=bool)
         seen[0] = True
-        while stack:
-            v = stack.pop()
-            for u in adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        return all(seen)
+        frontier = seen.copy()
+        # breadth first: each pass adds the unseen neighbours of the last layer
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return bool(seen.all())
 
     def scaled(self, factor: float) -> "WeightFunction":
         """New weight function with every weight multiplied by factor > 0."""
         if factor <= 0:
             raise ParameterError(f"scale factor must be positive, got {factor}")
-        return WeightFunction(self.n, {p: w * factor for p, w in self._entries.items()})
+        with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
+            weights = self.weights * factor
+        return WeightFunction._from_arrays(self.n, *self.ends, weights)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightFunction):
             return NotImplemented
-        return self.n == other.n and self._entries == other._entries
+        return (
+            self.n == other.n
+            and np.array_equal(self.ends, other.ends)
+            and np.array_equal(self.weights, other.weights)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self._entries.items()))))
+        return hash((self.n, tuple(self.edges())))
 
     def __repr__(self) -> str:
-        return f"WeightFunction(n={self.n}, edges={len(self._entries)})"
-
-
-@dataclass(frozen=True)
-class GraphFamily:
-    """A named graph family instance, e.g. GraphFamily("complete", (5,))."""
-
-    family: str
-    params: tuple[int, ...]
-
-    def build(self) -> WeightFunction:
-        return build_family(self)
+        return f"WeightFunction(n={self.n}, edges={self.weights.size})"
 
 
 def _check_vertex_count(n: int, what: str) -> None:
@@ -164,8 +183,8 @@ def _check_vertex_count(n: int, what: str) -> None:
         raise CapError(f"{what} has {n} vertices; graphs are capped at {MAX_VERTICES}")
 
 
-def _pairs(edges: Iterable[tuple[int, int]]) -> dict[tuple[int, int], float]:
-    return {(i, j) if i < j else (j, i): 1.0 for i, j in edges}
+def _unit_weights(n: int, first: np.ndarray, second: np.ndarray) -> WeightFunction:
+    return WeightFunction._from_arrays(n, first, second, np.ones(len(first)))
 
 
 def complete(n: int) -> WeightFunction:
@@ -173,7 +192,7 @@ def complete(n: int) -> WeightFunction:
     if n < 2:
         raise ParameterError(f"complete graph needs n >= 2, got {n}")
     _check_vertex_count(n, f"complete:{n}")
-    return WeightFunction(n, _pairs((i, j) for i in range(n) for j in range(i + 1, n)))
+    return _unit_weights(n, *np.triu_indices(n, 1))
 
 
 def cycle(n: int) -> WeightFunction:
@@ -181,7 +200,8 @@ def cycle(n: int) -> WeightFunction:
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
     _check_vertex_count(n, f"cycle:{n}")
-    return WeightFunction(n, _pairs((i, (i + 1) % n) for i in range(n)))
+    vertices = np.arange(n)
+    return _unit_weights(n, vertices, (vertices + 1) % n)
 
 
 def path(n: int) -> WeightFunction:
@@ -189,7 +209,7 @@ def path(n: int) -> WeightFunction:
     if n < 2:
         raise ParameterError(f"path needs n >= 2, got {n}")
     _check_vertex_count(n, f"path:{n}")
-    return WeightFunction(n, _pairs((i, i + 1) for i in range(n - 1)))
+    return _unit_weights(n, np.arange(n - 1), np.arange(1, n))
 
 
 def star(n: int) -> WeightFunction:
@@ -197,7 +217,7 @@ def star(n: int) -> WeightFunction:
     if n < 2:
         raise ParameterError(f"star needs n >= 2, got {n}")
     _check_vertex_count(n, f"star:{n}")
-    return WeightFunction(n, _pairs((0, i) for i in range(1, n)))
+    return _unit_weights(n, np.zeros(n - 1, dtype=np.intp), np.arange(1, n))
 
 
 def hypercube(d: int) -> WeightFunction:
@@ -208,13 +228,10 @@ def hypercube(d: int) -> WeightFunction:
     if d >= MAX_VERTICES.bit_length():
         raise CapError(f"hypercube:{d} has 2^{d} vertices; graphs are capped at {MAX_VERTICES}")
     n = 1 << d
-    edges = []
-    for x in range(n):
-        for b in range(d):
-            y = x ^ (1 << b)
-            if x < y:
-                edges.append((x, y))
-    return WeightFunction(n, _pairs(edges))
+    x = np.arange(n)[:, None]
+    y = x ^ (1 << np.arange(d))  # y[x, b]: x with bit b flipped
+    up = x < y
+    return _unit_weights(n, np.nonzero(up)[0], y[up])
 
 
 def hamming2(m: int) -> WeightFunction:
@@ -228,14 +245,9 @@ def hamming2(m: int) -> WeightFunction:
         raise ParameterError(f"hamming2 needs alphabet size >= 2, got {m}")
     n = m * m
     _check_vertex_count(n, f"hamming2:{m}")
-    edges = []
-    for x in range(n):
-        a1, b1 = divmod(x, m)
-        for y in range(x + 1, n):
-            a2, b2 = divmod(y, m)
-            if (a1 == a2) != (b1 == b2):
-                edges.append((x, y))
-    return WeightFunction(n, _pairs(edges))
+    x, y = np.arange(n)[:, None], np.arange(n)[None, :]
+    adjacent = (x // m == y // m) != (x % m == y % m)
+    return _unit_weights(n, *np.nonzero(adjacent & (x < y)))
 
 
 def regular_tree(degree: int, depth: int) -> WeightFunction:
@@ -257,19 +269,11 @@ def regular_tree(degree: int, depth: int) -> WeightFunction:
             break
         level *= degree - 1
     _check_vertex_count(n, f"regular-tree:{degree},{depth}")
-    edges = []
-    next_label = 1
-    frontier = [0]
-    for level in range(depth):
-        new_frontier = []
-        for v in frontier:
-            children = degree if level == 0 else degree - 1
-            for _ in range(children):
-                edges.append((v, next_label))
-                new_frontier.append(next_label)
-                next_label += 1
-        frontier = new_frontier
-    return WeightFunction(next_label, _pairs(edges))
+    # Breadth first, the root's children are 1 .. degree and vertex p >= 1
+    # has the degree - 1 children that follow those of p - 1.
+    children = np.arange(1, n)
+    parents = np.where(children <= degree, 0, 1 + (children - degree - 1) // (degree - 1))
+    return _unit_weights(n, parents, children)
 
 
 _BUILDERS = {
@@ -281,18 +285,6 @@ _BUILDERS = {
     "hamming2": (hamming2, 1),
     "regular-tree": (regular_tree, 2),
 }
-
-
-def build_family(spec: GraphFamily) -> WeightFunction:
-    if spec.family not in _BUILDERS:
-        known = ", ".join(sorted(_BUILDERS))
-        raise ParameterError(f"unknown graph family {spec.family!r} (known: {known})")
-    builder, arity = _BUILDERS[spec.family]
-    if len(spec.params) != arity:
-        raise ParameterError(
-            f"family {spec.family!r} takes {arity} parameter(s), got {spec.params}"
-        )
-    return builder(*spec.params)
 
 
 def parse_graph_spec(text: str) -> WeightFunction:
@@ -309,7 +301,13 @@ def parse_graph_spec(text: str) -> WeightFunction:
         params = tuple(int(p) for p in rest.split(","))
     except ValueError as exc:
         raise ParameterError(f"non-integer parameter in graph spec {text!r}") from exc
-    return build_family(GraphFamily(name, params))
+    if name not in _BUILDERS:
+        known = ", ".join(sorted(_BUILDERS))
+        raise ParameterError(f"unknown graph family {name!r} (known: {known})")
+    builder, arity = _BUILDERS[name]
+    if len(params) != arity:
+        raise ParameterError(f"family {name!r} takes {arity} parameter(s), got {params}")
+    return builder(*params)
 
 
 def load_weight_file(path: str | Path) -> WeightFunction:
@@ -344,20 +342,21 @@ def load_weight_file(path: str | Path) -> WeightFunction:
         raise ParameterError(
             f"weight file {path} declares {count} records but has {len(body)}"
         )
-    entries: dict[tuple[int, int], float] = {}
+    first, second, weights = [], [], []
     for line in body:
         fields = line.split()
         if len(fields) != 3:
             raise ParameterError(f"bad weight line {line!r} in {path}")
         try:
-            i, j, weight = int(fields[0]), int(fields[1]), float(fields[2])
+            first.append(int(fields[0]))
+            second.append(int(fields[1]))
+            weights.append(float(fields[2]))
         except ValueError as exc:
             raise ParameterError(f"bad weight line {line!r} in {path}") from exc
-        key = (i, j) if i < j else (j, i)
-        if key in entries:
-            raise ParameterError(f"duplicate pair {key} in {path}")
-        entries[key] = weight
-    return WeightFunction(n, entries)
+    try:
+        return WeightFunction._from_arrays(n, first, second, weights)
+    except ParameterError as exc:
+        raise ParameterError(f"{exc} in {path}") from exc
 
 
 def dump_weight_file(w: WeightFunction, path: str | Path) -> None:

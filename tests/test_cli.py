@@ -284,6 +284,32 @@ class TestErrorPaths:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("3 2\n0 1 1.0\n1 0 2.0\n", "duplicate pair (0, 1)"),
+            ("3 2\n0 1 0.0\n1 0 2.0\n", "duplicate pair (0, 1)"),
+            ("3 2\n1 0 2.0\n0 1 0\n", "duplicate pair (0, 1)"),
+            ("3 2\n0 1 1.0\n1 2 -0.5\n", "negative weight -0.5 on pair (1, 2)"),
+            ("3 2\n0 1 nan\n1 2 1.0\n", "non-finite weight nan on pair (0, 1)"),
+            ("3 2\n0 1 1.0\n2 2 1.0\n", "self pair (2, 2) is not allowed"),
+            ("3 2\n0 1 1.0\n1 3 1.0\n", "pair (1, 3) out of range for n=3"),
+            ("3 1\n-1 1 1.0\n", "pair (-1, 1) out of range for n=3"),
+            ("3 1\n0 99999999999999999999 1.0\n", "out of range for n=3"),
+            ("3 2\n0 1 1e308\n1 2 1e308\n", "exceeds the cap"),
+        ],
+    )
+    def test_malformed_weight_file_names_the_file(self, capsys, tmp_path, body, message):
+        path = tmp_path / "bad.w"
+        path.write_text(body)
+        code = main(["mix", "--graph", f"file:{path}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err and f"in {path}" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_degenerate_weights_exit_2(self, capsys, tmp_path):
         path = tmp_path / "empty.w"
         path.write_text("3 0\n")

@@ -1,14 +1,17 @@
+import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interchange.errors import DegenerateWeightError, ParameterError
 from interchange.graphs import (
     MAX_TOTAL_WEIGHT,
-    GraphFamily,
     WeightFunction,
-    build_family,
     complete,
     cycle,
     dump_weight_file,
@@ -32,11 +35,11 @@ def test_complete_three_degree_stats():
 
 def test_weights_are_symmetric_and_zero_free():
     w = WeightFunction(4, {(2, 0): 1.5, (1, 2): 0.0, (3, 2): 2.0})
-    assert w.weight(0, 2) == 1.5
-    assert w.weight(2, 0) == 1.5
-    assert w.weight(1, 2) == 0.0
+    assert w.dense()[0, 2] == 1.5
+    assert w.dense()[2, 0] == 1.5
+    assert w.dense()[1, 2] == 0.0
     assert list(w.edges()) == [((0, 2), 1.5), ((2, 3), 2.0)]
-    assert w.weight(1, 1) == 0.0
+    assert w.dense()[1, 1] == 0.0
 
 
 def test_negative_weight_rejected():
@@ -66,6 +69,12 @@ def test_self_pair_rejected():
 def test_duplicate_pair_rejected():
     with pytest.raises(ParameterError):
         WeightFunction(3, {(0, 1): 1.0, (1, 0): 2.0})
+    # a zero weight is a duplicate too, whichever order the pair comes in
+    for entries in (
+        {(0, 1): 0.0, (1, 0): 2.0}, {(1, 0): 2.0, (0, 1): 0.0}, {(1, 0): 0.0, (0, 1): 0.0}
+    ):
+        with pytest.raises(ParameterError, match=r"duplicate pair \(0, 1\)"):
+            WeightFunction(3, entries)
 
 
 def test_all_zero_weights_degenerate():
@@ -109,8 +118,8 @@ def test_hamming2_small_is_four_cycle():
     assert np.allclose(w.vertex_weights, 2.0)
     assert w.total_weight == 8.0
     # vertices 0=(0,0) and 3=(1,1) differ in both coordinates
-    assert w.weight(0, 3) == 0.0
-    assert w.weight(1, 2) == 0.0
+    assert w.dense()[0, 3] == 0.0
+    assert w.dense()[1, 2] == 0.0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -147,8 +156,8 @@ def test_regular_tree_degree_two_is_path():
     assert sorted(w.vertex_weights) == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0]
 
 
-def test_build_family_and_parse():
-    assert build_family(GraphFamily("complete", (4,))) == complete(4)
+def test_parse_graph_spec():
+    assert parse_graph_spec("complete:4") == complete(4)
     assert parse_graph_spec("cycle:5") == cycle(5)
     assert parse_graph_spec("regular-tree:3,2") == regular_tree(3, 2)
 
@@ -174,7 +183,7 @@ def test_weight_file_comments_and_blanks(tmp_path):
     target = tmp_path / "w.txt"
     target.write_text("# weights\n\n3 2\n0 1 1.0\n\n1 2 0.5\n")
     w = load_weight_file(target)
-    assert w.weight(1, 2) == 0.5
+    assert w.dense()[1, 2] == 0.5
 
 
 @pytest.mark.parametrize(
@@ -198,6 +207,152 @@ def test_weight_file_malformed(tmp_path, text):
 
 def test_scaled():
     w = path(3).scaled(2.5)
-    assert w.weight(0, 1) == 2.5
+    assert w.dense()[0, 1] == 2.5
     with pytest.raises(ParameterError):
         path(3).scaled(0.0)
+
+
+# The loop-based family definitions the array builders replaced: each returns
+# its pairs in generation order.
+def reference_pairs(family: str, *params: int) -> tuple[int, list[tuple[int, int]]]:
+    if family == "complete":
+        (n,) = params
+        return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if family == "cycle":
+        (n,) = params
+        return n, [(i, (i + 1) % n) for i in range(n)]
+    if family == "path":
+        (n,) = params
+        return n, [(i, i + 1) for i in range(n - 1)]
+    if family == "star":
+        (n,) = params
+        return n, [(0, i) for i in range(1, n)]
+    if family == "hypercube":
+        (d,) = params
+        n = 1 << d
+        return n, [(x, x ^ (1 << b)) for x in range(n) for b in range(d) if x < x ^ (1 << b)]
+    if family == "hamming2":
+        (m,) = params
+        n = m * m
+        pairs = []
+        for x in range(n):
+            a1, b1 = divmod(x, m)
+            for y in range(x + 1, n):
+                a2, b2 = divmod(y, m)
+                if (a1 == a2) != (b1 == b2):
+                    pairs.append((x, y))
+        return n, pairs
+    if family == "regular-tree":
+        degree, depth = params
+        pairs, next_label, frontier = [], 1, [0]
+        for level in range(depth):
+            new_frontier = []
+            for v in frontier:
+                for _ in range(degree if level == 0 else degree - 1):
+                    pairs.append((v, next_label))
+                    new_frontier.append(next_label)
+                    next_label += 1
+            frontier = new_frontier
+        return next_label, pairs
+    raise ValueError(family)
+
+
+def running_vertex_weights(n: int, entries) -> np.ndarray:
+    """w_i summed one pair at a time, in the order the pairs are given."""
+    wi = [0.0] * n
+    for (i, j), weight in entries:
+        wi[i] += weight
+        wi[j] += weight
+    return np.array(wi)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "complete:2", "complete:7", "complete:1024",
+        "cycle:3", "cycle:8", "cycle:1024",
+        "path:2", "path:9", "path:1024",
+        "star:2", "star:6", "star:1024",
+        "hypercube:1", "hypercube:4", "hypercube:10",
+        "hamming2:2", "hamming2:5", "hamming2:32",
+        "regular-tree:2,1", "regular-tree:2,4", "regular-tree:4,3", "regular-tree:3,8",
+    ],
+)
+def test_family_builders_match_loop_reference(spec):
+    family, params = spec.split(":")
+    n, pairs = reference_pairs(family, *(int(p) for p in params.split(",")))
+    canonical = {(min(i, j), max(i, j)): 1.0 for i, j in pairs}
+    w = parse_graph_spec(spec)
+    assert w.n == n
+    assert list(w.edges()) == sorted(canonical.items())
+    expected = running_vertex_weights(n, canonical.items())
+    assert w.vertex_weights.tobytes() == expected.tobytes()
+
+
+@st.composite
+def weight_entries(draw):
+    """A mapping in shuffled order with reversed pairs, zeros and random floats."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(
+        st.sampled_from(list(itertools.combinations(range(n), 2))), unique=True, max_size=20
+    ))
+    weight = st.one_of(
+        st.just(0.0), st.sampled_from([0.1, 1 / 3, 2.5e-7]),
+        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    )
+    entries = {}
+    for i, j in draw(st.permutations(pairs)):
+        key = (j, i) if draw(st.booleans()) else (i, j)
+        entries[key] = draw(weight)
+    return n, entries
+
+
+@settings(max_examples=200)
+@given(weight_entries())
+def test_constructor_against_dict_oracles(case):
+    n, entries = case
+    w = WeightFunction(n, entries)
+    edges = list(w.edges())
+    assert edges == sorted(edges)
+    assert all(
+        type(i) is int and type(j) is int and type(weight) is float and i < j
+        for (i, j), weight in edges
+    )
+    dense = np.zeros((n, n))
+    for (i, j), weight in entries.items():
+        dense[i, j] = dense[j, i] = weight
+    assert np.array_equal(w.dense(), dense)
+    positive = [((i, j), dense[i, j]) for i in range(n) for j in range(i + 1, n) if dense[i, j]]
+    assert edges == positive
+    assert w.vertex_weights.tobytes() == running_vertex_weights(n, entries.items()).tobytes()
+    reordered = WeightFunction(n, {(j, i): v for (i, j), v in reversed(entries.items())})
+    assert reordered == w and hash(reordered) == hash(w)
+    with tempfile.TemporaryDirectory() as scratch:
+        target = Path(scratch) / "w.txt"
+        dump_weight_file(w, target)
+        loaded = load_weight_file(target)
+    assert loaded == w and list(loaded.edges()) == edges
+
+
+def laplacian_gap_positive(w: WeightFunction) -> bool:
+    laplacian = np.diag(w.vertex_weights) - w.dense()
+    return bool(np.linalg.eigvalsh(laplacian)[1] > 1e-9)
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), unique=True),
+)))
+def test_is_connected_agrees_with_laplacian_gap(case):
+    n, pairs = case
+    w = WeightFunction(n, {pair: 1.0 for pair in pairs})
+    assert w.is_connected() == laplacian_gap_positive(w)
+
+
+def test_is_connected_at_the_vertex_cap():
+    assert path(1024).is_connected()
+    halves = {(i, i + 1): 1.0 for i in range(1023) if i != 511}
+    split = WeightFunction(1024, halves)
+    assert not split.is_connected()
+    assert not laplacian_gap_positive(split)
