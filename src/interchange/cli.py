@@ -1,26 +1,34 @@
 """Command-line front end.
 
 Every subcommand emits a single JSON document (sorted keys, two-space
-indent), either to stdout or to --out.  Identical configurations produce
-byte-identical documents, except for the suite report's "timings" section,
-which records wall-clock seconds and is documented as non-deterministic.
-Schemas for all eight documents ship under interchange/schemas/.
+indent), either to stdout or to --out.  The document is the record the
+library returns, rendered by its fields (a dataclass) or by `_asdict` (a
+NamedTuple), plus "graph" and "n" for every subcommand that takes --graph.
+Identical configurations produce byte-identical documents, except for the
+suite report's "timings" section, which records wall-clock seconds and is
+documented as non-deterministic.  Schemas for all eight documents ship under
+interchange/schemas/.  A --csv table is written from the same rows the JSON
+carries: one column per field.
 
-Each subcommand imports the modules it runs when it runs, so a command-line
-call loads only what its subcommand needs.
+Each subcommand is declared once, in `_SUBCOMMANDS`, with its handler,
+flags and help.  A handler imports the modules it runs when it runs, so a
+command-line call loads only what its subcommand needs.
 
 Exit status: 0 on success, 1 when a verified property fails or the requested
 quantity does not exist (for example mixing numbers of a disconnected
-graph), 2 for unusable flags or parameters, size caps, and degenerate
-weights (for example a graph with no edges).
+graph), 2 for unusable flags or parameters, size caps, degenerate weights
+(for example a graph with no edges), and output paths that cannot be
+written.
 """
 
 import argparse
+import dataclasses
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,22 +41,9 @@ from .errors import (
 )
 from .graphs import MAX_SEED, WeightFunction, parse_graph_spec
 
-if TYPE_CHECKING:
-    from .acceptance import SuiteReport
-
-SUBCOMMANDS = (
-    "mix",
-    "octopus",
-    "verify-doubling",
-    "compare",
-    "cycles",
-    "large-cycles",
-    "qhf",
-    "suite",
-)
-
 _DEFAULT_SAMPLES = 100_000
 _DEFAULT_TOL = 1e-9
+_USAGE_ERRORS = (ParameterError, CapError, DegenerateWeightError)
 
 
 @dataclass(frozen=True)
@@ -76,12 +71,18 @@ class RunConfig:
         if self.t is not None and not (math.isfinite(self.t) and self.t >= 0):
             raise ParameterError(f"--t must be finite and >= 0, got {self.t}")
 
-    def weights(self) -> WeightFunction:
-        assert self.graph is not None
-        return parse_graph_spec(self.graph)
+
+def _fields(record):
+    """A dataclass as a dict of its fields, a NamedTuple by `_asdict`, else as is."""
+    if dataclasses.is_dataclass(record):
+        return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    if isinstance(record, tuple) and hasattr(record, "_asdict"):
+        return record._asdict()
+    return record
 
 
 def _jsonable(value):
+    value = _fields(value)
     if isinstance(value, dict):
         return {str(key): _jsonable(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -97,35 +98,72 @@ def _jsonable(value):
     return value
 
 
-def render_json(payload: dict) -> str:
+def render_json(payload) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _emit(payload, out: str | None) -> None:
     text = render_json(payload)
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as handle:
-            handle.write(text)
+        _write_text(out, text)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, tuple):  # a partition
+        return "+".join(str(part) for part in value)
+    return value
+
+
+def _write_csv(path: str, rows: Sequence) -> None:
+    """One line per row record under a header of its keys."""
     import csv
 
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    records = [_fields(row) for row in rows]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(records[0])
+    writer.writerows([_csv_cell(v) for v in record.values()] for record in records)
+    _write_text(path, buffer.getvalue())
 
 
-def _partition_text(p) -> str:
-    return "+".join(str(part) for part in p)
+class _Subcommand(NamedTuple):
+    run: Callable[[WeightFunction | None, RunConfig], tuple[object, bool]]
+    flags: tuple[str, ...]
+    help: str
+
+
+# argparse destinations are RunConfig fields; --seed and --out go on every
+# subcommand, and a subcommand with --graph gets the parsed WeightFunction
+_FLAGS = {
+    "graph": {"required": True, "help": "family:params (e.g. complete:5) or file:path"},
+    "t": {"type": float, "required": True, "help": "time, >= 0"},
+    "k": {"type": int, "required": True, "help": "cycle length"},
+    "samples": {"type": int, "default": None, "help": "Monte Carlo trajectory count"},
+    "tol": {"type": float, "default": _DEFAULT_TOL,
+            "help": "PSD tolerance (relative to operator scale)"},
+    "csv": {"default": None, "help": "also write the table as CSV"},
+    "level": {"choices": ["desk", "extended"], "default": "desk"},
+    "seed": {"type": int, "default": 0, "help": "master seed"},
+    "out": {"default": None, "help": "write the JSON report here"},
+}
+_EVERY_SUBCOMMAND = ("seed", "out")
 
 
 def schema_for(command: str) -> dict:
     """The JSON schema shipped for a subcommand's report."""
-    if command not in SUBCOMMANDS:
+    if command not in _SUBCOMMANDS:
         raise ParameterError(f"unknown subcommand {command!r}")
     from importlib import resources
 
@@ -133,129 +171,64 @@ def schema_for(command: str) -> dict:
     return json.loads(path.read_text())
 
 
-def _cmd_mix(config: RunConfig) -> tuple[dict, bool]:
+def _mix(w: WeightFunction, config: RunConfig):
     from .chain import mixing_report
 
-    w = config.weights()
     report = mixing_report(w)
     if not math.isfinite(report.lmix):
         raise DisconnectedError(
             "mixing numbers are infinite on a disconnected weight function"
         )
-    payload = {
-        "graph": config.graph,
-        "n": w.n,
-        "lmix": report.lmix,
-        "mix": report.mix,
-        "delta": report.delta,
-        "epsilons": list(report.epsilons),
-        "theorem_bound": report.theorem_bound,
-        "clause_bounds": dict(report.clause_bounds._asdict()),
-    }
-    return payload, True
+    return report, True
 
 
-def _cmd_octopus(config: RunConfig) -> tuple[dict, bool]:
+def _octopus(w: WeightFunction, config: RunConfig):
     from .group_algebra import octopus_check
 
-    w = config.weights()
-    dense = w.dense()
     hubs = []
-    for hub, row in enumerate(dense):
+    for hub, row in enumerate(w.dense()):
         # the gap lives on the hub and its neighbours: hub 0, arms 1 .. deg
         arms = row[row > 0]
-        if not arms.size:
-            continue
-        verdict = octopus_check(len(arms) + 1, 0, arms, tol=config.tol)
-        hubs.append(
-            {"hub": hub, "psd": verdict.psd, "min_eigenvalue": verdict.min_eigenvalue}
-        )
+        if arms.size:
+            verdict = octopus_check(len(arms) + 1, 0, arms, tol=config.tol)
+            hubs.append({"hub": hub, **verdict._asdict()})
     if not hubs:
         raise DegenerateWeightError("octopus needs at least one vertex with an edge")
     passed = all(entry["psd"] for entry in hubs)
-    payload = {
-        "graph": config.graph,
-        "n": w.n,
-        "tol": config.tol,
-        "hubs": hubs,
-        "passed": passed,
-    }
-    return payload, passed
+    return {"tol": config.tol, "hubs": hubs, "passed": passed}, passed
 
 
-def _cmd_verify_doubling(config: RunConfig) -> tuple[dict, bool]:
+def _verify_doubling(w: WeightFunction, config: RunConfig):
     from .chain import lift_lazy
     from .group_algebra import doubling_inequality_check
 
-    w = config.weights()
     u = lift_lazy(w)
     verdict = doubling_inequality_check(u, tol=config.tol)
-    payload = {
-        "graph": config.graph,
-        "n": w.n,
-        "tol": config.tol,
-        "epsilon": u.epsilon,
-        "psd": verdict.psd,
-        "min_eigenvalue": verdict.min_eigenvalue,
-        "passed": verdict.psd,
-    }
+    payload = {"tol": config.tol, "epsilon": u.epsilon, **verdict._asdict(), "passed": verdict.psd}
     return payload, verdict.psd
 
 
-def _cmd_compare(config: RunConfig) -> tuple[dict, bool]:
+def _compare(w: WeightFunction, config: RunConfig):
     from .irreps import comparison_constant
 
-    w = config.weights()
     report = comparison_constant(w)
+    if config.csv:
+        _write_csv(config.csv, report.rows)
     aldous = report.aldous
-    rows = [
-        {
-            "partition": list(row.partition),
-            "dim": row.dim,
-            "lambda_complete": row.lambda_complete,
-            "lambda_min": row.lambda_min,
-            "ratio": row.ratio,
-        }
-        for row in report.rows
-    ]
     payload = {
-        "graph": config.graph,
-        "n": w.n,
-        "a_star": report.a_star,
-        "argmin_partition": list(report.argmin_partition) if report.argmin_partition else None,
+        **_fields(report),
         "aldous": aldous.holds,
         "aldous_margin": aldous.margin if math.isfinite(aldous.margin) else "inf",
-        "aldous_worst_partition": list(aldous.worst_partition) if aldous.worst_partition else None,
+        "aldous_worst_partition": aldous.worst_partition,
         "spectral_gap": aldous.spectral_gap,
-        "theorem_bound": report.theorem_bound,
-        "empirical_c": report.empirical_c,
-        "rows": rows,
     }
-    if config.csv:
-        _write_csv(
-            config.csv,
-            ["partition", "dim", "lambda_complete", "lambda_min", "ratio"],
-            [
-                [
-                    _partition_text(row["partition"]),
-                    row["dim"],
-                    row["lambda_complete"],
-                    row["lambda_min"],
-                    "" if row["ratio"] is None else row["ratio"],
-                ]
-                for row in rows
-            ],
-        )
     return payload, aldous.holds
 
 
-def _cmd_cycles(config: RunConfig) -> tuple[dict, bool]:
+def _cycles(w: WeightFunction, config: RunConfig):
     from .cycles import exact_cycles_bruteforce, expected_cycles_mc, expected_cycles_spectral
     from .group_algebra import EXACT_SEMIGROUP_MAX_N
 
-    w = config.weights()
-    if config.k is None or config.t is None:
-        raise ParameterError("cycles needs --k and --t")
     spectral = expected_cycles_spectral(w, config.k, config.t)
     mc = stderr = None
     if config.samples is not None:
@@ -263,116 +236,54 @@ def _cmd_cycles(config: RunConfig) -> tuple[dict, bool]:
     brute = None
     if w.n <= EXACT_SEMIGROUP_MAX_N:
         brute = exact_cycles_bruteforce(w, config.k, config.t)
-    payload = {
-        "graph": config.graph,
-        "n": w.n,
-        "k": config.k,
-        "t": config.t,
-        "spectral": spectral,
-        "mc": mc,
-        "stderr": stderr,
-        "brute": brute,
-        "samples": config.samples,
-        "seed": config.seed,
-    }
+    payload = {"k": config.k, "t": config.t, "spectral": spectral, "mc": mc, "stderr": stderr,
+               "brute": brute, "samples": config.samples, "seed": config.seed}
     return payload, True
 
 
-def _cmd_large_cycles(config: RunConfig) -> tuple[dict, bool]:
+def _large_cycles(w: WeightFunction, config: RunConfig):
     from .cycles import large_cycle_probability
 
-    w = config.weights()
-    if config.t is None:
-        raise ParameterError("large-cycles needs --t")
     samples = config.samples if config.samples is not None else _DEFAULT_SAMPLES
     estimate, stderr = large_cycle_probability(w, config.t, samples, config.seed)
-    payload = {
-        "graph": config.graph,
-        "n": w.n,
-        "t": config.t,
-        "samples": samples,
-        "seed": config.seed,
-        "estimate": estimate,
-        "stderr": stderr,
-    }
+    payload = {"t": config.t, "samples": samples, "seed": config.seed, "estimate": estimate,
+               "stderr": stderr}
     return payload, True
 
 
-def _cmd_qhf(config: RunConfig) -> tuple[dict, bool]:
+def _qhf(w: WeightFunction, config: RunConfig):
     from .qhf import qhf_mc
 
-    w = config.weights()
-    if config.t is None:
-        raise ParameterError("qhf needs --t")
     samples = config.samples if config.samples is not None else _DEFAULT_SAMPLES
-    estimate = qhf_mc(w, config.t, samples, config.seed)
-    payload = {
-        "graph": config.graph,
-        "n": w.n,
-        "t": estimate.t,
-        "z": estimate.z,
-        "z_stderr": estimate.z_stderr,
-        "m_sq": estimate.m_sq,
-        "m_sq_stderr": estimate.m_sq_stderr,
-        "samples": estimate.samples,
-        "seed": estimate.seed,
-        "batches": estimate.batches,
-    }
-    return payload, True
+    return qhf_mc(w, config.t, samples, config.seed), True
 
 
-def _suite_payload(report: "SuiteReport") -> dict:
-    return {
-        "level": report.level,
-        "seed": report.seed,
-        "passed": report.passed,
-        "checks": [
-            {
-                "name": c.name,
-                "verdict": c.verdict,
-                "measured": c.measured,
-                "threshold": c.threshold,
-                "inputs": c.inputs,
-            }
-            for c in report.checks
-        ],
-        "timings": report.timings,
-    }
-
-
-def _cmd_suite(config: RunConfig) -> tuple[dict, bool]:
-    from .acceptance import empirical_constant_table, run_suite
+def _suite(w: None, config: RunConfig):
+    from .acceptance import run_suite
 
     report = run_suite(level=config.level, seed=config.seed)
     if config.csv:
-        table = empirical_constant_table()
-        _write_csv(
-            config.csv,
-            ["graph", "n", "a_star", "theorem_bound", "empirical_c", "a_star_times_m"],
-            [
-                [
-                    row["graph"],
-                    row["n"],
-                    row["a_star"],
-                    row["theorem_bound"],
-                    row["empirical_c"],
-                    "" if row["a_star_times_m"] is None else row["a_star_times_m"],
-                ]
-                for row in table
-            ],
-        )
-    return _suite_payload(report), report.passed
+        constants = next(c for c in report.checks if c.name == "comparison_constants")
+        _write_csv(config.csv, constants.measured["table"])
+    return report, report.passed
 
 
-_COMMANDS = {
-    "mix": _cmd_mix,
-    "octopus": _cmd_octopus,
-    "verify-doubling": _cmd_verify_doubling,
-    "compare": _cmd_compare,
-    "cycles": _cmd_cycles,
-    "large-cycles": _cmd_large_cycles,
-    "qhf": _cmd_qhf,
-    "suite": _cmd_suite,
+_SUBCOMMANDS = {
+    "mix": _Subcommand(_mix, ("graph",), "lazy chain mixing numbers and the delta factor"),
+    "octopus": _Subcommand(
+        _octopus, ("graph", "tol"), "verify the octopus inequality hub by hub"),
+    "verify-doubling": _Subcommand(
+        _verify_doubling, ("graph", "tol"), "verify the lifted doubling inequality"),
+    "compare": _Subcommand(
+        _compare, ("graph", "csv"), "comparison constant a* and per-partition spectra"),
+    "cycles": _Subcommand(
+        _cycles, ("graph", "t", "k", "samples"),
+        "expected k-cycle count by spectral, exact, and MC routes"),
+    "large-cycles": _Subcommand(
+        _large_cycles, ("graph", "t", "samples"), "probability of a cycle longer than n/2"),
+    "qhf": _Subcommand(
+        _qhf, ("graph", "t", "samples"), "ferromagnet partition function and magnetization"),
+    "suite": _Subcommand(_suite, ("csv", "level"), "run the acceptance suite"),
 }
 
 
@@ -382,67 +293,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Interchange process mixing, spectra, cycles, and ferromagnet estimates.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *, graph: bool, t: bool = False, k: bool = False,
-            samples: bool = False, tol: bool = False, csv_flag: bool = False,
-            level: bool = False) -> None:
-        sub = subparsers.add_parser(name, help=help_text)
-        if graph:
-            sub.add_argument("--graph", required=True,
-                             help="family:params (e.g. complete:5) or file:path")
-        if t:
-            sub.add_argument("--t", type=float, required=True, help="time, >= 0")
-        if k:
-            sub.add_argument("--k", type=int, required=True, help="cycle length")
-        if samples:
-            sub.add_argument("--samples", type=int, default=None,
-                             help="Monte Carlo trajectory count")
-        if tol:
-            sub.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                             help="PSD tolerance (relative to operator scale)")
-        if csv_flag:
-            sub.add_argument("--csv", default=None, help="also write the table as CSV")
-        if level:
-            sub.add_argument("--level", choices=["desk", "extended"], default="desk")
-        sub.add_argument("--seed", type=int, default=0, help="master seed")
-        sub.add_argument("--out", default=None, help="write the JSON report here")
-
-    add("mix", "lazy chain mixing numbers and the delta factor", graph=True)
-    add("octopus", "verify the octopus inequality hub by hub", graph=True, tol=True)
-    add("verify-doubling", "verify the lifted doubling inequality", graph=True, tol=True)
-    add("compare", "comparison constant a* and per-partition spectra", graph=True,
-        csv_flag=True)
-    add("cycles", "expected k-cycle count by spectral, exact, and MC routes",
-        graph=True, t=True, k=True, samples=True)
-    add("large-cycles", "probability of a cycle longer than n/2", graph=True, t=True,
-        samples=True)
-    add("qhf", "ferromagnet partition function and magnetization", graph=True, t=True,
-        samples=True)
-    add("suite", "run the acceptance suite", graph=False, csv_flag=True, level=True)
+    for name, subcommand in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=subcommand.help)
+        for flag, options in _FLAGS.items():
+            if flag in subcommand.flags + _EVERY_SUBCOMMAND:
+                sub.add_argument(f"--{flag}", **options)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    fields = {
-        key: value
-        for key, value in vars(args).items()
-        if key in {"command", "graph", "t", "k", "samples", "seed", "tol", "csv",
-                   "out", "level"}
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(**fields)
-        payload, passed = _COMMANDS[config.command](config)
-    except (ParameterError, CapError, DegenerateWeightError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        config = RunConfig(**vars(args))
+        w = None if config.graph is None else parse_graph_spec(config.graph)
+        payload, passed = _SUBCOMMANDS[config.command].run(w, config)
+        if w is not None:
+            payload = {**_fields(payload), "graph": config.graph, "n": w.n}
+        _emit(payload, config.out)
+        return 0 if passed else 1
+    except _USAGE_ERRORS as exc:
+        failure = exc
     except InterchangeError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              getattr(args, "out", None))
-        return 1
-    _emit(payload, config.out)
-    return 0 if passed else 1
+        try:
+            _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, config.out)
+            return 1
+        except ParameterError as write_error:
+            failure = write_error
+    print(f"error: {failure}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

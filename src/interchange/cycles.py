@@ -488,13 +488,17 @@ def large_cycle_mass(
     )
 
 
-def exact_cycles_bruteforce(w: WeightFunction, k: int, t: float) -> float:
-    """E(s_k(t)) summed over all permutations with exact probabilities, n <= 5."""
+def exact_cycles_bruteforce(w: WeightFunction, k: int, t):
+    """E(s_k(t)) summed over all permutations with exact probabilities, n <= 5.
+
+    t may be a scalar or an array.  The terms are added one after another in
+    permutation order (a cumulative sum), the order of a plain loop, so a
+    scalar t gets the loop's value bit for bit.
+    """
     process = InterchangeExact(w)
-    dist = process.distribution(t)
-    return float(
-        sum(p * cycle_counts(perm)[k] for p, perm in zip(dist, process.permutations))
-    )
+    counts = np.array([cycle_counts(perm)[k] for perm in process.permutations])
+    total = np.cumsum(process.distribution(t) * counts, axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
 def oracle_t_grid(w: WeightFunction) -> np.ndarray:

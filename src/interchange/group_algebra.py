@@ -270,10 +270,14 @@ class InterchangeExact:
         # identity is first in lexicographic order
         self._id_row = self.eigenvectors[0, :]
 
-    def distribution(self, t: float) -> np.ndarray:
-        """Probabilities over all_perms(n) after a finite time t >= 0."""
-        check_time(t)
-        return self.eigenvectors @ (np.exp(-t * self.eigenvalues) * self._id_row)
+    def distribution(self, t) -> np.ndarray:
+        """Probabilities over all_perms(n) after a finite time t >= 0.
+
+        For an array of times, one row of probabilities per time.
+        """
+        t_arr = check_time(t)
+        weights = np.exp(-t_arr[..., None] * self.eigenvalues) * self._id_row
+        return (self.eigenvectors @ weights.T).T
 
     def tv_from_uniform(self, t: float) -> float:
         size = len(self.permutations)

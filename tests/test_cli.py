@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ jsonschema = pytest.importorskip("jsonschema")
 import interchange
 from interchange import acceptance, group_algebra, irreps
 from interchange.acceptance import ALL_CHECKS, SuiteConfig, run_suite
-from interchange.cli import RunConfig, _suite_payload, main, render_json, schema_for
+from interchange.cli import RunConfig, main, render_json, schema_for
 from interchange.errors import ParameterError
 from interchange.graphs import WeightFunction, dump_weight_file
 
@@ -318,6 +319,29 @@ class TestErrorPaths:
         assert code == 2
         assert "at least one vertex with an edge" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mix", "--graph", "complete:3", "--out", "{tmp}/missing/report.json"],
+            ["mix", "--graph", "complete:3", "--out", "{tmp}"],
+            ["compare", "--graph", "path:3", "--csv", "{tmp}/missing/rows.csv"],
+            ["compare", "--graph", "path:3", "--csv", "{tmp}"],
+            # the error document of a DisconnectedError
+            ["mix", "--graph", "file:{tmp}/disc.w", "--out", "{tmp}/missing/error.json"],
+        ],
+    )
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv):
+        dump_weight_file(WeightFunction(4, {(0, 1): 1.0, (2, 3): 1.0}), tmp_path / "disc.w")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        target = next(arg for arg in argv if arg.startswith(str(tmp_path)))
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_run_config_validation(self):
         with pytest.raises(ParameterError):
             RunConfig(command="mix", graph="complete:3", tol=0.0)
@@ -333,7 +357,7 @@ class TestSuitePlumbing:
 
     def test_subset_report_matches_schema(self):
         report = run_suite(names=("mixing_numbers", "probability_bounds"))
-        payload = _suite_payload(report)
+        payload = json.loads(render_json(report))
         check_against_schema(payload, "suite")
         assert payload["passed"] is True
         assert [c["name"] for c in payload["checks"]] == [
@@ -342,11 +366,39 @@ class TestSuitePlumbing:
         ]
 
     def test_subset_deterministic_modulo_timings(self):
-        a = _suite_payload(run_suite(names=("spectrum_assembly",)))
-        b = _suite_payload(run_suite(names=("spectrum_assembly",)))
+        a = json.loads(render_json(run_suite(names=("spectrum_assembly",))))
+        b = json.loads(render_json(run_suite(names=("spectrum_assembly",))))
         a.pop("timings")
         b.pop("timings")
         assert render_json(a) == render_json(b)
+
+    def test_suite_csv_is_the_table_in_the_report(self, capsys, tmp_path, monkeypatch):
+        name = "comparison_constants"
+        monkeypatch.setattr(acceptance, "ALL_CHECKS", {name: ALL_CHECKS[name]})
+        solved = []
+        solve = acceptance.comparison_constant
+
+        def counted(w):
+            solved.append(w)
+            return solve(w)
+
+        monkeypatch.setattr(acceptance, "comparison_constant", counted)
+        path = tmp_path / "table.csv"
+        code, out = run_cli(capsys, ["suite", "--csv", str(path)])
+        assert code == 0
+        (check,) = json.loads(out)["checks"]
+        table = check["measured"]["table"]
+        with open(path, newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["graph", "n", "a_star", "theorem_bound", "empirical_c",
+                          "a_star_times_m"]
+        assert all(set(row) == set(header) for row in table)
+        assert rows == [
+            ["" if row[key] is None else str(row[key]) for key in header] for row in table
+        ]
+        assert [row[-1] for row in rows if not row[0].startswith("hamming2:")] == [""] * 7
+        for graph, w in acceptance.TABLE_GRAPHS:
+            assert sum(s is w for s in solved) == 1, graph
 
     def test_unknown_check_name(self):
         with pytest.raises(ParameterError):

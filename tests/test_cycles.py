@@ -526,6 +526,21 @@ class TestBruteForce:
                 got = np.array([exact_cycles_bruteforce(w, k, t) for t in ts])
                 assert np.allclose(got, want, atol=1e-8), (w, k)
 
+    def test_time_array_equals_scalar_loop(self):
+        for w in [complete(3), path(4), star(4), cycle(5), complete(5)]:
+            ts = oracle_t_grid(w)
+            process = InterchangeExact(w)
+            rows = process.distribution(ts)
+            assert rows.shape == (len(ts), len(process.permutations))
+            for t, row in zip(ts, rows):
+                assert np.abs(row - process.distribution(t)).max() <= 1e-15
+            for k in range(1, w.n + 1):
+                got = exact_cycles_bruteforce(w, k, ts)
+                loop = np.array([exact_cycles_bruteforce(w, k, t) for t in ts])
+                assert got.shape == ts.shape
+                # counts reach n, so the bound is relative as well as absolute
+                assert np.allclose(got, loop, rtol=1e-15, atol=1e-15), (w, k)
+
     def test_closed_form(self):
         w = complete(3)
         for t in [0.1, 0.7]:
