@@ -23,9 +23,11 @@ written.
 
 import argparse
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -110,6 +112,19 @@ def _write_text(path: str, text: str) -> None:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable(path: str | None) -> None:
+    """Refuse, before any work, a path that is a directory or lies in a missing one."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        reason = errno.ENOENT
+    else:
+        return
+    raise ParameterError(f"cannot write {path}: {os.strerror(reason)}")
+
+
 def _emit(payload, out: str | None) -> None:
     text = render_json(payload)
     if out is None:
@@ -152,7 +167,7 @@ _FLAGS = {
     "k": {"type": int, "required": True, "help": "cycle length"},
     "samples": {"type": int, "default": None, "help": "Monte Carlo trajectory count"},
     "tol": {"type": float, "default": _DEFAULT_TOL,
-            "help": "PSD tolerance (relative to operator scale)"},
+            "help": "PSD tolerance, relative to the largest regular-representation entry"},
     "csv": {"default": None, "help": "also write the table as CSV"},
     "level": {"choices": ["desk", "extended"], "default": "desk"},
     "seed": {"type": int, "default": 0, "help": "master seed"},
@@ -305,6 +320,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = RunConfig(**vars(args))
+        _check_writable(config.out)
+        _check_writable(config.csv)
         w = None if config.graph is None else parse_graph_spec(config.graph)
         payload, passed = _SUBCOMMANDS[config.command].run(w, config)
         if w is not None:

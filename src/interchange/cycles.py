@@ -130,10 +130,11 @@ def expected_cycles_spectral(w: WeightFunction, k: int, t):
     t_arr = check_time(t)
     total = np.zeros_like(t_arr)
     terms = cycle_coefficients(w.n, k).terms
-    spectra = _block_spectra(delta_of_weights(w), [p for p, _ in terms])
+    spectra = _block_spectra(delta_of_weights(w), [p for p, _ in terms], w.component_sizes())
     for p, a in terms:
-        eigenvalues = spectra[p].eigenvalues
-        total = total + a * np.exp(-t_arr[..., None] * eigenvalues).sum(axis=-1)
+        with np.errstate(over="ignore"):  # t * lambda = inf gives exp(-inf) = 0
+            decay = np.exp(-t_arr[..., None] * spectra[p].eigenvalues)
+        total = total + a * decay.sum(axis=-1)
     result = total / k
     return float(result) if np.isscalar(t) or t_arr.ndim == 0 else result
 

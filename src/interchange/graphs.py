@@ -141,17 +141,27 @@ class WeightFunction:
 
     def is_connected(self) -> bool:
         """True when every vertex is reachable through positive weights."""
+        return self.component_sizes() == (self.n,)
+
+    def component_sizes(self) -> tuple[int, ...]:
+        """Vertex counts of the connected components, largest first: a partition of n."""
         adjacency = np.zeros((self.n, self.n), dtype=bool)
         first, second = self.ends
         adjacency[first, second] = adjacency[second, first] = True
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        # breadth first: each pass adds the unseen neighbours of the last layer
-        while frontier.any():
-            frontier = adjacency[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        return bool(seen.all())
+        unseen = np.ones(self.n, dtype=bool)
+        sizes = []
+        while unseen.any():
+            frontier = np.zeros(self.n, dtype=bool)
+            frontier[np.argmax(unseen)] = True
+            unseen &= ~frontier
+            size = 1
+            # breadth first: each pass adds the unseen neighbours of the last layer
+            while frontier.any():
+                frontier = adjacency[frontier].any(axis=0) & unseen
+                unseen &= ~frontier
+                size += int(frontier.sum())
+            sizes.append(size)
+        return tuple(sorted(sizes, reverse=True))
 
     def scaled(self, factor: float) -> "WeightFunction":
         """New weight function with every weight multiplied by factor > 0."""

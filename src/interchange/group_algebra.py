@@ -28,6 +28,7 @@ via the symmetric eigendecomposition of the regular representation matrix.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -174,8 +175,11 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL) -> PsdVerdict:
     A support of at most 5 points is decided on its k! x k! regular
     representation, a larger one on its irreducible blocks, capped at
     IRREP_MAX_N points whatever n is.  The zero operator is PSD with minimum
-    eigenvalue 0.  Eigenvalues down to -tol times the largest matrix entry in
-    absolute value are tolerated.
+    eigenvalue 0.  On both routes, eigenvalues down to -tol times the largest
+    entry of the regular representation in absolute value are tolerated.
+    That entry is read off the coefficients: every diagonal entry is
+    sum_{i<j} c_ij and every other nonzero entry a single -c_ij, so it is
+    max(|sum_{i<j} c_ij|, max_{i<j} |c_ij|).
     """
     from .irreps import IRREP_MAX_N, min_eigenvalue_on_irreps
 
@@ -188,13 +192,13 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL) -> PsdVerdict:
             f"got {support.size}"
         )
     op = PairOperator(a.c[np.ix_(support, support)])
+    upper = op.c[np.triu_indices(op.n, 1)]
+    scale = max(abs(float(upper.sum())), float(np.abs(upper).max()))
     if op.n <= EXACT_SEMIGROUP_MAX_N:
-        m = regular_rep_matrix(op)
-        scale = float(np.abs(m).max())
-        min_eig = float(np.linalg.eigvalsh(m).min())
+        min_eig = float(np.linalg.eigvalsh(regular_rep_matrix(op)).min())
     else:
-        min_eig, scale = min_eigenvalue_on_irreps(op)
-    return PsdVerdict(psd=min_eig >= -tol * max(scale, 1e-300), min_eigenvalue=min_eig)
+        min_eig = min_eigenvalue_on_irreps(op)
+    return PsdVerdict(psd=min_eig >= -tol * scale, min_eigenvalue=min_eig)
 
 
 def octopus_gap(n: int, hub: int, arm_weights: Iterable[float]) -> PairOperator:
@@ -255,7 +259,10 @@ class InterchangeExact:
 
     Diagonalizes the regular representation of Delta_w once (n <= 5) and
     evaluates exp(-t Delta_w) applied to the point mass at the identity for
-    any t from the spectral data.
+    any t from the spectral data.  Delta_w vanishes exactly on the functions
+    fixed by the Young subgroup of w's components, sizes mu: n! / prod(mu_i!)
+    eigenvalues, the smallest, which are set to 0 so that rounding (about
+    1e-16) is not blown up or decayed by exp(-t lambda) at large t.
     """
 
     def __init__(self, w: WeightFunction):
@@ -267,6 +274,8 @@ class InterchangeExact:
         self.permutations = all_perms(w.n)
         m = regular_rep_matrix(delta_of_weights(w))
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(m)
+        sizes = w.component_sizes()
+        self.eigenvalues[: math.factorial(w.n) // math.prod(map(math.factorial, sizes))] = 0.0
         # identity is first in lexicographic order
         self._id_row = self.eigenvectors[0, :]
 
@@ -276,7 +285,8 @@ class InterchangeExact:
         For an array of times, one row of probabilities per time.
         """
         t_arr = check_time(t)
-        weights = np.exp(-t_arr[..., None] * self.eigenvalues) * self._id_row
+        with np.errstate(over="ignore"):  # t * lambda = inf gives exp(-inf) = 0
+            weights = np.exp(-t_arr[..., None] * self.eigenvalues) * self._id_row
         return (self.eigenvectors @ weights.T).T
 
     def tv_from_uniform(self, t: float) -> float:

@@ -36,14 +36,22 @@ similar to c.sum() I - D_lambda(c) (c.sum() over ordered pairs), by a signed
 permutation that keeps the magnitude of every off-diagonal entry.  Every
 per-partition solve goes through _block_spectra, which builds and solves only
 the first of each conjugate pair of targets in tuple order and reads the
-other's spectrum, c.sum() minus the eigenvalues reversed, and its largest
-entry off that one block; the conjugate's rep and top-level block are never
-built.  At n = 10 that is 22 eigensolves for the 42 partitions.
+other's spectrum, c.sum() minus the eigenvalues reversed; the conjugate's rep
+and top-level block are never built.  At n = 10 that is 22 eigensolves for
+the 42 partitions.  It returns one IrrepSpectrum per target, and every
+spectral route (delta_on_irrep, all_spectra, min_eigenvalue_on_irreps,
+cycles.expected_cycles_spectral) reads that record.  The PSD tolerance is not
+decided here: group_algebra.is_psd reads it off the operator's coefficients.
 
 All representation matrices are symmetric orthogonal involutions on
 transpositions, so the generator restricted to a partition,
     Delta_w | rho = sum_{i<j} w_ij (I - rho((i j))),
-is symmetric positive semidefinite.  Restricted to the complete graph the
+is symmetric positive semidefinite.  Its kernel is known exactly: with mu
+the sizes of the connected components of w, Delta_w vanishes on a block
+exactly on the vectors fixed by the Young subgroup S_mu, a space of dimension
+the Kostka number K_{lambda mu} by Young's rule (Sagan, 2.11).  The spectra of
+a weight function's generator have those eigenvalues set to exactly 0, so
+exp(-t lambda) stays bounded at any t.  Restricted to the complete graph the
 generator is the scalar lambda_kn(rho) = C(n, 2) - content_sum(rho); the
 full spectrum of the generator on functions over the symmetric group is the
 union over partitions of the per-partition spectra, each repeated dim(rho)
@@ -57,6 +65,7 @@ of lambda_1(w, rho) over rho != [n] is attained at rho = [n-1, 1], where it
 equals the spectral gap of the weighted graph Laplacian.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -228,8 +237,8 @@ class YoungOrthogonalRep:
     Adjacent transpositions are stored in a compressed two-entries-per-row
     form, stacked as (n-1, dim) arrays, so multiplying any matrix by an
     adjacent generator costs O(dim^2).  Pair operator blocks are built by
-    the branching rule (delta_matrix, delta_blocks); transposition_matrix and
-    matrix build single group elements and serve as references.
+    the branching rule (delta_blocks); transposition_matrix and matrix build
+    single group elements and serve as references.
     """
 
     def __init__(self, partition: Sequence[int]):
@@ -341,16 +350,6 @@ class YoungOrthogonalRep:
             m = self._apply_left(a, m)
         return m
 
-    def delta_matrix(self, op: PairOperator) -> np.ndarray:
-        """Block of a pair operator: sum_{i<j} c_ij (I - rho((i, j))).
-
-        Built by the branching rule from the blocks of op on its first n-1
-        points; delta_blocks shares those across several partitions.
-        """
-        if op.n != self.n:
-            raise ParameterError(f"operator on {op.n} points, representation on {self.n}")
-        return self._branch(op.c, _sub_blocks(op.c, [self.partition]), {})
-
     def _branch(
         self, c: np.ndarray, below: Mapping[Partition, np.ndarray], memo: _Memo
     ) -> np.ndarray:
@@ -448,15 +447,32 @@ class IrrepSpectrum:
         return float(self.eigenvalues[0])
 
 
-class _BlockSpectrum(NamedTuple):
-    eigenvalues: np.ndarray  # ascending, read-only
-    scale: float  # largest absolute entry of the block
+# unbounded; the spectral routes reach it only with partitions of n <= IRREP_MAX_N
+@lru_cache(maxsize=None)
+def kostka_number(shape: Partition, content: Partition) -> int:
+    """K_{shape, content}: semistandard tableaux of a shape with a given content.
+
+    By Young's rule (Sagan, The Symmetric Group, 2.11) it is the multiplicity
+    of rho_shape in the permutation module of the Young subgroup S_content,
+    so sum over shapes of dim(rho_shape) K_{shape, content} = n! / prod(content!).
+    Counted by removing the cells holding the largest entry, a horizontal
+    strip of content[-1] cells.
+    """
+    if not content:
+        return int(not shape)
+    *rest, last = content
+    below = shape[1:] + (0,)
+    return sum(
+        kostka_number(tuple(row for row in inner if row), tuple(rest))
+        for inner in itertools.product(*(range(b, a + 1) for a, b in zip(shape, below)))
+        if sum(shape) - sum(inner) == last
+    )
 
 
 def _block_spectra(
-    op: PairOperator, targets: Sequence[Sequence[int]]
-) -> dict[Partition, _BlockSpectrum]:
-    """Spectrum and largest entry of op's block on each target, in target order.
+    op: PairOperator, targets: Sequence[Sequence[int]], components: Partition | None = None
+) -> dict[Partition, IrrepSpectrum]:
+    """Spectrum of op's block on each target, in target order.
 
     rho_{lambda'} = sgn (x) rho_lambda, and in Young's orthogonal form a
     signed permutation Q (T -> T transposed) gives rho_{lambda'}(tau) =
@@ -465,10 +481,12 @@ def _block_spectra(
     c.sum() being the sum over ordered pairs.  When both partitions of a
     conjugate pair are targets, only the one first in tuple order is built
     and solved: the other's eigenvalues are c.sum() minus its eigenvalues
-    reversed, and its largest entry is the larger of the largest
-    off-diagonal entry (Q keeps magnitudes) and the largest |c.sum() - diag|.
-    Self-conjugate partitions, [n] and the standard partition are always
-    solved directly, so the spectral gap keeps its direct eigenvalue.
+    reversed.  Self-conjugate partitions, [n] and the standard partition are
+    always solved directly, so the spectral gap keeps its direct eigenvalue.
+
+    components, given when op is the generator of a weight function, are the
+    sizes of its connected components: the kostka_number(lambda, components)
+    smallest eigenvalues of block lambda, the kernel, are then set to 0.
     """
     targets = [validate_partition(p, op.n) for p in targets]
     wanted = set(targets)
@@ -479,34 +497,25 @@ def _block_spectra(
         if p > q and p in wanted and q != standard:
             mirror[p] = q
     total = float(op.c.sum())
-    out: dict[Partition, _BlockSpectrum] = {}
+    eigenvalues: dict[Partition, np.ndarray] = {}
     solved = [p for p in dict.fromkeys(targets) if p not in mirror.values()]
     for p, block in delta_blocks(op, solved):
-        eigenvalues = np.linalg.eigvalsh(block)
-        eigenvalues.setflags(write=False)
-        out[p] = _BlockSpectrum(eigenvalues, float(np.abs(block).max()))
+        eigenvalues[p] = np.linalg.eigvalsh(block)
         if p in mirror:
-            diagonal = float(np.abs(total - block.diagonal()).max())
-            np.fill_diagonal(block, 0.0)  # the block is not kept
-            conjugate = total - eigenvalues[::-1]
-            conjugate.setflags(write=False)
-            out[mirror[p]] = _BlockSpectrum(conjugate, max(float(np.abs(block).max()), diagonal))
-    return {p: out[p] for p in targets}
-
-
-def _spectra(op: PairOperator, targets: Sequence[Partition]) -> Iterator[IrrepSpectrum]:
-    for p, solved in _block_spectra(op, targets).items():
-        yield IrrepSpectrum(
-            partition=p,
-            dim=len(solved.eigenvalues),
-            eigenvalues=solved.eigenvalues,
-            lambda_complete=lambda_kn(p),
-        )
+            eigenvalues[mirror[p]] = total - eigenvalues[p][::-1]
+    spectra = {}
+    for p, values in eigenvalues.items():
+        if components is not None:
+            values[: kostka_number(p, components)] = 0.0
+        values.setflags(write=False)
+        spectra[p] = IrrepSpectrum(p, len(values), values, lambda_kn(p))
+    return {p: spectra[p] for p in targets}
 
 
 def delta_on_irrep(w: WeightFunction, p: Sequence[int]) -> IrrepSpectrum:
     """Eigenvalues of the generator block for weights w and partition p."""
-    return next(_spectra(delta_of_weights(w), [p]))
+    [spectrum] = _block_spectra(delta_of_weights(w), [p], w.component_sizes()).values()
+    return spectrum
 
 
 def all_spectra(w: WeightFunction) -> list[IrrepSpectrum]:
@@ -516,7 +525,7 @@ def all_spectra(w: WeightFunction) -> list[IrrepSpectrum]:
     """
     if w.n > IRREP_MAX_N:
         raise CapError(f"per-partition spectra capped at n <= {IRREP_MAX_N}")
-    return list(_spectra(delta_of_weights(w), partitions(w.n)))
+    return list(_block_spectra(delta_of_weights(w), partitions(w.n), w.component_sizes()).values())
 
 
 def assembled_spectrum(w: WeightFunction) -> np.ndarray:
@@ -530,22 +539,13 @@ def assembled_spectrum(w: WeightFunction) -> np.ndarray:
     return np.sort(np.concatenate(blocks))
 
 
-def min_eigenvalue_on_irreps(a: PairOperator) -> tuple[float, float]:
+def min_eigenvalue_on_irreps(a: PairOperator) -> float:
     """Smallest eigenvalue of a pair operator across all irreducible blocks.
 
-    Returns (min eigenvalue, scale), where scale is the largest absolute
-    entry across the blocks of the partitions of a.n, for relative tolerance
-    checks.  group_algebra.is_psd calls this on an operator's support.
-
-    Only one block of each conjugate pair is built and solved (see
-    _block_spectra): with D the block of lambda, eigenvalues e_0 <= ... and
-    s = c.sum(), the pair contributes min(e_0, s - e_last) to the minimum and
-    max(|D|.max(), |s - diag D|.max()) to the scale, the second term being
-    the conjugate block's largest entry since off-diagonal entries keep
-    their magnitude.
+    group_algebra.is_psd calls this on an operator's support.  Only one block
+    of each conjugate pair is built and solved (see _block_spectra).
     """
-    spectra = _block_spectra(a, partitions(a.n)).values()
-    return min(float(s.eigenvalues[0]) for s in spectra), max(s.scale for s in spectra)
+    return min(s.lambda_min for s in _block_spectra(a, partitions(a.n)).values())
 
 
 class AldousReport(NamedTuple):

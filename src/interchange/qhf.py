@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import mc_per_sample
-from .errors import ConsistencyError
+from .errors import CapError, ConsistencyError
 from .graphs import WeightFunction
 from .group_algebra import InterchangeExact, cycle_counts
 
@@ -53,13 +53,13 @@ class QhfEstimate:
     batches: int
 
 
-def _cycle_observables(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(2^alpha, sum_k k^2 alpha_k) for cycle counts along the last axis."""
+def _cycle_observables(counts: np.ndarray, n: int) -> np.ndarray:
+    """(alpha, sum_k k^2 alpha_k) for cycle counts along the last axis, stacked last."""
     alpha = counts[..., 1:].sum(axis=-1)
     weighted = counts @ np.arange(n + 1) ** 2
     if (weighted > n * n).any():
         raise ConsistencyError("sum of k^2 alpha_k can never exceed n^2")
-    return 2.0**alpha, weighted.astype(float)
+    return np.stack((alpha, weighted), axis=-1)
 
 
 def qhf_mc(
@@ -69,13 +69,19 @@ def qhf_mc(
 
     Standard errors come from batch means over up to 32 batches; the m^2
     error is the spread of per-batch ratios.  Fewer than two batches give
-    zero reported error.
+    zero reported error.  2^alpha overflows a float from alpha = 1024 on, so
+    the weights are averaged as 2^(alpha - shift), shift the largest alpha
+    drawn, and Z and its error scaled back by 2^shift; m^2 is a ratio of the
+    scaled sums.  Scaling by a power of two is exact, so at small n the values
+    are those of the unscaled formula bit for bit.  Raises CapError when Z
+    itself exceeds the float range.
     """
-    def observables(counts: np.ndarray) -> np.ndarray:
-        weight, spin = _cycle_observables(counts, w.n)
-        return np.column_stack((weight, spin * weight))
-
-    z_vals, num_vals = mc_per_sample(w, t, samples, seed, observables).T
+    alpha, spin = mc_per_sample(
+        w, t, samples, seed, lambda counts: _cycle_observables(counts, w.n)
+    ).T
+    shift = int(alpha.max())
+    z_vals = np.ldexp(1.0, alpha - shift)
+    num_vals = spin * z_vals
     batches = min(_BATCHES, samples)
     z_batches = np.array([b.mean() for b in np.array_split(z_vals, batches)])
     ratio_batches = np.array(
@@ -88,9 +94,16 @@ def qhf_mc(
     else:
         z_stderr = 0.0
         m_sq_stderr = 0.0
+    try:
+        z = math.ldexp(float(z_vals.mean()), shift)
+        z_stderr = math.ldexp(z_stderr, shift)
+    except OverflowError:
+        raise CapError(
+            f"partition function E(2^alpha) exceeds the float range (alpha up to {shift})"
+        ) from None
     return QhfEstimate(
         t=float(t),
-        z=float(z_vals.mean()),
+        z=z,
         z_stderr=z_stderr,
         m_sq=float(num_vals.sum() / z_vals.sum()),
         m_sq_stderr=m_sq_stderr,
@@ -107,7 +120,8 @@ def qhf_exact(w: WeightFunction, t: float) -> tuple[float, float]:
     z = 0.0
     numerator = 0.0
     for p, perm in zip(dist, process.permutations):
-        weight, spin = _cycle_observables(cycle_counts(perm), w.n)
+        alpha, spin = _cycle_observables(cycle_counts(perm), w.n)
+        weight = 2.0**alpha
         z += p * weight
         numerator += p * spin * weight
     return float(z), float(numerator / z)

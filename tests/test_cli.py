@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import interchange
-from interchange import acceptance, group_algebra, irreps
+from interchange import acceptance, cli, group_algebra, irreps
 from interchange.acceptance import ALL_CHECKS, SuiteConfig, run_suite
 from interchange.cli import RunConfig, main, render_json, schema_for
 from interchange.errors import ParameterError
@@ -342,6 +344,44 @@ class TestErrorPaths:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--csv", "{tmp}/missing/t.csv"],
+            ["mix", "--graph", "complete:3", "--out", "{tmp}"],
+            ["compare", "--graph", "path:3", "--csv", "{tmp}"],
+        ],
+    )
+    def test_output_path_checked_before_the_work(self, capsys, tmp_path, monkeypatch, argv):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+
+        def never(w, config):
+            raise AssertionError("the handler ran although its output path is unusable")
+
+        handler = cli._SUBCOMMANDS[argv[0]]._replace(run=never)
+        monkeypatch.setitem(cli._SUBCOMMANDS, argv[0], handler)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        target = next(arg for arg in argv if arg.startswith(str(tmp_path)))
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_cycles_at_the_largest_time(self, capsys):
+        code, out = run_cli(capsys, ["cycles", "--graph", "complete:4", "--k", "2", "--t", "1e308"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["spectral"] == 0.5
+        assert payload["brute"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_qhf_at_the_float_limit(self, capsys):
+        code, out = run_cli(
+            capsys, ["qhf", "--graph", "complete:1023", "--t", "0", "--samples", "10"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["z"], payload["m_sq"]) == (2.0**1023, 1023.0)
+        assert main(["qhf", "--graph", "complete:1024", "--t", "0", "--samples", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: partition function")
+
     def test_run_config_validation(self):
         with pytest.raises(ParameterError):
             RunConfig(command="mix", graph="complete:3", tol=0.0)
@@ -430,6 +470,23 @@ class TestSuitePlumbing:
     def test_schema_for_unknown_command(self):
         with pytest.raises(ParameterError):
             schema_for("nonsense")
+
+
+def readme_examples() -> list[list[str]]:
+    """The argument lists of the README's Examples block, suite left out."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+    # test_acceptance runs the suite check by check
+    return [argv for argv in argvs if argv[0] != "suite"]
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_examples(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    check_against_schema(json.loads(out), argv[0])
 
 
 def test_module_entry_point():

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -555,6 +557,51 @@ class TestBruteForce:
     def test_cap(self):
         with pytest.raises(CapError):
             exact_cycles_bruteforce(complete(6), 2, 1.0)
+
+
+def young_subgroup_mean(w: WeightFunction, k: int) -> float:
+    """Mean number of k-cycles under the uniform law on the permutations that
+    keep every connected component of w, enumerated: the t -> infinity law."""
+    label = list(range(w.n))
+    for _ in range(w.n):  # relax each vertex to the smallest label it reaches
+        for (i, j), _ in w.edges():
+            label[i] = label[j] = min(label[i], label[j])
+    components = [[v for v in range(w.n) if label[v] == root] for root in sorted(set(label))]
+    counts = []
+    for images in itertools.product(*(itertools.permutations(c) for c in components)):
+        perm = [0] * w.n
+        for component, image in zip(components, images):
+            for v, u in zip(component, image):
+                perm[v] = u
+        counts.append(int(cycle_counts(tuple(perm))[k]))
+    return sum(counts) / len(counts)
+
+
+LARGE_T_GRAPHS = [
+    complete(4),
+    path(5),
+    path(6),
+    WeightFunction(4, {(0, 1): 1.0, (2, 3): 2.5}),
+    WeightFunction(5, {(0, 1): 1.0, (1, 2): 0.3, (3, 4): 4.0}),
+    WeightFunction(6, {(0, 1): 1.0, (1, 2): 0.7, (3, 4): 1.3, (4, 5): 0.4}),
+    WeightFunction(6, {(0, 2): 1.0, (2, 4): 0.5}),
+]
+
+
+@pytest.mark.parametrize("w", LARGE_T_GRAPHS, ids=repr)
+def test_exact_routes_reach_the_young_subgroup_law(w):
+    # rounding leaves the kernel eigenvalues at about 1e-16, which exp(-t lambda)
+    # used to blow up or decay at large t; the known kernel is now exactly 0
+    ts = [1e14, 1e17, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(1, w.n + 1):
+            want = young_subgroup_mean(w, k)
+            got = expected_cycles_spectral(w, k, np.array(ts))
+            assert np.abs(got - want).max() <= 1e-12, (k, got, want)
+            if w.n <= 5:
+                for t in ts:
+                    assert abs(exact_cycles_bruteforce(w, k, t) - want) <= 1e-12, (k, t)
 
 
 class TestOracleGrid:

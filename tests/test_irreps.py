@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from interchange.errors import CapError, ParameterError
@@ -21,7 +21,6 @@ from interchange.group_algebra import (
 from interchange.irreps import (
     YoungOrthogonalRep,
     _block_spectra,
-    _rep,
     aldous_check,
     all_spectra,
     assembled_spectrum,
@@ -31,6 +30,7 @@ from interchange.irreps import (
     delta_blocks,
     delta_on_irrep,
     hook_dim,
+    kostka_number,
     lambda_kn,
     min_eigenvalue_on_irreps,
     partitions,
@@ -209,7 +209,8 @@ def test_branching_blocks_match_transposition_sum(op):
         for i, j, c in op.pairs():
             want += c * (np.eye(rep.dim) - rep.transposition_matrix(i, j))
         assert np.abs(block - want).max() <= 1e-12 * scale
-        assert np.array_equal(rep.delta_matrix(op), block)
+        # built alone, without the other targets' shared sub-blocks
+        assert np.array_equal(dict(delta_blocks(op, [p]))[p], block)
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,17 +222,59 @@ def test_conjugate_spectra_match_direct_blocks(op, random):
     random.shuffle(targets)
     spectra = _block_spectra(op, targets)
     assert list(spectra) == targets
-    direct = {p: _rep(p).delta_matrix(op) for p in targets}
+    direct = {p: dict(delta_blocks(op, [p]))[p] for p in targets}
     scale = max(float(np.abs(block).max()) for block in direct.values())
     tol = 1e-12 * scale
     for p, block in direct.items():
         want = np.linalg.eigvalsh(block)
         assert np.abs(spectra[p].eigenvalues - want).max() <= tol
-        assert spectra[p].scale == pytest.approx(float(np.abs(block).max()), abs=tol)
-    min_eig, min_scale = min_eigenvalue_on_irreps(op)
+    min_eig = min_eigenvalue_on_irreps(op)
     assert min_eig == pytest.approx(min(float(np.linalg.eigvalsh(b)[0]) for b in direct.values()),
                                     abs=tol)
-    assert min_scale == pytest.approx(scale, abs=tol)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_psd_tolerance_is_the_same_on_both_routes(n):
+    # -Delta_path has minimum eigenvalue -2(n-1): the sign block.  The largest
+    # regular entry is n-1, so tol = 1.5 tolerates only -1.5(n-1), on the
+    # regular route (n = 5) and on the irrep route (n = 6, 7) alike
+    verdict = is_psd(PairOperator(-delta_of_weights(path(n)).c), tol=1.5)
+    assert verdict.psd is False
+    assert verdict.min_eigenvalue == pytest.approx(-2.0 * (n - 1), abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(signed_operators(), st.sampled_from([PSD_TOL, 0.1, 0.5, 1.0, 1.5]))
+@example(PairOperator(-delta_of_weights(path(6)).c), 1.5)
+def test_psd_tolerance_is_the_largest_regular_entry(op, tol):
+    m = regular_rep_matrix(op)
+    scale = max(m.max(), -m.min())  # np.abs(m).max(), without a copy of m
+    del m
+    verdict = is_psd(op, tol=tol)
+    assume(abs(verdict.min_eigenvalue + tol * scale) > 1e-9 * scale)
+    assert verdict.psd == (verdict.min_eigenvalue >= -tol * scale)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kostka_numbers_count_the_young_subgroup_cosets(n):
+    # Young's rule: the permutation module of S_mu has dimension n! / prod(mu_i!)
+    for mu in partitions(n):
+        cosets = math.factorial(n) // math.prod(map(math.factorial, mu))
+        assert sum(hook_dim(p) * kostka_number(p, mu) for p in partitions(n)) == cosets
+    for p in partitions(n):
+        assert kostka_number(p, p) == 1
+        assert kostka_number(p, (1,) * n) == hook_dim(p)
+
+
+def test_generator_kernels_are_exactly_zero():
+    # components {0, 1, 2}, {3, 4}, {5}: mu = (3, 2, 1)
+    w = WeightFunction(6, {(0, 1): 1.0, (1, 2): 0.7, (0, 2): 0.1, (3, 4): 1.3})
+    assert w.component_sizes() == (3, 2, 1)
+    for s in all_spectra(w):
+        kernel = kostka_number(s.partition, (3, 2, 1))
+        assert (s.eigenvalues[:kernel] == 0.0).all()
+        assert (s.eigenvalues[kernel:] > 1e-3).all()
+    assert delta_on_irrep(path(5), (5,)).eigenvalues.tolist() == [0.0]
 
 
 def test_is_psd_solves_one_block_per_conjugate_pair(monkeypatch):
@@ -279,7 +322,7 @@ def operators_on_a_support(draw, max_n: int = 6) -> PairOperator:
     """Quarter-integer signed c in [-3, 3] on a random subset of n <= max_n points.
 
     Quarter integers keep negative eigenvalues away from the tolerance band,
-    where the two routes' different scales could split a verdict.
+    where rounding could split a verdict.
     """
     n = draw(st.integers(2, max_n))
     support = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
@@ -303,14 +346,13 @@ def single_pair(n: int, i: int, j: int, c: float) -> PairOperator:
 def test_support_route_matches_regular_route(op):
     m = regular_rep_matrix(op)
     regular = float(np.linalg.eigvalsh(m).min())
-    irrep, irrep_scale = min_eigenvalue_on_irreps(op)
+    irrep = min_eigenvalue_on_irreps(op)
     verdict = is_psd(op)
     assert irrep == pytest.approx(regular, abs=1e-9)
     assert verdict.min_eigenvalue == pytest.approx(regular, abs=1e-9)
     assert verdict.psd == (regular >= -PSD_TOL * np.abs(m).max())
-    assert verdict.psd == (irrep >= -PSD_TOL * irrep_scale)
     if not op.c.any():
-        assert min_eigenvalue_on_irreps(op) == (0.0, 0.0)
+        assert irrep == 0.0
         assert tuple(verdict) == (True, 0.0)
 
 
@@ -401,12 +443,9 @@ def test_delta_on_sign_block_is_total_weight():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_complete_graph_blocks_are_scalar(n):
-    w = complete(n)
-    for p in partitions(n):
-        rep = YoungOrthogonalRep(p)
-        block = rep.delta_matrix(delta_of_weights(w))
+    for p, block in delta_blocks(delta_of_weights(complete(n)), partitions(n)):
         target = float(lambda_kn(p))
-        assert np.abs(block - target * np.eye(rep.dim)).max() <= 1e-9 * max(target, 1.0)
+        assert np.abs(block - target * np.eye(len(block))).max() <= 1e-9 * max(target, 1.0)
 
 
 def test_standard_block_matches_graph_laplacian():
@@ -423,10 +462,9 @@ def test_min_eigenvalue_on_irreps_matches_regular_route():
     rng = np.random.default_rng(15)
     w = random_connected(rng, 4)
     gap = delta_of_weights(w)
-    min_eig, scale = min_eigenvalue_on_irreps(gap)
+    min_eig = min_eigenvalue_on_irreps(gap)
     direct = float(np.linalg.eigvalsh(regular_rep_matrix(gap)).min())
     assert min_eig == pytest.approx(direct, abs=1e-9)
-    assert scale > 0
 
 
 def test_aldous_check_path3():

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
+from interchange.cycles import mc_per_sample
 from interchange.errors import CapError, ParameterError
-from interchange.graphs import WeightFunction, complete, path, star
+from interchange.graphs import WeightFunction, complete, cycle, hamming2, path, star
 from interchange.group_algebra import InterchangeExact
 from interchange.qhf import QhfEstimate, qhf_exact, qhf_mc
 
@@ -58,8 +60,60 @@ class TestExact:
         with pytest.raises(CapError):
             qhf_exact(complete(6), 1.0)
 
+    def test_finite_at_the_largest_time(self):
+        # the kernel of Delta_w is exactly 0, so t = 1e308 gives the uniform limit
+        z, m_sq = qhf_exact(complete(4), 1e308)
+        assert z == pytest.approx(5.0, abs=1e-12)
+        assert m_sq == pytest.approx(qhf_exact(complete(4), 1e4)[1], abs=1e-12)
+
+
+def unscaled_qhf_mc(w: WeightFunction, t: float, samples: int, seed: int) -> QhfEstimate:
+    """qhf_mc's estimator on the weights 2^alpha themselves, finite for n < 1024."""
+    def observables(counts):
+        alpha = counts[:, 1:].sum(axis=1)
+        spin = (counts @ np.arange(w.n + 1) ** 2).astype(float)
+        return np.column_stack((2.0**alpha, spin * 2.0**alpha))
+
+    z_vals, num_vals = mc_per_sample(w, t, samples, seed, observables).T
+    batches = min(32, samples)
+    z_batches = np.array([b.mean() for b in np.array_split(z_vals, batches)])
+    ratio_batches = np.array(
+        [nb.sum() / zb.sum() for nb, zb in
+         zip(np.array_split(num_vals, batches), np.array_split(z_vals, batches))]
+    )
+    spread = batches > 1
+    return QhfEstimate(
+        t=float(t),
+        z=float(z_vals.mean()),
+        z_stderr=float(z_batches.std(ddof=1) / math.sqrt(batches)) if spread else 0.0,
+        m_sq=float(num_vals.sum() / z_vals.sum()),
+        m_sq_stderr=float(ratio_batches.std(ddof=1) / math.sqrt(batches)) if spread else 0.0,
+        samples=samples,
+        seed=seed,
+        batches=batches,
+    )
+
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize(
+        "w, t, samples",
+        [(complete(4), 0.3, 1000), (star(5), 1.5, 300), (path(30), 0.05, 700),
+         (cycle(20), 0.2, 5), (complete(12), 0.01, 1), (hamming2(5), 0.02, 2000)],
+        ids=["complete4", "star5", "path30", "cycle20", "complete12", "hamming2-5"],
+    )
+    def test_scaled_weights_equal_the_unscaled_formula(self, w, t, samples):
+        # scaling the weights by a power of two is exact at n <= 30
+        assert qhf_mc(w, t, samples=samples, seed=3) == unscaled_qhf_mc(w, t, samples, 3)
+
+    def test_partition_function_at_the_float_limit(self):
+        # every trajectory is the identity at t = 0: alpha = n
+        est = qhf_mc(complete(1023), 0.0, samples=10, seed=0)
+        assert est.z == 2.0**1023
+        assert est.m_sq == 1023.0
+        assert est.z_stderr == est.m_sq_stderr == 0.0
+        with pytest.raises(CapError):
+            qhf_mc(complete(1024), 0.0, samples=10, seed=0)
+
     def test_time_zero_is_exact(self):
         est = qhf_mc(complete(4), 0.0, samples=64, seed=3)
         assert est.z == 16.0
