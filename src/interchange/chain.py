@@ -11,17 +11,20 @@ chain is reversible.  Three quantities drive everything else here:
   bit at a time, from the highest: P^lo P^(2^j) is one product per bit, and
   the lifted power is kept when it still fails.
 * tv_mix: the first integer time at which the worst-row total variation
-  distance from pi drops below 1/4, found by the same search.  It sits
-  between lmix / 8 and lmix.
+  distance from pi drops below 1/4.  It sits between lmix / 8 and lmix.
 * delta: 1 / delta = prod_k (1 + eps_k) where eps_k is the largest diagonal
   entry of the 2^k-step transition matrix, taken over 0 <= k <= log2(lmix).
 
-Every P^t comes from the cached dyadic powers P^(2^k).  The heat-kernel
-bounds are checked at every t up to lmix without a product per step: by
-Chapman-Kolmogorov, p_t(i, j) <= max P^a for all t >= a, which bounds the
-slack on a whole interval of times from one evaluated power, so a branch and
-bound over t evaluates only the times whose interval it cannot rule out.  The
-reported worst slacks are still the exact minima over every t.
+lmix and tv_mix are found together by one search on a ladder of dyadic
+powers P^(2^k) that the search holds itself: it records each eps_k as the
+power is made and frees each power once its last reader has used it, so
+nothing of the ladder outlives the search.  LazyChain.power builds P^t from
+dyadic powers cached on the chain.  The heat-kernel bounds are checked at
+every t up to lmix without a product per step: by Chapman-Kolmogorov,
+p_t(i, j) <= max P^a for all t >= a, which bounds the slack on a whole
+interval of times from one evaluated power, so a branch and bound over t
+evaluates only the times whose interval it cannot rule out.  The reported
+worst slacks are still the exact minima over every t.
 
 Strict inequalities are evaluated with a small tie guard so that exact ties
 (which occur on tiny graphs) resolve the same way in floating point as they
@@ -51,7 +54,13 @@ _TV_ROWS = 32
 
 
 class LazyChain:
-    """Transition matrix, stationary law, and cached dyadic powers."""
+    """Transition matrix, stationary law, and cached dyadic powers.
+
+    The cache serves power(), that is the heat-kernel bounds and the
+    profiles min_stationary_ratio and tv_distance.  The mixing search does
+    not fill it: it holds its own ladder of dyadic powers and frees it as it
+    goes.
+    """
 
     def __init__(self, w: WeightFunction):
         wi = w.vertex_weights
@@ -151,30 +160,68 @@ def _worst_tv(power: np.ndarray, pi: np.ndarray) -> float:
     )
 
 
-def _search_first_time(chain: LazyChain, condition) -> int:
-    """Smallest integer t >= 1 with condition(P^t), given condition is monotone in t.
+def _first_times(
+    chain: LazyChain, conditions, depth: int = 0
+) -> tuple[list[int], tuple[float, ...]]:
+    """Smallest t >= 1 with condition(P^t) for each condition, all monotone in t.
 
-    Doubling brackets t between the dyadic times 2^k, which fails, and
-    2^(k+1), which holds.  Then, from bit k-1 down, the largest failing time
-    lo is lifted to lo + 2^j whenever P^lo P^(2^j) still fails: one product
-    per bit, where a binary search would build each midpoint's power anew.
+    One search serves every condition, on a ladder of dyadic powers it holds
+    itself.  Doubling squares the top power, records eps_k = max diag P^(2^k)
+    as each power is made, and tests every condition not yet bracketed
+    between 2^k, which fails, and 2^(k+1), which holds; it stops once every
+    condition is bracketed and P^(2^depth) is made.  Lifting then goes from
+    the highest bit down: at bit j the largest failing time lo of each
+    condition bracketed above j becomes lo + 2^j whenever P^lo P^(2^j) still
+    fails.  That is one product per condition per bit, where a binary search
+    would build each midpoint's power anew.  A dyadic power is dropped once
+    its last reader has used it and a failing power as soon as it is
+    replaced, so a search bracketed at k holds at most k + 2 n x n matrices.
+
+    Returns the first times in the order of the conditions, and eps_k for
+    every dyadic power made.
     """
-    if condition(chain.matrix):
-        return 1
-    k = 0
-    while not condition(chain.dyadic_power(k + 1)):
-        k += 1
-        if k > _DOUBLING_GUARD:
+    ladder = [chain.matrix]
+    epsilons = [float(np.diag(chain.matrix).max())]
+    times = [1 if condition(chain.matrix) else None for condition in conditions]
+    unbracketed = [i for i, t in enumerate(times) if t is None]
+    brackets: dict[int, int] = {}
+    while unbracketed or len(ladder) <= depth:
+        k = len(ladder) - 1
+        if k >= _DOUBLING_GUARD:
             raise ConsistencyError("mixing condition never met on a connected chain")
-    lo, failing = 1 << k, chain.dyadic_power(k)
-    for j in reversed(range(k)):
-        candidate = _checked_product(failing, chain.dyadic_power(j))
-        if not condition(candidate):
-            lo, failing = lo + (1 << j), candidate
-        # dropped before the next product, so at most two n x n powers are
-        # live beside the dyadic ones
-        del candidate
-    return lo + 1
+        top = _checked_product(ladder[k], ladder[k])
+        ladder.append(top)
+        epsilons.append(float(np.diag(top).max()))
+        for i in unbracketed:
+            if conditions[i](top):
+                brackets[i] = k
+        unbracketed = [i for i in unbracketed if i not in brackets]
+        # the ladder holds the only reference, so trimming it frees the top
+        del top
+    lows = {i: 1 << k for i, k in brackets.items()}
+    failing = {i: ladder[k] for i, k in brackets.items()}
+    for j in reversed(range(len(ladder))):
+        for i, k in brackets.items():
+            if j < k:
+                candidate = _checked_product(failing[i], ladder[j])
+                if not conditions[i](candidate):
+                    lows[i] += 1 << j
+                    failing[i] = candidate
+                del candidate
+        ladder.pop()
+    for i, low in lows.items():
+        times[i] = low + 1
+    return times, tuple(epsilons)
+
+
+def _mixes(chain: LazyChain):
+    """The lmix condition on a power of the chain."""
+    return lambda power: _min_ratio(power, chain.pi) > 0.75 + TIE_GUARD
+
+
+def _tv_mixes(chain: LazyChain):
+    """The tv_mix condition on a power of the chain."""
+    return lambda power: _worst_tv(power, chain.pi) < 0.25 - TIE_GUARD
 
 
 def lmix(chain: LazyChain) -> int | float:
@@ -186,23 +233,28 @@ def lmix(chain: LazyChain) -> int | float:
     """
     if not chain.connected:
         return math.inf
-    return _search_first_time(
-        chain, lambda power: _min_ratio(power, chain.pi) > 0.75 + TIE_GUARD
-    )
+    return _first_times(chain, (_mixes(chain),))[0][0]
 
 
 def tv_mix(chain: LazyChain) -> int | float:
     """First time the worst-row total variation distance drops below 1/4."""
     if not chain.connected:
         return math.inf
-    return _search_first_time(
-        chain, lambda power: _worst_tv(power, chain.pi) < 0.25 - TIE_GUARD
-    )
+    return _first_times(chain, (_tv_mixes(chain),))[0][0]
 
 
 class DeltaResult(NamedTuple):
     delta: float
     epsilons: tuple[float, ...]
+
+
+def _delta_result(epsilons: tuple[float, ...], lmix_value: int) -> DeltaResult:
+    """delta from eps_k for 0 <= k <= floor(log2 lmix)."""
+    epsilons = epsilons[: lmix_value.bit_length()]
+    inverse = 1.0
+    for eps in epsilons:
+        inverse *= 1.0 + eps
+    return DeltaResult(delta=1.0 / inverse, epsilons=epsilons)
 
 
 def delta(chain: LazyChain, lmix_value: int | float | None = None) -> DeltaResult:
@@ -212,18 +264,14 @@ def delta(chain: LazyChain, lmix_value: int | float | None = None) -> DeltaResul
     1 / delta = prod_{k=0}^{floor(log2 lmix)} (1 + eps_k).
     Raises DisconnectedError when lmix is infinite.
     """
-    if lmix_value is None:
-        lmix_value = lmix(chain)
-    if math.isinf(lmix_value):
+    if lmix_value is None and chain.connected:
+        (lmix_value,), epsilons = _first_times(chain, (_mixes(chain),))
+    elif lmix_value is None or math.isinf(lmix_value):
         raise DisconnectedError("delta is undefined: the chain never mixes")
-    k_max = int(lmix_value).bit_length() - 1
-    epsilons = tuple(
-        float(np.diag(chain.dyadic_power(k)).max()) for k in range(k_max + 1)
-    )
-    inverse = 1.0
-    for eps in epsilons:
-        inverse *= 1.0 + eps
-    return DeltaResult(delta=1.0 / inverse, epsilons=epsilons)
+    else:
+        lmix_value = int(lmix_value)
+        _, epsilons = _first_times(chain, (), depth=lmix_value.bit_length() - 1)
+    return _delta_result(epsilons, lmix_value)
 
 
 class ClauseDiagnostics(NamedTuple):
@@ -279,18 +327,17 @@ def mixing_report(w: WeightFunction) -> MixingReport:
     the theorem bound are None.
     """
     chain = lazy_chain(w)
-    lm = lmix(chain)
-    mix = tv_mix(chain)
-    if math.isinf(lm):
+    if not chain.connected:
         return MixingReport(
-            lmix=lm,
-            mix=mix,
+            lmix=math.inf,
+            mix=math.inf,
             delta=None,
             epsilons=(),
-            clause_bounds=_clause_diagnostics(w, lm),
+            clause_bounds=_clause_diagnostics(w, math.inf),
             theorem_bound=None,
         )
-    result = delta(chain, lm)
+    (lm, mix), epsilons = _first_times(chain, (_mixes(chain), _tv_mixes(chain)))
+    result = _delta_result(epsilons, lm)
     wi_min = float(w.vertex_weights.min())
     bound = (result.delta / lm) * (wi_min * wi_min) / w.total_weight
     return MixingReport(

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interchange import chain as chain_module
@@ -273,6 +274,8 @@ def test_sandwich_on_random_weights(w):
 
 @settings(max_examples=60, deadline=None)
 @given(connected_weights())
+# lmix = 2 = 2^(k+1) with k = 0: eps_1 is read off the bracketing power
+@example(complete(3))
 def test_mixing_times_are_first_times_of_a_linear_scan(w):
     chain = lazy_chain(w)
     t = 1
@@ -283,6 +286,14 @@ def test_mixing_times_are_first_times_of_a_linear_scan(w):
     while not tv_distance(chain, t) < 0.25 - TIE_GUARD:
         t += 1
     assert tv_mix(chain) == t
+    # the joint search in mixing_report is bit for bit the separate ones
+    report = mixing_report(w)
+    reference = delta(lazy_chain(w))
+    assert (report.lmix, report.mix) == (lmix(lazy_chain(w)), tv_mix(lazy_chain(w)))
+    assert (report.delta, report.epsilons) == (reference.delta, reference.epsilons)
+    assert len(report.epsilons) == report.lmix.bit_length()
+    for k, eps in enumerate(report.epsilons):
+        assert eps == np.diag(lazy_chain(w).dyadic_power(k)).max()
 
 
 def test_mixing_search_takes_one_product_per_bit(monkeypatch):
@@ -300,6 +311,21 @@ def test_mixing_search_takes_one_product_per_bit(monkeypatch):
     report = mixing_report(path(20))
     assert (report.lmix, report.mix) == (304, 137)
     assert len(products) == 9 + 8 + 7
+
+
+def test_mixing_report_holds_few_matrices():
+    # lmix(hypercube(8)) = 26 is bracketed at k = 4, so the search holds at
+    # most k + 2 = 6 matrices of 256 x 256; keeping every dyadic power up to
+    # the bracketing P^32 beside the lifted powers measured 8.26
+    n = 256
+    tracemalloc.start()
+    try:
+        report = mixing_report(hypercube(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.lmix == 26
+    assert peak <= 6.5 * n * n * 8
 
 
 @pytest.mark.parametrize("n", [1, 5, 2 * chain_module._TV_ROWS + 3])
@@ -377,6 +403,8 @@ def test_mixing_report_complete3():
 def test_mixing_report_disconnected():
     report = mixing_report(WeightFunction(4, {(0, 1): 1.0, (2, 3): 1.0}))
     assert math.isinf(report.lmix)
+    assert math.isinf(report.mix)
+    assert report.epsilons == ()
     assert report.delta is None
     assert report.theorem_bound is None
 
@@ -564,3 +592,23 @@ def test_probability_bounds_product_count(monkeypatch):
     assert report.lmix == 13580
     assert report.holds
     assert len(products) <= 200
+
+
+def test_probability_bounds_rebuild_the_dyadic_powers(monkeypatch):
+    # lmix's search frees its own ladder, so power() builds the cached dyadic
+    # powers P^2 .. P^8192 itself: 13 of the 118 products.  The squares are
+    # those 13 and the search's 14 doublings up to P^16384.
+    products = []
+    checked = chain_module._checked_product
+
+    def counted(a, b):
+        products.append(a is b)
+        return checked(a, b)
+
+    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    w = path(128)
+    chain = lazy_chain(w)
+    verify_probability_bounds(chain, w)
+    assert len(products) == 105 + 13
+    assert sum(products) == 14 + 13
+    assert sorted(chain._dyadic) == list(range(14))
