@@ -18,13 +18,33 @@ chain is reversible.  Three quantities drive everything else here:
 lmix and tv_mix are found together by one search on a ladder of dyadic
 powers P^(2^k) that the search holds itself: it records each eps_k as the
 power is made and frees each power once its last reader has used it, so
-nothing of the ladder outlives the search.  LazyChain.power builds P^t from
-dyadic powers cached on the chain.  The heat-kernel bounds are checked at
-every t up to lmix without a product per step: by Chapman-Kolmogorov,
-p_t(i, j) <= max P^a for all t >= a, which bounds the slack on a whole
-interval of times from one evaluated power, so a branch and bound over t
-evaluates only the times whose interval it cannot rule out.  The reported
-worst slacks are still the exact minima over every t.
+nothing of the ladder outlives the search.  A search bracketed at k holds at
+most k + 2 n x n matrices.
+
+Reversibility and Cauchy-Schwarz in L^2(1 / pi) settle many tests without a
+product (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed., 4.7
+and ch. 12): with s(a)^2 = max_i sum_k p_a(i, k)^2 / pi(k) - 1, the worst
+row's chi-distance, min p_(a+b) / pi >= 1 - s(a) s(b) and the worst TV of
+P^(a+b) is at most s(a) s(b) / 2.  A ladder level's s comes free off the next
+level's diagonal, s(2^k)^2 = max_i p_(2^(k+1))(i, i) / pi(i) - 1; any other
+is one O(n^2) pass.  Entries are nonnegative, so rounding is relative, about
+#products * n * u (7e-12 at n = 1024); a certificate must clear its threshold
+by 1e-9, far above that plus the tie guard, so a settled test ends as the
+product would.  The certificates settle the doubling top and late lifts; the
+peak stays at k + 2 matrices and drops only when the first lift is settled,
+as on hypercube:10 (6.1 matrices, not 7.0).
+
+Rounding drift in the row sums of P^t grows with t, so a chain too slow for
+double precision (drift past the tolerance that rounding explains, or no
+mixing by t = 2^60) raises CapError naming the time reached; drift rounding
+cannot explain is a ConsistencyError.
+
+LazyChain.power builds P^t from dyadic powers cached on the chain.  The
+heat-kernel bounds are checked at every t up to lmix without a product per
+step: by Chapman-Kolmogorov, p_t(i, j) <= max P^a for all t >= a, which
+bounds the slack on a whole interval of times from one evaluated power, so a
+branch and bound over t evaluates only the times whose interval it cannot
+rule out.  The reported worst slacks are still the exact minima over every t.
 
 Strict inequalities are evaluated with a small tie guard so that exact ties
 (which occur on tiny graphs) resolve the same way in floating point as they
@@ -33,16 +53,27 @@ not exceeding it.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateWeightError, DisconnectedError, ParameterError
+from .errors import (
+    CapError,
+    ConsistencyError,
+    DegenerateWeightError,
+    DisconnectedError,
+    ParameterError,
+)
 from .graphs import MAX_TOTAL_WEIGHT, WeightFunction
 
 TIE_GUARD = 1e-12
 _ROW_SUM_TOL = 1e-10
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+# what a chi-distance certificate keeps to spare over its threshold, and the
+# rounding it allows in a computed s^2 (see the module docstring)
+_CERTIFICATE_MARGIN = 1e-9
 _PROBABILITY_CONSTANT = 30.0
 # Largest total mass of a lifted weight, what lift_lazy can produce (doubling
 # keeps the mass); the allowance absorbs a few ulps of rounding in the sum.
@@ -97,7 +128,7 @@ class LazyChain:
         """P^(2^k), cached across calls."""
         if k not in self._dyadic:
             prev = self.dyadic_power(k - 1)
-            self._dyadic[k] = _checked_product(prev, prev)
+            self._dyadic[k] = _checked_product(prev, prev, 1 << k)
             self._dyadic[k].setflags(write=False)
         return self._dyadic[k]
 
@@ -113,20 +144,32 @@ class LazyChain:
             return np.eye(self.n)
         result = None
         k = 0
+        made = 0
         while t:
             if t & 1:
                 factor = self.dyadic_power(k)
-                result = factor if result is None else _checked_product(result, factor)
+                made += 1 << k
+                result = factor if result is None else _checked_product(result, factor, made)
             t >>= 1
             k += 1
         return result
 
 
-def _checked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _checked_product(a: np.ndarray, b: np.ndarray, time: int) -> np.ndarray:
+    """a @ b = P^time for two powers of P, with the row sums checked.
+
+    Rounding moves the row sums of P^time by at most about 2 (time + 1)(n + 1) u;
+    drift past the tolerance within that is a CapError, beyond it a bug.
+    """
     product = a @ b
     drift = np.abs(product.sum(axis=1) - 1.0).max()
     if drift > _ROW_SUM_TOL:
-        raise ConsistencyError(f"row sums drifted by {drift:.3e} in a matrix power")
+        if drift > 2.0 * (time + 1) * (len(a) + 1) * _UNIT_ROUNDOFF:
+            raise ConsistencyError(f"row sums drifted by {drift:.3e} in a matrix power")
+        raise CapError(
+            "the lazy chain mixes too slowly for double precision: rounding drifted "
+            f"the row sums of P^{time} by {drift:.3e}"
+        )
     return product
 
 
@@ -160,8 +203,70 @@ def _worst_tv(power: np.ndarray, pi: np.ndarray) -> float:
     )
 
 
+class _Condition(NamedTuple):
+    """A mixing condition on P^t, monotone in t, and its certificate.
+
+    settles(s(a) s(b)) is True only when that proves holds(P^(a + b)).
+    """
+
+    holds: Callable[[np.ndarray], bool]
+    settles: Callable[[float], bool]
+
+
+def _mixes(chain: LazyChain) -> _Condition:
+    """lmix: min p_t(i, j) / pi(j) > 3/4, and min p_(a+b) / pi >= 1 - s(a) s(b)."""
+    return _Condition(
+        holds=lambda power: _min_ratio(power, chain.pi) > 0.75 + TIE_GUARD,
+        settles=lambda ss: 1.0 - ss >= 0.75 + _CERTIFICATE_MARGIN,
+    )
+
+
+def _tv_mixes(chain: LazyChain) -> _Condition:
+    """tv_mix: worst-row TV of P^t < 1/4, and TV(P^(a+b)) <= s(a) s(b) / 2."""
+    return _Condition(
+        holds=lambda power: _worst_tv(power, chain.pi) < 0.25 - TIE_GUARD,
+        settles=lambda ss: 0.5 * ss <= 0.25 - _CERTIFICATE_MARGIN,
+    )
+
+
+def _chi_squared(power: np.ndarray, pi: np.ndarray) -> float:
+    """s(a)^2 = max_i sum_k p_a(i, k)^2 / pi(k) - 1 for power = P^a, by row blocks."""
+    inverse = 1.0 / pi
+    return max(
+        float((np.square(power[i : i + _TV_ROWS]) @ inverse).max())
+        for i in range(0, len(power), _TV_ROWS)
+    ) - 1.0
+
+
+def _chi_bound(chi_squared: float) -> float:
+    """An upper bound on s from a computed s^2 = sum - 1, allowing for rounding."""
+    return math.sqrt(max(chi_squared, 0.0) + _CERTIFICATE_MARGIN * (1.0 + chi_squared))
+
+
+def _chi_floor(chi2: dict[int, float], t: int) -> float:
+    """A lower bound on s(t), to tell whether a pass for s(t)^2 can pay.
+
+    s(t)^2 = max_i sum_m lambda_m^(2t) phi_m(i)^2 is log-convex in t, so the
+    chord of log s^2 through the two latest known times below t, extended to
+    t, stays below it.  Its rounding only decides whether a pass is made.
+    """
+    if t in chi2:
+        return math.sqrt(max(chi2[t], 0.0))
+    below = sorted(time for time in chi2 if time < t)[-2:]
+    if len(below) < 2 or min(chi2[time] for time in below) <= 0.0:
+        return 0.0
+    t1, t2 = below
+    ratio = chi2[t2] / chi2[t1]
+    return math.sqrt(chi2[t2] * ratio ** ((t - t2) / (t2 - t1)))
+
+
+def _settles(condition: _Condition, chi2: dict[int, float], a: int, b: int) -> bool:
+    """True when s(a) s(b) proves condition(P^(a + b)) without the product."""
+    return condition.settles(_chi_bound(chi2[a]) * _chi_bound(chi2[b]))
+
+
 def _first_times(
-    chain: LazyChain, conditions, depth: int = 0
+    chain: LazyChain, conditions: tuple[_Condition, ...], depth: int = 0
 ) -> tuple[list[int], tuple[float, ...]]:
     """Smallest t >= 1 with condition(P^t) for each condition, all monotone in t.
 
@@ -177,23 +282,44 @@ def _first_times(
     its last reader has used it and a failing power as soon as it is
     replaced, so a search bracketed at k holds at most k + 2 n x n matrices.
 
+    A product P^a P^b that would only be tested (the doubling top, a = b = 2^k,
+    or a lift, a = lo and b = 2^j) is made only where the certificate s(a) s(b)
+    does not settle it.  A first time of exactly 2^(k+1) whose top was settled
+    gets eps_(k+1) from k + 1 squarings of P: the same products, the same bits.
+
     Returns the first times in the order of the conditions, and eps_k for
-    every dyadic power made.
+    every dyadic power up to the largest first time.
     """
+    pi = chain.pi
     ladder = [chain.matrix]
     epsilons = [float(np.diag(chain.matrix).max())]
-    times = [1 if condition(chain.matrix) else None for condition in conditions]
+    # s(t)^2 of the powers the search has held, ladder levels' off the diagonals
+    chi2: dict[int, float] = {}
+    times = [1 if condition.holds(chain.matrix) else None for condition in conditions]
     unbracketed = [i for i, t in enumerate(times) if t is None]
     brackets: dict[int, int] = {}
     while unbracketed or len(ladder) <= depth:
         k = len(ladder) - 1
         if k >= _DOUBLING_GUARD:
-            raise ConsistencyError("mixing condition never met on a connected chain")
-        top = _checked_product(ladder[k], ladder[k])
+            raise CapError(
+                "the lazy chain mixes too slowly: no mixing condition holds "
+                f"by t = 2^{_DOUBLING_GUARD}"
+            )
+        floor = _chi_floor(chi2, 1 << k)
+        if any(conditions[i].settles(floor * floor) for i in unbracketed):
+            chi2[1 << k] = _chi_squared(ladder[k], pi)
+            for i in unbracketed:
+                if _settles(conditions[i], chi2, 1 << k, 1 << k):
+                    brackets[i] = k
+            unbracketed = [i for i in unbracketed if i not in brackets]
+            if not unbracketed and len(ladder) > depth:
+                break
+        top = _checked_product(ladder[k], ladder[k], 2 << k)
         ladder.append(top)
         epsilons.append(float(np.diag(top).max()))
+        chi2.setdefault(1 << k, float((np.diag(top) / pi).max()) - 1.0)
         for i in unbracketed:
-            if conditions[i](top):
+            if conditions[i].holds(top):
                 brackets[i] = k
         unbracketed = [i for i in unbracketed if i not in brackets]
         # the ladder holds the only reference, so trimming it frees the top
@@ -202,26 +328,30 @@ def _first_times(
     failing = {i: ladder[k] for i, k in brackets.items()}
     for j in reversed(range(len(ladder))):
         for i, k in brackets.items():
-            if j < k:
-                candidate = _checked_product(failing[i], ladder[j])
-                if not conditions[i](candidate):
-                    lows[i] += 1 << j
-                    failing[i] = candidate
-                del candidate
+            if j >= k:
+                continue
+            low, step = lows[i], 1 << j
+            if low not in chi2 and conditions[i].settles(
+                _chi_floor(chi2, low) * _chi_floor(chi2, step)
+            ):
+                chi2[low] = _chi_squared(failing[i], pi)
+            if low in chi2 and _settles(conditions[i], chi2, low, step):
+                continue
+            candidate = _checked_product(failing[i], ladder[j], low + step)
+            if not conditions[i].holds(candidate):
+                lows[i] += 1 << j
+                failing[i] = candidate
+            del candidate
         ladder.pop()
+    del failing
     for i, low in lows.items():
         times[i] = low + 1
+    if times and max(times).bit_length() > len(epsilons):
+        top = chain.matrix
+        for k in range(len(epsilons)):
+            top = _checked_product(top, top, 2 << k)
+        epsilons.append(float(np.diag(top).max()))
     return times, tuple(epsilons)
-
-
-def _mixes(chain: LazyChain):
-    """The lmix condition on a power of the chain."""
-    return lambda power: _min_ratio(power, chain.pi) > 0.75 + TIE_GUARD
-
-
-def _tv_mixes(chain: LazyChain):
-    """The tv_mix condition on a power of the chain."""
-    return lambda power: _worst_tv(power, chain.pi) < 0.25 - TIE_GUARD
 
 
 def lmix(chain: LazyChain) -> int | float:

@@ -25,7 +25,13 @@ from interchange.chain import (
     tv_mix,
     verify_probability_bounds,
 )
-from interchange.errors import DegenerateWeightError, DisconnectedError, ParameterError
+from interchange.errors import (
+    CapError,
+    ConsistencyError,
+    DegenerateWeightError,
+    DisconnectedError,
+    ParameterError,
+)
 from interchange.graphs import (
     MAX_TOTAL_WEIGHT,
     WeightFunction,
@@ -138,9 +144,9 @@ def test_power_products_match_popcount(monkeypatch):
     products = []
     checked = chain_module._checked_product
 
-    def counted(a, b):
+    def counted(a, b, time):
         products.append(1)
-        return checked(a, b)
+        return checked(a, b, time)
 
     monkeypatch.setattr(chain_module, "_checked_product", counted)
     for t in range(1, 41):
@@ -297,20 +303,23 @@ def test_mixing_times_are_first_times_of_a_linear_scan(w):
 
 
 def test_mixing_search_takes_one_product_per_bit(monkeypatch):
-    # lmix(path(20)) = 304: P^2 .. P^512 by doubling (9 products), then one
-    # lift per bit below 256 (8); tv_mix = 137 reuses those powers and lifts
-    # 7 bits below 128.  A binary search over times took 38 products here.
+    # lmix(path(20)) = 304: P^2 .. P^512 by doubling, then one lift per bit
+    # below 256; tv_mix = 137 reuses those powers and lifts 7 bits below 128.
+    # The chi-distances settle three lmix products: the top P^512
+    # (s(256)^2 = 0.060) and the lifts to 384 and 320 (s(256) s(128) = 0.145,
+    # s(256) s(64) = 0.232), so doubling takes 8 products and lifting 6.  The
+    # search without certificates took 9 + 8 + 7 = 24, a binary search 38.
     products = []
     checked = chain_module._checked_product
 
-    def counted(a, b):
+    def counted(a, b, time):
         products.append(1)
-        return checked(a, b)
+        return checked(a, b, time)
 
     monkeypatch.setattr(chain_module, "_checked_product", counted)
     report = mixing_report(path(20))
     assert (report.lmix, report.mix) == (304, 137)
-    assert len(products) == 9 + 8 + 7
+    assert len(products) == 8 + 6 + 7
 
 
 def test_mixing_report_holds_few_matrices():
@@ -326,6 +335,129 @@ def test_mixing_report_holds_few_matrices():
         tracemalloc.stop()
     assert report.lmix == 26
     assert peak <= 6.5 * n * n * 8
+
+
+def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
+    # lmix(hypercube(10)) = 35 is bracketed at k = 5.  s(32)^2 = 0.012 settles
+    # the top P^64, and s(32) s(16) = 0.067 and s(32) s(8) = 0.206 settle the
+    # lifts to 48 and 40, so 11 products remain of 14.  With the first lift
+    # settled, no lifted power is ever held beside the ladder: the search
+    # without certificates peaked at 7.02 matrices of 1024 x 1024.
+    n = 1024
+    products = []
+    checked = chain_module._checked_product
+
+    def counted(a, b, time):
+        products.append(time)
+        return checked(a, b, time)
+
+    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    tracemalloc.start()
+    try:
+        report = mixing_report(hypercube(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.lmix, report.mix) == (35, 16)
+    assert len(products) == 11
+    assert not {64, 48, 40} & set(products)
+    assert peak <= 6.5 * n * n * 8
+
+
+@pytest.mark.parametrize("w, k", [(path(3), 1), (path(4), 2)])
+def test_settled_top_recomputes_its_epsilon(monkeypatch, w, k):
+    # lmix = 2^(k+1), and s(2^k)^2 < 1/4 settles the doubling top P^(2^(k+1)),
+    # so the search makes eps_(k+1) afterwards by k + 1 squarings of P
+    times = []
+    checked = chain_module._checked_product
+
+    def counted(a, b, time):
+        times.append(time)
+        return checked(a, b, time)
+
+    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    report = mixing_report(w)
+    assert report.lmix == 2 << k
+    assert times[-(k + 1):] == [2 << i for i in range(k + 1)]
+    assert times.count(2 << k) == 1
+    assert report.epsilons[k + 1] == np.diag(lazy_chain(w).dyadic_power(k + 1)).max()
+
+
+def chi_distance(power: np.ndarray, pi: np.ndarray) -> float:
+    """s = sqrt(max_i sum_k p(i, k)^2 / pi(k) - 1), over the whole matrix at once.
+
+    The difference loses about n u of the sum to rounding, which matters when
+    s^2 is that small, so s^2 is raised by 1e-14.
+    """
+    return math.sqrt(max(float((power**2 / pi[None, :]).sum(axis=1).max()) - 1.0, 0.0) + 1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_weights(), st.integers(0, 6), st.integers(0, 6))
+def test_chi_distance_bounds_the_product(w, i, j):
+    # Cauchy-Schwarz in L^2(1 / pi) on a reversible chain:
+    # |p_(a+b)(x, y) / pi(y) - 1| <= s(a) s(b), hence both certificates
+    chain = lazy_chain(w)
+    a, b = 1 << i, 1 << j
+    s_a = chi_distance(chain.power(a), chain.pi)
+    s_b = chi_distance(chain.power(b), chain.pi)
+    product = chain.power(a + b)
+    assert 1.0 - s_a * s_b <= chain_module._min_ratio(product, chain.pi) + 1e-12
+    assert 0.5 * s_a * s_b >= chain_module._worst_tv(product, chain.pi) - 1e-12
+    # the search's s is an upper bound, and s(a)^2 is P^(2a)'s diagonal
+    assert chain_module._chi_bound(chain_module._chi_squared(chain.power(a), chain.pi)) >= s_a
+    diagonal = float((np.diag(chain.power(2 * a)) / chain.pi).max()) - 1.0
+    assert diagonal == pytest.approx(s_a**2, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_weights())
+@example(hypercube(6))
+@example(path(20))
+@example(cycle(6))
+def test_every_settled_product_would_pass(w):
+    settled = []
+    certify = chain_module._settles
+
+    def recorded(condition, chi2, a, b):
+        if certify(condition, chi2, a, b):
+            settled.append((condition, a + b))
+            return True
+        return False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain_module, "_settles", recorded)
+        mixing_report(w)
+    chain = lazy_chain(w)
+    for condition, t in settled:
+        assert condition.holds(chain.power(t))
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        # rounding drift in the row sums grows with t and passes the tolerance
+        # (here at P^8388608, by 1.006e-10)
+        (1e-7, r"rounding drifted the row sums of P\^\d+ by \d\.\d{3}e-\d\d$"),
+        # about 1e30 steps to cross the middle edge
+        (1e-30, r"no mixing condition holds by t = 2\^60$"),
+    ],
+)
+def test_slow_mixing_is_a_cap_error(weight, message):
+    w = WeightFunction(4, {(0, 1): 1.0, (1, 2): weight, (2, 3): 1.0})
+    for compute in (mixing_report, lambda w: lmix(lazy_chain(w))):
+        with pytest.raises(CapError, match=message):
+            compute(w)
+
+
+def test_drift_rounding_cannot_explain_is_a_consistency_error():
+    heavy = np.full((4, 4), 0.25 + 1e-9)
+    uniform = np.full((4, 4), 0.25)
+    with pytest.raises(ConsistencyError, match="row sums drifted by 4.000e-09"):
+        chain_module._checked_product(heavy, uniform, 2)
+    # the same drift is within what rounding can reach by t = 2^40
+    with pytest.raises(CapError, match=r"the row sums of P\^1099511627776 by 4.000e-09"):
+        chain_module._checked_product(heavy, uniform, 1 << 40)
 
 
 @pytest.mark.parametrize("n", [1, 5, 2 * chain_module._TV_ROWS + 3])
@@ -515,7 +647,7 @@ def sequential_probability_bounds(chain: LazyChain, w: WeightFunction) -> BoundC
     worst_regular = math.inf
     power = np.eye(chain.n)
     for t in range(1, int(lm) + 1):
-        power = chain_module._checked_product(power, chain.matrix)
+        power = chain_module._checked_product(power, chain.matrix, t)
         slack = float(((constant / math.sqrt(t)) * ratio[:, None] - power).min())
         worst = min(worst, slack)
         if regular:
@@ -582,9 +714,9 @@ def test_probability_bounds_product_count(monkeypatch):
     products = []
     checked = chain_module._checked_product
 
-    def counted(a, b):
+    def counted(a, b, time):
         products.append(1)
-        return checked(a, b)
+        return checked(a, b, time)
 
     monkeypatch.setattr(chain_module, "_checked_product", counted)
     w = path(128)
@@ -596,19 +728,22 @@ def test_probability_bounds_product_count(monkeypatch):
 
 def test_probability_bounds_rebuild_the_dyadic_powers(monkeypatch):
     # lmix's search frees its own ladder, so power() builds the cached dyadic
-    # powers P^2 .. P^8192 itself: 13 of the 118 products.  The squares are
-    # those 13 and the search's 14 doublings up to P^16384.
+    # powers P^2 .. P^8192 itself: 13 of the 116 products.  The squares are
+    # those 13 and the search's 13 doublings up to P^8192.  The chi-distances
+    # settle two products of lmix's search, the top P^16384
+    # (s(8192)^2 = 0.163) and the lift to 14336 (s(12288) s(2048) = 0.240);
+    # the search without certificates took 105 + 13 = 118.
     products = []
     checked = chain_module._checked_product
 
-    def counted(a, b):
+    def counted(a, b, time):
         products.append(a is b)
-        return checked(a, b)
+        return checked(a, b, time)
 
     monkeypatch.setattr(chain_module, "_checked_product", counted)
     w = path(128)
     chain = lazy_chain(w)
     verify_probability_bounds(chain, w)
-    assert len(products) == 105 + 13
-    assert sum(products) == 14 + 13
+    assert len(products) == 103 + 13
+    assert sum(products) == 13 + 13
     assert sorted(chain._dyadic) == list(range(14))

@@ -270,6 +270,11 @@ class TestErrorPaths:
             (["octopus", "--graph", "file:{tmp}/big2.w"], "exceeds the cap"),
             (["octopus", "--graph", "file:{tmp}/overflow.w"], "exceeds the cap"),
             (["octopus", "--graph", "star:11"], "capped at a support of 10 points"),
+            # valid weights that mix too slowly for double precision
+            (["mix", "--graph", "file:{tmp}/slow.w"], "rounding drifted the row sums of P^"),
+            (["compare", "--graph", "file:{tmp}/slow.w"], "rounding drifted the row sums of P^"),
+            (["mix", "--graph", "file:{tmp}/slower.w"], "no mixing condition holds by t = 2^60"),
+            (["compare", "--graph", "file:{tmp}/slower.w"], "no mixing condition holds by t = 2^60"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
@@ -280,6 +285,8 @@ class TestErrorPaths:
         (tmp_path / "huge.w").write_text("1000000000 0\n")
         (tmp_path / "big.w").write_text("3 2\n0 1 1e308\n1 2 1e308\n")
         (tmp_path / "big2.w").write_text("2 1\n0 1 1e308\n")
+        (tmp_path / "slow.w").write_text("4 3\n0 1 1\n1 2 1e-7\n2 3 1\n")
+        (tmp_path / "slower.w").write_text("4 3\n0 1 1\n1 2 1e-30\n2 3 1\n")
         code = main([arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
         assert code == 2
