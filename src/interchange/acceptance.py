@@ -28,7 +28,7 @@ from .cycles import (
     coefficient_dimension_sum,
     cycle_count_blocks,
     exact_cycles_bruteforce,
-    expected_cycles_spectral,
+    expected_cycles_by_k,
     family_lambda_dim,
     family_partition,
     first_family_range,
@@ -384,20 +384,22 @@ def check_cycle_formula_routes(config: SuiteConfig) -> CheckResult:
         for k in range(2, n + 1)
     )
 
-    # each route takes the whole t grid at once: one solve per (graph, k)
+    # each route takes the whole t grid at once, and the spectral route every
+    # k of a graph at once: one solve per (graph, partition)
     w3 = complete(3)
-    t = oracle_t_grid(w3)
-    closed_dev = float(max(
-        np.abs(expected_cycles_spectral(w3, 2, t) - 0.5 * (1 - np.exp(-6 * t))).max(),
-        np.abs(expected_cycles_spectral(w3, 3, t) - (1 - np.exp(-3 * t)) ** 2 / 3).max(),
-    ))
-
+    closed_dev = 0.0
     brute_dev = 0.0
-    for w in (complete(3), path(4), star(4), cycle(5), complete(5)):
+    for w in (w3, path(4), star(4), cycle(5), complete(5)):
         t = oracle_t_grid(w)
-        for k in range(1, w.n + 1):
-            deviation = exact_cycles_bruteforce(w, k, t) - expected_cycles_spectral(w, k, t)
+        spectral = expected_cycles_by_k(w, range(1, w.n + 1), t)
+        for k, want in spectral.items():
+            deviation = exact_cycles_bruteforce(w, k, t) - want
             brute_dev = max(brute_dev, float(np.abs(deviation).max()))
+        if w is w3:
+            closed_dev = float(max(
+                np.abs(spectral[2] - 0.5 * (1 - np.exp(-6 * t))).max(),
+                np.abs(spectral[3] - (1 - np.exp(-3 * t)) ** 2 / 3).max(),
+            ))
 
     mc_failures = []
     mc_rows = {}
@@ -411,8 +413,9 @@ def check_cycle_formula_routes(config: SuiteConfig) -> CheckResult:
         t = 0.5 / gap
         ks = (2, w.n // 2 + 1)
         table = _mc_cycle_table(w, ks, t, config.mc_samples, config.seed)
+        spectral = expected_cycles_by_k(w, ks, t)
         for k, (mean, stderr) in table.items():
-            want = expected_cycles_spectral(w, k, t)
+            want = spectral[k]
             mc_rows[f"{name}:k={k}"] = {"mc": mean, "stderr": stderr, "spectral": want}
             if abs(mean - want) > 4 * stderr:
                 mc_failures.append(f"{name}:k={k}")

@@ -18,8 +18,14 @@ chain is reversible.  Three quantities drive everything else here:
 lmix and tv_mix are found together by one search on a ladder of dyadic
 powers P^(2^k) that the search holds itself: it records each eps_k as the
 power is made and frees each power once its last reader has used it, so
-nothing of the ladder outlives the search.  A search bracketed at k holds at
-most k + 2 n x n matrices.
+nothing of the ladder outlives the search.  The ladder keeps P and every
+second level and makes a dropped level again from the one below when a lift
+reads it, trading a squaring for each matrix it does not hold
+(checkpointing, as in Griewank and Walther, Algorithm 799: revolve, ACM TOMS
+26, 2000).  Each lift is made and tested by row blocks through one buffer, so
+a lifted power that holds is never stored and one that fails overwrites the
+power it lifted.  A search bracketed at k holds about ceil((k + 1) / 2) + 2
+n x n matrices (4 and the buffer on hypercube:10).
 
 Reversibility and Cauchy-Schwarz in L^2(1 / pi) settle many tests without a
 product (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed., 4.7
@@ -30,9 +36,7 @@ level's diagonal, s(2^k)^2 = max_i p_(2^(k+1))(i, i) / pi(i) - 1; any other
 is one O(n^2) pass.  Entries are nonnegative, so rounding is relative, about
 #products * n * u (7e-12 at n = 1024); a certificate must clear its threshold
 by 1e-9, far above that plus the tie guard, so a settled test ends as the
-product would.  The certificates settle the doubling top and late lifts; the
-peak stays at k + 2 matrices and drops only when the first lift is settled,
-as on hypercube:10 (6.1 matrices, not 7.0).
+product would.  The certificates settle the doubling top and late lifts.
 
 Rounding drift in the row sums of P^t grows with t, so a chain too slow for
 double precision (drift past the tolerance that rounding explains, or no
@@ -82,6 +86,9 @@ _MAX_LIFTED_MASS = 2.0 * MAX_TOTAL_WEIGHT * (1.0 + 1e-9)
 _DOUBLING_GUARD = 60
 # rows per block when summing total variation distances
 _TV_ROWS = 32
+# rows per block of a lift, tested through one buffer; at most this many
+# rows, a lift is one product, bit for bit the product of the whole matrices
+_LIFT_ROWS = 128
 
 
 class LazyChain:
@@ -155,21 +162,30 @@ class LazyChain:
         return result
 
 
-def _checked_product(a: np.ndarray, b: np.ndarray, time: int) -> np.ndarray:
-    """a @ b = P^time for two powers of P, with the row sums checked.
+def _row_drift(product: np.ndarray) -> float:
+    """Largest |row sum - 1| over the rows of a block of a power of P."""
+    return float(np.abs(product.sum(axis=1) - 1.0).max())
 
-    Rounding moves the row sums of P^time by at most about 2 (time + 1)(n + 1) u;
-    drift past the tolerance within that is a CapError, beyond it a bug.
+
+def _check_drift(drift: float, time: int, n: int) -> None:
+    """Raise when rounding drifted the row sums of the n x n power P^time by drift.
+
+    Rounding moves them by at most about 2 (time + 1)(n + 1) u; drift past the
+    tolerance within that is a CapError, beyond it a bug.
     """
-    product = a @ b
-    drift = np.abs(product.sum(axis=1) - 1.0).max()
     if drift > _ROW_SUM_TOL:
-        if drift > 2.0 * (time + 1) * (len(a) + 1) * _UNIT_ROUNDOFF:
+        if drift > 2.0 * (time + 1) * (n + 1) * _UNIT_ROUNDOFF:
             raise ConsistencyError(f"row sums drifted by {drift:.3e} in a matrix power")
         raise CapError(
             "the lazy chain mixes too slowly for double precision: rounding drifted "
             f"the row sums of P^{time} by {drift:.3e}"
         )
+
+
+def _checked_product(a: np.ndarray, b: np.ndarray, time: int) -> np.ndarray:
+    """a @ b = P^time for two powers of P, with the row sums checked."""
+    product = a @ b
+    _check_drift(_row_drift(product), time, len(b))
     return product
 
 
@@ -265,8 +281,47 @@ def _settles(condition: _Condition, chi2: dict[int, float], a: int, b: int) -> b
     return condition.settles(_chi_bound(chi2[a]) * _chi_bound(chi2[b]))
 
 
+def _lift(
+    failing: np.ndarray,
+    factor: np.ndarray,
+    time: int,
+    holds: Callable[[np.ndarray], bool],
+    buffer: np.ndarray,
+    shared: bool,
+) -> np.ndarray | None:
+    """None when holds(P^time), P^time = failing @ factor, else P^time.
+
+    The product is made and tested by row blocks through buffer, so one that
+    holds is never stored.  Row i of the product reads only row i of failing,
+    so one that fails is written over failing block by block (over a new
+    array when failing is shared); the blocks tested before the failure
+    showed are made again.  The row sums of every block are checked.
+    """
+    blocks = [slice(start, start + len(buffer)) for start in range(0, len(failing), len(buffer))]
+    drift = 0.0
+
+    def product(rows: slice) -> np.ndarray:
+        nonlocal drift
+        out = buffer[: len(failing[rows])]
+        np.matmul(failing[rows], factor, out=out)
+        drift = max(drift, _row_drift(out))
+        return out
+
+    lifted = None
+    for index, rows in enumerate(blocks):
+        block = product(rows)
+        if not holds(block):
+            lifted = np.empty_like(failing) if shared else failing
+            lifted[rows] = block
+            for other in blocks[:index] + blocks[index + 1 :]:
+                lifted[other] = product(other)
+            break
+    _check_drift(drift, time, len(factor))
+    return lifted
+
+
 def _first_times(
-    chain: LazyChain, conditions: tuple[_Condition, ...], depth: int = 0
+    chain: LazyChain, conditions: tuple[_Condition, ...]
 ) -> tuple[list[int], tuple[float, ...]]:
     """Smallest t >= 1 with condition(P^t) for each condition, all monotone in t.
 
@@ -274,13 +329,21 @@ def _first_times(
     itself.  Doubling squares the top power, records eps_k = max diag P^(2^k)
     as each power is made, and tests every condition not yet bracketed
     between 2^k, which fails, and 2^(k+1), which holds; it stops once every
-    condition is bracketed and P^(2^depth) is made.  Lifting then goes from
-    the highest bit down: at bit j the largest failing time lo of each
-    condition bracketed above j becomes lo + 2^j whenever P^lo P^(2^j) still
-    fails.  That is one product per condition per bit, where a binary search
-    would build each midpoint's power anew.  A dyadic power is dropped once
-    its last reader has used it and a failing power as soon as it is
-    replaced, so a search bracketed at k holds at most k + 2 n x n matrices.
+    condition is bracketed.  Lifting then goes from the highest bit down: at
+    bit j the largest failing time lo of each condition bracketed above j
+    becomes lo + 2^j whenever P^lo P^(2^j) still fails.  That is one product
+    per condition per bit, where a binary search would build each midpoint's
+    power anew.
+
+    The ladder keeps P and the even levels; an odd level is dropped once the
+    next is made, and made again from the level below when an unsettled lift
+    first reads it.  A condition's dropped failing power P^(2^k) is likewise
+    made only at its first unsettled lift.  Each lift is tested by row blocks
+    through one buffer of _LIFT_ROWS rows (_lift), so a product that holds
+    is never stored, and one that fails is written over its condition's
+    failing power in place.  A level is dropped once no lift or remake reads
+    it, so a search bracketed at k holds about ceil((k + 1) / 2) + 2 n x n
+    matrices.
 
     A product P^a P^b that would only be tested (the doubling top, a = b = 2^k,
     or a lift, a = lo and b = 2^j) is made only where the certificate s(a) s(b)
@@ -291,15 +354,16 @@ def _first_times(
     every dyadic power up to the largest first time.
     """
     pi = chain.pi
-    ladder = [chain.matrix]
+    # the ladder's held levels: level k is P^(2^k)
+    held = {0: chain.matrix}
     epsilons = [float(np.diag(chain.matrix).max())]
     # s(t)^2 of the powers the search has held, ladder levels' off the diagonals
     chi2: dict[int, float] = {}
     times = [1 if condition.holds(chain.matrix) else None for condition in conditions]
     unbracketed = [i for i, t in enumerate(times) if t is None]
     brackets: dict[int, int] = {}
-    while unbracketed or len(ladder) <= depth:
-        k = len(ladder) - 1
+    k = 0
+    while unbracketed:
         if k >= _DOUBLING_GUARD:
             raise CapError(
                 "the lazy chain mixes too slowly: no mixing condition holds "
@@ -307,26 +371,54 @@ def _first_times(
             )
         floor = _chi_floor(chi2, 1 << k)
         if any(conditions[i].settles(floor * floor) for i in unbracketed):
-            chi2[1 << k] = _chi_squared(ladder[k], pi)
+            chi2[1 << k] = _chi_squared(held[k], pi)
             for i in unbracketed:
                 if _settles(conditions[i], chi2, 1 << k, 1 << k):
                     brackets[i] = k
             unbracketed = [i for i in unbracketed if i not in brackets]
-            if not unbracketed and len(ladder) > depth:
+            if not unbracketed:
                 break
-        top = _checked_product(ladder[k], ladder[k], 2 << k)
-        ladder.append(top)
+        top = _checked_product(held[k], held[k], 2 << k)
         epsilons.append(float(np.diag(top).max()))
         chi2.setdefault(1 << k, float((np.diag(top) / pi).max()) - 1.0)
         for i in unbracketed:
             if conditions[i].holds(top):
                 brackets[i] = k
         unbracketed = [i for i in unbracketed if i not in brackets]
-        # the ladder holds the only reference, so trimming it frees the top
+        # no lift reads the last top; an odd level is made again if a lift reads it
+        if unbracketed:
+            if k % 2:
+                del held[k]
+            held[k + 1] = top
         del top
+        k += 1
+
     lows = {i: 1 << k for i, k in brackets.items()}
-    failing = {i: ladder[k] for i, k in brackets.items()}
-    for j in reversed(range(len(ladder))):
+    # None until the condition's first unsettled lift makes it
+    failing = {i: held.get(k) for i, k in brackets.items()}
+    buffer = np.empty((min(_LIFT_ROWS, chain.n), chain.n))
+
+    def level(j: int) -> np.ndarray:
+        if j not in held:
+            below = level(j - 1)
+            held[j] = _checked_product(below, below, 1 << j)
+        return held[j]
+
+    def release(bottom: int) -> None:
+        """Drop the levels from bottom up, once no lift at a lower bit reads them.
+
+        A held level that is a pending failing power becomes that power, and
+        the level below a pending failing power stays to make it from.
+        """
+        for i, k in brackets.items():
+            if failing[i] is None and k in held:
+                failing[i] = held[k]
+        pending = {k for i, k in brackets.items() if failing[i] is None}
+        for j in [j for j in held if j >= bottom and j + 1 not in pending]:
+            del held[j]
+
+    for j in reversed(range(max(brackets.values(), default=0))):
+        release(j + 1)
         for i, k in brackets.items():
             if j >= k:
                 continue
@@ -337,13 +429,17 @@ def _first_times(
                 chi2[low] = _chi_squared(failing[i], pi)
             if low in chi2 and _settles(conditions[i], chi2, low, step):
                 continue
-            candidate = _checked_product(failing[i], ladder[j], low + step)
-            if not conditions[i].holds(candidate):
-                lows[i] += 1 << j
-                failing[i] = candidate
-            del candidate
-        ladder.pop()
-    del failing
+            if failing[i] is None:
+                level(k)
+                release(j + 1)
+            shared = any(failing[i] is power for power in held.values()) or any(
+                failing[m] is failing[i] for m in failing if m != i
+            )
+            lifted = _lift(failing[i], level(j), low + step, conditions[i].holds, buffer, shared)
+            if lifted is not None:
+                lows[i] += step
+                failing[i] = lifted
+    del failing, held, buffer
     for i, low in lows.items():
         times[i] = low + 1
     if times and max(times).bit_length() > len(epsilons):
@@ -387,20 +483,16 @@ def _delta_result(epsilons: tuple[float, ...], lmix_value: int) -> DeltaResult:
     return DeltaResult(delta=1.0 / inverse, epsilons=epsilons)
 
 
-def delta(chain: LazyChain, lmix_value: int | float | None = None) -> DeltaResult:
+def delta(chain: LazyChain) -> DeltaResult:
     """Laziness factor delta together with the eps_k sequence that builds it.
 
     eps_k is the largest diagonal entry of P^(2^k) and
     1 / delta = prod_{k=0}^{floor(log2 lmix)} (1 + eps_k).
     Raises DisconnectedError when lmix is infinite.
     """
-    if lmix_value is None and chain.connected:
-        (lmix_value,), epsilons = _first_times(chain, (_mixes(chain),))
-    elif lmix_value is None or math.isinf(lmix_value):
+    if not chain.connected:
         raise DisconnectedError("delta is undefined: the chain never mixes")
-    else:
-        lmix_value = int(lmix_value)
-        _, epsilons = _first_times(chain, (), depth=lmix_value.bit_length() - 1)
+    (lmix_value,), epsilons = _first_times(chain, (_mixes(chain),))
     return _delta_result(epsilons, lmix_value)
 
 

@@ -32,7 +32,7 @@ reference oracle the tests compare the engine against.
 """
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,18 +125,34 @@ def coefficient_dimension_sum(n: int, k: int) -> int:
 
 def expected_cycles_spectral(w: WeightFunction, k: int, t):
     """E(s_k(t)) by the spectral formula.  t may be a scalar or an array."""
+    return expected_cycles_by_k(w, (k,), t)[k]
+
+
+def expected_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, float | np.ndarray]:
+    """E(s_k(t)) by the spectral formula for each k in ks, keyed by k.
+
+    t may be a scalar or an array.  The blocks that the formulas of all ks
+    read are solved together, each once.
+    """
     if w.n > IRREP_MAX_N:
         raise CapError(f"spectral route capped at n <= {IRREP_MAX_N}")
     t_arr = check_time(t)
-    total = np.zeros_like(t_arr)
-    terms = cycle_coefficients(w.n, k).terms
-    spectra = _block_spectra(delta_of_weights(w), [p for p, _ in terms], w.component_sizes())
-    for p, a in terms:
-        with np.errstate(over="ignore"):  # t * lambda = inf gives exp(-inf) = 0
-            decay = np.exp(-t_arr[..., None] * spectra[p].eigenvalues)
-        total = total + a * decay.sum(axis=-1)
-    result = total / k
-    return float(result) if np.isscalar(t) or t_arr.ndim == 0 else result
+    formulas = {k: cycle_coefficients(w.n, k).terms for k in ks}
+    targets = dict.fromkeys(p for terms in formulas.values() for p, _ in terms)
+    spectra = _block_spectra(delta_of_weights(w), list(targets), w.component_sizes())
+    with np.errstate(over="ignore"):  # t * lambda = inf gives exp(-inf) = 0
+        decays = {
+            p: np.exp(-t_arr[..., None] * spectrum.eigenvalues).sum(axis=-1)
+            for p, spectrum in spectra.items()
+        }
+    results = {}
+    for k, terms in formulas.items():
+        total = np.zeros_like(t_arr)
+        for p, a in terms:
+            total = total + a * decays[p]
+        result = total / k
+        results[k] = float(result) if np.isscalar(t) or t_arr.ndim == 0 else result
+    return results
 
 
 def family_lambda_dim(n: int, k: int, i: int, family: str) -> tuple[int, int]:

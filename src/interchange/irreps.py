@@ -28,7 +28,13 @@ in Horner form: (i, n-1) = s_{n-2} (i, n-2) s_{n-2} for i < n-2 gives
                   + rho_lambda(s_{n-2}) [(+)_mu Y_mu(a_{<n-2})] rho_lambda(s_{n-2}),
 one conjugation per partition and level.  The sub-blocks of one operator,
 and the Y_mu of one column of c, are built once and shared by every
-partition that branches to them.
+partition that branches to them.  The conjugation runs in place through one
+dim x dim temporary, each last-point sum is made before the block it enters,
+and each top-level block is dropped before the next is built.  Beside the
+shared sub-blocks and sums on S_{n-1}, a build then holds about three arrays
+the size of its block: the sum and the temporary, the block and the sum, or
+the block and the eigensolver's copy (3.1 blocks of 768 x 768 at the peak of
+an octopus check at n = 10).
 
 Conjugate partitions share one eigensolve.  rho_{lambda'} = sgn (x) rho_lambda
 (Sagan, The Symmetric Group, 2nd ed., 2.7), so the block of lambda' is
@@ -295,9 +301,22 @@ class YoungOrthogonalRep:
         act = self._adjacent
         return act.diag[a, :, None] * m + act.off[a, :, None] * m[act.partner[a], :]
 
-    def _apply_right(self, m: np.ndarray, a: int) -> np.ndarray:
+    def _conjugate(self, m: np.ndarray, a: int) -> None:
+        """m <- rho(s_a) m rho(s_a) in place, through one dim x dim temporary.
+
+        Right, then left: each entry becomes diag m + off m[partner], rounded
+        as _apply_left rounds it.
+        """
         act = self._adjacent
-        return m * act.diag[a] + m[:, act.partner[a]] * act.off[a]
+        partner, diag, off = act.partner[a], act.diag[a], act.off[a]
+        scratch = np.take(m, partner, axis=1)
+        scratch *= off
+        m *= diag
+        m += scratch
+        np.take(m, partner, axis=0, out=scratch, mode="clip")
+        scratch *= off[:, None]
+        m *= diag[:, None]
+        m += scratch
 
     def adjacent_matrix(self, a: int) -> np.ndarray:
         """Dense matrix of the adjacent transposition (a, a+1)."""
@@ -323,7 +342,7 @@ class YoungOrthogonalRep:
             raise ParameterError(f"pair ({i}, {j}) out of range for n={self.n}")
         m = self.adjacent_matrix(i)
         for a in range(i + 1, j):
-            m = self._apply_left(a, self._apply_right(m, a))
+            self._conjugate(m, a)
         return m
 
     def matrix(self, perm: Sequence[int]) -> np.ndarray:
@@ -361,13 +380,15 @@ class YoungOrthogonalRep:
         partition of self.n built from that column.
         """
         m = self.n - 1
+        last = c[:m, m]
+        # the last-point sum is made before out, so their temporaries never meet
+        last_sum = self._last_sum(last, memo) if last.any() else None
         out = np.zeros((self.dim, self.dim))
         for mu, index in self.branches:
             out[index[:, None], index] = below[mu]
-        last = c[:m, m]
-        if last.any():
+        if last_sum is not None:
             out.flat[:: self.dim + 1] += last.sum()
-            out -= self._last_sum(last, memo)
+            out -= last_sum
         return out
 
     def _last_sum(self, a: np.ndarray, memo: _Memo) -> np.ndarray:
@@ -388,7 +409,7 @@ class YoungOrthogonalRep:
                 if mu not in memo:
                     memo[mu] = _rep(mu)._last_sum(a[:s], memo)
                 out[index[:, None], index] = memo[mu]
-            out = self._apply_left(s, self._apply_right(out, s))
+            self._conjugate(out, s)
         self._add_adjacent(out, s, a[s])
         return out
 
@@ -501,6 +522,8 @@ def _block_spectra(
     solved = [p for p in dict.fromkeys(targets) if p not in mirror.values()]
     for p, block in delta_blocks(op, solved):
         eigenvalues[p] = np.linalg.eigvalsh(block)
+        # the loop variable would hold this block while the next is built
+        del block
         if p in mirror:
             eigenvalues[mirror[p]] = total - eigenvalues[p][::-1]
     spectra = {}

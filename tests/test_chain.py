@@ -97,6 +97,28 @@ def brute_force_tv_mix(chain: LazyChain, cap: int = 4096) -> int:
     raise AssertionError("oracle cap reached")
 
 
+def record_products(monkeypatch) -> list[tuple[int, bool]]:
+    """(time, whether a square) of each product the chain module makes from now on.
+
+    Whole products go through _checked_product; the mixing search's lifts go
+    through _lift, which makes and tests its product by row blocks.
+    """
+    products = []
+    checked, lift = chain_module._checked_product, chain_module._lift
+
+    def counted(a, b, time):
+        products.append((time, a is b))
+        return checked(a, b, time)
+
+    def counted_lift(failing, factor, time, *rest):
+        products.append((time, False))
+        return lift(failing, factor, time, *rest)
+
+    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    monkeypatch.setattr(chain_module, "_lift", counted_lift)
+    return products
+
+
 def test_complete3_transition_matrix():
     chain = lazy_chain(complete(3))
     expected = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
@@ -258,7 +280,7 @@ def test_delta_lower_bound_random_graphs():
     for _ in range(20):
         chain = lazy_chain(random_connected(rng, int(rng.integers(3, 7))))
         lm = lmix(chain)
-        result = delta(chain, lm)
+        result = delta(chain)
         assert result.delta >= 1.0 / (2.0 * lm) - 1e-12
         assert 0.0 < result.delta < 1.0
 
@@ -303,29 +325,28 @@ def test_mixing_times_are_first_times_of_a_linear_scan(w):
 
 
 def test_mixing_search_takes_one_product_per_bit(monkeypatch):
-    # lmix(path(20)) = 304: P^2 .. P^512 by doubling, then one lift per bit
-    # below 256; tv_mix = 137 reuses those powers and lifts 7 bits below 128.
+    # lmix(path(20)) = 304: P^2 .. P^256 by doubling, then one lift per bit
+    # below 256; tv_mix = 137 is bracketed at P^128 and lifts 7 bits below 128.
     # The chi-distances settle three lmix products: the top P^512
     # (s(256)^2 = 0.060) and the lifts to 384 and 320 (s(256) s(128) = 0.145,
-    # s(256) s(64) = 0.232), so doubling takes 8 products and lifting 6.  The
-    # search without certificates took 9 + 8 + 7 = 24, a binary search 38.
-    products = []
-    checked = chain_module._checked_product
-
-    def counted(a, b, time):
-        products.append(1)
-        return checked(a, b, time)
-
-    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    # s(256) s(64) = 0.232), so doubling takes 8 products and lifting 6 + 7.
+    # The ladder keeps the even levels, so the odd ones that unsettled lifts
+    # read are made again: P^128 (tv_mix's failing power), P^32, P^8 and P^2.
+    # Holding every level took 8 + 6 + 7 = 21, a binary search 38.
+    products = record_products(monkeypatch)
     report = mixing_report(path(20))
     assert (report.lmix, report.mix) == (304, 137)
-    assert len(products) == 8 + 6 + 7
+    squares = [time for time, square in products if square]
+    assert squares == [2 << k for k in range(8)] + [128, 32, 8, 2]
+    assert len(products) == 8 + 4 + 6 + 7
 
 
 def test_mixing_report_holds_few_matrices():
-    # lmix(hypercube(8)) = 26 is bracketed at k = 4, so the search holds at
-    # most k + 2 = 6 matrices of 256 x 256; keeping every dyadic power up to
-    # the bracketing P^32 beside the lifted powers measured 8.26
+    # lmix(hypercube(8)) = 26 is bracketed at k = 4.  The ladder holds P, P^4
+    # and P^16 and makes P^8 and P^2 again when lifts read them, and each lift
+    # is tested by row blocks: 4.8 matrices of 256 x 256 measured, with the
+    # 128-row buffer.  Holding every level up to P^16 beside the lifted
+    # powers measured 6.3 (8.26 before the search freed its ladder).
     n = 256
     tracemalloc.start()
     try:
@@ -334,24 +355,36 @@ def test_mixing_report_holds_few_matrices():
     finally:
         tracemalloc.stop()
     assert report.lmix == 26
-    assert peak <= 6.5 * n * n * 8
+    assert peak <= 5.2 * n * n * 8
+
+
+def test_slow_search_holds_about_half_its_ladder():
+    # lmix(path(256)) = 54749 is bracketed at k = 15, so the search holds
+    # about ceil((k + 1) / 2) + 2 = 10 matrices of 256 x 256, beside the
+    # 128-row buffer and row-block temporaries: 10.8 measured.  Holding every
+    # level measured 17.3.
+    n = 256
+    tracemalloc.start()
+    try:
+        report = mixing_report(path(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.lmix == 54749
+    assert peak <= 11.8 * n * n * 8
 
 
 def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
     # lmix(hypercube(10)) = 35 is bracketed at k = 5.  s(32)^2 = 0.012 settles
     # the top P^64, and s(32) s(16) = 0.067 and s(32) s(8) = 0.206 settle the
-    # lifts to 48 and 40, so 11 products remain of 14.  With the first lift
-    # settled, no lifted power is ever held beside the ladder: the search
-    # without certificates peaked at 7.02 matrices of 1024 x 1024.
+    # lifts to 48 and 40, so no lift reads P^16.  The ladder keeps P, P^4,
+    # P^16 and the top P^32, and makes P^8 (tv_mix's failing power) and P^2
+    # again: 5 doublings, 2 remade squarings and 6 lifts, 13 products.  A lift
+    # that holds (36 and 35) is never stored, so the search peaks at 4.2
+    # matrices of 1024 x 1024; holding every level peaked at 6.08, and the
+    # search without certificates at 7.02.
     n = 1024
-    products = []
-    checked = chain_module._checked_product
-
-    def counted(a, b, time):
-        products.append(time)
-        return checked(a, b, time)
-
-    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    products = record_products(monkeypatch)
     tracemalloc.start()
     try:
         report = mixing_report(hypercube(10))
@@ -359,9 +392,12 @@ def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
     finally:
         tracemalloc.stop()
     assert (report.lmix, report.mix) == (35, 16)
-    assert len(products) == 11
-    assert not {64, 48, 40} & set(products)
-    assert peak <= 6.5 * n * n * 8
+    assert products == [
+        (2, True), (4, True), (8, True), (16, True), (32, True),
+        (8, True), (12, False), (36, False),
+        (2, True), (14, False), (34, False), (15, False), (35, False),
+    ]
+    assert peak <= 4.6 * n * n * 8
 
 
 @pytest.mark.parametrize("w, k", [(path(3), 1), (path(4), 2)])
@@ -473,6 +509,46 @@ def test_blocked_profiles_equal_whole_matrix_formulas(n):
         0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()
     )
     assert chain_module._min_ratio(power, pi) == float((power / pi[None, :]).min())
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("failing_row", [None, 0, 130, 299])
+def test_lift_tests_by_row_blocks_and_writes_a_failing_product(failing_row, shared):
+    # 300 rows are three blocks of _LIFT_ROWS = 128, 128 and 44; the test
+    # fails in the block holding failing_row, or never
+    n, rows = 300, chain_module._LIFT_ROWS
+    rng = np.random.default_rng(8)
+    low, factor = rng.uniform(0.0, 1.0, (2, n, n))
+    low /= low.sum(axis=1, keepdims=True)
+    factor /= factor.sum(axis=1, keepdims=True)
+    want = np.concatenate([low[i : i + rows] @ factor for i in range(0, n, rows)])
+    tested = []
+
+    def holds(block):
+        tested.append(len(block))
+        return failing_row is None or not (want[failing_row] == block).all(axis=1).any()
+
+    failing = low.copy()
+    lifted = chain_module._lift(failing, factor, 3, holds, np.empty((rows, n)), shared)
+    assert np.allclose(want, low @ factor, rtol=1e-13, atol=0.0)
+    if failing_row is None:
+        assert lifted is None
+        assert tested == [128, 128, 44]
+        assert np.array_equal(failing, low)
+        return
+    # testing stops at the first failing block, and the product is kept whole
+    assert tested == [128, 128, 44][: failing_row // rows + 1]
+    assert np.array_equal(lifted, want)
+    assert (lifted is failing) != shared
+    assert np.array_equal(failing, low if shared else want)
+
+
+def test_lift_checks_the_row_sums_of_every_block():
+    low = np.full((4, 4), 0.25)
+    factor = np.full((4, 4), 0.25)
+    factor[:, 0] += 1e-9
+    with pytest.raises(ConsistencyError, match="row sums drifted by 1.000e-09"):
+        chain_module._lift(low, factor, 2, lambda block: True, np.empty((2, 4)), False)
 
 
 def test_monotone_profiles():
@@ -711,14 +787,7 @@ def test_probability_bounds_match_sequential_oracle(w, constant, regular_w):
 
 def test_probability_bounds_product_count(monkeypatch):
     # the per-step loop takes lmix = 13580 products on path(128)
-    products = []
-    checked = chain_module._checked_product
-
-    def counted(a, b, time):
-        products.append(1)
-        return checked(a, b, time)
-
-    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    products = record_products(monkeypatch)
     w = path(128)
     report = verify_probability_bounds(lazy_chain(w), w)
     assert report.lmix == 13580
@@ -728,22 +797,17 @@ def test_probability_bounds_product_count(monkeypatch):
 
 def test_probability_bounds_rebuild_the_dyadic_powers(monkeypatch):
     # lmix's search frees its own ladder, so power() builds the cached dyadic
-    # powers P^2 .. P^8192 itself: 13 of the 116 products.  The squares are
-    # those 13 and the search's 13 doublings up to P^8192.  The chi-distances
-    # settle two products of lmix's search, the top P^16384
-    # (s(8192)^2 = 0.163) and the lift to 14336 (s(12288) s(2048) = 0.240);
-    # the search without certificates took 105 + 13 = 118.
-    products = []
-    checked = chain_module._checked_product
-
-    def counted(a, b, time):
-        products.append(a is b)
-        return checked(a, b, time)
-
-    monkeypatch.setattr(chain_module, "_checked_product", counted)
+    # powers P^2 .. P^8192 itself: 13 of the 121 products.  The search makes
+    # 13 doublings up to P^8192 and 12 lifts; the chi-distances settle the
+    # top P^16384 (s(8192)^2 = 0.163) and the lift to 14336
+    # (s(12288) s(2048) = 0.240).  Its ladder keeps the even levels and makes
+    # the odd ones its unsettled lifts read again: P^512, P^128, P^32, P^8 and
+    # P^2.  The squares are those 13 + 13 + 5.  The search holding every
+    # level took 103 + 13 = 116 products, and without certificates 118.
+    products = record_products(monkeypatch)
     w = path(128)
     chain = lazy_chain(w)
     verify_probability_bounds(chain, w)
-    assert len(products) == 103 + 13
-    assert sum(products) == 13 + 13
+    assert len(products) == 108 + 13
+    assert sum(square for _, square in products) == 13 + 13 + 5
     assert sorted(chain._dyadic) == list(range(14))

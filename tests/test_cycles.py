@@ -21,6 +21,7 @@ from interchange.cycles import (
     cycle_count_blocks,
     cycle_counts_batch,
     exact_cycles_bruteforce,
+    expected_cycles_by_k,
     expected_cycles_mc,
     expected_cycles_spectral,
     family_lambda_dim,
@@ -156,6 +157,34 @@ class TestSpectralFormula:
     def test_cap(self):
         with pytest.raises(CapError):
             expected_cycles_spectral(complete(11), 2, 1.0)
+
+    @pytest.mark.parametrize("w", [complete(5), path(6), star(7), cycle(8)])
+    def test_every_k_at_once_equals_each_k(self, w):
+        # a shared solve may read a block's spectrum off its conjugate where
+        # a single k solved it, so the values agree to rounding
+        ts = np.array([0.0, 0.1, 1.0, 10.0])
+        table = expected_cycles_by_k(w, range(1, w.n + 1), ts)
+        assert list(table) == list(range(1, w.n + 1))
+        for k, got in table.items():
+            assert np.allclose(got, expected_cycles_spectral(w, k, ts), rtol=1e-12, atol=1e-14)
+        assert expected_cycles_by_k(w, [2], 0.5) == {2: expected_cycles_spectral(w, 2, 0.5)}
+
+    def test_cycle_formula_routes_solve_each_block_once(self, monkeypatch):
+        # the check solves one block per (graph, partition), reading each
+        # conjugate off its partner: 46 eigensolves, where one solve per
+        # (graph, k) took 90 for the same 55 (graph, partition) pairs
+        from interchange.acceptance import SuiteConfig, check_cycle_formula_routes
+
+        sizes = []
+        solve = np.linalg.eigvalsh
+
+        def counted(block):
+            sizes.append(len(block))
+            return solve(block)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert check_cycle_formula_routes(SuiteConfig.for_level("desk")).passed
+        assert len(sizes) == 46
 
 
 class TestFamilyFormulas:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,25 @@ def test_octopus_random_nonnegative_arms():
             hub = int(rng.integers(n))
             verdict = octopus_check(n, hub, arms)
             assert verdict.psd, (n, hub, arms)
+
+
+def test_octopus_irrep_route_holds_few_blocks():
+    # The irrep route at n = 10 builds the blocks of all 42 partitions, the
+    # largest 768 x 768.  Conjugating by s_(n-2) in place, making each
+    # last-point sum before the block it enters, and dropping each top-level
+    # block before the next is built leave 3.13 such blocks at the peak, with
+    # the reps cached; conjugating through copies and keeping the last block
+    # took 7.19.
+    block = 768 * 768 * 8
+    octopus_check(10, 0, [1.0] * 9)  # builds and caches the Young reps
+    tracemalloc.start()
+    try:
+        verdict = octopus_check(10, 0, [1.0] * 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.psd
+    assert peak <= 3.4 * block
 
 
 def test_octopus_degenerate_and_invalid():

@@ -299,13 +299,13 @@ def test_last_point_sums_take_one_conjugation_per_node(monkeypatch):
     # column k-1 of c conjugates once for each partition of j, 3 <= j <= k, that
     # its Horner recursion reaches; below j = 3 the prefix of the column is empty
     calls = []
-    apply_left = YoungOrthogonalRep._apply_left
+    conjugate = YoungOrthogonalRep._conjugate
 
-    def counted(rep, a, m):
+    def counted(rep, m, a):
         calls.append((rep.partition, a))
-        return apply_left(rep, a, m)
+        return conjugate(rep, m, a)
 
-    monkeypatch.setattr(YoungOrthogonalRep, "_apply_left", counted)
+    monkeypatch.setattr(YoungOrthogonalRep, "_conjugate", counted)
     n = 8
     dense = np.random.default_rng(18).uniform(0.5, 1.5, (n, n))
     list(delta_blocks(PairOperator(np.triu(dense, 1) + np.triu(dense, 1).T), partitions(n)))
