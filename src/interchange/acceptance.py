@@ -27,7 +27,7 @@ from .chain import LiftedWeight
 from .cycles import (
     coefficient_dimension_sum,
     cycle_count_blocks,
-    exact_cycles_bruteforce,
+    exact_cycles_by_k,
     expected_cycles_by_k,
     family_lambda_dim,
     family_partition,
@@ -384,16 +384,17 @@ def check_cycle_formula_routes(config: SuiteConfig) -> CheckResult:
         for k in range(2, n + 1)
     )
 
-    # each route takes the whole t grid at once, and the spectral route every
-    # k of a graph at once: one solve per (graph, partition)
+    # each route takes the whole t grid and every k of a graph at once: one
+    # solve per (graph, partition), and one brute-force solve per graph
     w3 = complete(3)
     closed_dev = 0.0
     brute_dev = 0.0
     for w in (w3, path(4), star(4), cycle(5), complete(5)):
         t = oracle_t_grid(w)
         spectral = expected_cycles_by_k(w, range(1, w.n + 1), t)
+        brute = exact_cycles_by_k(w, spectral, t)
         for k, want in spectral.items():
-            deviation = exact_cycles_bruteforce(w, k, t) - want
+            deviation = brute[k] - want
             brute_dev = max(brute_dev, float(np.abs(deviation).max()))
         if w is w3:
             closed_dev = float(max(

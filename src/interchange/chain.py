@@ -18,14 +18,18 @@ chain is reversible.  Three quantities drive everything else here:
 lmix and tv_mix are found together by one search on a ladder of dyadic
 powers P^(2^k) that the search holds itself: it records each eps_k as the
 power is made and frees each power once its last reader has used it, so
-nothing of the ladder outlives the search.  The ladder keeps P and every
-second level and makes a dropped level again from the one below when a lift
-reads it, trading a squaring for each matrix it does not hold
+nothing of the ladder outlives the search.  The ladder keeps every second
+level from P^4 up and makes a dropped level again from the one below when a
+lift reads it, trading a squaring for each matrix it does not hold
 (checkpointing, as in Griewank and Walther, Algorithm 799: revolve, ACM TOMS
-26, 2000).  Each lift is made and tested by row blocks through one buffer, so
-a lifted power that holds is never stored and one that fails overwrites the
-power it lifted.  A search bracketed at k holds about ceil((k + 1) / 2) + 2
-n x n matrices (4 and the buffer on hypercube:10).
+26, 2000).  P is the cheapest checkpoint: it is made again from the weights
+in O(n^2), with the same bits, for the lifts at bits 1 and 0, which multiply
+by P (twice at bit 1) rather than by P^2.  Each lift is made and tested by
+row blocks through one buffer per factor, so a lifted power that holds is
+never stored, one that fails overwrites the power it lifted, and one that
+fails at bit 0, which nothing reads, stops at its first failing block.  A
+search bracketed at k holds about ceil((k + 1) / 2) + 1 n x n matrices
+beside the buffers (3 on hypercube:10).
 
 Reversibility and Cauchy-Schwarz in L^2(1 / pi) settle many tests without a
 product (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed., 4.7
@@ -86,18 +90,18 @@ _MAX_LIFTED_MASS = 2.0 * MAX_TOTAL_WEIGHT * (1.0 + 1e-9)
 _DOUBLING_GUARD = 60
 # rows per block when summing total variation distances
 _TV_ROWS = 32
-# rows per block of a lift, tested through one buffer; at most this many
-# rows, a lift is one product, bit for bit the product of the whole matrices
+# rows per block of a lift, tested through one buffer per factor; at most this
+# many rows, a lift is one product, bit for bit the product of the whole matrices
 _LIFT_ROWS = 128
 
 
 class LazyChain:
-    """Transition matrix, stationary law, and cached dyadic powers.
+    """Stationary law, and the transition matrix and its dyadic powers on demand.
 
     The cache serves power(), that is the heat-kernel bounds and the
-    profiles min_stationary_ratio and tv_distance.  The mixing search does
-    not fill it: it holds its own ladder of dyadic powers and frees it as it
-    goes.
+    profiles min_stationary_ratio and tv_distance; P itself is built on its
+    first read.  The mixing search does not fill it: it makes P from the
+    weights, holds its own ladder of dyadic powers and frees both as it goes.
     """
 
     def __init__(self, w: WeightFunction):
@@ -107,16 +111,13 @@ class LazyChain:
             raise DegenerateWeightError(
                 f"vertex {isolated} has zero total weight; lazy chain undefined"
             )
-        n = w.n
-        p = w.dense()
-        edges = np.count_nonzero(p)
-        p /= 2.0 * wi[:, None]
-        if np.count_nonzero(p) < edges:
+        # P's two entries of each edge, w_ij / (2 w_i) and w_ij / (2 w_j), as
+        # _transition divides them
+        if any((w.weights / (2.0 * wi[ends]) == 0).any() for ends in w.ends):
             raise DegenerateWeightError(
                 "a transition probability underflows to zero on a weighted edge; "
                 "the weight ratios are too extreme"
             )
-        np.fill_diagonal(p, 0.5)
         pi = wi / wi.sum()
         if (pi == 0).any():
             raise DegenerateWeightError(
@@ -124,19 +125,26 @@ class LazyChain:
                 "the weight ratios are too extreme"
             )
         self.weights = w
-        self.n = n
-        p.setflags(write=False)
-        self.matrix = p
+        self.n = w.n
         self.pi = pi
         self.connected = w.is_connected()
-        self._dyadic: dict[int, np.ndarray] = {0: p}
+        self._dyadic: dict[int, np.ndarray] = {}
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The transition matrix P, built on first read and cached for power()."""
+        return self.dyadic_power(0)
 
     def dyadic_power(self, k: int) -> np.ndarray:
         """P^(2^k), cached across calls."""
         if k not in self._dyadic:
-            prev = self.dyadic_power(k - 1)
-            self._dyadic[k] = _checked_product(prev, prev, 1 << k)
-            self._dyadic[k].setflags(write=False)
+            if k:
+                prev = self.dyadic_power(k - 1)
+                power = _checked_product(prev, prev, 1 << k)
+            else:
+                power = _transition(self.weights)
+            power.setflags(write=False)
+            self._dyadic[k] = power
         return self._dyadic[k]
 
     def power(self, t: int) -> np.ndarray:
@@ -160,6 +168,14 @@ class LazyChain:
             t >>= 1
             k += 1
         return result
+
+
+def _transition(w: WeightFunction) -> np.ndarray:
+    """P for w, made the same way, so with the same bits, at every call."""
+    p = w.dense()
+    p /= 2.0 * w.vertex_weights[:, None]
+    np.fill_diagonal(p, 0.5)
+    return p
 
 
 def _row_drift(product: np.ndarray) -> float:
@@ -283,40 +299,48 @@ def _settles(condition: _Condition, chi2: dict[int, float], a: int, b: int) -> b
 
 def _lift(
     failing: np.ndarray,
-    factor: np.ndarray,
+    factors: tuple[np.ndarray, ...],
     time: int,
     holds: Callable[[np.ndarray], bool],
-    buffer: np.ndarray,
+    buffers: np.ndarray,
     shared: bool,
+    whole: bool = True,
 ) -> np.ndarray | None:
-    """None when holds(P^time), P^time = failing @ factor, else P^time.
+    """None when holds(P^time), P^time = failing @ factors[0] @ factors[1] ..., else P^time.
 
-    The product is made and tested by row blocks through buffer, so one that
-    holds is never stored.  Row i of the product reads only row i of failing,
-    so one that fails is written over failing block by block (over a new
-    array when failing is shared); the blocks tested before the failure
-    showed are made again.  The row sums of every block are checked.
+    The product is made and tested by row blocks, through one buffer per
+    factor, so one that holds is never stored.  Row i of the product reads
+    only row i of failing, so one that fails is written over failing block
+    by block (over a new array when failing is shared); the blocks tested
+    before the failure showed are made again.  When whole is False nothing
+    reads a product that fails, so testing stops at its first failing block,
+    which is returned.  The row sums of every block made are checked.
     """
-    blocks = [slice(start, start + len(buffer)) for start in range(0, len(failing), len(buffer))]
+    size = len(buffers[0])
+    blocks = [slice(start, start + size) for start in range(0, len(failing), size)]
     drift = 0.0
 
     def product(rows: slice) -> np.ndarray:
         nonlocal drift
-        out = buffer[: len(failing[rows])]
-        np.matmul(failing[rows], factor, out=out)
-        drift = max(drift, _row_drift(out))
-        return out
+        block = failing[rows]
+        for factor, buffer in zip(factors, buffers):
+            block = np.matmul(block, factor, out=buffer[: len(block)])
+        drift = max(drift, _row_drift(block))
+        return block
 
     lifted = None
     for index, rows in enumerate(blocks):
         block = product(rows)
         if not holds(block):
+            if not whole:
+                lifted = block
+                break
             lifted = np.empty_like(failing) if shared else failing
             lifted[rows] = block
             for other in blocks[:index] + blocks[index + 1 :]:
                 lifted[other] = product(other)
             break
-    _check_drift(drift, time, len(factor))
+    _check_drift(drift, time, len(failing))
     return lifted
 
 
@@ -335,15 +359,21 @@ def _first_times(
     per condition per bit, where a binary search would build each midpoint's
     power anew.
 
-    The ladder keeps P and the even levels; an odd level is dropped once the
-    next is made, and made again from the level below when an unsettled lift
-    first reads it.  A condition's dropped failing power P^(2^k) is likewise
-    made only at its first unsettled lift.  Each lift is tested by row blocks
-    through one buffer of _LIFT_ROWS rows (_lift), so a product that holds
-    is never stored, and one that fails is written over its condition's
-    failing power in place.  A level is dropped once no lift or remake reads
-    it, so a search bracketed at k holds about ceil((k + 1) / 2) + 2 n x n
-    matrices.
+    The search makes P from the weights (_transition, the same bits each
+    time) and drops it after the first squaring; the lifts at bits 1 and 0
+    make it again.  The ladder keeps the even levels from P^4 up; an odd level
+    is dropped once the next is made, and made again from the level below
+    when an unsettled lift first reads it.  A condition's dropped failing
+    power P^(2^k) is likewise made only at its first unsettled lift.  Each
+    lift is tested by row blocks through buffers of _LIFT_ROWS rows (_lift),
+    so a product that holds is never stored, and one that fails is written
+    over its condition's failing power in place.  Bit 1 multiplies by P twice
+    rather than make P^2, and a lift that fails at bit 0 stops at its first
+    failing block, since nothing reads it.  A level is dropped once no lift or
+    remake reads it, and P^4 before P is made again, so a search bracketed at
+    k holds about ceil((k + 1) / 2) + 1 n x n matrices beside the buffers (3
+    on hypercube:10: P^4, P^16 and P^32 while doubling, then P, P^32 and
+    tv_mix's failing power).
 
     A product P^a P^b that would only be tested (the doubling top, a = b = 2^k,
     or a lift, a = lo and b = 2^j) is made only where the certificate s(a) s(b)
@@ -355,11 +385,11 @@ def _first_times(
     """
     pi = chain.pi
     # the ladder's held levels: level k is P^(2^k)
-    held = {0: chain.matrix}
-    epsilons = [float(np.diag(chain.matrix).max())]
+    held = {0: _transition(chain.weights)}
+    epsilons = [float(np.diag(held[0]).max())]
     # s(t)^2 of the powers the search has held, ladder levels' off the diagonals
     chi2: dict[int, float] = {}
-    times = [1 if condition.holds(chain.matrix) else None for condition in conditions]
+    times = [1 if condition.holds(held[0]) else None for condition in conditions]
     unbracketed = [i for i, t in enumerate(times) if t is None]
     brackets: dict[int, int] = {}
     k = 0
@@ -385,9 +415,9 @@ def _first_times(
             if conditions[i].holds(top):
                 brackets[i] = k
         unbracketed = [i for i in unbracketed if i not in brackets]
-        # no lift reads the last top; an odd level is made again if a lift reads it
+        # no lift reads the last top; P and the odd levels are made again if read
         if unbracketed:
-            if k % 2:
+            if k % 2 or not k:
                 del held[k]
             held[k + 1] = top
         del top
@@ -396,12 +426,15 @@ def _first_times(
     lows = {i: 1 << k for i, k in brackets.items()}
     # None until the condition's first unsettled lift makes it
     failing = {i: held.get(k) for i, k in brackets.items()}
-    buffer = np.empty((min(_LIFT_ROWS, chain.n), chain.n))
+    buffers = np.empty((2, min(_LIFT_ROWS, chain.n), chain.n))
 
     def level(j: int) -> np.ndarray:
         if j not in held:
-            below = level(j - 1)
-            held[j] = _checked_product(below, below, 1 << j)
+            if j:
+                below = level(j - 1)
+                held[j] = _checked_product(below, below, 1 << j)
+            else:
+                held[0] = _transition(chain.weights)
         return held[j]
 
     def release(bottom: int) -> None:
@@ -435,15 +468,24 @@ def _first_times(
             shared = any(failing[i] is power for power in held.values()) or any(
                 failing[m] is failing[i] for m in failing if m != i
             )
-            lifted = _lift(failing[i], level(j), low + step, conditions[i].holds, buffer, shared)
+            # bit 1 multiplies by P twice; a failing power that bit 0 lifts is not read
+            lifted = _lift(
+                failing[i],
+                (level(0), level(0)) if j == 1 else (level(j),),
+                low + step,
+                conditions[i].holds,
+                buffers,
+                shared,
+                whole=j > 0,
+            )
             if lifted is not None:
                 lows[i] += step
                 failing[i] = lifted
-    del failing, held, buffer
+    del failing, held, buffers
     for i, low in lows.items():
         times[i] = low + 1
     if times and max(times).bit_length() > len(epsilons):
-        top = chain.matrix
+        top = _transition(chain.weights)
         for k in range(len(epsilons)):
             top = _checked_product(top, top, 2 << k)
         epsilons.append(float(np.diag(top).max()))

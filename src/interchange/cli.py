@@ -200,12 +200,16 @@ def _mix(w: WeightFunction, config: RunConfig):
 def _octopus(w: WeightFunction, config: RunConfig):
     from .group_algebra import octopus_check
 
+    # edges() runs in (i, j) order, so each hub lists its arms by neighbour
+    arms: list[list[float]] = [[] for _ in range(w.n)]
+    for (i, j), weight in w.edges():
+        arms[i].append(weight)
+        arms[j].append(weight)
     hubs = []
-    for hub, row in enumerate(w.dense()):
+    for hub, hub_arms in enumerate(arms):
         # the gap lives on the hub and its neighbours: hub 0, arms 1 .. deg
-        arms = row[row > 0]
-        if arms.size:
-            verdict = octopus_check(len(arms) + 1, 0, arms, tol=config.tol)
+        if hub_arms:
+            verdict = octopus_check(len(hub_arms) + 1, 0, hub_arms, tol=config.tol)
             hubs.append({"hub": hub, **verdict._asdict()})
     if not hubs:
         raise DegenerateWeightError("octopus needs at least one vertex with an edge")

@@ -205,7 +205,9 @@ _GUIDE_MAX_CELLS = 1 << 20
 _GUIDE_CELLS_PER_EDGE = 4
 
 
-def trajectory_rng(seed: int, index: int) -> np.random.Generator:
+# The generator annotations are strings: numpy loads numpy.random (about 6 MB)
+# on first use, which only the Monte Carlo routes need, not an import.
+def trajectory_rng(seed: int, index: int) -> "np.random.Generator":
     """Counter-based generator for one trajectory of the reference simulator."""
     if seed < 0 or index < 0:
         raise ParameterError("seed and trajectory index must be nonnegative")
@@ -305,7 +307,7 @@ def cycle_counts_batch(perms: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _philox(seed: int, block: int, region: int) -> np.random.Generator:
+def _philox(seed: int, block: int, region: int) -> "np.random.Generator":
     """Counter region `region` of block `block`'s Philox stream."""
     return np.random.Generator(
         np.random.Philox(
@@ -506,16 +508,26 @@ def large_cycle_mass(
 
 
 def exact_cycles_bruteforce(w: WeightFunction, k: int, t):
-    """E(s_k(t)) summed over all permutations with exact probabilities, n <= 5.
+    """E(s_k(t)) by the brute-force sum, n <= 5.  t may be a scalar or an array."""
+    return exact_cycles_by_k(w, (k,), t)[k]
 
-    t may be a scalar or an array.  The terms are added one after another in
-    permutation order (a cumulative sum), the order of a plain loop, so a
-    scalar t gets the loop's value bit for bit.
+
+def exact_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, float | np.ndarray]:
+    """E(s_k(t)) summed over all permutations with exact probabilities, n <= 5, keyed by k.
+
+    t may be a scalar or an array.  One solve of the process serves every k
+    in ks.  The terms are added one after another in permutation order (a
+    cumulative sum), the order of a plain loop, so a scalar t gets the loop's
+    value bit for bit.
     """
     process = InterchangeExact(w)
-    counts = np.array([cycle_counts(perm)[k] for perm in process.permutations])
-    total = np.cumsum(process.distribution(t) * counts, axis=-1)[..., -1]
-    return float(total) if total.ndim == 0 else total
+    distribution = process.distribution(t)
+    counts = np.array([cycle_counts(perm) for perm in process.permutations])
+    results = {}
+    for k in ks:
+        total = np.cumsum(distribution * counts[:, k], axis=-1)[..., -1]
+        results[k] = float(total) if total.ndim == 0 else total
+    return results
 
 
 def oracle_t_grid(w: WeightFunction) -> np.ndarray:

@@ -10,9 +10,11 @@ from interchange import chain as chain_module
 from interchange.chain import (
     TIE_GUARD,
     BoundCheckReport,
+    ClauseDiagnostics,
     DeltaResult,
     LazyChain,
     LiftedWeight,
+    MixingReport,
     delta,
     double_weight,
     is_regular,
@@ -37,8 +39,10 @@ from interchange.graphs import (
     WeightFunction,
     complete,
     cycle,
+    dump_weight_file,
     hamming2,
     hypercube,
+    parse_graph_spec,
     path,
     star,
 )
@@ -110,9 +114,9 @@ def record_products(monkeypatch) -> list[tuple[int, bool]]:
         products.append((time, a is b))
         return checked(a, b, time)
 
-    def counted_lift(failing, factor, time, *rest):
+    def counted_lift(failing, factors, time, *rest, **options):
         products.append((time, False))
-        return lift(failing, factor, time, *rest)
+        return lift(failing, factors, time, *rest, **options)
 
     monkeypatch.setattr(chain_module, "_checked_product", counted)
     monkeypatch.setattr(chain_module, "_lift", counted_lift)
@@ -331,22 +335,24 @@ def test_mixing_search_takes_one_product_per_bit(monkeypatch):
     # (s(256)^2 = 0.060) and the lifts to 384 and 320 (s(256) s(128) = 0.145,
     # s(256) s(64) = 0.232), so doubling takes 8 products and lifting 6 + 7.
     # The ladder keeps the even levels, so the odd ones that unsettled lifts
-    # read are made again: P^128 (tv_mix's failing power), P^32, P^8 and P^2.
-    # Holding every level took 8 + 6 + 7 = 21, a binary search 38.
+    # read are made again: P^128 (tv_mix's failing power), P^32 and P^8.
+    # Bit 1 multiplies by P twice, so P^2 is not made again.  Holding every
+    # level took 8 + 6 + 7 = 21, a binary search 38.
     products = record_products(monkeypatch)
     report = mixing_report(path(20))
     assert (report.lmix, report.mix) == (304, 137)
     squares = [time for time, square in products if square]
-    assert squares == [2 << k for k in range(8)] + [128, 32, 8, 2]
-    assert len(products) == 8 + 4 + 6 + 7
+    assert squares == [2 << k for k in range(8)] + [128, 32, 8]
+    assert len(products) == 8 + 3 + 6 + 7
 
 
 def test_mixing_report_holds_few_matrices():
-    # lmix(hypercube(8)) = 26 is bracketed at k = 4.  The ladder holds P, P^4
-    # and P^16 and makes P^8 and P^2 again when lifts read them, and each lift
-    # is tested by row blocks: 4.8 matrices of 256 x 256 measured, with the
-    # 128-row buffer.  Holding every level up to P^16 beside the lifted
-    # powers measured 6.3 (8.26 before the search freed its ladder).
+    # lmix(hypercube(8)) = 26 is bracketed at k = 4.  The ladder holds P^4
+    # and P^16, makes P^8 again when a lift reads it and P from the weights
+    # for bits 1 and 0, and each lift is tested by row blocks: 4.27 matrices
+    # of 256 x 256 measured, with the two 128-row buffers.  Holding P and
+    # remaking P^2 measured 4.8, holding every level up to P^16 beside the
+    # lifted powers 6.3 (8.26 before the search freed its ladder).
     n = 256
     tracemalloc.start()
     try:
@@ -355,14 +361,14 @@ def test_mixing_report_holds_few_matrices():
     finally:
         tracemalloc.stop()
     assert report.lmix == 26
-    assert peak <= 5.2 * n * n * 8
+    assert peak <= 4.5 * n * n * 8
 
 
 def test_slow_search_holds_about_half_its_ladder():
     # lmix(path(256)) = 54749 is bracketed at k = 15, so the search holds
-    # about ceil((k + 1) / 2) + 2 = 10 matrices of 256 x 256, beside the
-    # 128-row buffer and row-block temporaries: 10.8 measured.  Holding every
-    # level measured 17.3.
+    # about ceil((k + 1) / 2) + 1 = 9 matrices of 256 x 256, beside the two
+    # 128-row buffers and row-block temporaries: 10.27 measured.  Holding P
+    # measured 10.8, holding every level 17.3.
     n = 256
     tracemalloc.start()
     try:
@@ -371,20 +377,32 @@ def test_slow_search_holds_about_half_its_ladder():
     finally:
         tracemalloc.stop()
     assert report.lmix == 54749
-    assert peak <= 11.8 * n * n * 8
+    assert peak <= 10.6 * n * n * 8
 
 
 def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
     # lmix(hypercube(10)) = 35 is bracketed at k = 5.  s(32)^2 = 0.012 settles
     # the top P^64, and s(32) s(16) = 0.067 and s(32) s(8) = 0.206 settle the
-    # lifts to 48 and 40, so no lift reads P^16.  The ladder keeps P, P^4,
-    # P^16 and the top P^32, and makes P^8 (tv_mix's failing power) and P^2
-    # again: 5 doublings, 2 remade squarings and 6 lifts, 13 products.  A lift
-    # that holds (36 and 35) is never stored, so the search peaks at 4.2
-    # matrices of 1024 x 1024; holding every level peaked at 6.08, and the
-    # search without certificates at 7.02.
+    # lifts to 48 and 40, so no lift reads P^16.  The ladder keeps P^4, P^16
+    # and the top P^32, and makes P^8 (tv_mix's failing power) again: 5
+    # doublings, 1 remade squaring and 6 lifts.  The lifts to 14 and 34
+    # multiply by P twice, made again from the weights once P^4 is dropped,
+    # and the lift to 15 fails in its first row block and stops there:
+    # 13.125 products of 1024 x 1024.  A lift that holds (36 and 35) is never
+    # stored, so the search peaks at 3.32 matrices, with the two 128-row
+    # buffers.  Remaking P^2 beside P, P^12 and P^32 peaked at 4.19, holding
+    # every level at 6.08, and the search without certificates at 7.02.
     n = 1024
     products = record_products(monkeypatch)
+    lift_rows = []
+    matmul = np.matmul
+
+    def counted_matmul(a, b, **options):
+        lift_rows.append(len(a))
+        return matmul(a, b, **options)
+
+    # _lift multiplies its row blocks with np.matmul, whole products use @
+    monkeypatch.setattr(np, "matmul", counted_matmul)
     tracemalloc.start()
     try:
         report = mixing_report(hypercube(10))
@@ -395,9 +413,11 @@ def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
     assert products == [
         (2, True), (4, True), (8, True), (16, True), (32, True),
         (8, True), (12, False), (36, False),
-        (2, True), (14, False), (34, False), (15, False), (35, False),
+        (14, False), (34, False), (15, False), (35, False),
     ]
-    assert peak <= 4.6 * n * n * 8
+    squares = sum(square for _, square in products)
+    assert squares + sum(lift_rows) / n <= 14
+    assert peak <= 3.5 * n * n * 8
 
 
 @pytest.mark.parametrize("w, k", [(path(3), 1), (path(4), 2)])
@@ -529,7 +549,7 @@ def test_lift_tests_by_row_blocks_and_writes_a_failing_product(failing_row, shar
         return failing_row is None or not (want[failing_row] == block).all(axis=1).any()
 
     failing = low.copy()
-    lifted = chain_module._lift(failing, factor, 3, holds, np.empty((rows, n)), shared)
+    lifted = chain_module._lift(failing, (factor,), 3, holds, np.empty((1, rows, n)), shared)
     assert np.allclose(want, low @ factor, rtol=1e-13, atol=0.0)
     if failing_row is None:
         assert lifted is None
@@ -543,12 +563,49 @@ def test_lift_tests_by_row_blocks_and_writes_a_failing_product(failing_row, shar
     assert np.array_equal(failing, low if shared else want)
 
 
+@pytest.mark.parametrize("whole", [True, False])
+@pytest.mark.parametrize("failing_row", [None, 0, 130, 299])
+def test_lift_through_two_factors(failing_row, whole):
+    # bit 1 multiplies each row block by P twice, through one buffer per
+    # factor; a lift that nothing reads once it fails (bit 0) stops at its
+    # first failing block, which is all it returns
+    n, rows = 300, chain_module._LIFT_ROWS
+    rng = np.random.default_rng(9)
+    low, first, second = rng.uniform(0.0, 1.0, (3, n, n))
+    for matrix in (low, first, second):
+        matrix /= matrix.sum(axis=1, keepdims=True)
+    want = np.concatenate([low[i : i + rows] @ first @ second for i in range(0, n, rows)])
+    tested = []
+
+    def holds(block):
+        tested.append(len(block))
+        return failing_row is None or not (want[failing_row] == block).all(axis=1).any()
+
+    failing = low.copy()
+    lifted = chain_module._lift(
+        failing, (first, second), 3, holds, np.empty((2, rows, n)), False, whole=whole
+    )
+    if failing_row is None:
+        assert lifted is None
+        assert tested == [128, 128, 44]
+        assert np.array_equal(failing, low)
+        return
+    block = failing_row // rows
+    assert tested == [128, 128, 44][: block + 1]
+    if whole:
+        assert lifted is failing
+        assert np.array_equal(lifted, want)
+    else:
+        assert np.array_equal(lifted, want[block * rows : (block + 1) * rows])
+        assert np.array_equal(failing, low)
+
+
 def test_lift_checks_the_row_sums_of_every_block():
     low = np.full((4, 4), 0.25)
     factor = np.full((4, 4), 0.25)
     factor[:, 0] += 1e-9
     with pytest.raises(ConsistencyError, match="row sums drifted by 1.000e-09"):
-        chain_module._lift(low, factor, 2, lambda block: True, np.empty((2, 4)), False)
+        chain_module._lift(low, (factor,), 2, lambda block: True, np.empty((1, 2, 4)), False)
 
 
 def test_monotone_profiles():
@@ -606,6 +663,103 @@ def test_mixing_report_complete3():
     assert report.delta == pytest.approx(16 / 33)
     assert report.theorem_bound == pytest.approx(16 / 99)
     assert report.clause_bounds.regular is True
+
+
+def golden_weights() -> WeightFunction:
+    """A path on 30 vertices with chords, weights in [0.25, 4) from golden-ratio fractions."""
+
+    def weight(x: int) -> float:
+        return 0.25 + 3.75 * math.modf(x * 0.6180339887498949)[0]
+
+    entries = {(i, i + 1): weight(i + 1) for i in range(29)}
+    entries |= {(i, i + 7): weight((i + 2) * (i + 7)) for i in range(0, 23, 5)}
+    return WeightFunction(30, entries)
+
+
+# mixing_report before the search made P from the weights and lifted bit 1
+# through P twice: (lmix, mix, delta, epsilons, clause bounds, theorem bound)
+RECORDED_REPORTS = {
+    "complete:3": (
+        2, 1, 0.48484848484848486, (0.5, 0.375), (0.25, True, 0.25), 0.16161616161616163,
+    ),
+    "star:4": (
+        4, 2, 0.2962962962962963, (0.5, 0.49999999999999994, 0.4999999999999999),
+        (0.1111111111111111, False, 0.125), 0.012345679012345678,
+    ),
+    "path:3": (
+        4, 2, 0.2962962962962963, (0.5, 0.5, 0.5), (0.25, False, 0.125), 0.018518518518518517,
+    ),
+    "hamming2:2": (
+        4, 2, 0.37841832963784183, (0.5, 0.375, 0.28125), (0.25, True, 0.125), 0.04730229120473023,
+    ),
+    "complete:4": (
+        2, 2, 0.5, (0.5, 0.33333333333333337), (0.1111111111111111, True, 0.25), 0.1875,
+    ),
+    "complete:5": (
+        2, 2, 0.5079365079365079, (0.5, 0.3125), (0.0625, True, 0.25), 0.20317460317460317,
+    ),
+    "complete:8": (
+        2, 2, 0.5185185185185185, (0.5, 0.28571428571428575), (0.02040816326530612, True, 0.25),
+        0.22685185185185183,
+    ),
+    "hypercube:10": (
+        35, 16, 0.46084240091434325,
+        (0.5, 0.275, 0.10175000000000003, 0.023856800000000015, 0.004474249985306755,
+         0.0013480108791700798),
+        (0.010000000000000002, True, 0.014285714285714285), 0.00012858325918368952,
+    ),
+    "path:20": (
+        304, 137, 0.12831997943714443,
+        (0.5, 0.4375, 0.3828125, 0.318572998046875, 0.2497145882807672, 0.18718274280142783,
+         0.13653917464698376, 0.09811434321936378, 0.07048045720260121),
+        (0.25, False, 0.001644736842105263), 1.1108031460971643e-05,
+    ),
+    "golden": (
+        321, 163, 0.12195077740607943,
+        (0.5, 0.4512003638525198, 0.407235746222414, 0.3481850127661187, 0.27541584105664163,
+         0.19532565911825456, 0.1216380128699568, 0.08587616367429093, 0.06932413107651154),
+        (0.0022682001941965084, False, 0.001557632398753894), 1.5977483510875777e-05,
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(RECORDED_REPORTS))
+def test_mixing_report_is_bit_for_bit_the_recorded_one(spec, tmp_path):
+    # the README examples' graphs, hypercube:10, path:20 and a weight file
+    lm, mix, delta_value, epsilons, clauses, bound = RECORDED_REPORTS[spec]
+    if spec == "golden":
+        dump_weight_file(golden_weights(), tmp_path / "golden.txt")
+        spec = f"file:{tmp_path / 'golden.txt'}"
+    report = mixing_report(parse_graph_spec(spec))
+    assert report == MixingReport(
+        lm, mix, delta_value, epsilons, ClauseDiagnostics(*clauses), bound
+    )
+
+
+def test_lazy_chain_builds_its_matrix_on_first_read():
+    chain = LazyChain(path(4))
+    assert chain._dyadic == {}
+    assert chain.matrix is chain.matrix
+    assert np.array_equal(chain.matrix, chain_module._transition(path(4)))
+    assert not chain.matrix.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # p(0, 1) = 1e-320 / 2e10 underflows
+        ({(0, 1): 1e-320, (0, 2): 1e10}, "a transition probability underflows to zero"),
+        # every p(i, j) is positive, but pi(0) = 1e-320 / 2.002e6 underflows
+        (
+            {(0, 1): 1e-320, (1, 2): 1000.0, (2, 3): 1e6},
+            "the stationary weight of vertex 0 underflows to zero",
+        ),
+    ],
+)
+def test_underflowing_chains_are_rejected_when_built(entries, message):
+    w = WeightFunction(1 + max(max(pair) for pair in entries), entries)
+    with pytest.raises(DegenerateWeightError, match=message):
+        LazyChain(w)
 
 
 def test_mixing_report_disconnected():
@@ -797,17 +951,19 @@ def test_probability_bounds_product_count(monkeypatch):
 
 def test_probability_bounds_rebuild_the_dyadic_powers(monkeypatch):
     # lmix's search frees its own ladder, so power() builds the cached dyadic
-    # powers P^2 .. P^8192 itself: 13 of the 121 products.  The search makes
+    # powers P^2 .. P^8192 itself: 13 of the 120 products.  The search makes
     # 13 doublings up to P^8192 and 12 lifts; the chi-distances settle the
     # top P^16384 (s(8192)^2 = 0.163) and the lift to 14336
     # (s(12288) s(2048) = 0.240).  Its ladder keeps the even levels and makes
-    # the odd ones its unsettled lifts read again: P^512, P^128, P^32, P^8 and
-    # P^2.  The squares are those 13 + 13 + 5.  The search holding every
-    # level took 103 + 13 = 116 products, and without certificates 118.
+    # the odd ones its unsettled lifts read again: P^512, P^128, P^32 and P^8;
+    # the lift at bit 1 multiplies by P twice (counted once here) rather than
+    # make P^2 again.  The squares are those 13 + 13 + 4.  Remaking P^2 took
+    # 108 + 13 = 121 products, the search holding every level 103 + 13 = 116,
+    # and without certificates 118.
     products = record_products(monkeypatch)
     w = path(128)
     chain = lazy_chain(w)
     verify_probability_bounds(chain, w)
-    assert len(products) == 108 + 13
-    assert sum(square for _, square in products) == 13 + 13 + 5
+    assert len(products) == 107 + 13
+    assert sum(square for _, square in products) == 13 + 13 + 4
     assert sorted(chain._dyadic) == list(range(14))

@@ -89,6 +89,35 @@ class TestReports:
         assert len(sizes) == 64
         assert max(sizes) <= 3
 
+    @pytest.mark.parametrize("graph", ["star:10", "path:1024", "file"])
+    def test_octopus_arms_from_the_edge_list(self, capsys, monkeypatch, tmp_path, graph):
+        # the same JSON, byte for byte, as listing each hub's arms off its row
+        # of the dense weight matrix
+        if graph == "file":
+            # pairs out of order, either end first, hubs with arms on both sides
+            (tmp_path / "w.txt").write_text(
+                "7 10\n6 0 2.5\n0 1 0.75\n3 1 1.25\n1 5 3.0\n2 1 0.5\n"
+                "4 2 1.75\n3 4 2.25\n5 6 0.3\n2 6 1.1\n0 3 0.9\n"
+            )
+            graph = f"file:{tmp_path / 'w.txt'}"
+
+        def dense_rows(w, config):
+            hubs = []
+            for hub, row in enumerate(w.dense()):
+                arms = row[row > 0]
+                if arms.size:
+                    verdict = group_algebra.octopus_check(len(arms) + 1, 0, arms, tol=config.tol)
+                    hubs.append({"hub": hub, **verdict._asdict()})
+            passed = all(entry["psd"] for entry in hubs)
+            return {"tol": config.tol, "hubs": hubs, "passed": passed}, passed
+
+        argv = ["octopus", "--graph", graph]
+        got = run_cli(capsys, argv)
+        octopus = cli._SUBCOMMANDS["octopus"]
+        monkeypatch.setitem(cli._SUBCOMMANDS, "octopus", octopus._replace(run=dense_rows))
+        assert got == run_cli(capsys, argv)
+        assert got[0] == 0
+
     def test_verify_doubling(self, capsys):
         code, out = run_cli(capsys, ["verify-doubling", "--graph", "complete:3"])
         assert code == 0
@@ -506,13 +535,13 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["lmix"] == 2
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The interchange modules a fresh interpreter holds after running code."""
+def _loaded_after(code: str, package: str = "interchange") -> set[str]:
+    """The modules of package a fresh interpreter holds after running code."""
     src = os.path.dirname(os.path.dirname(interchange.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     report = (
         "import json, sys; "
-        "print(json.dumps([m for m in sys.modules if m.startswith('interchange')]))"
+        f"print(json.dumps([m for m in sys.modules if m.startswith({package!r})]))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"],
@@ -535,3 +564,17 @@ def test_subcommand_loads_only_what_it_runs():
     assert "interchange.chain" in loaded
     heavy = {"cycles", "irreps", "qhf", "acceptance", "group_algebra"}
     assert not loaded & {f"interchange.{name}" for name in heavy}
+
+
+def test_spectral_cycles_leave_numpy_random_unloaded():
+    # numpy loads numpy.random (about 6 MB) on first use; only the Monte
+    # Carlo routes draw, so a spectral-only run does without it
+    assert not _loaded_after("import interchange.cycles", "numpy.random")
+    assert not _loaded_after(
+        "from interchange.cli import main\n"
+        "main(['cycles', '--graph', 'path:10', '--k', '2', '--t', '1'])",
+        "numpy.random",
+    )
+    assert _loaded_after(
+        "from interchange.cycles import trajectory_rng; trajectory_rng(0, 0)", "numpy.random"
+    )

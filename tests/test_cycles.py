@@ -21,6 +21,7 @@ from interchange.cycles import (
     cycle_count_blocks,
     cycle_counts_batch,
     exact_cycles_bruteforce,
+    exact_cycles_by_k,
     expected_cycles_by_k,
     expected_cycles_mc,
     expected_cycles_spectral,
@@ -185,6 +186,23 @@ class TestSpectralFormula:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         assert check_cycle_formula_routes(SuiteConfig.for_level("desk")).passed
         assert len(sizes) == 46
+
+    def test_cycle_formula_routes_solve_each_process_once(self, monkeypatch):
+        # the brute-force route diagonalizes the n! x n! regular representation
+        # once per oracle graph, for every k: 5 eigh calls, where one per
+        # (graph, k) took 21
+        from interchange.acceptance import SuiteConfig, check_cycle_formula_routes
+
+        sizes = []
+        solve = np.linalg.eigh
+
+        def counted(matrix):
+            sizes.append(len(matrix))
+            return solve(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert check_cycle_formula_routes(SuiteConfig.for_level("desk")).passed
+        assert sizes == [6, 24, 24, 120, 120]
 
 
 class TestFamilyFormulas:
@@ -571,6 +589,16 @@ class TestBruteForce:
                 assert got.shape == ts.shape
                 # counts reach n, so the bound is relative as well as absolute
                 assert np.allclose(got, loop, rtol=1e-15, atol=1e-15), (w, k)
+
+    def test_every_k_at_once_equals_each_k(self):
+        # one solve of the process for every k, the same sums bit for bit
+        for w in [complete(3), path(4), star(4), cycle(5)]:
+            ts = oracle_t_grid(w)
+            table = exact_cycles_by_k(w, range(1, w.n + 1), ts)
+            assert list(table) == list(range(1, w.n + 1))
+            for k, got in table.items():
+                assert np.array_equal(got, exact_cycles_bruteforce(w, k, ts)), (w, k)
+            assert exact_cycles_by_k(w, [2], 0.3)[2] == exact_cycles_bruteforce(w, 2, 0.3)
 
     def test_closed_form(self):
         w = complete(3)
