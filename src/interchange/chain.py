@@ -17,19 +17,15 @@ chain is reversible.  Three quantities drive everything else here:
 
 lmix and tv_mix are found together by one search on a ladder of dyadic
 powers P^(2^k) that the search holds itself: it records each eps_k as the
-power is made and frees each power once its last reader has used it, so
-nothing of the ladder outlives the search.  The ladder keeps every second
-level from P^4 up and makes a dropped level again from the one below when a
-lift reads it, trading a squaring for each matrix it does not hold
-(checkpointing, as in Griewank and Walther, Algorithm 799: revolve, ACM TOMS
-26, 2000).  P is the cheapest checkpoint: it is made again from the weights
-in O(n^2), with the same bits, for the lifts at bits 1 and 0, which multiply
-by P (twice at bit 1) rather than by P^2.  Each lift is made and tested by
-row blocks through one buffer per factor, so a lifted power that holds is
-never stored, one that fails overwrites the power it lifted, and one that
-fails at bit 0, which nothing reads, stops at its first failing block.  A
-search bracketed at k holds about ceil((k + 1) / 2) + 1 n x n matrices
-beside the buffers (3 on hypercube:10).
+power is made and frees each power once its last reader has used it.  The
+ladder keeps every second level from P^4 up and makes a dropped level again
+from the one below when a lift reads it (checkpointing, as in Griewank and
+Walther, Algorithm 799: revolve, ACM TOMS 26, 2000).  Once the lifts at bits
+2 and up are done, the ladder is released and the last two bits are walked
+one product by P at a time.  Each lift is made and tested by row blocks
+through one buffer, so a lifted power that holds is never stored.  A search
+bracketed at k holds about ceil((k + 1) / 2) + 1 n x n matrices (3 on
+hypercube:10).
 
 Reversibility and Cauchy-Schwarz in L^2(1 / pi) settle many tests without a
 product (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed., 4.7
@@ -88,10 +84,11 @@ _PROBABILITY_CONSTANT = 30.0
 _MAX_LIFTED_MASS = 2.0 * MAX_TOTAL_WEIGHT * (1.0 + 1e-9)
 # largest k tried when doubling the time, 2^k, while locating lmix or tv_mix
 _DOUBLING_GUARD = 60
-# rows per block when summing total variation distances
-_TV_ROWS = 32
-# rows per block of a lift, tested through one buffer per factor; at most this
-# many rows, a lift is one product, bit for bit the product of the whole matrices
+# rows per block when summing total variation and chi-distances; subtracting
+# pi takes a buffer of numpy's own (up to 8192 entries) beside the block's
+_TV_ROWS = 16
+# rows per block of a lift, tested through one buffer; at most this many rows,
+# a lift is one product, bit for bit the product of the whole matrices
 _LIFT_ROWS = 128
 
 
@@ -226,12 +223,20 @@ def _min_ratio(power: np.ndarray, pi: np.ndarray) -> float:
     return float((power.min(axis=0) / pi).min())
 
 
+def _row_blocks(power: np.ndarray):
+    """power's blocks of _TV_ROWS rows, each with a buffer of its shape to work in."""
+    buffer = np.empty((min(_TV_ROWS, len(power)), power.shape[1]))
+    for i in range(0, len(power), _TV_ROWS):
+        block = power[i : i + _TV_ROWS]
+        yield block, buffer[: len(block)]
+
+
 def _worst_tv(power: np.ndarray, pi: np.ndarray) -> float:
-    # row by row the same sums as over the whole matrix, but the temporaries
-    # hold _TV_ROWS rows, not n
+    # row by row the same sums as over the whole matrix, through one buffer
+    # of _TV_ROWS rows
     return max(
-        float(0.5 * np.abs(power[i : i + _TV_ROWS] - pi).sum(axis=1).max())
-        for i in range(0, len(power), _TV_ROWS)
+        float(0.5 * np.abs(np.subtract(block, pi, out=out), out=out).sum(axis=1).max())
+        for block, out in _row_blocks(power)
     )
 
 
@@ -265,8 +270,7 @@ def _chi_squared(power: np.ndarray, pi: np.ndarray) -> float:
     """s(a)^2 = max_i sum_k p_a(i, k)^2 / pi(k) - 1 for power = P^a, by row blocks."""
     inverse = 1.0 / pi
     return max(
-        float((np.square(power[i : i + _TV_ROWS]) @ inverse).max())
-        for i in range(0, len(power), _TV_ROWS)
+        float((np.square(block, out=out) @ inverse).max()) for block, out in _row_blocks(power)
     ) - 1.0
 
 
@@ -299,32 +303,31 @@ def _settles(condition: _Condition, chi2: dict[int, float], a: int, b: int) -> b
 
 def _lift(
     failing: np.ndarray,
-    factors: tuple[np.ndarray, ...],
+    factor: np.ndarray,
     time: int,
     holds: Callable[[np.ndarray], bool],
-    buffers: np.ndarray,
+    buffer: np.ndarray,
     shared: bool,
     whole: bool = True,
 ) -> np.ndarray | None:
-    """None when holds(P^time), P^time = failing @ factors[0] @ factors[1] ..., else P^time.
+    """None when holds(P^time), P^time = failing @ factor, else P^time.
 
-    The product is made and tested by row blocks, through one buffer per
-    factor, so one that holds is never stored.  Row i of the product reads
-    only row i of failing, so one that fails is written over failing block
-    by block (over a new array when failing is shared); the blocks tested
-    before the failure showed are made again.  When whole is False nothing
-    reads a product that fails, so testing stops at its first failing block,
-    which is returned.  The row sums of every block made are checked.
+    The product is made and tested by row blocks through buffer, so one that
+    holds is never stored.  Row i of the product reads only row i of failing,
+    so one that fails is written over failing block by block (over a new
+    array when failing is shared); the blocks tested before the failure
+    showed are made again.  When whole is False nothing reads a product that
+    fails, so testing stops at its first failing block, which is returned.
+    The row sums of every block made are checked.
     """
-    size = len(buffers[0])
+    size = len(buffer)
     blocks = [slice(start, start + size) for start in range(0, len(failing), size)]
     drift = 0.0
 
     def product(rows: slice) -> np.ndarray:
         nonlocal drift
         block = failing[rows]
-        for factor, buffer in zip(factors, buffers):
-            block = np.matmul(block, factor, out=buffer[: len(block)])
+        block = np.matmul(block, factor, out=buffer[: len(block)])
         drift = max(drift, _row_drift(block))
         return block
 
@@ -349,35 +352,23 @@ def _first_times(
 ) -> tuple[list[int], tuple[float, ...]]:
     """Smallest t >= 1 with condition(P^t) for each condition, all monotone in t.
 
-    One search serves every condition, on a ladder of dyadic powers it holds
-    itself.  Doubling squares the top power, records eps_k = max diag P^(2^k)
-    as each power is made, and tests every condition not yet bracketed
-    between 2^k, which fails, and 2^(k+1), which holds; it stops once every
-    condition is bracketed.  Lifting then goes from the highest bit down: at
-    bit j the largest failing time lo of each condition bracketed above j
-    becomes lo + 2^j whenever P^lo P^(2^j) still fails.  That is one product
-    per condition per bit, where a binary search would build each midpoint's
-    power anew.
+    Doubling squares the top power, records eps_k = max diag P^(2^k) as each
+    power is made, and tests every condition not yet bracketed between 2^k,
+    which fails, and 2^(k+1), which holds.  Lifting then goes from the
+    highest bit down to bit 2: the largest failing time lo of each condition
+    bracketed above j becomes lo + 2^j whenever P^lo P^(2^j) still fails, one
+    product per condition per bit.  Each first time then lies within
+    min(4, 2^k) of its lo; the end game releases the ladder, makes P from the
+    weights (_transition, the same bits each time) and walks the at most 3
+    candidates one lift by P at a time.
 
-    The search makes P from the weights (_transition, the same bits each
-    time) and drops it after the first squaring; the lifts at bits 1 and 0
-    make it again.  The ladder keeps the even levels from P^4 up; an odd level
-    is dropped once the next is made, and made again from the level below
-    when an unsettled lift first reads it.  A condition's dropped failing
-    power P^(2^k) is likewise made only at its first unsettled lift.  Each
-    lift is tested by row blocks through buffers of _LIFT_ROWS rows (_lift),
-    so a product that holds is never stored, and one that fails is written
-    over its condition's failing power in place.  Bit 1 multiplies by P twice
-    rather than make P^2, and a lift that fails at bit 0 stops at its first
-    failing block, since nothing reads it.  A level is dropped once no lift or
-    remake reads it, and P^4 before P is made again, so a search bracketed at
-    k holds about ceil((k + 1) / 2) + 1 n x n matrices beside the buffers (3
-    on hypercube:10: P^4, P^16 and P^32 while doubling, then P, P^32 and
-    tv_mix's failing power).
-
-    A product P^a P^b that would only be tested (the doubling top, a = b = 2^k,
-    or a lift, a = lo and b = 2^j) is made only where the certificate s(a) s(b)
-    does not settle it.  A first time of exactly 2^(k+1) whose top was settled
+    The ladder keeps the even levels from P^4 up and makes an odd level, or a
+    condition's dropped failing power, again from the level below when first
+    read.  Lifts go through _lift with one buffer: a product that fails is
+    written over its condition's failing power, and the last candidate stops
+    at its first failing block, since nothing reads it.  The doubling top and
+    the lifts at bits >= 2 are made only where the certificate s(a) s(b) does
+    not settle them.  A first time of exactly 2^(k+1) whose top was settled
     gets eps_(k+1) from k + 1 squarings of P: the same products, the same bits.
 
     Returns the first times in the order of the conditions, and eps_k for
@@ -424,25 +415,19 @@ def _first_times(
         k += 1
 
     lows = {i: 1 << k for i, k in brackets.items()}
-    # None until the condition's first unsettled lift makes it
+    # a failing power the ladder dropped is None until first read
     failing = {i: held.get(k) for i, k in brackets.items()}
-    buffers = np.empty((2, min(_LIFT_ROWS, chain.n), chain.n))
+    buffer = np.empty((min(_LIFT_ROWS, chain.n), chain.n))
 
     def level(j: int) -> np.ndarray:
         if j not in held:
-            if j:
-                below = level(j - 1)
-                held[j] = _checked_product(below, below, 1 << j)
-            else:
-                held[0] = _transition(chain.weights)
+            below = level(j - 1)
+            held[j] = _checked_product(below, below, 1 << j)
         return held[j]
 
     def release(bottom: int) -> None:
-        """Drop the levels from bottom up, once no lift at a lower bit reads them.
-
-        A held level that is a pending failing power becomes that power, and
-        the level below a pending failing power stays to make it from.
-        """
+        """Drop the levels from bottom up; a held level that is a pending failing
+        power becomes it, and the level below one still to be made stays."""
         for i, k in brackets.items():
             if failing[i] is None and k in held:
                 failing[i] = held[k]
@@ -450,7 +435,20 @@ def _first_times(
         for j in [j for j in held if j >= bottom and j + 1 not in pending]:
             del held[j]
 
-    for j in reversed(range(max(brackets.values(), default=0))):
+    def lift(i: int, factor: np.ndarray, step: int, whole: bool = True) -> bool:
+        """True when condition i holds at lows[i] + step; else lift its failing power."""
+        others = [*held.values(), *(failing[m] for m in failing if m != i)]
+        shared = any(failing[i] is power for power in others)
+        lifted = _lift(
+            failing[i], factor, lows[i] + step, conditions[i].holds, buffer, shared, whole
+        )
+        if lifted is None:
+            return True
+        lows[i] += step
+        failing[i] = lifted
+        return False
+
+    for j in reversed(range(2, max(brackets.values(), default=0))):
         release(j + 1)
         for i, k in brackets.items():
             if j >= k:
@@ -465,27 +463,27 @@ def _first_times(
             if failing[i] is None:
                 level(k)
                 release(j + 1)
-            shared = any(failing[i] is power for power in held.values()) or any(
-                failing[m] is failing[i] for m in failing if m != i
-            )
-            # bit 1 multiplies by P twice; a failing power that bit 0 lifts is not read
-            lifted = _lift(
-                failing[i],
-                (level(0), level(0)) if j == 1 else (level(j),),
-                low + step,
-                conditions[i].holds,
-                buffers,
-                shared,
-                whole=j > 0,
-            )
-            if lifted is not None:
-                lows[i] += step
-                failing[i] = lifted
-    del failing, held, buffers
+            lift(i, level(j), step)
+    # the end game: the pending failing powers above P^2 come off the ladder,
+    # which is then released; P is made from the weights, and P^2 from P
+    for i, k in brackets.items():
+        if failing[i] is None and k > 1:
+            level(k)
+            release(2)
+    held.clear()
+    p = _transition(chain.weights)
+    for i, k in brackets.items():
+        if failing[i] is None and k == 1:
+            failing[i] = _checked_product(p, p, 2)
+        last = min(4, 1 << k) - 1
+        for candidate in range(1, last + 1):
+            if lift(i, p, 1, whole=candidate < last):
+                break
+    del failing, buffer
     for i, low in lows.items():
         times[i] = low + 1
     if times and max(times).bit_length() > len(epsilons):
-        top = _transition(chain.weights)
+        top = p
         for k in range(len(epsilons)):
             top = _checked_product(top, top, 2 << k)
         epsilons.append(float(np.diag(top).max()))

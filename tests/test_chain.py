@@ -114,9 +114,9 @@ def record_products(monkeypatch) -> list[tuple[int, bool]]:
         products.append((time, a is b))
         return checked(a, b, time)
 
-    def counted_lift(failing, factors, time, *rest, **options):
+    def counted_lift(failing, factor, time, *rest, **options):
         products.append((time, False))
-        return lift(failing, factors, time, *rest, **options)
+        return lift(failing, factor, time, *rest, **options)
 
     monkeypatch.setattr(chain_module, "_checked_product", counted)
     monkeypatch.setattr(chain_module, "_lift", counted_lift)
@@ -336,8 +336,9 @@ def test_mixing_search_takes_one_product_per_bit(monkeypatch):
     # s(256) s(64) = 0.232), so doubling takes 8 products and lifting 6 + 7.
     # The ladder keeps the even levels, so the odd ones that unsettled lifts
     # read are made again: P^128 (tv_mix's failing power), P^32 and P^8.
-    # Bit 1 multiplies by P twice, so P^2 is not made again.  Holding every
-    # level took 8 + 6 + 7 = 21, a binary search 38.
+    # Below bit 2 each search walks its candidates one product by P at a
+    # time (lmix 301, 302, 303; tv_mix 137, which holds), so P^2 is not made
+    # again.  Holding every level took 8 + 6 + 7 = 21, a binary search 38.
     products = record_products(monkeypatch)
     report = mixing_report(path(20))
     assert (report.lmix, report.mix) == (304, 137)
@@ -348,11 +349,12 @@ def test_mixing_search_takes_one_product_per_bit(monkeypatch):
 
 def test_mixing_report_holds_few_matrices():
     # lmix(hypercube(8)) = 26 is bracketed at k = 4.  The ladder holds P^4
-    # and P^16, makes P^8 again when a lift reads it and P from the weights
-    # for bits 1 and 0, and each lift is tested by row blocks: 4.27 matrices
-    # of 256 x 256 measured, with the two 128-row buffers.  Holding P and
-    # remaking P^2 measured 4.8, holding every level up to P^16 beside the
-    # lifted powers 6.3 (8.26 before the search freed its ladder).
+    # and P^16 and makes P^8 again when a lift reads it; P is made from the
+    # weights once the ladder is released, and each lift is tested by row
+    # blocks: 3.70 matrices of 256 x 256 measured, with the 128-row buffer.
+    # Making P before P^4 was released, with two buffers, measured 4.32,
+    # holding P and remaking P^2 4.8, holding every level up to P^16 beside
+    # the lifted powers 6.3 (8.26 before the search freed its ladder).
     n = 256
     tracemalloc.start()
     try:
@@ -361,14 +363,15 @@ def test_mixing_report_holds_few_matrices():
     finally:
         tracemalloc.stop()
     assert report.lmix == 26
-    assert peak <= 4.5 * n * n * 8
+    assert peak <= 3.8 * n * n * 8
 
 
 def test_slow_search_holds_about_half_its_ladder():
     # lmix(path(256)) = 54749 is bracketed at k = 15, so the search holds
-    # about ceil((k + 1) / 2) + 1 = 9 matrices of 256 x 256, beside the two
-    # 128-row buffers and row-block temporaries: 10.27 measured.  Holding P
-    # measured 10.8, holding every level 17.3.
+    # about ceil((k + 1) / 2) + 1 = 9 matrices of 256 x 256, beside the
+    # 128-row buffer and row-block temporaries: 9.66 measured.  Two buffers
+    # and P made before the ladder was released measured 10.29, holding P
+    # 10.8, holding every level 17.3.
     n = 256
     tracemalloc.start()
     try:
@@ -377,7 +380,7 @@ def test_slow_search_holds_about_half_its_ladder():
     finally:
         tracemalloc.stop()
     assert report.lmix == 54749
-    assert peak <= 10.6 * n * n * 8
+    assert peak <= 9.8 * n * n * 8
 
 
 def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
@@ -385,13 +388,16 @@ def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
     # the top P^64, and s(32) s(16) = 0.067 and s(32) s(8) = 0.206 settle the
     # lifts to 48 and 40, so no lift reads P^16.  The ladder keeps P^4, P^16
     # and the top P^32, and makes P^8 (tv_mix's failing power) again: 5
-    # doublings, 1 remade squaring and 6 lifts.  The lifts to 14 and 34
-    # multiply by P twice, made again from the weights once P^4 is dropped,
-    # and the lift to 15 fails in its first row block and stops there:
-    # 13.125 products of 1024 x 1024.  A lift that holds (36 and 35) is never
-    # stored, so the search peaks at 3.32 matrices, with the two 128-row
-    # buffers.  Remaking P^2 beside P, P^12 and P^32 peaked at 4.19, holding
-    # every level at 6.08, and the search without certificates at 7.02.
+    # doublings, 1 remade squaring and the lifts to 12 and 36.  Then the
+    # ladder is released, P made from the weights, and each search walks its
+    # candidates by P: 13, 14 and 15 all fail, and 15, the last, fails in
+    # its first row block and stops there; 33 and 34 fail and 35 holds.
+    # That is 13.125 products of 1024 x 1024.  A lift that holds (36 and 35)
+    # is never stored, so the search peaks at 3.17 matrices, with the 128-row
+    # buffer.  Making P before P^4 was released, with a buffer per factor of
+    # a lift through P twice, peaked at 3.33, remaking P^2 beside P, P^12 and
+    # P^32 at 4.19, holding every level at 6.08, and the search without
+    # certificates at 7.02.
     n = 1024
     products = record_products(monkeypatch)
     lift_rows = []
@@ -413,11 +419,87 @@ def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
     assert products == [
         (2, True), (4, True), (8, True), (16, True), (32, True),
         (8, True), (12, False), (36, False),
-        (14, False), (34, False), (15, False), (35, False),
+        (13, False), (14, False), (15, False), (33, False), (34, False), (35, False),
     ]
     squares = sum(square for _, square in products)
-    assert squares + sum(lift_rows) / n <= 14
-    assert peak <= 3.5 * n * n * 8
+    assert squares + sum(lift_rows) / n <= 13.125
+    assert peak <= 3.2 * n * n * 8
+
+
+@pytest.mark.parametrize(
+    "spec, name, k, offset",
+    [
+        # brackets k = 0, 1 and 2: the low is 2^k, and no lift precedes the walk
+        ("complete:3", "lmix", 0, 1),
+        # tv_mix's P^2 was dropped while lmix doubled on, so P^2 is made from P
+        ("hypercube:3", "mix", 1, 1),
+        ("path:4", "mix", 1, 2),
+        ("cycle:5", "lmix", 2, 1),
+        ("hamming2:4", "lmix", 2, 2),
+        ("hypercube:3", "lmix", 2, 3),
+        ("path:4", "lmix", 2, 4),
+        # the low the lifts at bits 2 and up leave, 4 floor((t - 1) / 4)
+        ("path:6", "lmix", 4, 1),
+        ("path:5", "lmix", 3, 2),
+        ("path:8", "mix", 4, 3),
+        ("cycle:11", "mix", 3, 4),
+    ],
+)
+def test_end_game_walks_to_each_offset_above_the_low(spec, name, k, offset):
+    w = parse_graph_spec(spec)
+    chain = lazy_chain(w)
+    if name == "lmix":
+        holds, separate = (lambda t: min_stationary_ratio(chain, t) > 0.75 + TIE_GUARD), lmix
+    else:
+        holds, separate = (lambda t: tv_distance(chain, t) < 0.25 - TIE_GUARD), tv_mix
+    t = 1
+    while not holds(t):
+        t += 1
+    # the case is what it claims: 2^k < t <= 2^(k+1), t = low + offset
+    assert (t - 1).bit_length() - 1 == k
+    assert t - max(1 << k, (t - 1) // 4 * 4) == offset
+    assert separate(lazy_chain(w)) == t
+    assert getattr(mixing_report(w), name) == t
+
+
+def test_a_failing_last_candidate_stops_at_its_first_failing_block(monkeypatch):
+    # tv_mix(hypercube(10)) = 16: its low after bit 2 is 12, and the walk's
+    # candidates 13, 14 and 15 all fail.  Nothing reads 15, the last, so its
+    # lift stops at the first block that fails; 13 and 14 are made whole.
+    n, rows = 1024, chain_module._LIFT_ROWS
+    multiplied = []
+    matmul = np.matmul
+
+    def counted_matmul(a, b, **options):
+        multiplied.append(len(a))
+        return matmul(a, b, **options)
+
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    lift = chain_module._lift
+    lifts = {}
+
+    def recorded(failing, factor, time, holds, *rest, **options):
+        outcomes = []
+
+        def recorded_holds(block):
+            outcomes.append(holds(block))
+            return outcomes[-1]
+
+        start = len(multiplied)
+        lifted = lift(failing, factor, time, recorded_holds, *rest, **options)
+        lifts[time] = (outcomes, sum(multiplied[start:]))
+        return lifted
+
+    monkeypatch.setattr(chain_module, "_lift", recorded)
+    assert tv_mix(lazy_chain(hypercube(10))) == 16
+    assert sorted(lifts) == [12, 13, 14, 15]
+    for time in (13, 14):
+        outcomes, made = lifts[time]
+        assert outcomes[-1] is False
+        assert made == n + rows * (len(outcomes) - 1)
+    outcomes, made = lifts[15]
+    assert outcomes == [True] * (len(outcomes) - 1) + [False]
+    assert made == rows * len(outcomes)
 
 
 @pytest.mark.parametrize("w, k", [(path(3), 1), (path(4), 2)])
@@ -516,7 +598,7 @@ def test_drift_rounding_cannot_explain_is_a_consistency_error():
         chain_module._checked_product(heavy, uniform, 1 << 40)
 
 
-@pytest.mark.parametrize("n", [1, 5, 2 * chain_module._TV_ROWS + 3])
+@pytest.mark.parametrize("n", [1, 5, 4 * chain_module._TV_ROWS + 3])
 def test_blocked_profiles_equal_whole_matrix_formulas(n):
     # bit for bit: the row blocks sum the same rows, and fl(x / y) is
     # monotone in x for y > 0
@@ -529,66 +611,87 @@ def test_blocked_profiles_equal_whole_matrix_formulas(n):
         0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()
     )
     assert chain_module._min_ratio(power, pi) == float((power / pi[None, :]).min())
+    assert chain_module._chi_squared(power, pi) == float((power**2 @ (1.0 / pi)).max()) - 1.0
+
+
+def lift_case(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A failing power and a factor of 300 x 300, rows summing to 1.
+
+    300 rows are three blocks of _LIFT_ROWS = 128, 128 and 44.
+    """
+    rng = np.random.default_rng(seed)
+    low, factor = rng.uniform(0.0, 1.0, (2, 300, 300))
+    low /= low.sum(axis=1, keepdims=True)
+    factor /= factor.sum(axis=1, keepdims=True)
+    return low, factor
+
+
+def failing_at(want: np.ndarray, failing_row: int | None, tested: list[int]):
+    """A test that records each block's length and fails on the block holding want[failing_row]."""
+
+    def holds(block):
+        tested.append(len(block))
+        return failing_row is None or not (want[failing_row] == block).all(axis=1).any()
+
+    return holds
 
 
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("failing_row", [None, 0, 130, 299])
 def test_lift_tests_by_row_blocks_and_writes_a_failing_product(failing_row, shared):
-    # 300 rows are three blocks of _LIFT_ROWS = 128, 128 and 44; the test
-    # fails in the block holding failing_row, or never
-    n, rows = 300, chain_module._LIFT_ROWS
-    rng = np.random.default_rng(8)
-    low, factor = rng.uniform(0.0, 1.0, (2, n, n))
-    low /= low.sum(axis=1, keepdims=True)
-    factor /= factor.sum(axis=1, keepdims=True)
-    want = np.concatenate([low[i : i + rows] @ factor for i in range(0, n, rows)])
-    tested = []
-
-    def holds(block):
-        tested.append(len(block))
-        return failing_row is None or not (want[failing_row] == block).all(axis=1).any()
-
-    failing = low.copy()
-    lifted = chain_module._lift(failing, (factor,), 3, holds, np.empty((1, rows, n)), shared)
+    # the test fails in the block holding failing_row, or never; testing
+    # stops at the first failing block, and a lift that nothing reads once it
+    # fails (whole=False) returns only that block
+    rows = chain_module._LIFT_ROWS
+    low, factor = lift_case(8)
+    want = np.concatenate([low[i : i + rows] @ factor for i in range(0, len(low), rows)])
     assert np.allclose(want, low @ factor, rtol=1e-13, atol=0.0)
-    if failing_row is None:
-        assert lifted is None
-        assert tested == [128, 128, 44]
-        assert np.array_equal(failing, low)
-        return
-    # testing stops at the first failing block, and the product is kept whole
-    assert tested == [128, 128, 44][: failing_row // rows + 1]
-    assert np.array_equal(lifted, want)
-    assert (lifted is failing) != shared
-    assert np.array_equal(failing, low if shared else want)
+    for whole in (True, False):
+        tested = []
+        failing = low.copy()
+        lifted = chain_module._lift(
+            failing, factor, 3, failing_at(want, failing_row, tested),
+            np.empty((rows, len(low))), shared, whole=whole,
+        )
+        if failing_row is None:
+            assert lifted is None
+            assert tested == [128, 128, 44]
+            assert np.array_equal(failing, low)
+            continue
+        block = failing_row // rows
+        assert tested == [128, 128, 44][: block + 1]
+        if whole:
+            assert np.array_equal(lifted, want)
+            assert (lifted is failing) != shared
+            assert np.array_equal(failing, low if shared else want)
+        else:
+            assert np.array_equal(lifted, want[block * rows : (block + 1) * rows])
+            assert np.array_equal(failing, low)
 
 
 @pytest.mark.parametrize("whole", [True, False])
 @pytest.mark.parametrize("failing_row", [None, 0, 130, 299])
 def test_lift_through_two_factors(failing_row, whole):
-    # bit 1 multiplies each row block by P twice, through one buffer per
-    # factor; a lift that nothing reads once it fails (bit 0) stops at its
-    # first failing block, which is all it returns
-    n, rows = 300, chain_module._LIFT_ROWS
-    rng = np.random.default_rng(9)
-    low, first, second = rng.uniform(0.0, 1.0, (3, n, n))
-    for matrix in (low, first, second):
-        matrix /= matrix.sum(axis=1, keepdims=True)
-    want = np.concatenate([low[i : i + rows] @ first @ second for i in range(0, n, rows)])
-    tested = []
-
-    def holds(block):
-        tested.append(len(block))
-        return failing_row is None or not (want[failing_row] == block).all(axis=1).any()
-
+    # the end game reaches lo + 2 by two lifts by P through one buffer: the
+    # first fails and is written over the failing power, and the second
+    # makes, block by block, the bits of (low[rows] @ P) @ P
+    rows = chain_module._LIFT_ROWS
+    low, factor = lift_case(9)
+    want = np.concatenate(
+        [low[i : i + rows] @ factor @ factor for i in range(0, len(low), rows)]
+    )
+    buffer = np.empty((rows, len(low)))
     failing = low.copy()
+    assert chain_module._lift(failing, factor, 2, lambda block: False, buffer, False) is failing
+    once = failing.copy()
+    tested = []
     lifted = chain_module._lift(
-        failing, (first, second), 3, holds, np.empty((2, rows, n)), False, whole=whole
+        failing, factor, 3, failing_at(want, failing_row, tested), buffer, False, whole=whole
     )
     if failing_row is None:
         assert lifted is None
         assert tested == [128, 128, 44]
-        assert np.array_equal(failing, low)
+        assert np.array_equal(failing, once)
         return
     block = failing_row // rows
     assert tested == [128, 128, 44][: block + 1]
@@ -597,7 +700,7 @@ def test_lift_through_two_factors(failing_row, whole):
         assert np.array_equal(lifted, want)
     else:
         assert np.array_equal(lifted, want[block * rows : (block + 1) * rows])
-        assert np.array_equal(failing, low)
+        assert np.array_equal(failing, once)
 
 
 def test_lift_checks_the_row_sums_of_every_block():
@@ -605,7 +708,7 @@ def test_lift_checks_the_row_sums_of_every_block():
     factor = np.full((4, 4), 0.25)
     factor[:, 0] += 1e-9
     with pytest.raises(ConsistencyError, match="row sums drifted by 1.000e-09"):
-        chain_module._lift(low, (factor,), 2, lambda block: True, np.empty((1, 2, 4)), False)
+        chain_module._lift(low, factor, 2, lambda block: True, np.empty((2, 4)), False)
 
 
 def test_monotone_profiles():
@@ -951,19 +1054,21 @@ def test_probability_bounds_product_count(monkeypatch):
 
 def test_probability_bounds_rebuild_the_dyadic_powers(monkeypatch):
     # lmix's search frees its own ladder, so power() builds the cached dyadic
-    # powers P^2 .. P^8192 itself: 13 of the 120 products.  The search makes
-    # 13 doublings up to P^8192 and 12 lifts; the chi-distances settle the
-    # top P^16384 (s(8192)^2 = 0.163) and the lift to 14336
-    # (s(12288) s(2048) = 0.240).  Its ladder keeps the even levels and makes
-    # the odd ones its unsettled lifts read again: P^512, P^128, P^32 and P^8;
-    # the lift at bit 1 multiplies by P twice (counted once here) rather than
-    # make P^2 again.  The squares are those 13 + 13 + 4.  Remaking P^2 took
-    # 108 + 13 = 121 products, the search holding every level 103 + 13 = 116,
-    # and without certificates 118.
+    # powers P^2 .. P^8192 itself: 13 of the 121 products.  The search makes
+    # 13 doublings up to P^8192 and 10 lifts at bits 12 to 2; the
+    # chi-distances settle the top P^16384 (s(8192)^2 = 0.163) and the lift
+    # to 14336 (s(12288) s(2048) = 0.240).  Its ladder keeps the even levels
+    # and makes the odd ones its unsettled lifts read again: P^512, P^128,
+    # P^32 and P^8.  The squares are those 13 + 13 + 4.  Below bit 2 the
+    # search walks 13577, 13578 and 13579 by P, three lifts of one product
+    # each; a lift through P twice to 13578 and one by P to 13579 made the
+    # same three row products in two calls (107 + 13).  Remaking P^2 took
+    # 108 + 13, the search holding every level 103 + 13 = 116, and without
+    # certificates 118.
     products = record_products(monkeypatch)
     w = path(128)
     chain = lazy_chain(w)
     verify_probability_bounds(chain, w)
-    assert len(products) == 107 + 13
+    assert len(products) == 108 + 13
     assert sum(square for _, square in products) == 13 + 13 + 4
     assert sorted(chain._dyadic) == list(range(14))
