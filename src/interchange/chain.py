@@ -127,13 +127,8 @@ class LazyChain:
         self.connected = w.is_connected()
         self._dyadic: dict[int, np.ndarray] = {}
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The transition matrix P, built on first read and cached for power()."""
-        return self.dyadic_power(0)
-
     def dyadic_power(self, k: int) -> np.ndarray:
-        """P^(2^k), cached across calls."""
+        """P^(2^k), cached across calls; P itself is dyadic_power(0)."""
         if k not in self._dyadic:
             if k:
                 prev = self.dyadic_power(k - 1)

@@ -159,8 +159,9 @@ class _Subcommand(NamedTuple):
     help: str
 
 
-# argparse destinations are RunConfig fields; --seed and --out go on every
-# subcommand, and a subcommand with --graph gets the parsed WeightFunction
+# argparse destinations are RunConfig fields; --out goes on every subcommand,
+# --seed on those that draw random numbers, and a subcommand with --graph gets
+# the parsed WeightFunction
 _FLAGS = {
     "graph": {"required": True, "help": "family:params (e.g. complete:5) or file:path"},
     "t": {"type": float, "required": True, "help": "time, >= 0"},
@@ -173,17 +174,7 @@ _FLAGS = {
     "seed": {"type": int, "default": 0, "help": "master seed"},
     "out": {"default": None, "help": "write the JSON report here"},
 }
-_EVERY_SUBCOMMAND = ("seed", "out")
-
-
-def schema_for(command: str) -> dict:
-    """The JSON schema shipped for a subcommand's report."""
-    if command not in _SUBCOMMANDS:
-        raise ParameterError(f"unknown subcommand {command!r}")
-    from importlib import resources
-
-    path = resources.files("interchange").joinpath("schemas", f"{command}.schema.json")
-    return json.loads(path.read_text())
+_EVERY_SUBCOMMAND = ("out",)
 
 
 def _mix(w: WeightFunction, config: RunConfig):
@@ -247,8 +238,17 @@ def _compare(w: WeightFunction, config: RunConfig):
 def _cycles(w: WeightFunction, config: RunConfig):
     from .cycles import exact_cycles_bruteforce, expected_cycles_mc, expected_cycles_spectral
     from .group_algebra import EXACT_SEMIGROUP_MAX_N
+    from .irreps import IRREP_MAX_N
 
-    spectral = expected_cycles_spectral(w, config.k, config.t)
+    # past the irrep cap only the Monte Carlo route answers
+    spectral = None
+    if w.n <= IRREP_MAX_N:
+        spectral = expected_cycles_spectral(w, config.k, config.t)
+    elif config.samples is None:
+        raise CapError(
+            f"spectral route capped at n <= {IRREP_MAX_N}, got n = {w.n}; "
+            "give --samples for a Monte Carlo estimate"
+        )
     mc = stderr = None
     if config.samples is not None:
         mc, stderr = expected_cycles_mc(w, config.k, config.t, config.samples, config.seed)
@@ -296,13 +296,15 @@ _SUBCOMMANDS = {
     "compare": _Subcommand(
         _compare, ("graph", "csv"), "comparison constant a* and per-partition spectra"),
     "cycles": _Subcommand(
-        _cycles, ("graph", "t", "k", "samples"),
+        _cycles, ("graph", "t", "k", "samples", "seed"),
         "expected k-cycle count by spectral, exact, and MC routes"),
     "large-cycles": _Subcommand(
-        _large_cycles, ("graph", "t", "samples"), "probability of a cycle longer than n/2"),
+        _large_cycles, ("graph", "t", "samples", "seed"),
+        "probability of a cycle longer than n/2"),
     "qhf": _Subcommand(
-        _qhf, ("graph", "t", "samples"), "ferromagnet partition function and magnetization"),
-    "suite": _Subcommand(_suite, ("csv", "level"), "run the acceptance suite"),
+        _qhf, ("graph", "t", "samples", "seed"),
+        "ferromagnet partition function and magnetization"),
+    "suite": _Subcommand(_suite, ("csv", "level", "seed"), "run the acceptance suite"),
 }
 
 

@@ -28,7 +28,8 @@ search only for draws in the few cells that a cumulative probability splits.
 Every pick equals the binary search's, so the streams are those of the plain
 searchsorted engine.  simulate_interchange runs one trajectory literally
 (exponential waiting times, one event at a time) and is kept as the
-reference oracle the tests compare the engine against.
+reference oracle the tests compare the engine against.  Every route here
+counts cycles with cycle_counts_batch.
 """
 
 import math
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import CapError, ConsistencyError, ParameterError
 from .graphs import MAX_SEED, WeightFunction
-from .group_algebra import InterchangeExact, Perm, check_time, cycle_counts, delta_of_weights
+from .group_algebra import InterchangeExact, Perm, check_time, delta_of_weights
 from .irreps import (
     IRREP_MAX_N,
     Partition,
@@ -59,12 +60,6 @@ class CycleFormula:
     n: int
     k: int
     terms: tuple[tuple[Partition, int], ...]
-
-    def coefficient(self, p: Partition) -> int:
-        for partition, a in self.terms:
-            if partition == p:
-                return a
-        return 0
 
 
 def family_partition(n: int, k: int, i: int, family: str) -> Partition:
@@ -271,7 +266,7 @@ def simulate_interchange(
                 break
             elapsed = float(times[-1])
     final = tuple(marbles)
-    counts = cycle_counts(final)
+    [counts] = cycle_counts_batch(np.array([final]))
     counts.setflags(write=False)
     return Trajectory(
         weights=w,
@@ -287,17 +282,18 @@ def simulate_interchange(
 def cycle_counts_batch(perms: np.ndarray) -> np.ndarray:
     """Cycle counts (m, n+1) of each row of an (m, n) array of permutations.
 
-    Pointer doubling: after r rounds label[i] is the smallest point among the
-    first 2^r iterates of i, so once 2^r >= n it names the cycle through i.
+    Pointer doubling on flat positions, point i of row r at r * n + i: after
+    r rounds label[x] is the smallest position among the first 2^r iterates
+    of x, so once 2^r >= n it names the cycle through x.
     """
     m, n = perms.shape
-    label = np.tile(np.arange(n), (m, 1))
-    jump = perms
+    label = np.arange(m * n)
+    jump = (perms + label[::n, None]).ravel()
     for _ in range((n - 1).bit_length()):
-        label = np.minimum(label, np.take_along_axis(label, jump, axis=1))
-        jump = np.take_along_axis(jump, jump, axis=1)
+        label = np.minimum(label, label[jump])
+        jump = jump[jump]
     rows = np.arange(m)[:, None]
-    lengths = np.bincount((rows * n + label).ravel(), minlength=m * n).reshape(m, n)
+    lengths = np.bincount(label, minlength=m * n).reshape(m, n)
     counts = np.bincount(
         (rows * (n + 1) + lengths).ravel(), minlength=m * (n + 1)
     ).reshape(m, n + 1)
@@ -522,7 +518,7 @@ def exact_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, floa
     """
     process = InterchangeExact(w)
     distribution = process.distribution(t)
-    counts = np.array([cycle_counts(perm) for perm in process.permutations])
+    counts = cycle_counts_batch(np.array(process.permutations))
     results = {}
     for k in ks:
         total = np.cumsum(distribution * counts[:, k], axis=-1)[..., -1]

@@ -163,14 +163,6 @@ class WeightFunction:
             sizes.append(size)
         return tuple(sorted(sizes, reverse=True))
 
-    def scaled(self, factor: float) -> "WeightFunction":
-        """New weight function with every weight multiplied by factor > 0."""
-        if factor <= 0:
-            raise ParameterError(f"scale factor must be positive, got {factor}")
-        with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
-            weights = self.weights * factor
-        return WeightFunction._from_arrays(self.n, *self.ends, weights)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightFunction):
             return NotImplemented
@@ -367,11 +359,3 @@ def load_weight_file(path: str | Path) -> WeightFunction:
         return WeightFunction._from_arrays(n, first, second, weights)
     except ParameterError as exc:
         raise ParameterError(f"{exc} in {path}") from exc
-
-
-def dump_weight_file(w: WeightFunction, path: str | Path) -> None:
-    """Write a weight function in the format load_weight_file reads."""
-    edges = list(w.edges())
-    rows = [f"{w.n} {len(edges)}"]
-    rows.extend(f"{i} {j} {weight!r}" for (i, j), weight in edges)
-    Path(path).write_text("\n".join(rows) + "\n")

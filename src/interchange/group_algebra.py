@@ -1,7 +1,7 @@
 """Signed pair operators on the symmetric group and exact operator checks.
 
-Permutations are tuples: p[i] is the image of i, composition is
-compose(p, q)(i) = p[q[i]].  Every operator checked here has the form
+Permutations are tuples: p[i] is the image of i.  Every operator checked
+here has the form
     sum_{i<j} c_ij (1 - (i j))
 for a finite, symmetric, zero-diagonal coefficient matrix c of either sign;
 PairOperator holds that matrix.  It acts on functions over the symmetric
@@ -44,49 +44,6 @@ REGULAR_REP_MAX_N = 7
 EXACT_SEMIGROUP_MAX_N = 5
 PSD_TOL = 1e-9
 TV_MIX_TIME_TOL = 1e-6
-
-
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p q)(i) = p[q[i]], i.e. apply q first."""
-    assert len(p) == len(q)
-    return tuple(p[qi] for qi in q)
-
-
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, pi in enumerate(p):
-        out[pi] = i
-    return tuple(out)
-
-
-def transposition_perm(n: int, i: int, j: int) -> Perm:
-    if i == j:
-        raise ParameterError("transposition needs two distinct points")
-    out = list(range(n))
-    out[i], out[j] = j, i
-    return tuple(out)
-
-
-def cycle_counts(p: Perm) -> np.ndarray:
-    """counts[k] = number of k-cycles of p, for k = 0 .. n (index 0 unused)."""
-    n = len(p)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            v = p[v]
-            length += 1
-        counts[length] += 1
-    return counts
 
 
 def all_perms(n: int) -> list[Perm]:

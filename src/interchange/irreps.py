@@ -17,8 +17,9 @@ the permutations of the first n-1 points, rho_lambda is the direct sum of
 the rho_mu over the partitions mu left by removing one corner of lambda,
 and in the sorted basis the tableaux holding n-1 in that corner are mu's
 tableaux in mu's order.  Each representation is therefore assembled from
-the cached representations of its corners: the actions of s_0 .. s_{n-3}
-are copied from the rho_mu, and only s_{n-2} is computed.  Blocks of a pair
+the cached representations of its corners, and stores only the action of
+s_{n-2}: the actions of s_0 .. s_{n-3} are the rho_mu's, and past the
+sub-blocks on S_{n-1} a block reads s_{n-2} alone.  Blocks of a pair
 operator are built by the same branching rule,
     D_lambda(c) = (+)_mu D_mu(c on the first n-1 points)
                   + sum_{i<n-1} c_{i,n-1} (I - rho_lambda((i, n-1))),
@@ -85,7 +86,6 @@ from .graphs import WeightFunction
 from .group_algebra import PairOperator, delta_of_weights
 
 Partition = tuple[int, ...]
-Tableau = tuple[tuple[int, ...], ...]
 
 PARTITION_MAX_N = 12
 IRREP_MAX_N = 10
@@ -171,37 +171,8 @@ def lambda_kn(p: Partition) -> int:
     return n * (n - 1) // 2 - content_sum(p)
 
 
-def standard_tableaux(p: Partition) -> list[Tableau]:
-    """All standard Young tableaux of shape p, in a fixed deterministic order.
-
-    Entries are 0 .. n-1, increasing along rows and down columns.  Tableaux
-    are ordered lexicographically by the row index of each value.
-    """
-    p = validate_partition(p)
-    n = sum(p)
-    rows: list[list[int]] = [[] for _ in p]
-    found: list[tuple[tuple[int, ...], Tableau]] = []
-
-    def place(value: int) -> None:
-        if value == n:
-            key = tuple(row_of[v] for v in range(n))
-            found.append((key, tuple(tuple(r) for r in rows)))
-            return
-        for r, row in enumerate(rows):
-            if len(row) < p[r] and (r == 0 or len(rows[r - 1]) > len(row)):
-                row.append(value)
-                row_of[value] = r
-                place(value + 1)
-                row.pop()
-
-    row_of = [0] * n
-    place(0)
-    found.sort()
-    return [t for _, t in found]
-
-
 class _AdjacentAction(NamedTuple):
-    """The adjacent actions of one rep, stacked: row a holds s_a's entries."""
+    """rho(s_{n-2}) in two entries per row: row i is diag[i] at i, off[i] at partner[i]."""
 
     diag: np.ndarray
     off: np.ndarray
@@ -235,16 +206,13 @@ class YoungOrthogonalRep:
     with that corner's row appended; one sort of these (distinct) codes gives the
     sorted basis, and branches lists, for each corner, mu and the basis
     indices of its tableaux.  So rho restricted to S_{n-1} is the direct sum
-    of the rho_mu placed at those indices, and the actions of s_0 .. s_{n-3}
-    are copied from the rho_mu.  Only s_{n-2} is new: it reads the row and
-    content of the values n-2 and n-1, and finds each partner by searching
-    the sorted codes.
+    of the rho_mu placed at those indices, and the rep keeps only what is
+    new, the action of s_{n-2}: it reads the row and content of the values
+    n-2 and n-1, and finds each partner by searching the sorted codes.
 
-    Adjacent transpositions are stored in a compressed two-entries-per-row
-    form, stacked as (n-1, dim) arrays, so multiplying any matrix by an
-    adjacent generator costs O(dim^2).  Pair operator blocks are built by
-    the branching rule (delta_blocks); transposition_matrix and matrix build
-    single group elements and serve as references.
+    s_{n-2} is stored in a compressed two-entries-per-row form, three arrays
+    of length dim, so conjugating a matrix by it costs O(dim^2).  Pair
+    operator blocks are built by the branching rule (delta_blocks).
     """
 
     def __init__(self, partition: Sequence[int]):
@@ -258,9 +226,7 @@ class YoungOrthogonalRep:
             # one tableau and no adjacent transposition; S_0 is the empty partition
             self.dim = 1
             self._codes = self._last_row = self._last_content = np.zeros(1, dtype=np.int64)
-            self._adjacent = _AdjacentAction(
-                np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1), dtype=np.intp)
-            )
+            self._adjacent = _AdjacentAction(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp))
             self.branches = [((), np.zeros(1, dtype=np.intp))]
             return
         corners = _corners(p)
@@ -275,13 +241,6 @@ class YoungOrthogonalRep:
         indices = np.split(position, np.cumsum(dims[:-1]))
         self.branches = [(mu, index) for (_, mu), index in zip(corners, indices)]
 
-        diag = np.empty((n - 1, self.dim))
-        off = np.zeros((n - 1, self.dim))
-        partner = np.empty((n - 1, self.dim), dtype=np.intp)
-        for sub, index in zip(subs, indices):
-            diag[:-1, index] = sub._adjacent.diag
-            off[:-1, index] = sub._adjacent.off
-            partner[:-1, index] = index[sub._adjacent.partner]
         # s_{n-2}: value n-2 sits where mu put its last value, n-1 in the corner
         last_row = np.repeat([r for r, _ in corners], dims)[order]
         self._last_row = last_row
@@ -290,25 +249,19 @@ class YoungOrthogonalRep:
         before_content = np.concatenate([sub._last_content for sub in subs])[order]
         d = self._last_content - before_content
         paired = np.abs(d) > 1
-        diag[-1] = 1.0 / d
-        off[-1, paired] = np.sqrt(1.0 - 1.0 / (d[paired] * d[paired]))
+        off = np.zeros(self.dim)
+        off[paired] = np.sqrt(1.0 - 1.0 / (d[paired] * d[paired]))
         swapped = self._codes + (last_row - before_row) * (_CODE_BASE - 1)
-        partner[-1] = np.arange(self.dim)
-        partner[-1, paired] = np.searchsorted(self._codes, swapped[paired])
-        self._adjacent = _AdjacentAction(diag, off, partner)
+        partner = np.arange(self.dim)
+        partner[paired] = np.searchsorted(self._codes, swapped[paired])
+        self._adjacent = _AdjacentAction(1.0 / d, off, partner)
 
-    def _apply_left(self, a: int, m: np.ndarray) -> np.ndarray:
-        act = self._adjacent
-        return act.diag[a, :, None] * m + act.off[a, :, None] * m[act.partner[a], :]
+    def _conjugate(self, m: np.ndarray) -> None:
+        """m <- rho(s_{n-2}) m rho(s_{n-2}) in place, through one dim x dim temporary.
 
-    def _conjugate(self, m: np.ndarray, a: int) -> None:
-        """m <- rho(s_a) m rho(s_a) in place, through one dim x dim temporary.
-
-        Right, then left: each entry becomes diag m + off m[partner], rounded
-        as _apply_left rounds it.
+        Right, then left: each entry becomes diag m + off m[partner].
         """
-        act = self._adjacent
-        partner, diag, off = act.partner[a], act.diag[a], act.off[a]
+        diag, off, partner = self._adjacent
         scratch = np.take(m, partner, axis=1)
         scratch *= off
         m *= diag
@@ -318,56 +271,12 @@ class YoungOrthogonalRep:
         m *= diag[:, None]
         m += scratch
 
-    def adjacent_matrix(self, a: int) -> np.ndarray:
-        """Dense matrix of the adjacent transposition (a, a+1)."""
-        if not 0 <= a < self.n - 1:
-            raise ParameterError(f"adjacent index {a} out of range for n={self.n}")
-        m = np.zeros((self.dim, self.dim))
-        self._add_adjacent(m, a, 1.0)
-        return m
-
-    def _add_adjacent(self, m: np.ndarray, a: int, scale: float) -> None:
-        """m += scale * rho(s_a), touching only the two entries per row."""
-        act = self._adjacent
+    def _add_adjacent(self, m: np.ndarray, scale: float) -> None:
+        """m += scale * rho(s_{n-2}), touching only the two entries per row."""
+        diag, off, partner = self._adjacent
         idx = np.arange(self.dim)
-        m[idx, idx] += scale * act.diag[a]
-        m[idx, act.partner[a]] += scale * act.off[a]
-
-    def transposition_matrix(self, i: int, j: int) -> np.ndarray:
-        """Dense matrix of the transposition (i, j), i != j."""
-        if i == j:
-            raise ParameterError("transposition needs two distinct points")
-        i, j = min(i, j), max(i, j)
-        if not 0 <= i < j < self.n:
-            raise ParameterError(f"pair ({i}, {j}) out of range for n={self.n}")
-        m = self.adjacent_matrix(i)
-        for a in range(i + 1, j):
-            self._conjugate(m, a)
-        return m
-
-    def matrix(self, perm: Sequence[int]) -> np.ndarray:
-        """Dense matrix of an arbitrary permutation.
-
-        The permutation is factored into adjacent transpositions by sorting
-        its image array; the representation matrices of the factors are then
-        multiplied in order.
-        """
-        arr = list(perm)
-        if sorted(arr) != list(range(self.n)):
-            raise ParameterError(f"{perm} is not a permutation of {self.n} points")
-        word: list[int] = []
-        i = 0
-        while i < self.n - 1:
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                word.append(i)
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        m = np.eye(self.dim)
-        for a in word:
-            m = self._apply_left(a, m)
-        return m
+        m[idx, idx] += scale * diag
+        m[idx, partner] += scale * off
 
     def _branch(
         self, c: np.ndarray, below: Mapping[Partition, np.ndarray], memo: _Memo
@@ -409,8 +318,8 @@ class YoungOrthogonalRep:
                 if mu not in memo:
                     memo[mu] = _rep(mu)._last_sum(a[:s], memo)
                 out[index[:, None], index] = memo[mu]
-            self._conjugate(out, s)
-        self._add_adjacent(out, s, a[s])
+            self._conjugate(out)
+        self._add_adjacent(out, a[s])
         return out
 
 

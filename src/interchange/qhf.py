@@ -20,9 +20,8 @@ coefficients satisfy:
 4. For k between n/2 and 3n/4, every contributing rho other than a two-row
    partition has lambda(K_n, rho) of order n^2, with dimension at most 6^n.
 
-Beyond these four facts the coefficients are not pinned down, so no spectral
-route is implemented; the Monte Carlo and enumeration estimators above are
-the supported ones.
+No spectral route is implemented; the Monte Carlo and enumeration
+estimators above are the supported ones.
 """
 
 import math
@@ -30,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import mc_per_sample
+from .cycles import cycle_counts_batch, mc_per_sample
 from .errors import CapError, ConsistencyError
 from .graphs import WeightFunction
-from .group_algebra import InterchangeExact, cycle_counts
+from .group_algebra import InterchangeExact
 
 _BATCHES = 32
 _DEFAULT_SAMPLES = 100_000
@@ -114,14 +113,16 @@ def qhf_mc(
 
 
 def qhf_exact(w: WeightFunction, t: float) -> tuple[float, float]:
-    """(Z, m^2) summed over all permutations with exact probabilities, n <= 5."""
+    """(Z, m^2) summed over all permutations with exact probabilities, n <= 5.
+
+    The terms are added one after another in permutation order (a cumulative
+    sum), the order of a plain loop, so the values are the loop's bit for bit.
+    """
     process = InterchangeExact(w)
     dist = process.distribution(t)
-    z = 0.0
-    numerator = 0.0
-    for p, perm in zip(dist, process.permutations):
-        alpha, spin = _cycle_observables(cycle_counts(perm), w.n)
-        weight = 2.0**alpha
-        z += p * weight
-        numerator += p * spin * weight
+    counts = cycle_counts_batch(np.array(process.permutations))
+    alpha, spin = _cycle_observables(counts, w.n).T
+    weight = np.ldexp(1.0, alpha)
+    z = np.cumsum(dist * weight)[-1]
+    numerator = np.cumsum(dist * spin * weight)[-1]
     return float(z), float(numerator / z)

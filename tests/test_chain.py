@@ -39,7 +39,6 @@ from interchange.graphs import (
     WeightFunction,
     complete,
     cycle,
-    dump_weight_file,
     hamming2,
     hypercube,
     parse_graph_spec,
@@ -52,6 +51,7 @@ from interchange.group_algebra import (
     doubling_gap,
     doubling_inequality_check,
 )
+from oracles import dump_weight_file, scaled
 
 
 def random_connected(rng: np.random.Generator, n: int) -> WeightFunction:
@@ -86,7 +86,7 @@ def brute_force_lmix(chain: LazyChain, cap: int = 4096) -> int:
     """Independent oracle: scan t = 1, 2, ... with plain repeated multiplication."""
     p = np.eye(chain.n)
     for t in range(1, cap + 1):
-        p = p @ chain.matrix
+        p = p @ chain.dyadic_power(0)
         if (p / chain.pi[None, :]).min() > 0.75 + 1e-12:
             return t
     raise AssertionError("oracle cap reached")
@@ -95,7 +95,7 @@ def brute_force_lmix(chain: LazyChain, cap: int = 4096) -> int:
 def brute_force_tv_mix(chain: LazyChain, cap: int = 4096) -> int:
     p = np.eye(chain.n)
     for t in range(1, cap + 1):
-        p = p @ chain.matrix
+        p = p @ chain.dyadic_power(0)
         if 0.5 * np.abs(p - chain.pi[None, :]).sum(axis=1).max() < 0.25 - 1e-12:
             return t
     raise AssertionError("oracle cap reached")
@@ -126,7 +126,7 @@ def record_products(monkeypatch) -> list[tuple[int, bool]]:
 def test_complete3_transition_matrix():
     chain = lazy_chain(complete(3))
     expected = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
-    assert np.allclose(chain.matrix, expected)
+    assert np.allclose(chain.dyadic_power(0), expected)
     assert np.allclose(chain.pi, 1 / 3)
 
 
@@ -143,7 +143,7 @@ def test_star4_stationary():
     assert math.isclose(chain.pi[0], 0.5)
     assert np.allclose(chain.pi[1:], 1 / 6)
     # leaves never hop to each other in one step
-    assert chain.matrix[1, 2] == 0.0
+    assert chain.dyadic_power(0)[1, 2] == 0.0
 
 
 def test_transition_power_zero_is_identity():
@@ -164,7 +164,7 @@ def test_power_products_match_popcount(monkeypatch):
     oracle = np.eye(6)
     powers = [oracle]
     for _ in range(40):
-        oracle = oracle @ chain.matrix
+        oracle = oracle @ chain.dyadic_power(0)
         powers.append(oracle)
     chain.power(32)  # caches the dyadic powers up to P^32
     products = []
@@ -203,7 +203,7 @@ def test_lifted_weight_rejects_invalid(matrix):
 def test_lift_and_doubling_at_the_total_weight_cap():
     # summing the lift of this graph rounds an ulp above 2 MAX_TOTAL_WEIGHT,
     # and the doubled weight carries more than MAX_TOTAL_WEIGHT off its diagonal
-    w = cycle(6).scaled(MAX_TOTAL_WEIGHT / 12.0)
+    w = scaled(cycle(6), MAX_TOTAL_WEIGHT / 12.0)
     u = lift_lazy(w)
     for _ in range(3):
         u = double_weight(u)
@@ -338,7 +338,7 @@ def test_mixing_search_takes_one_product_per_bit(monkeypatch):
     # read are made again: P^128 (tv_mix's failing power), P^32 and P^8.
     # Below bit 2 each search walks its candidates one product by P at a
     # time (lmix 301, 302, 303; tv_mix 137, which holds), so P^2 is not made
-    # again.  Holding every level took 8 + 6 + 7 = 21, a binary search 38.
+    # again.
     products = record_products(monkeypatch)
     report = mixing_report(path(20))
     assert (report.lmix, report.mix) == (304, 137)
@@ -724,8 +724,8 @@ def test_monotone_profiles():
 def test_scale_invariance_of_mixing():
     w = path(4)
     for factor in (0.25, 3.0, 17.5):
-        a, b = lazy_chain(w), lazy_chain(w.scaled(factor))
-        assert np.allclose(a.matrix, b.matrix)
+        a, b = lazy_chain(w), lazy_chain(scaled(w, factor))
+        assert np.allclose(a.dyadic_power(0), b.dyadic_power(0))
         assert lmix(a) == lmix(b)
 
 
@@ -756,7 +756,7 @@ def test_theorem_bound_scaling():
     # delta and lmix are scale free while min w_i^2 / w_tot is linear in scale
     w = cycle(5)
     bound = mixing_report(w).theorem_bound
-    assert mixing_report(w.scaled(2.0)).theorem_bound == pytest.approx(2.0 * bound)
+    assert mixing_report(scaled(w, 2.0)).theorem_bound == pytest.approx(2.0 * bound)
 
 
 def test_mixing_report_complete3():
@@ -842,9 +842,9 @@ def test_mixing_report_is_bit_for_bit_the_recorded_one(spec, tmp_path):
 def test_lazy_chain_builds_its_matrix_on_first_read():
     chain = LazyChain(path(4))
     assert chain._dyadic == {}
-    assert chain.matrix is chain.matrix
-    assert np.array_equal(chain.matrix, chain_module._transition(path(4)))
-    assert not chain.matrix.flags.writeable
+    assert chain.dyadic_power(0) is chain.dyadic_power(0)
+    assert np.array_equal(chain.dyadic_power(0), chain_module._transition(path(4)))
+    assert not chain.dyadic_power(0).flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -980,7 +980,7 @@ def sequential_probability_bounds(chain: LazyChain, w: WeightFunction) -> BoundC
     worst_regular = math.inf
     power = np.eye(chain.n)
     for t in range(1, int(lm) + 1):
-        power = chain_module._checked_product(power, chain.matrix, t)
+        power = chain_module._checked_product(power, chain.dyadic_power(0), t)
         slack = float(((constant / math.sqrt(t)) * ratio[:, None] - power).min())
         worst = min(worst, slack)
         if regular:
@@ -1061,10 +1061,7 @@ def test_probability_bounds_rebuild_the_dyadic_powers(monkeypatch):
     # and makes the odd ones its unsettled lifts read again: P^512, P^128,
     # P^32 and P^8.  The squares are those 13 + 13 + 4.  Below bit 2 the
     # search walks 13577, 13578 and 13579 by P, three lifts of one product
-    # each; a lift through P twice to 13578 and one by P to 13579 made the
-    # same three row products in two calls (107 + 13).  Remaking P^2 took
-    # 108 + 13, the search holding every level 103 + 13 = 116, and without
-    # certificates 118.
+    # each.
     products = record_products(monkeypatch)
     w = path(128)
     chain = lazy_chain(w)

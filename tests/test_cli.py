@@ -16,9 +16,10 @@ jsonschema = pytest.importorskip("jsonschema")
 import interchange
 from interchange import acceptance, cli, group_algebra, irreps
 from interchange.acceptance import ALL_CHECKS, SuiteConfig, run_suite
-from interchange.cli import RunConfig, main, render_json, schema_for
+from interchange.cli import RunConfig, main, render_json
 from interchange.errors import ParameterError
-from interchange.graphs import WeightFunction, dump_weight_file
+from interchange.graphs import WeightFunction, parse_graph_spec
+from oracles import dump_weight_file, schema_for
 
 EXPECTED_CHECKS = (
     "octopus_psd",
@@ -174,6 +175,21 @@ class TestReports:
         assert payload["brute"] is None  # n = 6 is over the exact cap
         check_against_schema(payload, "cycles")
 
+    def test_cycles_past_the_irrep_cap_by_monte_carlo(self, capsys):
+        code, out = run_cli(
+            capsys,
+            ["cycles", "--graph", "path:11", "--k", "1", "--t", "1",
+             "--samples", "1000", "--seed", "1"],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["spectral"] is None and payload["brute"] is None
+        # each marble walks by the Laplacian's rates, so E alpha_1(t) = tr exp(-t L_w)
+        dense = parse_graph_spec("path:11").dense()
+        want = np.exp(-np.linalg.eigvalsh(np.diag(dense.sum(axis=1)) - dense)).sum()
+        assert abs(payload["mc"] - want) <= 4 * payload["stderr"]
+        check_against_schema(payload, "cycles")
+
     def test_large_cycles(self, capsys):
         code, out = run_cli(
             capsys,
@@ -243,6 +259,13 @@ class TestErrorPaths:
             main(["cycles", "--graph", "complete:3", "--k", "2"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["mix", "octopus", "verify-doubling", "compare"])
+    def test_seed_only_where_random_numbers_are_drawn(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--graph", "complete:3", "--seed", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
     def test_bad_graph_family(self, capsys):
         code, _ = run_cli(capsys, ["mix", "--graph", "nosuch:3"])
         assert code == 2
@@ -304,6 +327,8 @@ class TestErrorPaths:
             (["compare", "--graph", "file:{tmp}/slow.w"], "rounding drifted the row sums of P^"),
             (["mix", "--graph", "file:{tmp}/slower.w"], "no mixing condition holds by t = 2^60"),
             (["compare", "--graph", "file:{tmp}/slower.w"], "no mixing condition holds by t = 2^60"),
+            (["cycles", "--graph", "path:11", "--k", "1", "--t", "1"],
+             "capped at n <= 10, got n = 11; give --samples"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):

@@ -36,8 +36,9 @@ from interchange.cycles import (
 )
 from interchange.errors import CapError, ConsistencyError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, parse_graph_spec, path, star
-from interchange.group_algebra import InterchangeExact, cycle_counts
+from interchange.group_algebra import InterchangeExact
 from interchange.irreps import delta_on_irrep, hook_dim, lambda_kn
+from oracles import cycle_counts
 
 # Upper 0.1% points of the chi-square law, by degrees of freedom.
 CHI2_CRITICAL_1E3 = {4: 18.467, 6: 22.458}
@@ -86,9 +87,9 @@ class TestCoefficients:
         }
 
     def test_coefficient_lookup(self):
-        formula = cycle_coefficients(6, 4)
-        assert formula.coefficient((3, 3)) == -1
-        assert formula.coefficient((4, 2)) == 0
+        coefficients = dict(cycle_coefficients(6, 4).terms)
+        assert coefficients.get((3, 3), 0) == -1
+        assert coefficients.get((4, 2), 0) == 0
 
     def test_dimension_sum_example(self):
         dims = [hook_dim(p) for p, _ in cycle_coefficients(6, 4).terms]

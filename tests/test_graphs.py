@@ -14,7 +14,6 @@ from interchange.graphs import (
     WeightFunction,
     complete,
     cycle,
-    dump_weight_file,
     hamming2,
     hypercube,
     load_weight_file,
@@ -23,6 +22,7 @@ from interchange.graphs import (
     regular_tree,
     star,
 )
+from oracles import dump_weight_file, scaled
 
 
 def test_complete_three_degree_stats():
@@ -206,10 +206,10 @@ def test_weight_file_malformed(tmp_path, text):
 
 
 def test_scaled():
-    w = path(3).scaled(2.5)
+    w = scaled(path(3), 2.5)
     assert w.dense()[0, 1] == 2.5
     with pytest.raises(ParameterError):
-        path(3).scaled(0.0)
+        scaled(path(3), 0.0)
 
 
 # The loop-based family definitions the array builders replaced: each returns

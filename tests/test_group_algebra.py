@@ -14,21 +14,17 @@ from interchange.group_algebra import (
     InterchangeExact,
     PairOperator,
     all_perms,
-    compose,
-    cycle_counts,
     delta_of_weights,
-    identity_perm,
     interchange_tv_mix_exact,
-    invert,
     is_psd,
     octopus_check,
     octopus_gap,
     doubling_gap,
     doubling_inequality_check,
     regular_rep_matrix,
-    transposition_perm,
 )
 from interchange.irreps import min_eigenvalue_on_irreps
+from oracles import compose, cycle_counts, identity_perm, invert, transposition_perm
 
 
 def random_connected(rng: np.random.Generator, n: int) -> WeightFunction:

@@ -12,11 +12,9 @@ from interchange.group_algebra import (
     PSD_TOL,
     PairOperator,
     all_perms,
-    compose,
     delta_of_weights,
     is_psd,
     regular_rep_matrix,
-    transposition_perm,
 )
 from interchange.irreps import (
     YoungOrthogonalRep,
@@ -34,8 +32,16 @@ from interchange.irreps import (
     lambda_kn,
     min_eigenvalue_on_irreps,
     partitions,
-    standard_tableaux,
     validate_partition,
+)
+from oracles import (
+    adjacent_action,
+    adjacent_matrix,
+    compose,
+    matrix,
+    standard_tableaux,
+    transposition_matrix,
+    transposition_perm,
 )
 
 
@@ -170,11 +176,21 @@ def test_array_built_reps_match_per_tableau_definition(n):
         actions, branches = per_tableau_adjacent(p)
         assert rep.dim == len(standard_tableaux(p))
         act = rep._adjacent
-        assert act.diag.shape == act.off.shape == act.partner.shape == (n - 1, rep.dim)
+        # the rep stores s_{n-2} alone, three arrays of length dim
+        assert act.diag.shape == act.off.shape == act.partner.shape == (rep.dim if n > 1 else 0,)
+        if n > 1:
+            diag, off, partner = actions[n - 2]
+            assert np.array_equal(act.diag, diag)
+            assert np.array_equal(act.off, off)
+            assert np.array_equal(act.partner, partner)
+        # every s_a, the ones below s_{n-2} read off the sub-reps through branches
         for a, (diag, off, partner) in enumerate(actions):
-            assert np.array_equal(act.diag[a], diag)
-            assert np.array_equal(act.off[a], off)
-            assert np.array_equal(act.partner[a], partner)
+            for got, expected in zip(adjacent_action(rep, a), (diag, off, partner)):
+                assert np.array_equal(got, expected)
+            want = np.zeros((rep.dim, rep.dim))
+            want[np.arange(rep.dim), np.arange(rep.dim)] = diag
+            want[np.arange(rep.dim), partner] += off
+            assert np.array_equal(adjacent_matrix(rep, a), want)
         assert len(rep.branches) == len(branches)
         for (mu, index), (indices, rests) in zip(rep.branches, branches):
             assert index.tolist() == indices
@@ -207,7 +223,7 @@ def test_branching_blocks_match_transposition_sum(op):
         rep = YoungOrthogonalRep(p)
         want = np.zeros((rep.dim, rep.dim))
         for i, j, c in op.pairs():
-            want += c * (np.eye(rep.dim) - rep.transposition_matrix(i, j))
+            want += c * (np.eye(rep.dim) - transposition_matrix(rep, i, j))
         assert np.abs(block - want).max() <= 1e-12 * scale
         # built alone, without the other targets' shared sub-blocks
         assert np.array_equal(dict(delta_blocks(op, [p]))[p], block)
@@ -301,16 +317,16 @@ def test_last_point_sums_take_one_conjugation_per_node(monkeypatch):
     calls = []
     conjugate = YoungOrthogonalRep._conjugate
 
-    def counted(rep, m, a):
-        calls.append((rep.partition, a))
-        return conjugate(rep, m, a)
+    def counted(rep, m):
+        calls.append((rep.partition, m.shape))
+        return conjugate(rep, m)
 
     monkeypatch.setattr(YoungOrthogonalRep, "_conjugate", counted)
     n = 8
     dense = np.random.default_rng(18).uniform(0.5, 1.5, (n, n))
     list(delta_blocks(PairOperator(np.triu(dense, 1) + np.triu(dense, 1).T), partitions(n)))
     assert len(calls) == sum(len(partitions(j)) for k in range(3, n + 1) for j in range(3, k + 1))
-    assert all(a == sum(p) - 2 for p, a in calls)
+    assert all(shape == (hook_dim(p),) * 2 for p, shape in calls)
     calls.clear()
     # a path touches only the pair (k-2, k-1) of each column: no conjugation at all
     list(delta_blocks(delta_of_weights(path(n)), partitions(n)))
@@ -358,8 +374,8 @@ def test_support_route_matches_regular_route(op):
 
 def test_yor_adjacent_matrices_standard_block():
     rep = YoungOrthogonalRep((2, 1))
-    a0 = rep.adjacent_matrix(0)
-    a1 = rep.adjacent_matrix(1)
+    a0 = adjacent_matrix(rep, 0)
+    a1 = adjacent_matrix(rep, 1)
     assert np.allclose(a0, np.diag([1.0, -1.0]))
     root3 = math.sqrt(3.0) / 2.0
     assert np.allclose(a1, np.array([[-0.5, root3], [root3, 0.5]]))
@@ -370,7 +386,7 @@ def test_yor_matrices_are_symmetric_orthogonal_involutions():
         for p in partitions(n):
             rep = YoungOrthogonalRep(p)
             for a in range(n - 1):
-                m = rep.adjacent_matrix(a)
+                m = adjacent_matrix(rep, a)
                 assert np.allclose(m, m.T, atol=1e-12)
                 assert np.allclose(m @ m, np.eye(rep.dim), atol=1e-12)
 
@@ -378,7 +394,7 @@ def test_yor_matrices_are_symmetric_orthogonal_involutions():
 def test_yor_braid_and_commutation_relations():
     for p in partitions(5):
         rep = YoungOrthogonalRep(p)
-        mats = [rep.adjacent_matrix(a) for a in range(4)]
+        mats = [adjacent_matrix(rep, a) for a in range(4)]
         for a in range(3):
             lhs = mats[a] @ mats[a + 1] @ mats[a]
             rhs = mats[a + 1] @ mats[a] @ mats[a + 1]
@@ -391,7 +407,7 @@ def test_general_transpositions_are_involutions():
         rep = YoungOrthogonalRep(p)
         for i in range(rep.n):
             for j in range(i + 1, rep.n):
-                m = rep.transposition_matrix(i, j)
+                m = transposition_matrix(rep, i, j)
                 assert np.allclose(m, m.T, atol=1e-12)
                 assert np.allclose(m @ m, np.eye(rep.dim), atol=1e-12)
 
@@ -399,24 +415,24 @@ def test_general_transpositions_are_involutions():
 def test_matrix_is_a_homomorphism():
     rng = np.random.default_rng(10)
     rep = YoungOrthogonalRep((3, 2))
-    assert np.allclose(rep.matrix(tuple(range(5))), np.eye(rep.dim))
+    assert np.allclose(matrix(rep, tuple(range(5))), np.eye(rep.dim))
     for _ in range(20):
         p = tuple(rng.permutation(5))
         q = tuple(rng.permutation(5))
         assert np.allclose(
-            rep.matrix(compose(p, q)), rep.matrix(p) @ rep.matrix(q), atol=1e-12
+            matrix(rep, compose(p, q)), matrix(rep, p) @ matrix(rep, q), atol=1e-12
         )
     for i in range(5):
         for j in range(i + 1, 5):
             assert np.allclose(
-                rep.matrix(transposition_perm(5, i, j)),
-                rep.transposition_matrix(i, j),
+                matrix(rep, transposition_perm(5, i, j)),
+                transposition_matrix(rep, i, j),
                 atol=1e-12,
             )
 
 
 def test_transposition_matrix_two_one_shape():
-    m = YoungOrthogonalRep((2, 1)).transposition_matrix(0, 1)
+    m = transposition_matrix(YoungOrthogonalRep((2, 1)), 0, 1)
     assert np.allclose(m, np.diag([1.0, -1.0]))
 
 

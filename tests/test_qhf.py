@@ -8,6 +8,7 @@ from interchange.errors import CapError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, hamming2, path, star
 from interchange.group_algebra import InterchangeExact
 from interchange.qhf import QhfEstimate, qhf_exact, qhf_mc
+from oracles import qhf_exact_loop
 
 
 def k3_closed_form(t: float) -> tuple[float, float]:
@@ -33,6 +34,16 @@ class TestExact:
             want_z, want_m = k3_closed_form(t)
             assert z == pytest.approx(want_z, abs=1e-10)
             assert m_sq == pytest.approx(want_m, abs=1e-10)
+
+    def test_reductions_equal_the_permutation_loop(self):
+        for family in (complete, path, star):
+            for n in range(2, 6):
+                w = family(n)
+                for t in (0.0, 0.05, 0.3, 1.0, 4.0, 1e3):
+                    z, m_sq = qhf_exact(w, t)
+                    want_z, want_m = qhf_exact_loop(w, t)
+                    assert abs(z - want_z) <= 1e-14 * abs(want_z), (w, t)
+                    assert abs(m_sq - want_m) <= 1e-14 * abs(want_m), (w, t)
 
     def test_frozen_half_time_value(self):
         z, m_sq = qhf_exact(complete(3), 0.5)
