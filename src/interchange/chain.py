@@ -17,15 +17,18 @@ chain is reversible.  Three quantities drive everything else here:
 
 lmix and tv_mix are found together by one search on a ladder of dyadic
 powers P^(2^k) that the search holds itself: it records each eps_k as the
-power is made and frees each power once its last reader has used it.  The
-ladder keeps every second level from P^4 up and makes a dropped level again
-from the one below when a lift reads it (checkpointing, as in Griewank and
-Walther, Algorithm 799: revolve, ACM TOMS 26, 2000).  Once the lifts at bits
-2 and up are done, the ladder is released and the last two bits are walked
-one product by P at a time.  Each lift is made and tested by row blocks
-through one buffer, so a lifted power that holds is never stored.  A search
-bracketed at k holds about ceil((k + 1) / 2) + 1 n x n matrices (3 on
-hypercube:10).
+power is made and drops each power once its last reader has used it.  The
+search owns its n x n arrays: it writes every power into one with out= and
+puts a dropped one back on its own free list, never back to malloc, so its
+peak memory follows the most powers it holds at once.  The ladder keeps
+every second level from P^16 up and makes a dropped level again from the
+nearest one below when a lift reads it, or from P (checkpointing, as in
+Griewank and Walther, Algorithm 799: revolve, ACM TOMS 26, 2000).  Once the
+lifts at bits 3 and up are done, and at bit 2 where P^4 is in hand, each
+condition is finished on its own, walking its last bits one product by P at
+a time.  Each lift is made and tested by row blocks through one buffer, so a
+lifted power that holds is never stored.  A search bracketed at k holds
+about ceil((k + 1) / 2) n x n arrays (2 on hypercube:10).
 
 Reversibility and Cauchy-Schwarz in L^2(1 / pi) settle many tests without a
 product (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed., 4.7
@@ -85,8 +88,9 @@ _MAX_LIFTED_MASS = 2.0 * MAX_TOTAL_WEIGHT * (1.0 + 1e-9)
 # largest k tried when doubling the time, 2^k, while locating lmix or tv_mix
 _DOUBLING_GUARD = 60
 # rows per block when summing total variation and chi-distances; subtracting
-# pi takes a buffer of numpy's own (up to 8192 entries) beside the block's
-_TV_ROWS = 16
+# pi takes a buffer of numpy's own (up to 8192 entries) beside the block's, so
+# a test of a lift block takes two blocks of this many rows beside the search
+_TV_ROWS = 8
 # rows per block of a lift, tested through one buffer; at most this many rows,
 # a lift is one product, bit for bit the product of the whole matrices
 _LIFT_ROWS = 128
@@ -98,7 +102,7 @@ class LazyChain:
     The cache serves power(), that is the heat-kernel bounds and the
     profiles min_stationary_ratio and tv_distance; P itself is built on its
     first read.  The mixing search does not fill it: it makes P from the
-    weights, holds its own ladder of dyadic powers and frees both as it goes.
+    weights and holds its own ladder of dyadic powers, in arrays it reuses.
     """
 
     def __init__(self, w: WeightFunction):
@@ -162,11 +166,22 @@ class LazyChain:
         return result
 
 
-def _transition(w: WeightFunction) -> np.ndarray:
-    """P for w, made the same way, so with the same bits, at every call."""
-    p = w.dense()
-    p /= 2.0 * w.vertex_weights[:, None]
-    np.fill_diagonal(p, 0.5)
+def _transition(w: WeightFunction, out: np.ndarray | None = None) -> np.ndarray:
+    """P for w, made the same way, so with the same bits, at every call; in out if given.
+
+    Each edge's two entries, w_ij / (2 w_i) and w_ij / (2 w_j), are divided
+    on the edge list: the bits of w.dense() divided by 2 w_i row by row,
+    without a pass over the zeros or numpy's buffer for the broadcast (up to
+    8192 entries, a whole matrix at n = 90).
+    """
+    p = np.empty((w.n, w.n)) if out is None else out
+    p.fill(0.0)
+    first, second = w.ends
+    half = 2.0 * w.vertex_weights
+    p[first, second] = w.weights / half[first]
+    p[second, first] = w.weights / half[second]
+    # the diagonal through a flat view, without fill_diagonal's temporaries
+    p.reshape(-1)[:: w.n + 1] = 0.5
     return p
 
 
@@ -190,9 +205,11 @@ def _check_drift(drift: float, time: int, n: int) -> None:
         )
 
 
-def _checked_product(a: np.ndarray, b: np.ndarray, time: int) -> np.ndarray:
-    """a @ b = P^time for two powers of P, with the row sums checked."""
-    product = a @ b
+def _checked_product(
+    a: np.ndarray, b: np.ndarray, time: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """a @ b = P^time for two powers of P, in out if given, with the row sums checked."""
+    product = np.matmul(a, b, out=out)
     _check_drift(_row_drift(product), time, len(b))
     return product
 
@@ -302,18 +319,18 @@ def _lift(
     time: int,
     holds: Callable[[np.ndarray], bool],
     buffer: np.ndarray,
-    shared: bool,
+    take: Callable[[], np.ndarray] | None = None,
     whole: bool = True,
 ) -> np.ndarray | None:
     """None when holds(P^time), P^time = failing @ factor, else P^time.
 
     The product is made and tested by row blocks through buffer, so one that
     holds is never stored.  Row i of the product reads only row i of failing,
-    so one that fails is written over failing block by block (over a new
-    array when failing is shared); the blocks tested before the failure
-    showed are made again.  When whole is False nothing reads a product that
-    fails, so testing stops at its first failing block, which is returned.
-    The row sums of every block made are checked.
+    so one that fails is written over failing block by block, or over the
+    array take() returns when failing is shared; the blocks tested before the
+    failure showed are made again.  When whole is False nothing reads a
+    product that fails, so testing stops at its first failing block, which is
+    returned.  The row sums of every block made are checked.
     """
     size = len(buffer)
     blocks = [slice(start, start + size) for start in range(0, len(failing), size)]
@@ -333,13 +350,124 @@ def _lift(
             if not whole:
                 lifted = block
                 break
-            lifted = np.empty_like(failing) if shared else failing
+            lifted = failing if take is None else take()
             lifted[rows] = block
             for other in blocks[:index] + blocks[index + 1 :]:
                 lifted[other] = product(other)
             break
     _check_drift(drift, time, len(failing))
     return lifted
+
+
+def _checkpoint(k: int) -> bool:
+    """Whether the ladder keeps level k, P^(2^k), to remake the levels above it."""
+    return k >= 4 and k % 2 == 0
+
+
+class _Search:
+    """One search for first times: the ladder of dyadic powers in hand, the
+    n x n arrays that hold them, and each condition's bracket and lift.
+
+    Each array is allocated once.  A power the search drops goes back to its
+    free list, never to malloc: glibc keeps a freed 8 MiB power's pages
+    resident once its mmap threshold has risen, so the peak would follow the
+    order of allocation rather than the most powers held at once.
+    """
+
+    __slots__ = (
+        "chain", "conditions", "held", "free", "allocated",
+        "chi2", "brackets", "lows", "failing", "buffer",
+    )
+
+    def __init__(self, chain: LazyChain, conditions: tuple[_Condition, ...]):
+        self.chain = chain
+        self.conditions = conditions
+        # the ladder: level k is P^(2^k)
+        self.held: dict[int, np.ndarray] = {}
+        self.free: list[np.ndarray] = []
+        self.allocated = 0
+        # s(t)^2 of the powers the search has held, ladder levels' off the diagonals
+        self.chi2: dict[int, float] = {}
+        self.brackets: dict[int, int] = {}
+        self.lows: dict[int, int] = {}
+        # each unfinished condition's failing power: one the ladder dropped is
+        # None until first read, and one power may be a held level too
+        self.failing: dict[int, np.ndarray | None] = {}
+        # the lifts' buffer of _LIFT_ROWS rows
+        self.buffer: np.ndarray | None = None
+
+    def take(self) -> np.ndarray:
+        """An n x n array off the free list, allocated only when the list is empty."""
+        if self.free:
+            return self.free.pop()
+        self.allocated += 1
+        return np.empty((self.chain.n, self.chain.n))
+
+    def give(self, power: np.ndarray) -> None:
+        """Put power on the free list unless a level or a failing power holds it."""
+        holders = [*self.held.values(), *self.failing.values()]
+        if not any(power is other for other in holders):
+            self.free.append(power)
+
+    def square(self, k: int) -> np.ndarray:
+        """P^(2^(k+1)) from level k, written into an array of the search's own."""
+        power = self.held[k]
+        return _checked_product(power, power, 2 << k, out=self.take())
+
+    def level(self, j: int) -> np.ndarray:
+        """P^(2^j), squared up from the nearest level held below it, or from P
+        made from the weights; the square it was made from stays in hand."""
+        held = self.held
+        if j not in held:
+            base = max((m for m in held if m < j), default=None)
+            if base is None:
+                base = 0
+                held[0] = _transition(self.chain.weights, out=self.take())
+            for m in range(base + 1, j + 1):
+                if m - 2 >= base and not _checkpoint(m - 2):
+                    self.give(held.pop(m - 2))
+                held[m] = self.square(m - 1)
+        return held[j]
+
+    def release(self, bottom: int) -> None:
+        """Drop the levels from bottom up but the checkpoints below a failing
+        power still to be made; a held level that is one becomes it."""
+        held, failing, brackets = self.held, self.failing, self.brackets
+        for i, power in failing.items():
+            if power is None and brackets[i] in held:
+                failing[i] = held[brackets[i]]
+        top = max((brackets[i] for i, power in failing.items() if power is None), default=-1)
+        for j in [j for j in held if j >= bottom and not (_checkpoint(j) and j < top)]:
+            self.give(held.pop(j))
+
+    def failing_power(self, i: int) -> np.ndarray:
+        """Condition i's failing power, made from the ladder when first read."""
+        if self.failing[i] is None:
+            self.level(self.brackets[i])
+            self.release(self.brackets[i])
+        return self.failing[i]
+
+    def lift(self, i: int, j: int, whole: bool = True) -> bool:
+        """True when condition i holds at lows[i] + 2^j; else lift its failing
+        power by P^(2^j).  At bits 2 and up a certificate may settle it."""
+        condition, failing, chi2 = self.conditions[i], self.failing, self.chi2
+        low, step = self.lows[i], 1 << j
+        if j >= 2:
+            if low not in chi2 and condition.settles(
+                _chi_floor(chi2, low) * _chi_floor(chi2, step)
+            ):
+                chi2[low] = _chi_squared(failing[i], self.chain.pi)
+            if low in chi2 and _settles(condition, chi2, low, step):
+                return True
+        power = self.failing_power(i)
+        others = [*self.held.values(), *(failing[m] for m in failing if m != i)]
+        take = self.take if any(power is other for other in others) else None
+        lifted = _lift(power, self.level(j), low + step, condition.holds, self.buffer, take, whole)
+        if lifted is None:
+            return True
+        self.lows[i] += step
+        failing[i] = lifted
+        return False
 
 
 def _first_times(
@@ -350,34 +478,39 @@ def _first_times(
     Doubling squares the top power, records eps_k = max diag P^(2^k) as each
     power is made, and tests every condition not yet bracketed between 2^k,
     which fails, and 2^(k+1), which holds.  Lifting then goes from the
-    highest bit down to bit 2: the largest failing time lo of each condition
+    highest bit down to bit 3: the largest failing time lo of each condition
     bracketed above j becomes lo + 2^j whenever P^lo P^(2^j) still fails, one
-    product per condition per bit.  Each first time then lies within
-    min(4, 2^k) of its lo; the end game releases the ladder, makes P from the
-    weights (_transition, the same bits each time) and walks the at most 3
-    candidates one lift by P at a time.
+    product per condition per bit.  Bit 2 is lifted the same way while P^4 is
+    in hand.  The end game finishes the conditions one at a time, the one
+    bracketed last first: it lifts at bit 2 if P^4 is in hand by then, and
+    walks the at most 7 (or 3) candidates left one lift by P at a time, with
+    P made from the weights (_transition, the same bits each time).
 
-    The ladder keeps the even levels from P^4 up and makes an odd level, or a
-    condition's dropped failing power, again from the level below when first
-    read.  Lifts go through _lift with one buffer: a product that fails is
-    written over its condition's failing power, and the last candidate stops
-    at its first failing block, since nothing reads it.  The doubling top and
-    the lifts at bits >= 2 are made only where the certificate s(a) s(b) does
-    not settle them.  A first time of exactly 2^(k+1) whose top was settled
-    gets eps_(k+1) from k + 1 squarings of P: the same products, the same bits.
+    Every power lives in one of the search's own n x n arrays (_Search), and
+    every product is written into one with out=.  The ladder keeps the even
+    levels from P^16 up while a reader may remain above them.  A level, or a
+    condition's dropped failing power P^(2^k), is squared up when first read
+    from the nearest level held below it, or from P, and the square it was
+    made from stays in hand for the next bit down: a condition bracketed at
+    k lifts at bit k - 1 by it.  Lifts go through _lift with one buffer: a
+    product that fails is written over its condition's failing power, and
+    the last candidate stops at its first failing block, since nothing reads
+    it.  The doubling top and the lifts at bits >= 2 are made only where the
+    certificate s(a) s(b) does not settle them.  A first time of exactly
+    2^(k+1) whose top was settled gets eps_(k+1) from k + 1 squarings of P:
+    the same products, the same bits.  A search bracketed at k holds about
+    ceil((k + 1) / 2) n x n arrays (2 on hypercube:10).
 
     Returns the first times in the order of the conditions, and eps_k for
     every dyadic power up to the largest first time.
     """
     pi = chain.pi
-    # the ladder's held levels: level k is P^(2^k)
-    held = {0: _transition(chain.weights)}
+    search = _Search(chain, conditions)
+    held, chi2, brackets = search.held, search.chi2, search.brackets
+    held[0] = _transition(chain.weights, out=search.take())
     epsilons = [float(np.diag(held[0]).max())]
-    # s(t)^2 of the powers the search has held, ladder levels' off the diagonals
-    chi2: dict[int, float] = {}
     times = [1 if condition.holds(held[0]) else None for condition in conditions]
     unbracketed = [i for i, t in enumerate(times) if t is None]
-    brackets: dict[int, int] = {}
     k = 0
     while unbracketed:
         if k >= _DOUBLING_GUARD:
@@ -394,94 +527,59 @@ def _first_times(
             unbracketed = [i for i in unbracketed if i not in brackets]
             if not unbracketed:
                 break
-        top = _checked_product(held[k], held[k], 2 << k)
+        top = search.square(k)
         epsilons.append(float(np.diag(top).max()))
         chi2.setdefault(1 << k, float((np.diag(top) / pi).max()) - 1.0)
         for i in unbracketed:
             if conditions[i].holds(top):
                 brackets[i] = k
         unbracketed = [i for i in unbracketed if i not in brackets]
-        # no lift reads the last top; P and the odd levels are made again if read
+        # no lift reads the last top
         if unbracketed:
-            if k % 2 or not k:
-                del held[k]
+            if not _checkpoint(k):
+                search.give(held.pop(k))
             held[k + 1] = top
-        del top
+        else:
+            search.give(top)
         k += 1
 
-    lows = {i: 1 << k for i, k in brackets.items()}
-    # a failing power the ladder dropped is None until first read
-    failing = {i: held.get(k) for i, k in brackets.items()}
-    buffer = np.empty((min(_LIFT_ROWS, chain.n), chain.n))
-
-    def level(j: int) -> np.ndarray:
-        if j not in held:
-            below = level(j - 1)
-            held[j] = _checked_product(below, below, 1 << j)
-        return held[j]
-
-    def release(bottom: int) -> None:
-        """Drop the levels from bottom up; a held level that is a pending failing
-        power becomes it, and the level below one still to be made stays."""
-        for i, k in brackets.items():
-            if failing[i] is None and k in held:
-                failing[i] = held[k]
-        pending = {k for i, k in brackets.items() if failing[i] is None}
-        for j in [j for j in held if j >= bottom and j + 1 not in pending]:
-            del held[j]
-
-    def lift(i: int, factor: np.ndarray, step: int, whole: bool = True) -> bool:
-        """True when condition i holds at lows[i] + step; else lift its failing power."""
-        others = [*held.values(), *(failing[m] for m in failing if m != i)]
-        shared = any(failing[i] is power for power in others)
-        lifted = _lift(
-            failing[i], factor, lows[i] + step, conditions[i].holds, buffer, shared, whole
-        )
-        if lifted is None:
-            return True
-        lows[i] += step
-        failing[i] = lifted
-        return False
-
+    search.lows = {i: 1 << k for i, k in brackets.items()}
+    search.failing = {i: held.get(k) for i, k in brackets.items()}
+    search.buffer = np.empty((min(_LIFT_ROWS, chain.n), chain.n))
+    # bits 3 and up, every condition at once, and bit 2 if P^4 is then in hand
+    low_bit = 3
     for j in reversed(range(2, max(brackets.values(), default=0))):
-        release(j + 1)
-        for i, k in brackets.items():
-            if j >= k:
-                continue
-            low, step = lows[i], 1 << j
-            if low not in chi2 and conditions[i].settles(
-                _chi_floor(chi2, low) * _chi_floor(chi2, step)
-            ):
-                chi2[low] = _chi_squared(failing[i], pi)
-            if low in chi2 and _settles(conditions[i], chi2, low, step):
-                continue
-            if failing[i] is None:
-                level(k)
-                release(j + 1)
-            lift(i, level(j), step)
-    # the end game: the pending failing powers above P^2 come off the ladder,
-    # which is then released; P is made from the weights, and P^2 from P
-    for i, k in brackets.items():
-        if failing[i] is None and k > 1:
-            level(k)
-            release(2)
-    held.clear()
-    p = _transition(chain.weights)
-    for i, k in brackets.items():
-        if failing[i] is None and k == 1:
-            failing[i] = _checked_product(p, p, 2)
-        last = min(4, 1 << k) - 1
-        for candidate in range(1, last + 1):
-            if lift(i, p, 1, whole=candidate < last):
+        if j == 2:
+            if 2 not in held:
                 break
-    del failing, buffer
-    for i, low in lows.items():
+            low_bit = 2
+        search.release(j + 1)
+        for i, k in brackets.items():
+            if j < k:
+                search.lift(i, j)
+    # the end game, one condition at a time, the one bracketed last first: a
+    # failing power made from P leaves P^4 in hand for a lift at bit 2, and
+    # the candidates below the lowest bit lifted are walked by P
+    for i in sorted(brackets, key=brackets.get, reverse=True):
+        k, bit = brackets[i], low_bit
+        search.release(0)
+        if k:
+            search.failing_power(i)
+        if bit == 3 and k > 2 and 2 in held:
+            search.lift(i, 2)
+            bit = 2
+        search.release(0)
+        last = (1 << min(k, bit)) - 1
+        for candidate in range(1, last + 1):
+            if search.lift(i, 0, whole=candidate < last):
+                break
+        power = search.failing.pop(i)
+        if power is not None:
+            search.give(power)
+    for i, low in search.lows.items():
         times[i] = low + 1
     if times and max(times).bit_length() > len(epsilons):
-        top = p
-        for k in range(len(epsilons)):
-            top = _checked_product(top, top, 2 << k)
-        epsilons.append(float(np.diag(top).max()))
+        epsilons.append(float(np.diag(search.level(len(epsilons))).max()))
     return times, tuple(epsilons)
 
 

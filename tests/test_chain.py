@@ -110,9 +110,9 @@ def record_products(monkeypatch) -> list[tuple[int, bool]]:
     products = []
     checked, lift = chain_module._checked_product, chain_module._lift
 
-    def counted(a, b, time):
+    def counted(a, b, time, out=None):
         products.append((time, a is b))
-        return checked(a, b, time)
+        return checked(a, b, time, out)
 
     def counted_lift(failing, factor, time, *rest, **options):
         products.append((time, False))
@@ -330,31 +330,35 @@ def test_mixing_times_are_first_times_of_a_linear_scan(w):
 
 def test_mixing_search_takes_one_product_per_bit(monkeypatch):
     # lmix(path(20)) = 304: P^2 .. P^256 by doubling, then one lift per bit
-    # below 256; tv_mix = 137 is bracketed at P^128 and lifts 7 bits below 128.
-    # The chi-distances settle three lmix products: the top P^512
+    # below 256; tv_mix = 137 is bracketed at P^128 and lifts the bits below
+    # 128.  The chi-distances settle three lmix products: the top P^512
     # (s(256)^2 = 0.060) and the lifts to 384 and 320 (s(256) s(128) = 0.145,
-    # s(256) s(64) = 0.232), so doubling takes 8 products and lifting 6 + 7.
-    # The ladder keeps the even levels, so the odd ones that unsettled lifts
-    # read are made again: P^128 (tv_mix's failing power), P^32 and P^8.
-    # Below bit 2 each search walks its candidates one product by P at a
-    # time (lmix 301, 302, 303; tv_mix 137, which holds), so P^2 is not made
-    # again.
+    # s(256) s(64) = 0.232), so doubling takes 8 products.  The ladder keeps
+    # P^16 and P^64 (no level below P^16), so the levels that unsettled lifts
+    # read are made again: P^128 (tv_mix's failing power) from P^64, P^32
+    # from P^16, and P^8 from P through P^2 and P^4.  P^4 is then in hand, so
+    # both searches lift at bit 2 as well: lmix at bits 5, 4, 3 and 2, tv_mix
+    # at bits 6 to 2.  Each then walks its candidates one product by P at a
+    # time (lmix 301, 302, 303; tv_mix 137, which holds).
     products = record_products(monkeypatch)
     report = mixing_report(path(20))
     assert (report.lmix, report.mix) == (304, 137)
     squares = [time for time, square in products if square]
-    assert squares == [2 << k for k in range(8)] + [128, 32, 8]
-    assert len(products) == 8 + 3 + 6 + 7
+    assert squares == [2 << k for k in range(8)] + [128, 32, 2, 4, 8]
+    assert len(products) == 8 + 5 + (4 + 3) + (5 + 1)
 
 
 def test_mixing_report_holds_few_matrices():
-    # lmix(hypercube(8)) = 26 is bracketed at k = 4.  The ladder holds P^4
-    # and P^16 and makes P^8 again when a lift reads it; P is made from the
-    # weights once the ladder is released, and each lift is tested by row
-    # blocks: 3.70 matrices of 256 x 256 measured, with the 128-row buffer.
-    # Making P before P^4 was released, with two buffers, measured 4.32,
-    # holding P and remaking P^2 4.8, holding every level up to P^16 beside
-    # the lifted powers 6.3 (8.26 before the search freed its ladder).
+    # lmix(hypercube(8)) = 26 is bracketed at k = 4 and tv_mix = 12 at k = 3.
+    # The doubling holds two arrays; the lift at bit 3 makes P^8 from P
+    # beside lmix's failing P^16 and keeps P^4 in hand for bit 2: three
+    # arrays of the search's own, the 128-row buffer of each lift and the
+    # 8-row blocks of its tests, 3.64 matrices of 256 x 256 measured (3.70
+    # with 16-row blocks).  The ladder that kept P^4 and lost its powers to
+    # malloc measured 3.70, making P before P^4 was released, with two
+    # buffers, 4.32, holding P and remaking P^2 4.8, holding every level up
+    # to P^16 beside the lifted powers 6.3 (8.26 before the search freed its
+    # ladder).
     n = 256
     tracemalloc.start()
     try:
@@ -363,15 +367,17 @@ def test_mixing_report_holds_few_matrices():
     finally:
         tracemalloc.stop()
     assert report.lmix == 26
-    assert peak <= 3.8 * n * n * 8
+    assert peak <= 3.7 * n * n * 8
 
 
 def test_slow_search_holds_about_half_its_ladder():
     # lmix(path(256)) = 54749 is bracketed at k = 15, so the search holds
-    # about ceil((k + 1) / 2) + 1 = 9 matrices of 256 x 256, beside the
-    # 128-row buffer and row-block temporaries: 9.66 measured.  Two buffers
-    # and P made before the ladder was released measured 10.29, holding P
-    # 10.8, holding every level 17.3.
+    # ceil((k + 1) / 2) = 8 arrays of 256 x 256: the ladder's six levels
+    # P^16 to P^16384 beside the doubling's last two squares, and later
+    # beside both failing powers and the level a lift reads.  With the
+    # 128-row buffer and row-block temporaries, 8.60 matrices measured.  The
+    # ladder that also kept P^4 measured 9.66, two buffers and P made before
+    # the ladder was released 10.29, holding P 10.8, holding every level 17.3.
     n = 256
     tracemalloc.start()
     try:
@@ -380,34 +386,36 @@ def test_slow_search_holds_about_half_its_ladder():
     finally:
         tracemalloc.stop()
     assert report.lmix == 54749
-    assert peak <= 9.8 * n * n * 8
+    assert peak <= 8.7 * n * n * 8
 
 
 def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
-    # lmix(hypercube(10)) = 35 is bracketed at k = 5.  s(32)^2 = 0.012 settles
-    # the top P^64, and s(32) s(16) = 0.067 and s(32) s(8) = 0.206 settle the
-    # lifts to 48 and 40, so no lift reads P^16.  The ladder keeps P^4, P^16
-    # and the top P^32, and makes P^8 (tv_mix's failing power) again: 5
-    # doublings, 1 remade squaring and the lifts to 12 and 36.  Then the
-    # ladder is released, P made from the weights, and each search walks its
-    # candidates by P: 13, 14 and 15 all fail, and 15, the last, fails in
-    # its first row block and stops there; 33 and 34 fail and 35 holds.
-    # That is 13.125 products of 1024 x 1024.  A lift that holds (36 and 35)
-    # is never stored, so the search peaks at 3.17 matrices, with the 128-row
-    # buffer.  Making P before P^4 was released, with a buffer per factor of
-    # a lift through P twice, peaked at 3.33, remaking P^2 beside P, P^12 and
-    # P^32 at 4.19, holding every level at 6.08, and the search without
-    # certificates at 7.02.
+    # lmix(hypercube(10)) = 35 is bracketed at k = 5 and tv_mix = 16 at k = 3.
+    # s(32)^2 = 0.012 settles the top P^64, and s(32) s(16) = 0.067 and
+    # s(32) s(8) = 0.206 settle the lifts to 48 and 40.  The doubling keeps
+    # P^16, the one checkpoint, and the top P^32: two arrays.  P^4 is not in
+    # hand, so lmix, bracketed last, goes first and walks 33 and 34, which
+    # fail, and 35, which holds, by P made from the weights in P^16's array.
+    # tv_mix then makes its failing P^8 from P through P^2 and P^4, lifts it
+    # by P^4 to 12, which fails, and walks 13, 14 and 15 by P; all fail, and
+    # 15, the last, fails in its first row block and stops there.  That is
+    # 15 products, 14.125 of 1024 x 1024.  A lift that holds is never stored,
+    # so the search peaks at 2.16 matrices, with the 128-row buffer.  The
+    # ladder that also kept P^4 and lost its powers to malloc peaked at 3.17,
+    # making P before P^4 was released, with a buffer per factor of a lift
+    # through P twice, at 3.33, remaking P^2 beside P, P^12 and P^32 at 4.19,
+    # holding every level at 6.08, and the search without certificates at
+    # 7.02.
     n = 1024
     products = record_products(monkeypatch)
-    lift_rows = []
+    rows = []
     matmul = np.matmul
 
     def counted_matmul(a, b, **options):
-        lift_rows.append(len(a))
+        rows.append(len(a))
         return matmul(a, b, **options)
 
-    # _lift multiplies its row blocks with np.matmul, whole products use @
+    # every product of the search, square or lift block, goes through np.matmul
     monkeypatch.setattr(np, "matmul", counted_matmul)
     tracemalloc.start()
     try:
@@ -418,12 +426,50 @@ def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
     assert (report.lmix, report.mix) == (35, 16)
     assert products == [
         (2, True), (4, True), (8, True), (16, True), (32, True),
-        (8, True), (12, False), (36, False),
-        (13, False), (14, False), (15, False), (33, False), (34, False), (35, False),
+        (33, False), (34, False), (35, False),
+        (2, True), (4, True), (8, True), (12, False),
+        (13, False), (14, False), (15, False),
     ]
-    squares = sum(square for _, square in products)
-    assert squares + sum(lift_rows) / n <= 13.125
-    assert peak <= 3.2 * n * n * 8
+    assert sum(rows) / n == 14.125
+    assert peak <= 2.3 * n * n * 8
+
+
+def test_mixing_search_allocates_two_arrays_on_hypercube10(monkeypatch):
+    # the search owns its n x n arrays: it allocates two, and writes every
+    # square, lift block and P into one of them or the lifts' buffer, never
+    # into an array a product allocates; the row-block temporaries of the
+    # tests are all that is left to malloc
+    searches = []
+
+    class Counted(chain_module._Search):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(chain_module, "_Search", Counted)
+    outs = []
+    matmul, transition = np.matmul, chain_module._transition
+
+    def written(a, b, out=None):
+        outs.append(out)
+        return matmul(a, b, out=out)
+
+    def made(w, out=None):
+        outs.append(out)
+        return transition(w, out)
+
+    monkeypatch.setattr(np, "matmul", written)
+    monkeypatch.setattr(chain_module, "_transition", made)
+    report = mixing_report(hypercube(10))
+    assert (report.lmix, report.mix) == (35, 16)
+    (search,) = searches
+    assert search.allocated == 2
+    # P four times, 8 squares, six lifts made whole in 8 row blocks each (the
+    # failing ones fail in their first block) and the first block of the last
+    assert len(outs) == 4 + 8 + 6 * 8 + 1
+    assert all(out is not None for out in outs)
 
 
 @pytest.mark.parametrize(
@@ -443,9 +489,18 @@ def test_chi_certificates_settle_the_top_and_the_first_lifts(monkeypatch):
         ("path:5", "lmix", 3, 2),
         ("path:8", "mix", 4, 3),
         ("cycle:11", "mix", 3, 4),
+        # offsets 5 to 8 above the low the lifts leave at bit 3, 8 floor((t - 1) / 8),
+        # walked by P when P^4 is not in hand
+        ("cycle:10", "lmix", 4, 5),
+        ("cycle:8", "lmix", 3, 6),
+        ("weighted-cycle:6", "lmix", 3, 7),
+        ("cycle:13", "mix", 3, 8),
     ],
 )
-def test_end_game_walks_to_each_offset_above_the_low(spec, name, k, offset):
+def test_end_game_walks_to_each_offset_above_the_low(spec, name, k, offset, tmp_path, monkeypatch):
+    if spec == "weighted-cycle:6":
+        (tmp_path / "w.txt").write_text("6 6\n0 1 7\n1 2 1\n2 3 1\n3 4 5\n4 5 3\n0 5 2\n")
+        spec = f"file:{tmp_path / 'w.txt'}"
     w = parse_graph_spec(spec)
     chain = lazy_chain(w)
     if name == "lmix":
@@ -457,15 +512,23 @@ def test_end_game_walks_to_each_offset_above_the_low(spec, name, k, offset):
         t += 1
     # the case is what it claims: 2^k < t <= 2^(k+1), t = low + offset
     assert (t - 1).bit_length() - 1 == k
-    assert t - max(1 << k, (t - 1) // 4 * 4) == offset
+    step = 4 if offset <= 4 else 8
+    low = max(1 << k, (t - 1) // step * step)
+    assert t - low == offset
+    products = record_products(monkeypatch)
     assert separate(lazy_chain(w)) == t
+    if offset > 4:
+        # the search on its own walks every candidate from low + 1 up
+        walked = [time for time, _ in products if low < time <= low + 7]
+        assert walked == list(range(low + 1, min(t, low + 7) + 1))
     assert getattr(mixing_report(w), name) == t
 
 
 def test_a_failing_last_candidate_stops_at_its_first_failing_block(monkeypatch):
-    # tv_mix(hypercube(10)) = 16: its low after bit 2 is 12, and the walk's
-    # candidates 13, 14 and 15 all fail.  Nothing reads 15, the last, so its
-    # lift stops at the first block that fails; 13 and 14 are made whole.
+    # tv_mix(hypercube(10)) = 16 is bracketed at P^8, which the doubling
+    # leaves in hand without P^4, so the walk starts at the bit-3 low 8 and
+    # its candidates 9 to 15 all fail.  Nothing reads 15, the last, so its
+    # lift stops at the first block that fails; 9 to 14 are made whole.
     n, rows = 1024, chain_module._LIFT_ROWS
     multiplied = []
     matmul = np.matmul
@@ -492,8 +555,8 @@ def test_a_failing_last_candidate_stops_at_its_first_failing_block(monkeypatch):
 
     monkeypatch.setattr(chain_module, "_lift", recorded)
     assert tv_mix(lazy_chain(hypercube(10))) == 16
-    assert sorted(lifts) == [12, 13, 14, 15]
-    for time in (13, 14):
+    assert sorted(lifts) == list(range(9, 16))
+    for time in range(9, 15):
         outcomes, made = lifts[time]
         assert outcomes[-1] is False
         assert made == n + rows * (len(outcomes) - 1)
@@ -509,9 +572,9 @@ def test_settled_top_recomputes_its_epsilon(monkeypatch, w, k):
     times = []
     checked = chain_module._checked_product
 
-    def counted(a, b, time):
+    def counted(a, b, time, out=None):
         times.append(time)
-        return checked(a, b, time)
+        return checked(a, b, time, out)
 
     monkeypatch.setattr(chain_module, "_checked_product", counted)
     report = mixing_report(w)
@@ -598,7 +661,7 @@ def test_drift_rounding_cannot_explain_is_a_consistency_error():
         chain_module._checked_product(heavy, uniform, 1 << 40)
 
 
-@pytest.mark.parametrize("n", [1, 5, 4 * chain_module._TV_ROWS + 3])
+@pytest.mark.parametrize("n", [1, 5, 4 * chain_module._TV_ROWS + 3, 8 * chain_module._TV_ROWS + 3])
 def test_blocked_profiles_equal_whole_matrix_formulas(n):
     # bit for bit: the row blocks sum the same rows, and fl(x / y) is
     # monotone in x for y > 0
@@ -649,24 +712,35 @@ def test_lift_tests_by_row_blocks_and_writes_a_failing_product(failing_row, shar
     for whole in (True, False):
         tested = []
         failing = low.copy()
+        taken = []
+
+        def take():
+            taken.append(np.empty_like(low))
+            return taken[-1]
+
         lifted = chain_module._lift(
             failing, factor, 3, failing_at(want, failing_row, tested),
-            np.empty((rows, len(low))), shared, whole=whole,
+            np.empty((rows, len(low))), take if shared else None, whole=whole,
         )
         if failing_row is None:
             assert lifted is None
             assert tested == [128, 128, 44]
             assert np.array_equal(failing, low)
+            assert not taken
             continue
         block = failing_row // rows
         assert tested == [128, 128, 44][: block + 1]
         if whole:
             assert np.array_equal(lifted, want)
-            assert (lifted is failing) != shared
+            # a shared failing power is left alone, and the product written
+            # over the one array take() gave
+            assert lifted is (taken[0] if shared else failing)
+            assert len(taken) == shared
             assert np.array_equal(failing, low if shared else want)
         else:
             assert np.array_equal(lifted, want[block * rows : (block + 1) * rows])
             assert np.array_equal(failing, low)
+            assert not taken
 
 
 @pytest.mark.parametrize("whole", [True, False])
@@ -682,11 +756,11 @@ def test_lift_through_two_factors(failing_row, whole):
     )
     buffer = np.empty((rows, len(low)))
     failing = low.copy()
-    assert chain_module._lift(failing, factor, 2, lambda block: False, buffer, False) is failing
+    assert chain_module._lift(failing, factor, 2, lambda block: False, buffer) is failing
     once = failing.copy()
     tested = []
     lifted = chain_module._lift(
-        failing, factor, 3, failing_at(want, failing_row, tested), buffer, False, whole=whole
+        failing, factor, 3, failing_at(want, failing_row, tested), buffer, whole=whole
     )
     if failing_row is None:
         assert lifted is None
@@ -708,7 +782,7 @@ def test_lift_checks_the_row_sums_of_every_block():
     factor = np.full((4, 4), 0.25)
     factor[:, 0] += 1e-9
     with pytest.raises(ConsistencyError, match="row sums drifted by 1.000e-09"):
-        chain_module._lift(low, factor, 2, lambda block: True, np.empty((2, 4)), False)
+        chain_module._lift(low, factor, 2, lambda block: True, np.empty((2, 4)))
 
 
 def test_monotone_profiles():
@@ -780,7 +854,8 @@ def golden_weights() -> WeightFunction:
 
 
 # mixing_report before the search made P from the weights and lifted bit 1
-# through P twice: (lmix, mix, delta, epsilons, clause bounds, theorem bound)
+# through P twice, and (hypercube:8 to hamming2:4) before it kept its powers
+# in arrays of its own: (lmix, mix, delta, epsilons, clause bounds, theorem bound)
 RECORDED_REPORTS = {
     "complete:3": (
         2, 1, 0.48484848484848486, (0.5, 0.375), (0.25, True, 0.25), 0.16161616161616163,
@@ -817,6 +892,43 @@ RECORDED_REPORTS = {
          0.13653917464698376, 0.09811434321936378, 0.07048045720260121),
         (0.25, False, 0.001644736842105263), 1.1108031460971643e-05,
     ),
+    "hypercube:8": (
+        26, 12, 0.44949161792022563,
+        (0.5, 0.28125, 0.112060546875, 0.03184238076210022, 0.008814858297641948),
+        (0.015625, True, 0.019230769230769232), 0.0005402543484618096,
+    ),
+    "path:64": (
+        3342, 1507, 0.11527898764561306,
+        (0.5, 0.4375, 0.3828125, 0.318572998046875, 0.2497145882807672, 0.18718274280142783,
+         0.13653917460113424, 0.09811126563810166, 0.06994390560491626, 0.04966181015338744,
+         0.03518886356271769, 0.024929729432681035),
+        (0.25, False, 0.00014961101137043686), 2.7376199891143284e-07,
+    ),
+    "path:512": (
+        219856, 99091, 0.10940099822347936,
+        (0.5, 0.4375, 0.3828125, 0.318572998046875, 0.2497145882807672, 0.18718274280142783,
+         0.13653917460113424, 0.09811126563810166, 0.06994390560491626, 0.04966181015338421,
+         0.035188850178099765, 0.024908052399038882, 0.017621783105277775, 0.012463713320479455,
+         0.008814319052707359, 0.006233068921974384, 0.004407589262909425,
+         0.003118843827678591),
+        (0.25, False, 2.2742158503747908e-06), 4.868913585257556e-10,
+    ),
+    "cycle:64": (
+        862, 389, 0.21298075932282684,
+        (0.5, 0.375, 0.2734375, 0.196380615234375, 0.13994993409141898, 0.09934675374796689,
+         0.07038609217001514, 0.049819109936140485, 0.03524464239064978, 0.02494431299496599),
+        (0.25, True, 0.000580046403712297), 7.72117021907e-06,
+    ),
+    "star:20": (
+        4, 2, 0.29629629629629645,
+        (0.5, 0.4999999999999997, 0.49999999999999944),
+        (0.0027700831024930744, False, 0.125), 0.001949317738791424,
+    ),
+    "hamming2:4": (
+        6, 4, 0.4513517043228419,
+        (0.5, 0.29166666666666663, 0.1435185185185185),
+        (0.027777777777777776, True, 0.08333333333333333), 0.028209481520177618,
+    ),
     "golden": (
         321, 163, 0.12195077740607943,
         (0.5, 0.4512003638525198, 0.407235746222414, 0.3481850127661187, 0.27541584105664163,
@@ -828,7 +940,8 @@ RECORDED_REPORTS = {
 
 @pytest.mark.parametrize("spec", sorted(RECORDED_REPORTS))
 def test_mixing_report_is_bit_for_bit_the_recorded_one(spec, tmp_path):
-    # the README examples' graphs, hypercube:10, path:20 and a weight file
+    # the README examples' graphs, hypercubes, paths, a cycle, a star, a
+    # Hamming graph and a weight file
     lm, mix, delta_value, epsilons, clauses, bound = RECORDED_REPORTS[spec]
     if spec == "golden":
         dump_weight_file(golden_weights(), tmp_path / "golden.txt")
@@ -1054,18 +1167,19 @@ def test_probability_bounds_product_count(monkeypatch):
 
 def test_probability_bounds_rebuild_the_dyadic_powers(monkeypatch):
     # lmix's search frees its own ladder, so power() builds the cached dyadic
-    # powers P^2 .. P^8192 itself: 13 of the 121 products.  The search makes
+    # powers P^2 .. P^8192 itself: 13 of the 123 products.  The search makes
     # 13 doublings up to P^8192 and 10 lifts at bits 12 to 2; the
     # chi-distances settle the top P^16384 (s(8192)^2 = 0.163) and the lift
     # to 14336 (s(12288) s(2048) = 0.240).  Its ladder keeps the even levels
-    # and makes the odd ones its unsettled lifts read again: P^512, P^128,
-    # P^32 and P^8.  The squares are those 13 + 13 + 4.  Below bit 2 the
+    # from P^16 up and makes the odd ones its unsettled lifts read again,
+    # P^512, P^128 and P^32, and P^8 from P through P^2 and P^4, which is then
+    # in hand for bit 2.  The squares are those 13 + 13 + 6.  Below bit 2 the
     # search walks 13577, 13578 and 13579 by P, three lifts of one product
     # each.
     products = record_products(monkeypatch)
     w = path(128)
     chain = lazy_chain(w)
     verify_probability_bounds(chain, w)
-    assert len(products) == 108 + 13
-    assert sum(square for _, square in products) == 13 + 13 + 4
+    assert len(products) == 110 + 13
+    assert sum(square for _, square in products) == 13 + 13 + 6
     assert sorted(chain._dyadic) == list(range(14))
