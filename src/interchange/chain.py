@@ -88,9 +88,8 @@ _MAX_LIFTED_MASS = 2.0 * MAX_TOTAL_WEIGHT * (1.0 + 1e-9)
 # largest k tried when doubling the time, 2^k, while locating lmix or tv_mix
 _DOUBLING_GUARD = 60
 # rows per block when summing total variation and chi-distances; subtracting
-# pi takes a buffer of numpy's own (up to 8192 entries) beside the block's, so
-# a test of a lift block takes two blocks of this many rows beside the search
-_TV_ROWS = 8
+# pi takes a buffer of numpy's own (up to 8192 entries) beside the block's
+_TV_ROWS = 16
 # rows per block of a lift, tested through one buffer; at most this many rows,
 # a lift is one product, bit for bit the product of the whole matrices
 _LIFT_ROWS = 128
@@ -365,18 +364,42 @@ def _checkpoint(k: int) -> bool:
 
 
 class _Search:
-    """One search for first times: the ladder of dyadic powers in hand, the
-    n x n arrays that hold them, and each condition's bracket and lift.
+    """The search for the smallest t >= 1 with condition(P^t), for each of
+    conditions, all monotone in t; run() makes it.
 
-    Each array is allocated once.  A power the search drops goes back to its
-    free list, never to malloc: glibc keeps a freed 8 MiB power's pages
-    resident once its mmap threshold has risen, so the peak would follow the
-    order of allocation rather than the most powers held at once.
+    Doubling squares the top power, records eps_k = max diag P^(2^k) as each
+    power is made, and tests every condition not yet bracketed between 2^k,
+    which fails, and 2^(k+1), which holds.  Lifting then goes from the
+    highest bit down to bit 3: the largest failing time lo of each condition
+    bracketed above j becomes lo + 2^j whenever P^lo P^(2^j) still fails, one
+    product per condition per bit.  Bit 2 is lifted the same way while P^4 is
+    in hand.  The end game finishes the conditions one at a time, the one
+    bracketed last first: it lifts at bit 2 if P^4 is in hand by then, and
+    walks the at most 7 (or 3) candidates left one lift by P at a time, with
+    P made from the weights (_transition, the same bits each time).
+
+    Every power lives in one of the search's own n x n arrays, and every
+    product is written into one with out=; each array is allocated once, and
+    a power the search drops goes back to its free list, never to malloc
+    (glibc keeps a freed 8 MiB power's pages resident once its mmap threshold
+    has risen, so the peak would follow the order of allocation rather than
+    the most powers held at once).  The ladder keeps the even levels
+    from P^16 up while a reader may remain above them.  A level, or a
+    condition's dropped failing power P^(2^k), is squared up when first read
+    from the nearest level held below it, or from P, and the square it was
+    made from stays in hand for the next bit down: a condition bracketed at
+    k lifts at bit k - 1 by it.  Lifts go through _lift with one buffer: a
+    product that fails is written over its condition's failing power, and
+    the last candidate stops at its first failing block, since nothing reads
+    it.  The doubling top and the lifts at bits >= 2 are made only where the
+    certificate s(a) s(b) does not settle them.  A first time of exactly
+    2^(k+1) whose top was settled gets eps_(k+1) from k + 1 squarings of P:
+    the same products, the same bits.  A search bracketed at k holds about
+    ceil((k + 1) / 2) n x n arrays (2 on hypercube:10).
     """
 
     __slots__ = (
-        "chain", "conditions", "held", "free", "allocated",
-        "chi2", "brackets", "lows", "failing", "buffer",
+        "chain", "conditions", "held", "free", "chi2", "brackets", "lows", "failing", "buffer",
     )
 
     def __init__(self, chain: LazyChain, conditions: tuple[_Condition, ...]):
@@ -385,23 +408,99 @@ class _Search:
         # the ladder: level k is P^(2^k)
         self.held: dict[int, np.ndarray] = {}
         self.free: list[np.ndarray] = []
-        self.allocated = 0
         # s(t)^2 of the powers the search has held, ladder levels' off the diagonals
         self.chi2: dict[int, float] = {}
         self.brackets: dict[int, int] = {}
+        # each bracketed condition's largest failing time, and its failing
+        # power: one the ladder dropped is None until first read, and one
+        # power may be a held level too
         self.lows: dict[int, int] = {}
-        # each unfinished condition's failing power: one the ladder dropped is
-        # None until first read, and one power may be a held level too
         self.failing: dict[int, np.ndarray | None] = {}
-        # the lifts' buffer of _LIFT_ROWS rows
-        self.buffer: np.ndarray | None = None
+
+    def run(self) -> tuple[list[int], tuple[float, ...]]:
+        """The first times in the order of the conditions, and eps_k for every
+        dyadic power up to the largest first time."""
+        conditions, held, chi2, brackets = self.conditions, self.held, self.chi2, self.brackets
+        pi = self.chain.pi
+        held[0] = _transition(self.chain.weights, out=self.take())
+        epsilons = [float(np.diag(held[0]).max())]
+        times = [1 if condition.holds(held[0]) else None for condition in conditions]
+        unbracketed = [i for i, t in enumerate(times) if t is None]
+        k = 0
+        while unbracketed:
+            if k >= _DOUBLING_GUARD:
+                raise CapError(
+                    "the lazy chain mixes too slowly: no mixing condition holds "
+                    f"by t = 2^{_DOUBLING_GUARD}"
+                )
+            floor = _chi_floor(chi2, 1 << k)
+            if any(conditions[i].settles(floor * floor) for i in unbracketed):
+                chi2[1 << k] = _chi_squared(held[k], pi)
+                for i in unbracketed:
+                    if _settles(conditions[i], chi2, 1 << k, 1 << k):
+                        brackets[i] = k
+                unbracketed = [i for i in unbracketed if i not in brackets]
+                if not unbracketed:
+                    break
+            top = self.square(k)
+            epsilons.append(float(np.diag(top).max()))
+            chi2.setdefault(1 << k, float((np.diag(top) / pi).max()) - 1.0)
+            for i in unbracketed:
+                if conditions[i].holds(top):
+                    brackets[i] = k
+            unbracketed = [i for i in unbracketed if i not in brackets]
+            # no lift reads the last top
+            if unbracketed:
+                if not _checkpoint(k):
+                    self.give(held.pop(k))
+                held[k + 1] = top
+            else:
+                self.give(top)
+            k += 1
+
+        self.lows = {i: 1 << k for i, k in brackets.items()}
+        self.failing = {i: held.get(k) for i, k in brackets.items()}
+        # the lifts' buffer of _LIFT_ROWS rows, made once the doubling is done
+        self.buffer = np.empty((min(_LIFT_ROWS, self.chain.n), self.chain.n))
+        # bits 3 and up, every condition at once, and bit 2 if P^4 is then in hand
+        low_bit = 3
+        for j in reversed(range(2, max(brackets.values(), default=0))):
+            if j == 2:
+                if 2 not in held:
+                    break
+                low_bit = 2
+            self.release(j + 1)
+            for i, k in brackets.items():
+                if j < k:
+                    self.lift(i, j)
+        # the end game, one condition at a time, the one bracketed last first: a
+        # failing power made from P leaves P^4 in hand for a lift at bit 2, and
+        # the candidates below the lowest bit lifted are walked by P
+        for i in sorted(brackets, key=brackets.get, reverse=True):
+            k, bit = brackets[i], low_bit
+            self.release(0)
+            if k:
+                self.failing_power(i)
+            if bit == 3 and k > 2 and 2 in held:
+                self.lift(i, 2)
+                bit = 2
+            self.release(0)
+            last = (1 << min(k, bit)) - 1
+            for candidate in range(1, last + 1):
+                if self.lift(i, 0, whole=candidate < last):
+                    break
+            power = self.failing.pop(i)
+            if power is not None:
+                self.give(power)
+        for i, low in self.lows.items():
+            times[i] = low + 1
+        if times and max(times).bit_length() > len(epsilons):
+            epsilons.append(float(np.diag(self.level(len(epsilons))).max()))
+        return times, tuple(epsilons)
 
     def take(self) -> np.ndarray:
         """An n x n array off the free list, allocated only when the list is empty."""
-        if self.free:
-            return self.free.pop()
-        self.allocated += 1
-        return np.empty((self.chain.n, self.chain.n))
+        return self.free.pop() if self.free else np.empty((self.chain.n, self.chain.n))
 
     def give(self, power: np.ndarray) -> None:
         """Put power on the free list unless a level or a failing power holds it."""
@@ -466,121 +565,11 @@ class _Search:
         if lifted is None:
             return True
         self.lows[i] += step
-        failing[i] = lifted
+        # a last candidate that fails returns its first failing block, a view
+        # of the buffer that nothing reads: the failing power keeps its array
+        if whole:
+            failing[i] = lifted
         return False
-
-
-def _first_times(
-    chain: LazyChain, conditions: tuple[_Condition, ...]
-) -> tuple[list[int], tuple[float, ...]]:
-    """Smallest t >= 1 with condition(P^t) for each condition, all monotone in t.
-
-    Doubling squares the top power, records eps_k = max diag P^(2^k) as each
-    power is made, and tests every condition not yet bracketed between 2^k,
-    which fails, and 2^(k+1), which holds.  Lifting then goes from the
-    highest bit down to bit 3: the largest failing time lo of each condition
-    bracketed above j becomes lo + 2^j whenever P^lo P^(2^j) still fails, one
-    product per condition per bit.  Bit 2 is lifted the same way while P^4 is
-    in hand.  The end game finishes the conditions one at a time, the one
-    bracketed last first: it lifts at bit 2 if P^4 is in hand by then, and
-    walks the at most 7 (or 3) candidates left one lift by P at a time, with
-    P made from the weights (_transition, the same bits each time).
-
-    Every power lives in one of the search's own n x n arrays (_Search), and
-    every product is written into one with out=.  The ladder keeps the even
-    levels from P^16 up while a reader may remain above them.  A level, or a
-    condition's dropped failing power P^(2^k), is squared up when first read
-    from the nearest level held below it, or from P, and the square it was
-    made from stays in hand for the next bit down: a condition bracketed at
-    k lifts at bit k - 1 by it.  Lifts go through _lift with one buffer: a
-    product that fails is written over its condition's failing power, and
-    the last candidate stops at its first failing block, since nothing reads
-    it.  The doubling top and the lifts at bits >= 2 are made only where the
-    certificate s(a) s(b) does not settle them.  A first time of exactly
-    2^(k+1) whose top was settled gets eps_(k+1) from k + 1 squarings of P:
-    the same products, the same bits.  A search bracketed at k holds about
-    ceil((k + 1) / 2) n x n arrays (2 on hypercube:10).
-
-    Returns the first times in the order of the conditions, and eps_k for
-    every dyadic power up to the largest first time.
-    """
-    pi = chain.pi
-    search = _Search(chain, conditions)
-    held, chi2, brackets = search.held, search.chi2, search.brackets
-    held[0] = _transition(chain.weights, out=search.take())
-    epsilons = [float(np.diag(held[0]).max())]
-    times = [1 if condition.holds(held[0]) else None for condition in conditions]
-    unbracketed = [i for i, t in enumerate(times) if t is None]
-    k = 0
-    while unbracketed:
-        if k >= _DOUBLING_GUARD:
-            raise CapError(
-                "the lazy chain mixes too slowly: no mixing condition holds "
-                f"by t = 2^{_DOUBLING_GUARD}"
-            )
-        floor = _chi_floor(chi2, 1 << k)
-        if any(conditions[i].settles(floor * floor) for i in unbracketed):
-            chi2[1 << k] = _chi_squared(held[k], pi)
-            for i in unbracketed:
-                if _settles(conditions[i], chi2, 1 << k, 1 << k):
-                    brackets[i] = k
-            unbracketed = [i for i in unbracketed if i not in brackets]
-            if not unbracketed:
-                break
-        top = search.square(k)
-        epsilons.append(float(np.diag(top).max()))
-        chi2.setdefault(1 << k, float((np.diag(top) / pi).max()) - 1.0)
-        for i in unbracketed:
-            if conditions[i].holds(top):
-                brackets[i] = k
-        unbracketed = [i for i in unbracketed if i not in brackets]
-        # no lift reads the last top
-        if unbracketed:
-            if not _checkpoint(k):
-                search.give(held.pop(k))
-            held[k + 1] = top
-        else:
-            search.give(top)
-        k += 1
-
-    search.lows = {i: 1 << k for i, k in brackets.items()}
-    search.failing = {i: held.get(k) for i, k in brackets.items()}
-    search.buffer = np.empty((min(_LIFT_ROWS, chain.n), chain.n))
-    # bits 3 and up, every condition at once, and bit 2 if P^4 is then in hand
-    low_bit = 3
-    for j in reversed(range(2, max(brackets.values(), default=0))):
-        if j == 2:
-            if 2 not in held:
-                break
-            low_bit = 2
-        search.release(j + 1)
-        for i, k in brackets.items():
-            if j < k:
-                search.lift(i, j)
-    # the end game, one condition at a time, the one bracketed last first: a
-    # failing power made from P leaves P^4 in hand for a lift at bit 2, and
-    # the candidates below the lowest bit lifted are walked by P
-    for i in sorted(brackets, key=brackets.get, reverse=True):
-        k, bit = brackets[i], low_bit
-        search.release(0)
-        if k:
-            search.failing_power(i)
-        if bit == 3 and k > 2 and 2 in held:
-            search.lift(i, 2)
-            bit = 2
-        search.release(0)
-        last = (1 << min(k, bit)) - 1
-        for candidate in range(1, last + 1):
-            if search.lift(i, 0, whole=candidate < last):
-                break
-        power = search.failing.pop(i)
-        if power is not None:
-            search.give(power)
-    for i, low in search.lows.items():
-        times[i] = low + 1
-    if times and max(times).bit_length() > len(epsilons):
-        epsilons.append(float(np.diag(search.level(len(epsilons))).max()))
-    return times, tuple(epsilons)
 
 
 def lmix(chain: LazyChain) -> int | float:
@@ -592,14 +581,14 @@ def lmix(chain: LazyChain) -> int | float:
     """
     if not chain.connected:
         return math.inf
-    return _first_times(chain, (_mixes(chain),))[0][0]
+    return _Search(chain, (_mixes(chain),)).run()[0][0]
 
 
 def tv_mix(chain: LazyChain) -> int | float:
     """First time the worst-row total variation distance drops below 1/4."""
     if not chain.connected:
         return math.inf
-    return _first_times(chain, (_tv_mixes(chain),))[0][0]
+    return _Search(chain, (_tv_mixes(chain),)).run()[0][0]
 
 
 class DeltaResult(NamedTuple):
@@ -625,7 +614,7 @@ def delta(chain: LazyChain) -> DeltaResult:
     """
     if not chain.connected:
         raise DisconnectedError("delta is undefined: the chain never mixes")
-    (lmix_value,), epsilons = _first_times(chain, (_mixes(chain),))
+    (lmix_value,), epsilons = _Search(chain, (_mixes(chain),)).run()
     return _delta_result(epsilons, lmix_value)
 
 
@@ -691,7 +680,7 @@ def mixing_report(w: WeightFunction) -> MixingReport:
             clause_bounds=_clause_diagnostics(w, math.inf),
             theorem_bound=None,
         )
-    (lm, mix), epsilons = _first_times(chain, (_mixes(chain), _tv_mixes(chain)))
+    (lm, mix), epsilons = _Search(chain, (_mixes(chain), _tv_mixes(chain))).run()
     result = _delta_result(epsilons, lm)
     wi_min = float(w.vertex_weights.min())
     bound = (result.delta / lm) * (wi_min * wi_min) / w.total_weight
