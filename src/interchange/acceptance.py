@@ -17,13 +17,11 @@ import numpy as np
 
 from .chain import (
     lazy_chain,
-    lmix,
     min_stationary_ratio,
     mixing_report,
     tv_distance,
     verify_probability_bounds,
 )
-from .chain import LiftedWeight
 from .cycles import (
     coefficient_dimension_sum,
     cycle_count_blocks,
@@ -38,6 +36,7 @@ from .cycles import (
 )
 from .errors import ParameterError
 from .graphs import (
+    MAX_SEED,
     WeightFunction,
     complete,
     cycle,
@@ -48,6 +47,7 @@ from .graphs import (
     star,
 )
 from .group_algebra import (
+    LiftedWeight,
     delta_of_weights,
     doubling_inequality_check,
     interchange_tv_mix_exact,
@@ -116,6 +116,8 @@ class SuiteConfig:
 
     @classmethod
     def for_level(cls, level: str, seed: int = 0) -> "SuiteConfig":
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= MAX_SEED:
+            raise ParameterError(f"suite seed must be an int in [0, 2**64 - 1], got {seed!r}")
         if level == "desk":
             return cls(level="desk", seed=seed)
         if level == "extended":

@@ -73,7 +73,7 @@ from .errors import (
     DisconnectedError,
     ParameterError,
 )
-from .graphs import MAX_TOTAL_WEIGHT, WeightFunction
+from .graphs import WeightFunction
 
 TIE_GUARD = 1e-12
 _ROW_SUM_TOL = 1e-10
@@ -82,9 +82,6 @@ _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 # rounding it allows in a computed s^2 (see the module docstring)
 _CERTIFICATE_MARGIN = 1e-9
 _PROBABILITY_CONSTANT = 30.0
-# Largest total mass of a lifted weight, what lift_lazy can produce (doubling
-# keeps the mass); the allowance absorbs a few ulps of rounding in the sum.
-_MAX_LIFTED_MASS = 2.0 * MAX_TOTAL_WEIGHT * (1.0 + 1e-9)
 # largest k tried when doubling the time, 2^k, while locating lmix or tv_mix
 _DOUBLING_GUARD = 60
 # rows per block when summing total variation and chi-distances; subtracting
@@ -584,38 +581,13 @@ def lmix(chain: LazyChain) -> int | float:
     return _Search(chain, (_mixes(chain),)).run()[0][0]
 
 
-def tv_mix(chain: LazyChain) -> int | float:
-    """First time the worst-row total variation distance drops below 1/4."""
-    if not chain.connected:
-        return math.inf
-    return _Search(chain, (_tv_mixes(chain),)).run()[0][0]
-
-
-class DeltaResult(NamedTuple):
-    delta: float
-    epsilons: tuple[float, ...]
-
-
-def _delta_result(epsilons: tuple[float, ...], lmix_value: int) -> DeltaResult:
-    """delta from eps_k for 0 <= k <= floor(log2 lmix)."""
+def _delta_result(epsilons: tuple[float, ...], lmix_value: int) -> tuple[float, tuple[float, ...]]:
+    """(delta, eps_k for 0 <= k <= floor(log2 lmix)), 1 / delta = prod_k (1 + eps_k)."""
     epsilons = epsilons[: lmix_value.bit_length()]
     inverse = 1.0
     for eps in epsilons:
         inverse *= 1.0 + eps
-    return DeltaResult(delta=1.0 / inverse, epsilons=epsilons)
-
-
-def delta(chain: LazyChain) -> DeltaResult:
-    """Laziness factor delta together with the eps_k sequence that builds it.
-
-    eps_k is the largest diagonal entry of P^(2^k) and
-    1 / delta = prod_{k=0}^{floor(log2 lmix)} (1 + eps_k).
-    Raises DisconnectedError when lmix is infinite.
-    """
-    if not chain.connected:
-        raise DisconnectedError("delta is undefined: the chain never mixes")
-    (lmix_value,), epsilons = _Search(chain, (_mixes(chain),)).run()
-    return _delta_result(epsilons, lmix_value)
+    return 1.0 / inverse, epsilons
 
 
 class ClauseDiagnostics(NamedTuple):
@@ -681,74 +653,17 @@ def mixing_report(w: WeightFunction) -> MixingReport:
             theorem_bound=None,
         )
     (lm, mix), epsilons = _Search(chain, (_mixes(chain), _tv_mixes(chain))).run()
-    result = _delta_result(epsilons, lm)
+    delta, epsilons = _delta_result(epsilons, lm)
     wi_min = float(w.vertex_weights.min())
-    bound = (result.delta / lm) * (wi_min * wi_min) / w.total_weight
+    bound = (delta / lm) * (wi_min * wi_min) / w.total_weight
     return MixingReport(
         lmix=lm,
         mix=mix,
-        delta=result.delta,
-        epsilons=result.epsilons,
+        delta=delta,
+        epsilons=epsilons,
         clause_bounds=_clause_diagnostics(w, lm),
         theorem_bound=bound,
     )
-
-
-class LiftedWeight:
-    """Weight function augmented with diagonal mass (holding probabilities).
-
-    The lift of a lazy chain puts u_ij = w_ij off the diagonal and u_ii = w_i,
-    so each row mass doubles: u_i = 2 w_i.  Doubling maps u to
-    u2_ij = sum_k u_ik u_kj / u_k, which preserves row masses and tracks the
-    two-step transition probabilities of the lazy walk.  The matrix must be
-    finite, nonnegative and exactly symmetric (doubling_gap reads only the
-    upper triangle), with a total mass of at most 2 MAX_TOTAL_WEIGHT (up to
-    rounding), the most lift_lazy can produce.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ParameterError(f"lifted weight needs a square matrix, got {matrix.shape}")
-        if not (np.isfinite(matrix).all() and (matrix >= 0).all()):
-            raise ParameterError("lifted weight matrix must be finite and nonnegative")
-        # the entries are checked first: each under the cap, their sum cannot overflow
-        if matrix.max(initial=0.0) > _MAX_LIFTED_MASS or matrix.sum() > _MAX_LIFTED_MASS:
-            raise ParameterError(
-                f"lifted weight total mass exceeds the cap {_MAX_LIFTED_MASS:g}; "
-                "scale the weights down"
-            )
-        if not np.array_equal(matrix, matrix.T):
-            raise ParameterError("lifted weight matrix must be exactly symmetric")
-        self.matrix = matrix
-        self.n = matrix.shape[0]
-        self.vertex_weights = matrix.sum(axis=1)
-
-    @property
-    def epsilon(self) -> float:
-        """max_i u_ii / u_i, the diagonal mass fraction."""
-        if (self.vertex_weights <= 0).any():
-            raise DegenerateWeightError("epsilon undefined with a zero-mass vertex")
-        return float((np.diag(self.matrix) / self.vertex_weights).max())
-
-
-def lift_lazy(w: WeightFunction) -> LiftedWeight:
-    """Lift w to the lazy weight with u_ii = w_i on the diagonal."""
-    wi = w.vertex_weights
-    if (wi <= 0).any():
-        raise DegenerateWeightError("cannot lift weights with an isolated vertex")
-    matrix = w.dense()
-    np.fill_diagonal(matrix, wi)
-    return LiftedWeight(matrix)
-
-
-def double_weight(u: LiftedWeight) -> LiftedWeight:
-    """One doubling step: u2_ij = sum_k u_ik u_kj / u_k."""
-    if (u.vertex_weights <= 0).any():
-        raise DegenerateWeightError("doubling needs every row mass positive")
-    doubled = (u.matrix / u.vertex_weights[None, :]) @ u.matrix
-    doubled = 0.5 * (doubled + doubled.T)
-    return LiftedWeight(doubled)
 
 
 @dataclass(frozen=True)

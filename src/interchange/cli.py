@@ -12,7 +12,8 @@ carries: one column per field.
 
 Each subcommand is declared once, in `_SUBCOMMANDS`, with its handler,
 flags and help.  A handler imports the modules it runs when it runs, so a
-command-line call loads only what its subcommand needs.
+command-line call loads only what its subcommand needs: only mix, compare
+and suite load the lazy-chain module `chain`.
 
 Exit status: 0 on success, 1 when a verified property fails or the requested
 quantity does not exist (for example mixing numbers of a disconnected
@@ -209,8 +210,7 @@ def _octopus(w: WeightFunction, config: RunConfig):
 
 
 def _verify_doubling(w: WeightFunction, config: RunConfig):
-    from .chain import lift_lazy
-    from .group_algebra import doubling_inequality_check
+    from .group_algebra import doubling_inequality_check, lift_lazy
 
     u = lift_lazy(w)
     verdict = doubling_inequality_check(u, tol=config.tol)

@@ -23,6 +23,9 @@ and on every irreducible block of a support of 6 to 10 points:
 * the doubling bound: for a lifted weight u with diagonal fraction eps,
       (2 + 2 eps) Delta_u  >=  Delta_{u^(2)}.
 
+The lifted weight u = lift_lazy(w) puts the lazy walk's holding mass w_i on
+the diagonal of w, and double_weight(u) = u^(2) holds its two-step law.
+
 Exact distributions exp(-t Delta_w) of the process are available for n <= 5
 via the symmetric eigendecomposition of the regular representation matrix.
 """
@@ -34,9 +37,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .chain import LiftedWeight, double_weight
 from .errors import CapError, DegenerateWeightError, DisconnectedError, ParameterError
-from .graphs import WeightFunction
+from .graphs import MAX_TOTAL_WEIGHT, WeightFunction
 
 Perm = tuple[int, ...]
 
@@ -44,6 +46,9 @@ REGULAR_REP_MAX_N = 7
 EXACT_SEMIGROUP_MAX_N = 5
 PSD_TOL = 1e-9
 TV_MIX_TIME_TOL = 1e-6
+# Largest total mass of a lifted weight, what lift_lazy can produce (doubling
+# keeps the mass); the allowance absorbs a few ulps of rounding in the sum.
+_MAX_LIFTED_MASS = 2.0 * MAX_TOTAL_WEIGHT * (1.0 + 1e-9)
 
 
 def all_perms(n: int) -> list[Perm]:
@@ -136,10 +141,12 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL) -> PsdVerdict:
     entry of the regular representation in absolute value are tolerated.
     That entry is read off the coefficients: every diagonal entry is
     sum_{i<j} c_ij and every other nonzero entry a single -c_ij, so it is
-    max(|sum_{i<j} c_ij|, max_{i<j} |c_ij|).
+    max(|sum_{i<j} c_ij|, max_{i<j} |c_ij|).  tol must be finite and > 0.
     """
     from .irreps import IRREP_MAX_N, min_eigenvalue_on_irreps
 
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"PSD tolerance must be finite and > 0, got {tol}")
     support = np.flatnonzero(a.c.any(axis=1))
     if not support.size:
         return PsdVerdict(psd=True, min_eigenvalue=0.0)
@@ -190,6 +197,65 @@ def octopus_check(
 ) -> PsdVerdict:
     """Verify the octopus inequality for one hub configuration."""
     return is_psd(octopus_gap(n, hub, arm_weights), tol=tol)
+
+
+class LiftedWeight:
+    """Weight function augmented with diagonal mass (holding probabilities).
+
+    The lift of a lazy chain puts u_ij = w_ij off the diagonal and u_ii = w_i,
+    so each row mass doubles: u_i = 2 w_i.  Doubling maps u to
+    u2_ij = sum_k u_ik u_kj / u_k, which preserves row masses and tracks the
+    two-step transition probabilities of the lazy walk.  The matrix must be
+    finite, nonnegative and exactly symmetric (doubling_gap reads only the
+    upper triangle), with a total mass of at most 2 MAX_TOTAL_WEIGHT (up to
+    rounding), the most lift_lazy can produce.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ParameterError(f"lifted weight needs a square matrix, got {matrix.shape}")
+        if not (np.isfinite(matrix).all() and (matrix >= 0).all()):
+            raise ParameterError("lifted weight matrix must be finite and nonnegative")
+        # the entries are checked first: each under the cap, their sum cannot overflow
+        if matrix.max(initial=0.0) > _MAX_LIFTED_MASS or matrix.sum() > _MAX_LIFTED_MASS:
+            raise ParameterError(
+                f"lifted weight total mass exceeds the cap {_MAX_LIFTED_MASS:g}; "
+                "scale the weights down"
+            )
+        if not np.array_equal(matrix, matrix.T):
+            raise ParameterError("lifted weight matrix must be exactly symmetric")
+        self.matrix = matrix
+        self.n = matrix.shape[0]
+        self.vertex_weights = matrix.sum(axis=1)
+
+    @property
+    def epsilon(self) -> float:
+        """max_i u_ii / u_i, the diagonal mass fraction."""
+        if (self.vertex_weights <= 0).any():
+            raise DegenerateWeightError("epsilon undefined with a zero-mass vertex")
+        return float((np.diag(self.matrix) / self.vertex_weights).max())
+
+
+def lift_lazy(w: WeightFunction) -> LiftedWeight:
+    """Lift w to the lazy weight with u_ii = w_i on the diagonal."""
+    wi = w.vertex_weights
+    if (wi <= 0).any():
+        raise DegenerateWeightError("cannot lift weights with an isolated vertex")
+    matrix = w.dense()
+    np.fill_diagonal(matrix, wi)
+    return LiftedWeight(matrix)
+
+
+def double_weight(u: LiftedWeight) -> LiftedWeight:
+    """One doubling step: u2_ij = sum_k u_ik u_kj / u_k."""
+    if (u.vertex_weights <= 0).any():
+        raise DegenerateWeightError("doubling needs every row mass positive")
+    doubled = (u.matrix / u.vertex_weights[None, :]) @ u.matrix
+    doubled = 0.5 * (doubled + doubled.T)
+    return LiftedWeight(doubled)
+
+
 
 
 def doubling_gap(u: LiftedWeight) -> PairOperator:

@@ -80,7 +80,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import mixing_report
 from .errors import CapError, ConsistencyError, ParameterError
 from .graphs import WeightFunction
 from .group_algebra import PairOperator, delta_of_weights
@@ -536,6 +535,8 @@ def comparison_constant(w: WeightFunction) -> ComparisonReport:
     spectra, the mixing-based lower bound b(w), and the ratio a* / b(w).  For
     disconnected w the constant is 0 and b(w) is undefined (reported None).
     """
+    from .chain import mixing_report
+
     spectra = all_spectra(w)
     rows = []
     a_star = math.inf

@@ -3,18 +3,23 @@
 Each is the plain form of something the package does another way, or does
 not need: permutations as tuples, standard tableaux by enumeration, dense
 Young-rep matrices of any group element, a weight-file writer, scaled
-weights, the shipped JSON schemas, and the per-permutation loop that
-qhf_exact replaced by array reductions.  Nothing in the package imports
-from here.
+weights, the shipped JSON schemas, the per-permutation loop that qhf_exact
+replaced by array reductions, the mixing search run for one condition alone,
+and closed forms of the lazy walk on hypercubes, paths and cycles.  Nothing
+in the package imports from here.
 """
 
+import itertools
 import json
+import math
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from interchange.chain import TIE_GUARD, LazyChain, _mixes, _Search, _tv_mixes
 from interchange.cli import _SUBCOMMANDS
 from interchange.errors import ParameterError
 from interchange.graphs import WeightFunction
@@ -218,3 +223,109 @@ def qhf_exact_loop(w: WeightFunction, t: float) -> tuple[float, float]:
         z += p * weight
         numerator += p * spin * weight
     return float(z), float(numerator / z)
+
+
+def search_alone(chain: LazyChain, name: str) -> tuple[int, tuple[float, ...]]:
+    """The mixing search run for one condition alone on a connected chain,
+    "lmix" or "mix": its first time and the eps_k it recorded on the way."""
+    condition = {"lmix": _mixes, "mix": _tv_mixes}[name](chain)
+    (time,), epsilons = _Search(chain, (condition,)).run()
+    return time, epsilons
+
+
+def hypercube_mixing(d: int) -> tuple[int, int, tuple[Fraction, ...]]:
+    """(lmix, mix, eps_k for 2^k <= lmix) of hypercube:d, exactly.
+
+    The lazy walk moves along each coordinate with probability 1 / (2 d), so
+    the character of a j-set is an eigenfunction with eigenvalue 1 - j / d and
+    p_t(x, y) / pi(y) = sum_j (1 - j / d)^t K_j(h), h the Hamming distance of
+    x and y and K_j the Krawtchouk polynomial (Levin-Peres-Wilmer, 2nd ed.,
+    ch. 12).  Every row is the same up to relabelling, so the row of x = 0
+    decides both conditions; scaled by d^t each sum is an integer.
+    """
+    krawtchouk = [
+        [sum((-1) ** i * math.comb(h, i) * math.comb(d - h, j - i) for i in range(j + 1))
+         for j in range(d + 1)]
+        for h in range(d + 1)
+    ]
+
+    def scaled_ratios(t: int) -> list[int]:
+        # d^t p_t(0, y) / pi(y) for y at each Hamming distance h
+        return [sum((d - j) ** t * k for j, k in enumerate(row)) for row in krawtchouk]
+
+    def mixes(t: int) -> bool:
+        return 4 * min(scaled_ratios(t)) > 3 * d**t
+
+    def tv_mixes(t: int) -> bool:
+        # TV = sum_h C(d, h) |ratio_h - 1| / 2^(d + 1) < 1/4
+        excess = sum(math.comb(d, h) * abs(r - d**t) for h, r in enumerate(scaled_ratios(t)))
+        return 2 * excess < 2**d * d**t
+
+    lmix = next(t for t in itertools.count(1) if mixes(t))
+    mix = next(t for t in range(1, lmix + 1) if tv_mixes(t))
+    epsilons = tuple(
+        Fraction(sum(math.comb(d, j) * (d - j) ** (1 << k) for j in range(d + 1)),
+                 2**d * d ** (1 << k))
+        for k in range(lmix.bit_length())
+    )
+    return lmix, mix, epsilons
+
+
+class CosineWalk:
+    """The lazy walk on path:n or cycle:n from its cosine eigenvectors.
+
+    path:n: lambda_k = (1 + cos(pi k / (n - 1))) / 2 with eigenvector
+    cos(pi k i / (n - 1)), k = 0 .. n - 1, whose pi-norm is 1 at k = 0 and
+    k = n - 1 and 1/2 otherwise.  cycle:n: lambda_k = (1 + cos(2 pi k / n)) / 2
+    with the eigenvectors cos(2 pi k x / n) for 0 <= k <= n / 2 and
+    sin(2 pi k x / n) for 0 < k < n / 2, of pi-norm 1 at k = 0 and k = n / 2
+    and 1/2 otherwise.  Then p_t(i, j) / pi(j) = sum_k lambda_k^t
+    phi_k(i) phi_k(j) / |phi_k|^2 (Levin-Peres-Wilmer, 2nd ed., ch. 12).  Each
+    lambda_k is 1 - sin(a)^2 with a = pi k / (2 (n - 1)) or pi k / n, and
+    lambda_k^t is exp(t log1p(-sin(a)^2)), which keeps its relative accuracy
+    at t near a million.  No eigensolver is involved.
+    """
+
+    def __init__(self, family: str, n: int):
+        if family == "path":
+            k = np.arange(n)
+            self.phi = np.cos(np.pi * np.outer(np.arange(n), k) / (n - 1))
+            half_angle = np.pi * k / (2 * (n - 1))
+            self.pi = np.full(n, 1.0 / (n - 1))
+            self.pi[[0, -1]] = 0.5 / (n - 1)
+            ends = (k == 0) | (k == n - 1)
+        elif family == "cycle":
+            k = np.concatenate([np.arange(n // 2 + 1), np.arange(1, (n + 1) // 2)])
+            angles = 2 * np.pi * np.outer(np.arange(n), k) / n
+            cosines = n // 2 + 1
+            self.phi = np.concatenate([np.cos(angles[:, :cosines]), np.sin(angles[:, cosines:])],
+                                      axis=1)
+            half_angle = np.pi * k / n
+            self.pi = np.full(n, 1.0 / n)
+            ends = np.zeros(n, dtype=bool)
+            ends[0] = True
+            ends[n // 2] = n % 2 == 0
+        else:
+            raise ValueError(f"no cosine eigenvectors for {family!r}")
+        self.norm = np.where(ends, 1.0, 0.5)
+        with np.errstate(divide="ignore"):  # lambda = 0 at the last path or even cycle k
+            self.log_lambda = np.log1p(-np.sin(half_angle) ** 2)
+
+    def weights(self, t: int) -> np.ndarray:
+        """lambda_k^t / |phi_k|^2 for t >= 1."""
+        return np.exp(t * self.log_lambda) / self.norm
+
+    def ratios(self, t: int) -> np.ndarray:
+        """The whole matrix p_t(i, j) / pi(j)."""
+        return (self.phi * self.weights(t)) @ self.phi.T
+
+    def mixes(self, t: int) -> bool:
+        return float(self.ratios(t).min()) > 0.75 + TIE_GUARD
+
+    def tv_mixes(self, t: int) -> bool:
+        tv = 0.5 * (np.abs(self.ratios(t) - 1.0) @ self.pi).max()
+        return float(tv) < 0.25 - TIE_GUARD
+
+    def epsilon(self, k: int) -> float:
+        """max_i p_(2^k)(i, i), a sum of nonnegative terms for each i."""
+        return float(((self.phi**2 @ self.weights(1 << k)) * self.pi).max())

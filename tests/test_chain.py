@@ -11,20 +11,14 @@ from interchange.chain import (
     TIE_GUARD,
     BoundCheckReport,
     ClauseDiagnostics,
-    DeltaResult,
     LazyChain,
-    LiftedWeight,
     MixingReport,
-    delta,
-    double_weight,
     is_regular,
     lazy_chain,
-    lift_lazy,
     lmix,
     min_stationary_ratio,
     mixing_report,
     tv_distance,
-    tv_mix,
     verify_probability_bounds,
 )
 from interchange.errors import (
@@ -46,12 +40,15 @@ from interchange.graphs import (
     star,
 )
 from interchange.group_algebra import (
+    LiftedWeight,
     PairOperator,
     delta_of_weights,
+    double_weight,
     doubling_gap,
     doubling_inequality_check,
+    lift_lazy,
 )
-from oracles import dump_weight_file, scaled
+from oracles import CosineWalk, dump_weight_file, hypercube_mixing, scaled, search_alone
 
 
 def random_connected(rng: np.random.Generator, n: int) -> WeightFunction:
@@ -228,7 +225,7 @@ def test_lmix_complete2_is_one():
 def test_tv_mix_complete3_is_one():
     chain = lazy_chain(complete(3))
     assert tv_distance(chain, 1) == pytest.approx(1 / 6)
-    assert tv_mix(chain) == 1
+    assert search_alone(chain, "mix")[0] == 1
 
 
 @pytest.mark.parametrize(
@@ -238,7 +235,7 @@ def test_tv_mix_complete3_is_one():
 def test_lmix_and_tv_mix_match_brute_force(w):
     chain = lazy_chain(w)
     assert lmix(chain) == brute_force_lmix(chain)
-    assert tv_mix(chain) == brute_force_tv_mix(chain)
+    assert search_alone(chain, "mix")[0] == brute_force_tv_mix(chain)
 
 
 def test_lmix_matches_brute_force_on_random_graphs():
@@ -246,16 +243,14 @@ def test_lmix_matches_brute_force_on_random_graphs():
     for _ in range(25):
         chain = lazy_chain(random_connected(rng, int(rng.integers(3, 7))))
         assert lmix(chain) == brute_force_lmix(chain)
-        assert tv_mix(chain) == brute_force_tv_mix(chain)
+        assert search_alone(chain, "mix")[0] == brute_force_tv_mix(chain)
 
 
 def test_disconnected_mixing_times_infinite():
     w = WeightFunction(4, {(0, 1): 1.0, (2, 3): 1.0})
-    chain = lazy_chain(w)
-    assert lmix(chain) == math.inf
-    assert tv_mix(chain) == math.inf
-    with pytest.raises(DisconnectedError):
-        delta(chain)
+    assert lmix(lazy_chain(w)) == math.inf
+    report = mixing_report(w)
+    assert (report.mix, report.delta) == (math.inf, None)
 
 
 def test_isolated_vertex_rejected():
@@ -264,19 +259,23 @@ def test_isolated_vertex_rejected():
         lazy_chain(w)
 
 
+def search_delta(chain: LazyChain) -> tuple[float, tuple[float, ...]]:
+    """(delta, eps_k) from the search for lmix alone."""
+    lm, epsilons = search_alone(chain, "lmix")
+    return chain_module._delta_result(epsilons, lm)
+
+
 def test_delta_complete3():
-    chain = lazy_chain(complete(3))
-    result = delta(chain)
-    assert isinstance(result, DeltaResult)
-    assert result.epsilons == (0.5, 0.375)
-    assert result.delta == pytest.approx(16 / 33, abs=1e-12)
+    delta, epsilons = search_delta(lazy_chain(complete(3)))
+    assert epsilons == (0.5, 0.375)
+    assert delta == pytest.approx(16 / 33, abs=1e-12)
 
 
 def test_delta_complete2():
     # lmix = 1, single factor 1 + 1/2
-    result = delta(lazy_chain(complete(2)))
-    assert result.epsilons == (0.5,)
-    assert result.delta == pytest.approx(2 / 3, abs=1e-12)
+    delta, epsilons = search_delta(lazy_chain(complete(2)))
+    assert epsilons == (0.5,)
+    assert delta == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_delta_lower_bound_random_graphs():
@@ -284,15 +283,15 @@ def test_delta_lower_bound_random_graphs():
     for _ in range(20):
         chain = lazy_chain(random_connected(rng, int(rng.integers(3, 7))))
         lm = lmix(chain)
-        result = delta(chain)
-        assert result.delta >= 1.0 / (2.0 * lm) - 1e-12
-        assert 0.0 < result.delta < 1.0
+        delta, _ = search_delta(chain)
+        assert delta >= 1.0 / (2.0 * lm) - 1e-12
+        assert 0.0 < delta < 1.0
 
 
 def test_sandwich_on_standard_graphs():
     for w in [complete(3), complete(5), path(4), star(5), cycle(6), hypercube(3)]:
         chain = lazy_chain(w)
-        lm, mx = lmix(chain), tv_mix(chain)
+        lm, mx = lmix(chain), search_alone(chain, "mix")[0]
         assert lm / 8.0 <= mx <= lm
 
 
@@ -300,7 +299,7 @@ def test_sandwich_on_standard_graphs():
 @given(connected_weights())
 def test_sandwich_on_random_weights(w):
     chain = lazy_chain(w)
-    lm, mx = lmix(chain), tv_mix(chain)
+    lm, mx = lmix(chain), search_alone(chain, "mix")[0]
     assert lm / 8.0 <= mx <= lm
 
 
@@ -317,12 +316,13 @@ def test_mixing_times_are_first_times_of_a_linear_scan(w):
     t = 1
     while not tv_distance(chain, t) < 0.25 - TIE_GUARD:
         t += 1
-    assert tv_mix(chain) == t
+    assert search_alone(chain, "mix")[0] == t
     # the joint search in mixing_report is bit for bit the separate ones
     report = mixing_report(w)
-    reference = delta(lazy_chain(w))
-    assert (report.lmix, report.mix) == (lmix(lazy_chain(w)), tv_mix(lazy_chain(w)))
-    assert (report.delta, report.epsilons) == (reference.delta, reference.epsilons)
+    assert (report.lmix, report.mix) == (
+        lmix(lazy_chain(w)), search_alone(lazy_chain(w), "mix")[0]
+    )
+    assert (report.delta, report.epsilons) == search_delta(lazy_chain(w))
     assert len(report.epsilons) == report.lmix.bit_length()
     for k, eps in enumerate(report.epsilons):
         assert eps == np.diag(lazy_chain(w).dyadic_power(k)).max()
@@ -494,10 +494,12 @@ def test_end_game_walks_to_each_offset_above_the_low(spec, name, k, offset, tmp_
         spec = f"file:{tmp_path / 'w.txt'}"
     w = parse_graph_spec(spec)
     chain = lazy_chain(w)
-    if name == "lmix":
-        holds, separate = (lambda t: min_stationary_ratio(chain, t) > 0.75 + TIE_GUARD), lmix
-    else:
-        holds, separate = (lambda t: tv_distance(chain, t) < 0.25 - TIE_GUARD), tv_mix
+
+    def holds(t: int) -> bool:
+        if name == "lmix":
+            return min_stationary_ratio(chain, t) > 0.75 + TIE_GUARD
+        return tv_distance(chain, t) < 0.25 - TIE_GUARD
+
     t = 1
     while not holds(t):
         t += 1
@@ -507,7 +509,7 @@ def test_end_game_walks_to_each_offset_above_the_low(spec, name, k, offset, tmp_
     low = max(1 << k, (t - 1) // step * step)
     assert t - low == offset
     products = record_products(monkeypatch)
-    assert separate(lazy_chain(w)) == t
+    assert search_alone(lazy_chain(w), name)[0] == t
     if offset > 4:
         # the search on its own walks every candidate from low + 1 up
         walked = [time for time, _ in products if low < time <= low + 7]
@@ -545,7 +547,7 @@ def test_a_failing_last_candidate_stops_at_its_first_failing_block(monkeypatch):
         return lifted
 
     monkeypatch.setattr(chain_module, "_lift", recorded)
-    assert tv_mix(lazy_chain(hypercube(10))) == 16
+    assert search_alone(lazy_chain(hypercube(10)), "mix")[0] == 16
     assert sorted(lifts) == list(range(9, 16))
     for time in range(9, 15):
         outcomes, made = lifts[time]
@@ -976,6 +978,47 @@ def test_mixing_report_is_bit_for_bit_the_recorded_one(spec, tmp_path):
     assert report == MixingReport(
         lm, mix, delta_value, epsilons, ClauseDiagnostics(*clauses), bound
     )
+
+
+@pytest.mark.parametrize(
+    "d, want", [(3, (7, 3)), (6, (18, 8)), (8, (26, 12)), (10, (35, 16))], ids=str
+)
+def test_hypercube_search_matches_the_krawtchouk_closed_form(d, want):
+    # exact rationals: lmix, mix and every eps_k owe nothing to the search
+    lm, mix, epsilons = hypercube_mixing(d)
+    assert (lm, mix) == want
+    report = mixing_report(hypercube(d))
+    assert (report.lmix, report.mix) == (lm, mix)
+    assert len(report.epsilons) == len(epsilons)
+    for got, exact in zip(report.epsilons, epsilons):
+        assert got == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ("path:20", (304, 137)),
+        ("path:128", (13580, 6121)),
+        ("path:512", (219856, 99091)),
+        ("path:1024", (881145, 397139)),
+        ("cycle:64", (862, 389)),
+        ("cycle:257", (13902, 6266)),
+    ],
+    ids=str,
+)
+def test_first_times_match_the_cosine_closed_form(spec, want):
+    # each condition is monotone in t, so failing at t - 1 and holding at t on
+    # the whole closed-form matrix makes t the first time.  On path:1024 the
+    # minimum ratio moves by about 3e-7 a step there, far above the
+    # closed form's rounding, and the eps_k agree within 7.7e-13 relative.
+    family, n = spec.split(":")
+    walk = CosineWalk(family, int(n))
+    report = mixing_report(parse_graph_spec(spec))
+    assert (report.lmix, report.mix) == want
+    assert (walk.mixes(report.lmix - 1), walk.mixes(report.lmix)) == (False, True)
+    assert (walk.tv_mixes(report.mix - 1), walk.tv_mixes(report.mix)) == (False, True)
+    for k, got in enumerate(report.epsilons):
+        assert got == pytest.approx(walk.epsilon(k), rel=1e-11, abs=0.0)
 
 
 def test_lazy_chain_builds_its_matrix_on_first_read():

@@ -14,7 +14,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import interchange
-from interchange import acceptance, cli, group_algebra, irreps
+from interchange import acceptance, chain, cli, group_algebra, irreps
 from interchange.acceptance import ALL_CHECKS, SuiteConfig, run_suite
 from interchange.cli import RunConfig, main, render_json
 from interchange.errors import ParameterError
@@ -509,6 +509,21 @@ class TestSuitePlumbing:
         with pytest.raises(ParameterError):
             SuiteConfig.for_level("galactic")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "1", True, None])
+    def test_seed_outside_the_suite_range(self, seed):
+        # numpy would raise its own ValueError or TypeError, or take 2**64
+        with pytest.raises(ParameterError, match="suite seed must be an int"):
+            run_suite("desk", seed)
+
+    def test_extended_level_fields(self):
+        # pinned without running the extended suite
+        assert SuiteConfig.for_level("extended", 2**64 - 1) == SuiteConfig(
+            level="extended", seed=2**64 - 1, mc_samples=1_000_000, scalarity_max_n=10
+        )
+        assert SuiteConfig.for_level("desk") == SuiteConfig(
+            level="desk", seed=0, mc_samples=100_000, scalarity_max_n=8
+        )
+
     def test_checks_run_in_the_calling_thread(self, monkeypatch):
         names = ("mixing_numbers", "probability_bounds")
         threads = []
@@ -582,13 +597,45 @@ def test_cli_import_loads_no_subcommand_module():
     }
 
 
-def test_subcommand_loads_only_what_it_runs():
+# the modules each subcommand loads beyond the CLI's own: only the mixing
+# routes (mix, compare's b(w) and the suite) load chain
+SUBCOMMAND_MODULES = {
+    "mix --graph path:4": {"chain"},
+    "octopus --graph star:5": {"group_algebra", "irreps"},
+    "verify-doubling --graph complete:5": {"group_algebra", "irreps"},
+    "compare --graph path:5": {"chain", "group_algebra", "irreps"},
+    "cycles --graph path:6 --k 2 --t 1": {"cycles", "group_algebra", "irreps"},
+    "large-cycles --graph path:6 --t 1 --samples 10": {"cycles", "group_algebra", "irreps"},
+    "qhf --graph path:4 --t 1 --samples 10": {"cycles", "group_algebra", "irreps", "qhf"},
+    "suite": {"acceptance", "chain", "cycles", "group_algebra", "irreps", "qhf"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES), ids=lambda c: c.split()[0])
+def test_subcommand_loads_only_what_it_runs(command):
+    # the suite runs with its checks cleared: what it loads is its imports
+    setup = "import interchange.acceptance as a; a.ALL_CHECKS.clear()\n"
     loaded = _loaded_after(
-        "from interchange.cli import main; main(['mix', '--graph', 'path:4'])"
+        f"{setup if command == 'suite' else ''}"
+        f"from interchange.cli import main; main({command.split()!r})"
     )
-    assert "interchange.chain" in loaded
-    heavy = {"cycles", "irreps", "qhf", "acceptance", "group_algebra"}
-    assert not loaded & {f"interchange.{name}" for name in heavy}
+    base = {"interchange", "interchange.cli", "interchange.errors", "interchange.graphs"}
+    assert loaded == base | {f"interchange.{name}" for name in SUBCOMMAND_MODULES[command]}
+
+
+def test_the_operator_modules_leave_chain_unloaded():
+    # comparison_constant imports mixing_report when it runs, and the lifted
+    # weights the doubling check reads live beside it in group_algebra
+    loaded = _loaded_after("import interchange.group_algebra, interchange.irreps")
+    assert "interchange.chain" not in loaded
+    moved = ("LiftedWeight", "lift_lazy", "double_weight", "_MAX_LIFTED_MASS")
+    assert all(hasattr(group_algebra, name) for name in moved)
+    for name in (*moved, "tv_mix", "delta", "DeltaResult"):
+        assert not hasattr(chain, name)
+
+
+def test_every_subcommand_has_its_modules_pinned():
+    assert {command.split()[0] for command in SUBCOMMAND_MODULES} == set(cli._SUBCOMMANDS)
 
 
 def test_spectral_cycles_leave_numpy_random_unloaded():

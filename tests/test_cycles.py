@@ -12,7 +12,6 @@ from interchange.cycles import (
     MC_BLOCK,
     MC_MAX_EVENTS,
     MC_MAX_SAMPLES,
-    CycleFormula,
     Trajectory,
     _guide_table,
     _pick_ends,

@@ -164,7 +164,12 @@ def test_parse_graph_spec():
 
 @pytest.mark.parametrize(
     "spec",
-    ["unknown:3", "complete", "complete:", "complete:x", "cycle:2", "complete:3,4"],
+    [
+        "unknown:3", "complete", "complete:", "complete:x", "cycle:2", "complete:3,4",
+        # each family's own lower bound
+        "complete:1", "path:1", "star:1", "hypercube:0", "hamming2:1",
+        "regular-tree:1,2", "regular-tree:3,0",
+    ],
 )
 def test_bad_specs_rejected(spec):
     with pytest.raises(ParameterError):
@@ -196,6 +201,7 @@ def test_weight_file_comments_and_blanks(tmp_path):
         "3 2\n0 1 1.0\n1 0 2.0",
         "3 1\n0 1 oops",
         "3 1\n0 1",
+        "3 one\n0 1 1.0",
     ],
 )
 def test_weight_file_malformed(tmp_path, text):

@@ -6,21 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interchange.chain import LiftedWeight, lift_lazy
 from interchange.errors import CapError, DegenerateWeightError, DisconnectedError, ParameterError
 from interchange.graphs import WeightFunction, complete, path
 from interchange.group_algebra import (
     PSD_TOL,
     InterchangeExact,
+    LiftedWeight,
     PairOperator,
     all_perms,
     delta_of_weights,
+    double_weight,
     interchange_tv_mix_exact,
     is_psd,
     octopus_check,
     octopus_gap,
     doubling_gap,
     doubling_inequality_check,
+    lift_lazy,
     regular_rep_matrix,
 )
 from interchange.irreps import min_eigenvalue_on_irreps
@@ -117,6 +119,16 @@ def test_is_psd_basics():
     verdict = is_psd(PairOperator(lopsided))
     assert not verdict.psd
     assert verdict.min_eigenvalue == pytest.approx(-2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_is_psd_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # a negative or nan tol would call the PSD octopus gap not PSD, and an
+    # infinite one would pass any operator
+    with pytest.raises(ParameterError, match="PSD tolerance must be finite and > 0"):
+        octopus_check(4, 0, [1.0, 1.0, 1.0], tol=tol)
+    with pytest.raises(ParameterError):
+        is_psd(PairOperator(np.zeros((2, 2))), tol=tol)
 
 
 def test_is_psd_requires_self_adjoint():
@@ -299,13 +311,23 @@ def test_doubling_single_edge_with_spectator():
     # weight vanishes off the edge and the inequality still holds
     matrix = np.array([[0.7, 1.3, 0.0], [1.3, 0.4, 0.0], [0.0, 0.0, 2.0]])
     u = LiftedWeight(matrix)
-    from interchange.chain import double_weight
-
     doubled = double_weight(u)
     assert doubled.matrix[0, 2] == pytest.approx(0.0, abs=1e-15)
     assert doubled.matrix[1, 2] == pytest.approx(0.0, abs=1e-15)
     assert doubled.matrix[0, 1] > 0
     assert doubling_inequality_check(u).psd
+
+
+def test_lift_lazy_refuses_an_isolated_vertex():
+    with pytest.raises(DegenerateWeightError, match="isolated vertex"):
+        lift_lazy(WeightFunction(3, {(0, 1): 1.0}))
+
+
+def test_double_weight_refuses_a_row_without_mass():
+    # vertex 2 carries no mass, so u2 would divide by its zero row sum
+    matrix = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateWeightError, match="every row mass positive"):
+        double_weight(LiftedWeight(matrix))
 
 
 def test_interchange_exact_basics():

@@ -11,7 +11,6 @@ from interchange.graphs import WeightFunction, complete, cycle, hamming2, path, 
 from interchange.group_algebra import (
     PSD_TOL,
     PairOperator,
-    all_perms,
     delta_of_weights,
     is_psd,
     regular_rep_matrix,
