@@ -20,11 +20,13 @@ Poisson(R t) and each event swaps the marbles on an edge drawn with
 probability w_ij / R, which is the law of the process with independent
 Poisson clocks.  Block b draws from Philox keyed by (seed, b), so a block's
 counts depend only on the seed, its index and its size, never on how many
-blocks are run or in what order.  Edges are picked from a guide table
-(indexed search: Chen and Asau, AIIE Trans. 1974; Devroye, Non-Uniform Random
-Variate Generation, 1986, III.2.4), built once per call: a power-of-two number
-of cells, each whole cell naming its edge's ends outright, with a binary
-search only for draws in the few cells that a cumulative probability splits.
+blocks are run or in what order.  Its trajectories stay in draw order, one
+row each, and a row past its event count swaps a position with itself, in
+place.  Edges are picked from a guide table (indexed search: Chen and Asau,
+AIIE Trans. 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
+III.2.4), built once per call: a power-of-two number of cells, each whole
+cell naming its edge's ends outright, with a binary search only for draws in
+the few cells that a cumulative probability splits.
 Every pick equals the binary search's, so the streams are those of the plain
 searchsorted engine.  simulate_interchange runs one trajectory literally
 (exponential waiting times, one event at a time) and is kept as the
@@ -372,21 +374,6 @@ def _pick_ends(guide: _GuideTable, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return first, second
 
 
-def _swap_steps(perms: np.ndarray, guide: _GuideTable, u: np.ndarray, active: list[int]) -> None:
-    """Apply event steps to perms: at step j its first active[j] rows swap.
-
-    Row r swaps at step j the ends of the edge picked by the uniform u[r, j].
-    """
-    first, second = _pick_ends(guide, u.T)
-    offsets = np.arange(len(u)) * perms.shape[1]
-    first = first + offsets  # flat positions, one row per step
-    second = second + offsets
-    flat = perms.reshape(-1)
-    for j, rows in enumerate(active):
-        a, b = first[j, :rows], second[j, :rows]
-        flat[a], flat[b] = flat[b], flat[a]
-
-
 def _block_counts(
     n: int, guide: _GuideTable | None, mean_events: float,
     seed: int, block: int, m: int,
@@ -395,24 +382,28 @@ def _block_counts(
 
     Region 0 of the block's stream holds the Poisson event counts, and region
     c + 1 an (m, _STEP_CHUNK) array of uniforms that pick the edges of event
-    steps c * _STEP_CHUNK onwards, one row per trajectory.  Both are drawn in
-    trajectory order, so trajectory r gets the same draws whatever m is.
+    steps c * _STEP_CHUNK onwards, one row per trajectory.  Both are drawn
+    trajectory by trajectory, so trajectory r gets the same draws whatever m
+    is.  Row r of perms is trajectory r throughout: at each step past its
+    event count it swaps its edge's first end with itself, in place.
     """
     perms = np.tile(np.arange(n), (m, 1))
+    flat = perms.reshape(-1)
+    offsets = np.arange(0, m * n, n)  # flat position of each row's point 0
     events = _philox(seed, block, 0).poisson(mean_events, m)
-    # Row r of perms holds trajectory order[r]; ranked by event count, the
-    # rows still swapping at step s are a prefix.
-    order = np.argsort(-events, kind="stable")
-    last = int(events.max())
-    for chunk, first in enumerate(range(0, last, _STEP_CHUNK)):
-        step = np.arange(first, min(first + _STEP_CHUNK, last))
-        active = (events[:, None] > step).sum(axis=0).tolist()
+    fewest, last = int(events.min()), int(events.max())
+    for chunk, start in enumerate(range(0, last, _STEP_CHUNK)):
+        steps = np.arange(start, min(start + _STEP_CHUNK, last))
         u = _philox(seed, block, chunk + 1).random((m, _STEP_CHUNK))
-        u = u[order[: active[0]], : len(active)]  # a copy, so the full draw is freed
-        _swap_steps(perms, guide, u, active)
-    counts = np.empty((m, n + 1), dtype=np.int64)
-    counts[order] = cycle_counts_batch(perms)
-    return counts
+        first, second = _pick_ends(guide, u.T[: len(steps)])
+        del u  # the full draw, so it is freed before the next chunk's
+        first = first + offsets  # flat positions, one row per step
+        second = second + offsets
+        if steps[-1] >= fewest:  # some row stops swapping in this chunk
+            np.copyto(second, first, where=events <= steps[:, None])
+        for a, b in zip(first, second):
+            flat[a], flat[b] = flat[b], flat[a]
+    return cycle_counts_batch(perms)
 
 
 def cycle_count_blocks(

@@ -144,24 +144,29 @@ class WeightFunction:
         return self.component_sizes() == (self.n,)
 
     def component_sizes(self) -> tuple[int, ...]:
-        """Vertex counts of the connected components, largest first: a partition of n."""
-        adjacency = np.zeros((self.n, self.n), dtype=bool)
+        """Vertex counts of the connected components, largest first: a partition of n.
+
+        Label propagation with pointer jumping over `ends`: each vertex points to
+        a smaller neighbour or itself, and until no edge joins two trees, the
+        labels jump (label = label[label]) to their roots and each root joined
+        to a smaller one hooks to it.
+        """
+        label = np.arange(self.n)
         first, second = self.ends
-        adjacency[first, second] = adjacency[second, first] = True
-        unseen = np.ones(self.n, dtype=bool)
-        sizes = []
-        while unseen.any():
-            frontier = np.zeros(self.n, dtype=bool)
-            frontier[np.argmax(unseen)] = True
-            unseen &= ~frontier
-            size = 1
-            # breadth first: each pass adds the unseen neighbours of the last layer
-            while frontier.any():
-                frontier = adjacency[frontier].any(axis=0) & unseen
-                unseen &= ~frontier
-                size += int(frontier.sum())
-            sizes.append(size)
-        return tuple(sorted(sizes, reverse=True))
+        label[second] = first
+        while True:
+            jumped = label[label]
+            if not np.array_equal(jumped, label):
+                label = jumped
+                continue
+            a, b = label[first], label[second]
+            joined = a != b
+            if not joined.any():
+                break
+            a, b = a[joined], b[joined]
+            label[np.maximum(a, b)] = np.minimum(a, b)
+        sizes = np.bincount(label, minlength=self.n)
+        return tuple(sorted(sizes[sizes > 0].tolist(), reverse=True))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightFunction):

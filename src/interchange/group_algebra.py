@@ -143,24 +143,25 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL) -> PsdVerdict:
     sum_{i<j} c_ij and every other nonzero entry a single -c_ij, so it is
     max(|sum_{i<j} c_ij|, max_{i<j} |c_ij|).  tol must be finite and > 0.
     """
-    from .irreps import IRREP_MAX_N, min_eigenvalue_on_irreps
-
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"PSD tolerance must be finite and > 0, got {tol}")
     support = np.flatnonzero(a.c.any(axis=1))
     if not support.size:
         return PsdVerdict(psd=True, min_eigenvalue=0.0)
-    if support.size > IRREP_MAX_N:
-        raise CapError(
-            f"per-partition route capped at a support of {IRREP_MAX_N} points, "
-            f"got {support.size}"
-        )
     op = PairOperator(a.c[np.ix_(support, support)])
     upper = op.c[np.triu_indices(op.n, 1)]
     scale = max(abs(float(upper.sum())), float(np.abs(upper).max()))
     if op.n <= EXACT_SEMIGROUP_MAX_N:
         min_eig = float(np.linalg.eigvalsh(regular_rep_matrix(op)).min())
     else:
+        # loaded only here: supports of at most 5 points never need irreps
+        from .irreps import IRREP_MAX_N, min_eigenvalue_on_irreps
+
+        if op.n > IRREP_MAX_N:
+            raise CapError(
+                f"per-partition route capped at a support of {IRREP_MAX_N} points, "
+                f"got {op.n}"
+            )
         min_eig = min_eigenvalue_on_irreps(op)
     return PsdVerdict(psd=min_eig >= -tol * scale, min_eigenvalue=min_eig)
 

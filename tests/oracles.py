@@ -3,10 +3,10 @@
 Each is the plain form of something the package does another way, or does
 not need: permutations as tuples, standard tableaux by enumeration, dense
 Young-rep matrices of any group element, a weight-file writer, scaled
-weights, the shipped JSON schemas, the per-permutation loop that qhf_exact
-replaced by array reductions, the mixing search run for one condition alone,
-and closed forms of the lazy walk on hypercubes, paths and cycles.  Nothing
-in the package imports from here.
+weights, component sizes by breadth-first search, the shipped JSON schemas,
+the per-permutation loop that qhf_exact replaced by array reductions, the
+mixing search run for one condition alone, and closed forms of the lazy walk
+on hypercubes, paths and cycles.  Nothing in the package imports from here.
 """
 
 import itertools
@@ -201,6 +201,28 @@ def scaled(w: WeightFunction, factor: float) -> WeightFunction:
     with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
         weights = w.weights * factor
     return WeightFunction._from_arrays(w.n, *w.ends, weights)
+
+
+def component_sizes_bfs(w: WeightFunction) -> tuple[int, ...]:
+    """Component sizes, largest first, by breadth-first search: one pass per
+    layer over the dense n x n adjacency."""
+    adjacency = np.zeros((w.n, w.n), dtype=bool)
+    first, second = w.ends
+    adjacency[first, second] = adjacency[second, first] = True
+    unseen = np.ones(w.n, dtype=bool)
+    sizes = []
+    while unseen.any():
+        frontier = np.zeros(w.n, dtype=bool)
+        frontier[np.argmax(unseen)] = True
+        unseen &= ~frontier
+        size = 1
+        # each pass adds the unseen neighbours of the last layer
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & unseen
+            unseen &= ~frontier
+            size += int(frontier.sum())
+        sizes.append(size)
+    return tuple(sorted(sizes, reverse=True))
 
 
 def schema_for(command: str) -> dict:

@@ -598,11 +598,12 @@ def test_cli_import_loads_no_subcommand_module():
 
 
 # the modules each subcommand loads beyond the CLI's own: only the mixing
-# routes (mix, compare's b(w) and the suite) load chain
+# routes (mix, compare's b(w) and the suite) load chain, and a PSD check
+# loads irreps only for a support of more than 5 points
 SUBCOMMAND_MODULES = {
     "mix --graph path:4": {"chain"},
-    "octopus --graph star:5": {"group_algebra", "irreps"},
-    "verify-doubling --graph complete:5": {"group_algebra", "irreps"},
+    "octopus --graph star:5": {"group_algebra"},
+    "verify-doubling --graph complete:5": {"group_algebra"},
     "compare --graph path:5": {"chain", "group_algebra", "irreps"},
     "cycles --graph path:6 --k 2 --t 1": {"cycles", "group_algebra", "irreps"},
     "large-cycles --graph path:6 --t 1 --samples 10": {"cycles", "group_algebra", "irreps"},

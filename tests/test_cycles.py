@@ -353,6 +353,13 @@ GOLDEN_STREAMS = {
         [0, 718, 311, 168, 139],
         "a115bff3044cff9afcd611968a574ff72809d156e31a3962d02c6a62f72f64a4",
     ),
+    # one event per trajectory on average: rows that never swap sit beside
+    # rows that do
+    "complete:5": (
+        parse_graph_spec("complete:5"), 0.1,
+        [0, 2100, 302, 77, 15, 1],
+        "3b2ee47e73f71c81a9cf25edb9ddae1e236dd91ce8dcb1c6f5eb7c04296ea2cc",
+    ),
 }
 
 

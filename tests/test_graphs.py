@@ -22,7 +22,7 @@ from interchange.graphs import (
     regular_tree,
     star,
 )
-from oracles import dump_weight_file, scaled
+from oracles import component_sizes_bfs, dump_weight_file, scaled
 
 
 def test_complete_three_degree_stats():
@@ -362,3 +362,37 @@ def test_is_connected_at_the_vertex_cap():
     split = WeightFunction(1024, halves)
     assert not split.is_connected()
     assert not laplacian_gap_positive(split)
+
+
+@st.composite
+def grouped_graphs(draw):
+    """Vertices split into groups, each joined by a path in drawn order plus
+    random pairs inside it: the components are the groups, and groups of one
+    are isolated vertices."""
+    n = draw(st.integers(2, 40))
+    group = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    pairs = set()
+    for g in set(group):
+        members = draw(st.permutations([v for v in range(n) if group[v] == g]))
+        pairs.update(zip(members, members[1:]))
+    inside = [(i, j) for i, j in itertools.combinations(range(n), 2) if group[i] == group[j]]
+    if inside:
+        pairs.update(draw(st.lists(st.sampled_from(inside), max_size=30)))
+    sizes = tuple(sorted((group.count(g) for g in set(group)), reverse=True))
+    return WeightFunction(n, {(min(i, j), max(i, j)): 1.0 for i, j in pairs}), sizes
+
+
+@settings(max_examples=200)
+@given(grouped_graphs())
+def test_component_sizes_match_the_groups_and_the_bfs_oracle(case):
+    w, sizes = case
+    assert w.component_sizes() == component_sizes_bfs(w) == sizes
+
+
+@pytest.mark.parametrize("spec", [
+    "complete:1024", "cycle:1024", "path:1024", "star:1024", "hypercube:10",
+    "hamming2:32", "regular-tree:3,8",
+])
+def test_component_sizes_match_the_bfs_oracle_on_the_largest_families(spec):
+    w = parse_graph_spec(spec)
+    assert w.component_sizes() == component_sizes_bfs(w) == (w.n,)
