@@ -23,6 +23,7 @@ from .chain import (
     verify_probability_bounds,
 )
 from .cycles import (
+    MC_DEFAULT_SAMPLES,
     coefficient_dimension_sum,
     cycle_count_blocks,
     exact_cycles_by_k,
@@ -111,7 +112,7 @@ TABLE_GRAPHS: tuple[tuple[str, WeightFunction], ...] = (
 class SuiteConfig:
     level: str = "desk"
     seed: int = 0
-    mc_samples: int = 100_000
+    mc_samples: int = MC_DEFAULT_SAMPLES
     scalarity_max_n: int = 8
 
     @classmethod

@@ -34,12 +34,12 @@ Reversibility and Cauchy-Schwarz in L^2(1 / pi) settle many tests without a
 product (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed., 4.7
 and ch. 12): with s(a)^2 = max_i sum_k p_a(i, k)^2 / pi(k) - 1, the worst
 row's chi-distance, min p_(a+b) / pi >= 1 - s(a) s(b) and the worst TV of
-P^(a+b) is at most s(a) s(b) / 2.  A ladder level's s comes free off the next
-level's diagonal, s(2^k)^2 = max_i p_(2^(k+1))(i, i) / pi(i) - 1; any other
-is one O(n^2) pass.  Entries are nonnegative, so rounding is relative, about
-#products * n * u (7e-12 at n = 1024); a certificate must clear its threshold
-by 1e-9, far above that plus the tie guard, so a settled test ends as the
-product would.  The certificates settle the doubling top and late lifts.
+P^(a+b) is at most s(a) s(b) / 2.  Each s(a)^2 a certificate reads is one
+O(n^2) pass over P^a, made once, the first time a certificate asks for it.
+Entries are nonnegative, so rounding is relative, about #products * n * u
+(7e-12 at n = 1024); a certificate must clear its threshold by 1e-9, far
+above that plus the tie guard, so a settled test ends as the product would.
+The certificates settle the doubling top and late lifts.
 
 Rounding drift in the row sums of P^t grows with t, so a chain too slow for
 double precision (drift past the tolerance that rounding explains, or no
@@ -287,23 +287,6 @@ def _chi_bound(chi_squared: float) -> float:
     return math.sqrt(max(chi_squared, 0.0) + _CERTIFICATE_MARGIN * (1.0 + chi_squared))
 
 
-def _chi_floor(chi2: dict[int, float], t: int) -> float:
-    """A lower bound on s(t), to tell whether a pass for s(t)^2 can pay.
-
-    s(t)^2 = max_i sum_m lambda_m^(2t) phi_m(i)^2 is log-convex in t, so the
-    chord of log s^2 through the two latest known times below t, extended to
-    t, stays below it.  Its rounding only decides whether a pass is made.
-    """
-    if t in chi2:
-        return math.sqrt(max(chi2[t], 0.0))
-    below = sorted(time for time in chi2 if time < t)[-2:]
-    if len(below) < 2 or min(chi2[time] for time in below) <= 0.0:
-        return 0.0
-    t1, t2 = below
-    ratio = chi2[t2] / chi2[t1]
-    return math.sqrt(chi2[t2] * ratio ** ((t - t2) / (t2 - t1)))
-
-
 def _settles(condition: _Condition, chi2: dict[int, float], a: int, b: int) -> bool:
     """True when s(a) s(b) proves condition(P^(a + b)) without the product."""
     return condition.settles(_chi_bound(chi2[a]) * _chi_bound(chi2[b]))
@@ -389,10 +372,13 @@ class _Search:
     product that fails is written over its condition's failing power, and
     the last candidate stops at its first failing block, since nothing reads
     it.  The doubling top and the lifts at bits >= 2 are made only where the
-    certificate s(a) s(b) does not settle them.  A first time of exactly
-    2^(k+1) whose top was settled gets eps_(k+1) from k + 1 squarings of P:
-    the same products, the same bits.  A search bracketed at k holds about
-    ceil((k + 1) / 2) n x n arrays (2 on hypercube:10).
+    certificate s(a) s(b) does not settle them.  Each s(a)^2 is one pass over
+    P^a, made the first time a certificate reads it: before each square of
+    the doubling, and over a lifted condition's failing power at its first
+    lift at a bit >= 2.  A first time of exactly 2^(k+1) whose top was
+    settled gets eps_(k+1) from k + 1 squarings of P: the same products, the
+    same bits.  A search bracketed at k holds about ceil((k + 1) / 2) n x n
+    arrays (2 on hypercube:10).
     """
 
     __slots__ = (
@@ -405,7 +391,7 @@ class _Search:
         # the ladder: level k is P^(2^k)
         self.held: dict[int, np.ndarray] = {}
         self.free: list[np.ndarray] = []
-        # s(t)^2 of the powers the search has held, ladder levels' off the diagonals
+        # s(t)^2 of each time a certificate has read, one pass over P^t each
         self.chi2: dict[int, float] = {}
         self.brackets: dict[int, int] = {}
         # each bracketed condition's largest failing time, and its failing
@@ -430,18 +416,15 @@ class _Search:
                     "the lazy chain mixes too slowly: no mixing condition holds "
                     f"by t = 2^{_DOUBLING_GUARD}"
                 )
-            floor = _chi_floor(chi2, 1 << k)
-            if any(conditions[i].settles(floor * floor) for i in unbracketed):
-                chi2[1 << k] = _chi_squared(held[k], pi)
-                for i in unbracketed:
-                    if _settles(conditions[i], chi2, 1 << k, 1 << k):
-                        brackets[i] = k
-                unbracketed = [i for i in unbracketed if i not in brackets]
-                if not unbracketed:
-                    break
+            chi2[1 << k] = _chi_squared(held[k], pi)
+            for i in unbracketed:
+                if _settles(conditions[i], chi2, 1 << k, 1 << k):
+                    brackets[i] = k
+            unbracketed = [i for i in unbracketed if i not in brackets]
+            if not unbracketed:
+                break
             top = self.square(k)
             epsilons.append(float(np.diag(top).max()))
-            chi2.setdefault(1 << k, float((np.diag(top) / pi).max()) - 1.0)
             for i in unbracketed:
                 if conditions[i].holds(top):
                     brackets[i] = k
@@ -549,11 +532,11 @@ class _Search:
         condition, failing, chi2 = self.conditions[i], self.failing, self.chi2
         low, step = self.lows[i], 1 << j
         if j >= 2:
-            if low not in chi2 and condition.settles(
-                _chi_floor(chi2, low) * _chi_floor(chi2, step)
-            ):
+            # an unlifted low is a time the doubling reached, so a missing one
+            # has its power in hand
+            if low not in chi2:
                 chi2[low] = _chi_squared(failing[i], self.chain.pi)
-            if low in chi2 and _settles(condition, chi2, low, step):
+            if _settles(condition, chi2, low, step):
                 return True
         power = self.failing_power(i)
         others = [*self.held.values(), *(failing[m] for m in failing if m != i)]

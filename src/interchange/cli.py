@@ -4,9 +4,12 @@ Every subcommand emits a single JSON document (sorted keys, two-space
 indent), either to stdout or to --out.  The document is the record the
 library returns, rendered by its fields (a dataclass) or by `_asdict` (a
 NamedTuple), plus "graph" and "n" for every subcommand that takes --graph.
-Identical configurations produce byte-identical documents, except for the
-suite report's "timings" section, which records wall-clock seconds and is
-documented as non-deterministic.  Schemas for all eight documents ship under
+Identical configurations produce byte-identical documents on one
+numpy/OpenBLAS build, CPU kernel and BLAS thread count, except for the suite
+report's "timings" section, which records wall-clock seconds and is
+documented as non-deterministic.  Across kernels and thread counts the keys
+and non-float values stay the same, and every float agrees within
+1e-12 * max(1, |value|).  Schemas for all eight documents ship under
 interchange/schemas/.  A --csv table is written from the same rows the JSON
 carries: one column per field.
 
@@ -44,7 +47,6 @@ from .errors import (
 )
 from .graphs import MAX_SEED, WeightFunction, parse_graph_spec
 
-_DEFAULT_SAMPLES = 100_000
 _DEFAULT_TOL = 1e-9
 _USAGE_ERRORS = (ParameterError, CapError, DegenerateWeightError)
 
@@ -261,9 +263,9 @@ def _cycles(w: WeightFunction, config: RunConfig):
 
 
 def _large_cycles(w: WeightFunction, config: RunConfig):
-    from .cycles import large_cycle_probability
+    from .cycles import MC_DEFAULT_SAMPLES, large_cycle_probability
 
-    samples = config.samples if config.samples is not None else _DEFAULT_SAMPLES
+    samples = config.samples if config.samples is not None else MC_DEFAULT_SAMPLES
     estimate, stderr = large_cycle_probability(w, config.t, samples, config.seed)
     payload = {"t": config.t, "samples": samples, "seed": config.seed, "estimate": estimate,
                "stderr": stderr}
@@ -271,9 +273,10 @@ def _large_cycles(w: WeightFunction, config: RunConfig):
 
 
 def _qhf(w: WeightFunction, config: RunConfig):
+    from .cycles import MC_DEFAULT_SAMPLES
     from .qhf import qhf_mc
 
-    samples = config.samples if config.samples is not None else _DEFAULT_SAMPLES
+    samples = config.samples if config.samples is not None else MC_DEFAULT_SAMPLES
     return qhf_mc(w, config.t, samples, config.seed), True
 
 

@@ -194,6 +194,7 @@ def family_lambda_dim(n: int, k: int, i: int, family: str) -> tuple[int, int]:
 
 
 MC_BLOCK = 512  # trajectories per block; fixed, because it keys the streams
+MC_DEFAULT_SAMPLES = 100_000  # when a Monte Carlo run names no sample count
 MC_MAX_SAMPLES = 10_000_000
 MC_MAX_EVENTS = 100_000_000  # expected swap events, summed over trajectories
 _STEP_CHUNK = 32  # event steps whose edge picks are drawn together

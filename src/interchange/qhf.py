@@ -29,13 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import cycle_counts_batch, mc_per_sample
+from .cycles import MC_DEFAULT_SAMPLES, cycle_counts_batch, mc_per_sample
 from .errors import CapError, ConsistencyError
 from .graphs import WeightFunction
 from .group_algebra import InterchangeExact
 
 _BATCHES = 32
-_DEFAULT_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def _cycle_observables(counts: np.ndarray, n: int) -> np.ndarray:
 
 
 def qhf_mc(
-    w: WeightFunction, t: float, samples: int = _DEFAULT_SAMPLES, seed: int = 0
+    w: WeightFunction, t: float, samples: int = MC_DEFAULT_SAMPLES, seed: int = 0
 ) -> QhfEstimate:
     """Monte Carlo estimate of (Z, m^2) from shared interchange trajectories.
 

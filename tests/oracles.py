@@ -2,16 +2,18 @@
 
 Each is the plain form of something the package does another way, or does
 not need: permutations as tuples, standard tableaux by enumeration, dense
-Young-rep matrices of any group element, a weight-file writer, scaled
-weights, component sizes by breadth-first search, the shipped JSON schemas,
-the per-permutation loop that qhf_exact replaced by array reductions, the
-mixing search run for one condition alone, and closed forms of the lazy walk
-on hypercubes, paths and cycles.  Nothing in the package imports from here.
+Young-rep matrices of any group element, a weight-file writer, the
+environment of a child interpreter, scaled weights, component sizes by
+breadth-first search, the shipped JSON schemas, the per-permutation loop that
+qhf_exact replaced by array reductions, the mixing search run for one
+condition alone, and closed forms of the lazy walk on hypercubes, paths and
+cycles.  Nothing in the package imports from here.
 """
 
 import itertools
 import json
 import math
+import os
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -19,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+import interchange
 from interchange.chain import TIE_GUARD, LazyChain, _mixes, _Search, _tv_mixes
 from interchange.cli import _SUBCOMMANDS
 from interchange.errors import ParameterError
@@ -192,6 +195,15 @@ def dump_weight_file(w: WeightFunction, path: str | Path) -> None:
     rows = [f"{w.n} {len(edges)}"]
     rows.extend(f"{i} {j} {weight!r}" for (i, j), weight in edges)
     Path(path).write_text("\n".join(rows) + "\n")
+
+
+def child_env(**settings: str) -> dict[str, str]:
+    """The environment for a child python that imports this package: this
+    one's, with the OpenBLAS settings cleared and then settings set."""
+    src = Path(interchange.__file__).parents[1]
+    env = {key: value for key, value in os.environ.items() if not key.startswith("OPENBLAS_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env | settings
 
 
 def scaled(w: WeightFunction, factor: float) -> WeightFunction:

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -48,7 +51,14 @@ from interchange.group_algebra import (
     doubling_inequality_check,
     lift_lazy,
 )
-from oracles import CosineWalk, dump_weight_file, hypercube_mixing, scaled, search_alone
+from oracles import (
+    CosineWalk,
+    child_env,
+    dump_weight_file,
+    hypercube_mixing,
+    scaled,
+    search_alone,
+)
 
 
 def random_connected(rng: np.random.Generator, n: int) -> WeightFunction:
@@ -662,6 +672,34 @@ def test_every_settled_product_would_pass(w):
         assert condition.holds(chain.power(t))
 
 
+@pytest.mark.parametrize("names", [("lmix", "mix"), ("lmix",), ("mix",)], ids="+".join)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "hypercube:10", "hypercube:6", "path:128", "path:20", "cycle:64", "star:20",
+        "complete:5", "hamming2:4", "regular-tree:3,4", "path:512",
+    ],
+)
+def test_each_chi_distance_is_one_pass(monkeypatch, spec, names):
+    # every s(t)^2 a certificate reads is one exact pass over P^t, made once:
+    # none comes off a diagonal or an extrapolation
+    passes = []
+    chi_squared = chain_module._chi_squared
+
+    def counted(power, pi):
+        passes.append(len(power))
+        return chi_squared(power, pi)
+
+    monkeypatch.setattr(chain_module, "_chi_squared", counted)
+    chain = lazy_chain(parse_graph_spec(spec))
+    makers = {"lmix": chain_module._mixes, "mix": chain_module._tv_mixes}
+    search = chain_module._Search(chain, tuple(makers[name](chain) for name in names))
+    search.run()
+    # each pass reads a whole power
+    assert set(passes) == {chain.n}
+    assert len(passes) == len(search.chi2)
+
+
 @pytest.mark.parametrize(
     "weight, message",
     [
@@ -883,7 +921,8 @@ def golden_weights() -> WeightFunction:
 
 # mixing_report before the search made P from the weights and lifted bit 1
 # through P twice, and (hypercube:8 to hamming2:4) before it kept its powers
-# in arrays of its own: (lmix, mix, delta, epsilons, clause bounds, theorem bound)
+# in arrays of its own, all made under PINNED_BLAS:
+# (lmix, mix, delta, epsilons, clause bounds, theorem bound)
 RECORDED_REPORTS = {
     "complete:3": (
         2, 1, 0.48484848484848486, (0.5, 0.375), (0.25, True, 0.25), 0.16161616161616163,
@@ -909,15 +948,15 @@ RECORDED_REPORTS = {
         0.22685185185185183,
     ),
     "hypercube:10": (
-        35, 16, 0.46084240091434325,
-        (0.5, 0.275, 0.10175000000000003, 0.023856800000000015, 0.004474249985306755,
-         0.0013480108791700798),
-        (0.010000000000000002, True, 0.014285714285714285), 0.00012858325918368952,
+        35, 16, 0.46084240091434336,
+        (0.5, 0.275, 0.10175000000000002, 0.023856800000000008, 0.004474249985306754,
+         0.0013480108791700772),
+        (0.010000000000000002, True, 0.014285714285714285), 0.00012858325918368958,
     ),
     "path:20": (
         304, 137, 0.12831997943714443,
         (0.5, 0.4375, 0.3828125, 0.318572998046875, 0.2497145882807672, 0.18718274280142783,
-         0.13653917464698376, 0.09811434321936378, 0.07048045720260121),
+         0.13653917464698373, 0.09811434321936377, 0.0704804572026012),
         (0.25, False, 0.001644736842105263), 1.1108031460971643e-05,
     ),
     "hypercube:8": (
@@ -966,18 +1005,46 @@ RECORDED_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("spec", sorted(RECORDED_REPORTS))
-def test_mixing_report_is_bit_for_bit_the_recorded_one(spec, tmp_path):
-    # the README examples' graphs, hypercubes, paths, a cycle, a star, a
-    # Hamming graph and a weight file
-    lm, mix, delta_value, epsilons, clauses, bound = RECORDED_REPORTS[spec]
-    if spec == "golden":
-        dump_weight_file(golden_weights(), tmp_path / "golden.txt")
-        spec = f"file:{tmp_path / 'golden.txt'}"
-    report = mixing_report(parse_graph_spec(spec))
-    assert report == MixingReport(
-        lm, mix, delta_value, epsilons, ClauseDiagnostics(*clauses), bound
+# The last bits of a product depend on the OpenBLAS kernel and thread count:
+# against the SkylakeX kernel, Haswell moves an epsilon of hypercube:10 and
+# path:20 by an ulp and Sandybridge moves six of these reports.  So the
+# reports are made in a child process that picks both.  OPENBLAS_CORETYPE
+# selects among the kernels of a build for several CPUs, as numpy's bundled
+# OpenBLAS is.
+PINNED_BLAS = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+
+
+@pytest.fixture(scope="module")
+def pinned_reports(tmp_path_factory) -> dict[str, list]:
+    """The astuple of mixing_report for each recorded spec, made under PINNED_BLAS."""
+    golden = tmp_path_factory.mktemp("golden") / "golden.txt"
+    dump_weight_file(golden_weights(), golden)
+    specs = {spec: f"file:{golden}" if spec == "golden" else spec for spec in RECORDED_REPORTS}
+    code = (
+        "import dataclasses, json, sys\n"
+        "from interchange.chain import mixing_report\n"
+        "from interchange.graphs import parse_graph_spec\n"
+        "specs = json.loads(sys.argv[1])\n"
+        "print(json.dumps({name: dataclasses.astuple(mixing_report(parse_graph_spec(spec)))\n"
+        "                  for name, spec in specs.items()}))\n"
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(specs)],
+        capture_output=True, text=True, check=True, env=child_env(**PINNED_BLAS),
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("spec", sorted(RECORDED_REPORTS))
+def test_mixing_report_is_bit_for_bit_the_recorded_one(spec, pinned_reports):
+    # the README examples' graphs, hypercubes, paths, a cycle, a star, a
+    # Hamming graph and a weight file; JSON keeps every float's bits
+    def report(lm, mix, delta_value, epsilons, clauses, bound) -> MixingReport:
+        return MixingReport(
+            lm, mix, delta_value, tuple(epsilons), ClauseDiagnostics(*clauses), bound
+        )
+
+    assert report(*pinned_reports[spec]) == report(*RECORDED_REPORTS[spec])
 
 
 @pytest.mark.parametrize(
@@ -1252,3 +1319,33 @@ def test_probability_bounds_rebuild_the_dyadic_powers(monkeypatch):
     assert len(products) == 110 + 13
     assert sum(square for _, square in products) == 13 + 13 + 6
     assert sorted(chain._dyadic) == list(range(14))
+
+
+@pytest.mark.parametrize("spec", ["path:128", "path:512", "cycle:257"])
+def test_probability_bounds_match_the_cosine_closed_form(spec):
+    # the worst slacks sit at t = lmix; there the closed form, with no product
+    # of P, gives both, and none of 80 log-spaced times up to lmix does worse
+    family, n = spec.split(":")
+    walk = CosineWalk(family, int(n))
+    w = parse_graph_spec(spec)
+    report = verify_probability_bounds(lazy_chain(w), w)
+    assert report.regular is (family == "cycle")
+    constant = chain_module._PROBABILITY_CONSTANT
+    ratio = w.vertex_weights / w.min_positive_weight()
+
+    def slacks(t: int) -> tuple[float, float]:
+        # each row's largest p_t(i, j), from p_t(i, j) / pi(j)
+        peaks = (walk.ratios(t) * walk.pi).max(axis=1)
+        return (
+            float((constant / math.sqrt(t) * ratio - peaks).min()),
+            constant / t**0.25 - float(peaks.max()),
+        )
+
+    worst, worst_regular = slacks(report.lmix)
+    assert report.worst_slack == pytest.approx(worst, rel=1e-12, abs=0.0)
+    if report.regular:
+        assert report.regular_worst_slack == pytest.approx(worst_regular, rel=1e-12, abs=0.0)
+    for t in np.geomspace(1, report.lmix, 80).round().astype(int):
+        plain, regular = slacks(int(t))
+        assert plain >= worst
+        assert regular >= worst_regular or not report.regular

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -19,7 +20,7 @@ from interchange.acceptance import ALL_CHECKS, SuiteConfig, run_suite
 from interchange.cli import RunConfig, main, render_json
 from interchange.errors import ParameterError
 from interchange.graphs import WeightFunction, parse_graph_spec
-from oracles import dump_weight_file, schema_for
+from oracles import child_env, dump_weight_file, schema_for
 
 EXPECTED_CHECKS = (
     "octopus_psd",
@@ -573,6 +574,43 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lmix"] == 2
+
+
+def assert_within_contract(got, want, where: str = "") -> None:
+    """got matches want key for key and value for value, floats within
+    1e-12 * max(1, |value|): the output contract across BLAS settings."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            assert_within_contract(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for index, (item, expected) in enumerate(zip(got, want)):
+            assert_within_contract(item, expected, f"{where}[{index}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+# the last bits of a float move with the OpenBLAS kernel and thread count:
+# compare path:10 by 4.5e-14 relative, and octopus star:10's min_eigenvalue of
+# hub 0, which is rounding noise near zero, reads -1.07e-14 or -1.24e-14
+@pytest.mark.parametrize(
+    "argv", ["compare --graph path:10", "mix --graph path:300", "octopus --graph star:10"]
+)
+def test_json_agrees_across_blas_settings(argv):
+    settings = [{}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_CORETYPE": "Sandybridge"}]
+    reports = [
+        json.loads(subprocess.run(
+            [sys.executable, "-m", "interchange", *argv.split()],
+            capture_output=True, text=True, check=True, env=child_env(**setting),
+        ).stdout)
+        for setting in settings
+    ]
+    for report in reports[1:]:
+        assert_within_contract(report, reports[0])
 
 
 def _loaded_after(code: str, package: str = "interchange") -> set[str]:
