@@ -28,10 +28,10 @@ from .cycles import (
     cycle_count_blocks,
     exact_cycles_by_k,
     expected_cycles_by_k,
+    expected_cycles_mc,
     family_lambda_dim,
     family_partition,
     first_family_range,
-    mc_per_sample,
     oracle_t_grid,
     second_family_range,
 )
@@ -50,9 +50,9 @@ from .graphs import (
 from .group_algebra import (
     LiftedWeight,
     delta_of_weights,
-    doubling_inequality_check,
+    doubling_gap,
     interchange_tv_mix_exact,
-    octopus_check,
+    is_psd,
     octopus_gap,
     regular_rep_matrix,
 )
@@ -195,7 +195,7 @@ def check_octopus_psd(config: SuiteConfig) -> CheckResult:
             arms[rng.random(n - 1) < 0.2] = 0.0
             if arms.max() == 0.0:
                 arms[int(rng.integers(n - 1))] = 1.0
-            verdict = octopus_check(n, int(rng.integers(n)), arms)
+            verdict = is_psd(octopus_gap(n, int(rng.integers(n)), arms))
             worst = min(worst, verdict.min_eigenvalue)
             failures += not verdict.psd
     star3 = np.linalg.eigvalsh(regular_rep_matrix(octopus_gap(3, 0, [1.0, 1.0])))
@@ -228,7 +228,7 @@ def check_doubling_inequality(config: SuiteConfig) -> CheckResult:
             kill = rng.random(len(off[0])) < 0.2
             u[off[0][kill], off[1][kill]] = 0.0
             u[off[1][kill], off[0][kill]] = 0.0
-            verdict = doubling_inequality_check(LiftedWeight(u), tol=1e-9)
+            verdict = is_psd(doubling_gap(LiftedWeight(u)), tol=1e-9)
             worst = min(worst, verdict.min_eigenvalue)
             failures += not verdict.psd
     return _result(
@@ -370,16 +370,6 @@ def check_probability_bounds(config: SuiteConfig) -> CheckResult:
     )
 
 
-def _mc_cycle_table(
-    w: WeightFunction, ks: tuple[int, ...], t: float, samples: int, seed: int
-) -> dict[int, tuple[float, float]]:
-    """Shared-trajectory MC means and standard errors for several k at once."""
-    values = mc_per_sample(w, t, samples, seed, lambda c: c[:, list(ks)])
-    means = values.mean(axis=0)
-    stderrs = values.std(axis=0, ddof=1) / math.sqrt(samples)
-    return {k: (float(means[c]), float(stderrs[c])) for c, k in enumerate(ks)}
-
-
 def check_cycle_formula_routes(config: SuiteConfig) -> CheckResult:
     zero_sum_failures = sum(
         coefficient_dimension_sum(n, k) != 0
@@ -416,7 +406,7 @@ def check_cycle_formula_routes(config: SuiteConfig) -> CheckResult:
         gap = delta_on_irrep(w, standard_partition(w.n)).lambda_min
         t = 0.5 / gap
         ks = (2, w.n // 2 + 1)
-        table = _mc_cycle_table(w, ks, t, config.mc_samples, config.seed)
+        table = expected_cycles_mc(w, ks, t, config.mc_samples, config.seed)
         spectral = expected_cycles_by_k(w, ks, t)
         for k, (mean, stderr) in table.items():
             want = spectral[k]

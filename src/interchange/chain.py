@@ -211,7 +211,10 @@ def _checked_product(
 
 
 def lazy_chain(w: WeightFunction) -> LazyChain:
-    """Build the lazy walk for w.  Raises if any vertex has zero weight."""
+    """Build the lazy walk for w.  Raises if any vertex has zero weight.
+
+    Kept only because perfbench/ imports it by name.
+    """
     return LazyChain(w)
 
 
@@ -622,8 +625,10 @@ def mixing_report(w: WeightFunction) -> MixingReport:
     theorem bound (delta / lmix) * (min_i w_i)^2 / w_tot.
 
     The theorem bound is the graph-dependent factor of the main comparison
-    bound; no universal constant is folded in.  For disconnected w, delta and
-    the theorem bound are None.
+    bound; no universal constant is folded in.  It is formed from the
+    mantissas of min_i w_i and w_tot, so (min_i w_i)^2 cannot underflow where
+    the bound is representable; a bound below the normal float range raises
+    CapError.  For disconnected w, delta and the theorem bound are None.
     """
     chain = lazy_chain(w)
     if not chain.connected:
@@ -637,8 +642,12 @@ def mixing_report(w: WeightFunction) -> MixingReport:
         )
     (lm, mix), epsilons = _Search(chain, (_mixes(chain), _tv_mixes(chain))).run()
     delta, epsilons = _delta_result(epsilons, lm)
-    wi_min = float(w.vertex_weights.min())
-    bound = (delta / lm) * (wi_min * wi_min) / w.total_weight
+    m_min, e_min = math.frexp(float(w.vertex_weights.min()))
+    m_tot, e_tot = math.frexp(w.total_weight)
+    bound = math.ldexp((delta / lm) * (m_min * m_min) / m_tot, 2 * e_min - e_tot)
+    if not bound >= np.finfo(float).tiny:
+        ratio = math.ldexp(m_min / m_tot, e_min - e_tot)
+        raise CapError(f"theorem bound below the float range: min_i w_i / w_tot = {ratio:.3g}")
     return MixingReport(
         lmix=lm,
         mix=mix,

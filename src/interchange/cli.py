@@ -192,7 +192,7 @@ def _mix(w: WeightFunction, config: RunConfig):
 
 
 def _octopus(w: WeightFunction, config: RunConfig):
-    from .group_algebra import octopus_check
+    from .group_algebra import is_psd, octopus_gap
 
     # edges() runs in (i, j) order, so each hub lists its arms by neighbour
     arms: list[list[float]] = [[] for _ in range(w.n)]
@@ -203,7 +203,7 @@ def _octopus(w: WeightFunction, config: RunConfig):
     for hub, hub_arms in enumerate(arms):
         # the gap lives on the hub and its neighbours: hub 0, arms 1 .. deg
         if hub_arms:
-            verdict = octopus_check(len(hub_arms) + 1, 0, hub_arms, tol=config.tol)
+            verdict = is_psd(octopus_gap(len(hub_arms) + 1, 0, hub_arms), tol=config.tol)
             hubs.append({"hub": hub, **verdict._asdict()})
     if not hubs:
         raise DegenerateWeightError("octopus needs at least one vertex with an edge")
@@ -212,10 +212,10 @@ def _octopus(w: WeightFunction, config: RunConfig):
 
 
 def _verify_doubling(w: WeightFunction, config: RunConfig):
-    from .group_algebra import doubling_inequality_check, lift_lazy
+    from .group_algebra import doubling_gap, is_psd, lift_lazy
 
     u = lift_lazy(w)
-    verdict = doubling_inequality_check(u, tol=config.tol)
+    verdict = is_psd(doubling_gap(u), tol=config.tol)
     payload = {"tol": config.tol, "epsilon": u.epsilon, **verdict._asdict(), "passed": verdict.psd}
     return payload, verdict.psd
 
@@ -238,14 +238,15 @@ def _compare(w: WeightFunction, config: RunConfig):
 
 
 def _cycles(w: WeightFunction, config: RunConfig):
-    from .cycles import exact_cycles_bruteforce, expected_cycles_mc, expected_cycles_spectral
+    from .cycles import exact_cycles_by_k, expected_cycles_by_k, expected_cycles_mc
     from .group_algebra import EXACT_SEMIGROUP_MAX_N
     from .irreps import IRREP_MAX_N
 
+    k, ks = config.k, (config.k,)
     # past the irrep cap only the Monte Carlo route answers
     spectral = None
     if w.n <= IRREP_MAX_N:
-        spectral = expected_cycles_spectral(w, config.k, config.t)
+        spectral = expected_cycles_by_k(w, ks, config.t)[k]
     elif config.samples is None:
         raise CapError(
             f"spectral route capped at n <= {IRREP_MAX_N}, got n = {w.n}; "
@@ -253,11 +254,11 @@ def _cycles(w: WeightFunction, config: RunConfig):
         )
     mc = stderr = None
     if config.samples is not None:
-        mc, stderr = expected_cycles_mc(w, config.k, config.t, config.samples, config.seed)
+        mc, stderr = expected_cycles_mc(w, ks, config.t, config.samples, config.seed)[k]
     brute = None
     if w.n <= EXACT_SEMIGROUP_MAX_N:
-        brute = exact_cycles_bruteforce(w, config.k, config.t)
-    payload = {"k": config.k, "t": config.t, "spectral": spectral, "mc": mc, "stderr": stderr,
+        brute = exact_cycles_by_k(w, ks, config.t)[k]
+    payload = {"k": k, "t": config.t, "spectral": spectral, "mc": mc, "stderr": stderr,
                "brute": brute, "samples": config.samples, "seed": config.seed}
     return payload, True
 

@@ -30,8 +30,9 @@ the few cells that a cumulative probability splits.
 Every pick equals the binary search's, so the streams are those of the plain
 searchsorted engine.  simulate_interchange runs one trajectory literally
 (exponential waiting times, one event at a time) and is kept as the
-reference oracle the tests compare the engine against.  Every route here
-counts cycles with cycle_counts_batch.
+reference oracle the tests compare the engine against.  exact_mean is the
+counterpart of mc_per_sample for n <= 5, with exact probabilities in place of
+trajectories.  Every route here counts cycles with cycle_counts_batch.
 """
 
 import math
@@ -121,7 +122,10 @@ def coefficient_dimension_sum(n: int, k: int) -> int:
 
 
 def expected_cycles_spectral(w: WeightFunction, k: int, t):
-    """E(s_k(t)) by the spectral formula.  t may be a scalar or an array."""
+    """E(s_k(t)) by the spectral formula.  t may be a scalar or an array.
+
+    Kept only because perfbench/ imports it by name.
+    """
     return expected_cycles_by_k(w, (k,), t)[k]
 
 
@@ -457,19 +461,26 @@ def mc_per_sample(
     return out
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    samples = len(values)
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return float(values.mean()), stderr
+def mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each column; one sample reports an error of 0."""
+    means = values.mean(axis=0)
+    if len(values) == 1:
+        return means, np.zeros_like(means)
+    return means, values.std(axis=0, ddof=1) / math.sqrt(len(values))
 
 
 def expected_cycles_mc(
-    w: WeightFunction, k: int, t: float, samples: int, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E(s_k(t)) with its standard error."""
-    if not 1 <= k <= w.n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}")
-    return _mean_stderr(mc_per_sample(w, t, samples, seed, lambda c: c[:, k]))
+    w: WeightFunction, ks: Iterable[int], t: float, samples: int, seed: int = 0
+) -> dict[int, tuple[float, float]]:
+    """E(s_k(t)) with its Monte Carlo standard error for each k in ks, keyed by k.
+
+    Every k is read off the same trajectories.
+    """
+    ks = list(ks)
+    if not all(1 <= k <= w.n for k in ks):
+        raise ParameterError(f"need 1 <= k <= n = {w.n}, got {ks}")
+    means, stderrs = mean_stderr(mc_per_sample(w, t, samples, seed, lambda c: c[:, ks]))
+    return {k: (float(means[c]), float(stderrs[c])) for c, k in enumerate(ks)}
 
 
 def large_cycle_probability(
@@ -490,32 +501,32 @@ def large_cycle_mass(
     """MC estimate of the expected number of cycles with n/2 <= length <= 3n/4."""
     lo = (w.n + 1) // 2
     hi = (3 * w.n) // 4
-    return _mean_stderr(
+    mean, stderr = mean_stderr(
         mc_per_sample(w, t, samples, seed, lambda c: c[:, lo : hi + 1].sum(axis=1))
     )
+    return float(mean), float(stderr)
 
 
-def exact_cycles_bruteforce(w: WeightFunction, k: int, t):
-    """E(s_k(t)) by the brute-force sum, n <= 5.  t may be a scalar or an array."""
-    return exact_cycles_by_k(w, (k,), t)[k]
+def exact_mean(w: WeightFunction, t, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Exact mean of reduce(counts) at time t, n <= 5: mc_per_sample's counterpart.
+
+    reduce maps the (n!, n+1) cycle counts to one row per permutation.  The
+    rows are weighted by the exact probabilities of one solve and added in
+    permutation order (a cumulative sum, the order of a plain loop), so a
+    scalar t gets the loop's values bit for bit.  An array of times adds a
+    leading axis.
+    """
+    process = InterchangeExact(w)
+    values = reduce(cycle_counts_batch(np.array(process.permutations)))
+    distribution = process.distribution(t)
+    return np.cumsum(distribution[..., None] * values, axis=-2)[..., -1, :]
 
 
 def exact_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, float | np.ndarray]:
-    """E(s_k(t)) summed over all permutations with exact probabilities, n <= 5, keyed by k.
-
-    t may be a scalar or an array.  One solve of the process serves every k
-    in ks.  The terms are added one after another in permutation order (a
-    cumulative sum), the order of a plain loop, so a scalar t gets the loop's
-    value bit for bit.
-    """
-    process = InterchangeExact(w)
-    distribution = process.distribution(t)
-    counts = cycle_counts_batch(np.array(process.permutations))
-    results = {}
-    for k in ks:
-        total = np.cumsum(distribution * counts[:, k], axis=-1)[..., -1]
-        results[k] = float(total) if total.ndim == 0 else total
-    return results
+    """E(s_k(t)) by exact_mean (n <= 5) for each k in ks, keyed by k; t may be an array."""
+    ks = list(ks)
+    totals = np.moveaxis(exact_mean(w, t, lambda counts: counts[:, ks]), -1, 0)
+    return {k: float(total) if total.ndim == 0 else total for k, total in zip(ks, totals)}
 
 
 def oracle_t_grid(w: WeightFunction) -> np.ndarray:

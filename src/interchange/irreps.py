@@ -532,8 +532,9 @@ def comparison_constant(w: WeightFunction) -> ComparisonReport:
     """a*(w) = min over nontrivial partitions of lambda_1(w, rho) / lambda_kn(rho).
 
     Also reports the per-partition table, the Aldous check of the same
-    spectra, the mixing-based lower bound b(w), and the ratio a* / b(w).  For
-    disconnected w the constant is 0 and b(w) is undefined (reported None).
+    spectra, the mixing-based lower bound b(w), and the ratio a* / b(w),
+    which raises CapError when it exceeds the float range.  For disconnected
+    w the constant is 0 and b(w) is undefined (reported None).
     """
     from .chain import mixing_report
 
@@ -554,6 +555,8 @@ def comparison_constant(w: WeightFunction) -> ComparisonReport:
     if w.is_connected():
         bound = mixing_report(w).theorem_bound
         empirical = a_star / bound
+        if not math.isfinite(empirical):
+            raise CapError(f"a* / b(w) = {a_star:.3g} / {bound:.3g} exceeds the float range")
     else:
         bound = None
         empirical = None

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import MC_DEFAULT_SAMPLES, cycle_counts_batch, mc_per_sample
+from .cycles import MC_DEFAULT_SAMPLES, exact_mean, mc_per_sample, mean_stderr
 from .errors import CapError, ConsistencyError
 from .graphs import WeightFunction
-from .group_algebra import InterchangeExact
 
 _BATCHES = 32
 
@@ -86,12 +85,7 @@ def qhf_mc(
         [nb.sum() / zb.sum() for nb, zb in
          zip(np.array_split(num_vals, batches), np.array_split(z_vals, batches))]
     )
-    if batches > 1:
-        z_stderr = float(z_batches.std(ddof=1) / math.sqrt(batches))
-        m_sq_stderr = float(ratio_batches.std(ddof=1) / math.sqrt(batches))
-    else:
-        z_stderr = 0.0
-        m_sq_stderr = 0.0
+    z_stderr, m_sq_stderr = (float(mean_stderr(b)[1]) for b in (z_batches, ratio_batches))
     try:
         z = math.ldexp(float(z_vals.mean()), shift)
         z_stderr = math.ldexp(z_stderr, shift)
@@ -114,14 +108,14 @@ def qhf_mc(
 def qhf_exact(w: WeightFunction, t: float) -> tuple[float, float]:
     """(Z, m^2) summed over all permutations with exact probabilities, n <= 5.
 
-    The terms are added one after another in permutation order (a cumulative
-    sum), the order of a plain loop, so the values are the loop's bit for bit.
+    The values are a plain loop's bit for bit: exact_mean adds in its order,
+    and p (spin 2^alpha) = (p spin) 2^alpha, as scaling by 2^alpha is exact.
     """
-    process = InterchangeExact(w)
-    dist = process.distribution(t)
-    counts = cycle_counts_batch(np.array(process.permutations))
-    alpha, spin = _cycle_observables(counts, w.n).T
-    weight = np.ldexp(1.0, alpha)
-    z = np.cumsum(dist * weight)[-1]
-    numerator = np.cumsum(dist * spin * weight)[-1]
+
+    def weights(counts: np.ndarray) -> np.ndarray:
+        alpha, spin = _cycle_observables(counts, w.n).T
+        weight = np.ldexp(1.0, alpha)
+        return np.stack((weight, spin * weight), axis=-1)
+
+    z, numerator = exact_mean(w, t, weights)
     return float(z), float(numerator / z)

@@ -108,7 +108,8 @@ class TestReports:
             for hub, row in enumerate(w.dense()):
                 arms = row[row > 0]
                 if arms.size:
-                    verdict = group_algebra.octopus_check(len(arms) + 1, 0, arms, tol=config.tol)
+                    verdict = group_algebra.is_psd(
+                        group_algebra.octopus_gap(len(arms) + 1, 0, arms), tol=config.tol)
                     hubs.append({"hub": hub, **verdict._asdict()})
             passed = all(entry["psd"] for entry in hubs)
             return {"tol": config.tol, "hubs": hubs, "passed": passed}, passed
@@ -443,6 +444,54 @@ class TestErrorPaths:
         assert (payload["z"], payload["m_sq"]) == (2.0**1023, 1023.0)
         assert main(["qhf", "--graph", "complete:1024", "--t", "0", "--samples", "10"]) == 2
         assert capsys.readouterr().err.startswith("error: partition function")
+
+    @pytest.mark.parametrize(
+        "body, min_vertex_weight, codes, message",
+        [
+            # (min_i w_i)^2 is below the float range, the bound 3.33e-171 is not
+            ("2 1\n0 1 1e-170\n", 1e-170, (0, 0), None),
+            # the bound is below the float range, or subnormal
+            ("3 2\n0 1 1e-200\n1 2 1\n", None, (2, 2), "min_i w_i / w_tot = 5e-201"),
+            ("3 2\n0 1 1e-160\n1 2 1\n", None, (2, 2), "min_i w_i / w_tot = 5e-161"),
+            # the bound is 7.56e-192, and a* over it exceeds the float range
+            ("3 2\n0 1 1e-20\n1 2 4.9e149\n", 1e-20, (0, 2), "exceeds the float range"),
+        ],
+        ids=["square-underflows", "bound-underflows", "bound-subnormal", "ratio-overflows"],
+    )
+    def test_theorem_bound_at_the_float_limits(
+        self, capsys, tmp_path, body, min_vertex_weight, codes, message
+    ):
+        path = tmp_path / "w.txt"
+        path.write_text(body)
+        reports = {}
+        for command, want in zip(("mix", "compare"), codes):
+            code = main([command, "--graph", f"file:{path}"])
+            captured = capsys.readouterr()
+            assert code == want, (command, captured.err)
+            if want == 0:
+                reports[command] = json.loads(captured.out)
+                continue
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert message in captured.err
+        if "mix" in reports:
+            report = reports["mix"]
+            ratio = min_vertex_weight / parse_graph_spec(f"file:{path}").total_weight
+            want_bound = report["delta"] / report["lmix"] * ratio * min_vertex_weight
+            assert report["theorem_bound"] >= np.finfo(float).tiny
+            assert report["theorem_bound"] == pytest.approx(want_bound, rel=1e-12, abs=0.0)
+        if "compare" in reports:
+            assert reports["compare"]["theorem_bound"] == reports["mix"]["theorem_bound"]
+            assert math.isfinite(reports["compare"]["empirical_c"])
+
+    def test_compare_on_tiny_weights_is_compare_on_unit_weights(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("2 1\n0 1 1e-170\n")
+        code, out = run_cli(capsys, ["compare", "--graph", f"file:{path}"])
+        assert code == 0
+        _, unit = run_cli(capsys, ["compare", "--graph", "complete:2"])
+        assert json.loads(unit)["empirical_c"] == 3.0
+        assert json.loads(out)["empirical_c"] == pytest.approx(3.0, rel=0.0, abs=1e-12)
 
     def test_run_config_validation(self):
         with pytest.raises(ParameterError):

@@ -19,8 +19,8 @@ from interchange.cycles import (
     cycle_coefficients,
     cycle_count_blocks,
     cycle_counts_batch,
-    exact_cycles_bruteforce,
     exact_cycles_by_k,
+    exact_mean,
     expected_cycles_by_k,
     expected_cycles_mc,
     expected_cycles_spectral,
@@ -511,7 +511,7 @@ class TestMonteCarlo:
         w = complete(4)
         t, samples = 0.4, 3000
         want = expected_cycles_spectral(w, 2, t)
-        got, stderr = expected_cycles_mc(w, 2, t, samples, seed=13)
+        got, stderr = expected_cycles_mc(w, (2,), t, samples, seed=13)[2]
         assert abs(got - want) < 4 * stderr
 
     def test_long_cycles_are_indicators(self):
@@ -542,13 +542,32 @@ class TestMonteCarlo:
         want = sum(expected_cycles_spectral(w, k, t) for k in (3, 4))
         assert abs(got - want) < 4 * stderr
 
+    @pytest.mark.parametrize("samples", [1, 7, 20_000])
+    @pytest.mark.parametrize("spec", ["hamming2:3", "complete:8"])
+    def test_every_k_from_one_set_of_trajectories(self, spec, samples):
+        # each k's mean is bit for bit the one it gets alone: the counts are
+        # integers, so their sums are exact.  The standard errors agree to
+        # rounding only, because numpy sums a column of a 2-D array in another
+        # order than a 1-D array.  One sample reports a standard error of 0.
+        w = parse_graph_spec(spec)
+        t = 0.5 / delta_on_irrep(w, (w.n - 1, 1)).lambda_min
+        ks = (2, w.n // 2 + 1)
+        table = expected_cycles_mc(w, ks, t, samples, seed=3)
+        assert list(table) == list(ks)
+        for k in ks:
+            mean, stderr = expected_cycles_mc(w, (k,), t, samples, seed=3)[k]
+            assert table[k][0] == mean, k
+            assert table[k][1] == pytest.approx(stderr, rel=1e-12, abs=0.0), k
+            if samples == 1:
+                assert table[k][1] == stderr == 0.0
+
     def test_sample_validation(self):
         with pytest.raises(ParameterError):
-            expected_cycles_mc(complete(3), 2, 1.0, 0)
+            expected_cycles_mc(complete(3), (2,), 1.0, 0)
         with pytest.raises(ParameterError):
             large_cycle_probability(complete(3), 1.0, 0)
         with pytest.raises(ParameterError):
-            expected_cycles_mc(complete(3), 4, 1.0, 10)
+            expected_cycles_mc(complete(3), (4,), 1.0, 10)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time(self, t):
@@ -557,9 +576,9 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError):
             expected_cycles_spectral(complete(4), 2, np.array([0.5, t]))
         with pytest.raises(ParameterError):
-            exact_cycles_bruteforce(complete(4), 2, t)
+            exact_cycles_by_k(complete(4), (2,), t)[2]
         with pytest.raises(ParameterError):
-            expected_cycles_mc(complete(4), 2, t, 10)
+            expected_cycles_mc(complete(4), (2,), t, 10)
         with pytest.raises(ParameterError):
             large_cycle_probability(complete(4), t, 10)
         with pytest.raises(ParameterError):
@@ -579,7 +598,7 @@ class TestBruteForce:
             ts = oracle_t_grid(w)
             for k in range(1, w.n + 1):
                 want = expected_cycles_spectral(w, k, ts)
-                got = np.array([exact_cycles_bruteforce(w, k, t) for t in ts])
+                got = np.array([exact_cycles_by_k(w, (k,), t)[k] for t in ts])
                 assert np.allclose(got, want, atol=1e-8), (w, k)
 
     def test_time_array_equals_scalar_loop(self):
@@ -591,11 +610,33 @@ class TestBruteForce:
             for t, row in zip(ts, rows):
                 assert np.abs(row - process.distribution(t)).max() <= 1e-15
             for k in range(1, w.n + 1):
-                got = exact_cycles_bruteforce(w, k, ts)
-                loop = np.array([exact_cycles_bruteforce(w, k, t) for t in ts])
+                got = exact_cycles_by_k(w, (k,), ts)[k]
+                loop = np.array([exact_cycles_by_k(w, (k,), t)[k] for t in ts])
                 assert got.shape == ts.shape
                 # counts reach n, so the bound is relative as well as absolute
                 assert np.allclose(got, loop, rtol=1e-15, atol=1e-15), (w, k)
+
+    @pytest.mark.parametrize(
+        "w", [complete(3), complete(4), complete(5), path(4), star(4)], ids=repr)
+    def test_exact_mean_is_the_loop_over_permutations(self, w):
+        # the loop adds p * counts[k] over all_perms(n) in order, from the
+        # same distribution; an array of times gets one row per time
+        process = InterchangeExact(w)
+        ks = [1, 2, w.n]
+        ts = oracle_t_grid(w)
+
+        def loop(distribution):
+            total = np.zeros(len(ks))
+            for p, perm in zip(distribution, process.permutations):
+                total += p * cycle_counts(perm)[ks]
+            return total
+
+        rows = exact_mean(w, ts, lambda counts: counts[:, ks])
+        assert rows.shape == (len(ts), len(ks))
+        for t, row, distribution in zip(ts, rows, process.distribution(ts)):
+            assert np.array_equal(row, loop(distribution)), t
+            got = exact_mean(w, t, lambda counts: counts[:, ks])
+            assert np.array_equal(got, loop(process.distribution(t))), t
 
     def test_every_k_at_once_equals_each_k(self):
         # one solve of the process for every k, the same sums bit for bit
@@ -604,23 +645,23 @@ class TestBruteForce:
             table = exact_cycles_by_k(w, range(1, w.n + 1), ts)
             assert list(table) == list(range(1, w.n + 1))
             for k, got in table.items():
-                assert np.array_equal(got, exact_cycles_bruteforce(w, k, ts)), (w, k)
-            assert exact_cycles_by_k(w, [2], 0.3)[2] == exact_cycles_bruteforce(w, 2, 0.3)
+                assert np.array_equal(got, exact_cycles_by_k(w, (k,), ts)[k]), (w, k)
+            assert exact_cycles_by_k(w, [2], 0.3)[2] == exact_cycles_by_k(w, (2,), 0.3)[2]
 
     def test_closed_form(self):
         w = complete(3)
         for t in [0.1, 0.7]:
-            assert exact_cycles_bruteforce(w, 2, t) == pytest.approx(
+            assert exact_cycles_by_k(w, (2,), t)[2] == pytest.approx(
                 0.5 * (1.0 - math.exp(-6.0 * t)), abs=1e-10
             )
 
     def test_uniform_fixed_point_limit(self):
         for w in [complete(3), complete(4), path(5)]:
-            assert exact_cycles_bruteforce(w, 1, 1e4) == pytest.approx(1.0, abs=1e-9)
+            assert exact_cycles_by_k(w, (1,), 1e4)[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_cap(self):
         with pytest.raises(CapError):
-            exact_cycles_bruteforce(complete(6), 2, 1.0)
+            exact_cycles_by_k(complete(6), (2,), 1.0)[2]
 
 
 def young_subgroup_mean(w: WeightFunction, k: int) -> float:
@@ -665,7 +706,7 @@ def test_exact_routes_reach_the_young_subgroup_law(w):
             assert np.abs(got - want).max() <= 1e-12, (k, got, want)
             if w.n <= 5:
                 for t in ts:
-                    assert abs(exact_cycles_bruteforce(w, k, t) - want) <= 1e-12, (k, t)
+                    assert abs(exact_cycles_by_k(w, (k,), t)[k] - want) <= 1e-12, (k, t)
 
 
 class TestOracleGrid:

@@ -18,10 +18,8 @@ from interchange.group_algebra import (
     double_weight,
     interchange_tv_mix_exact,
     is_psd,
-    octopus_check,
     octopus_gap,
     doubling_gap,
-    doubling_inequality_check,
     lift_lazy,
     regular_rep_matrix,
 )
@@ -126,7 +124,7 @@ def test_is_psd_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
     # a negative or nan tol would call the PSD octopus gap not PSD, and an
     # infinite one would pass any operator
     with pytest.raises(ParameterError, match="PSD tolerance must be finite and > 0"):
-        octopus_check(4, 0, [1.0, 1.0, 1.0], tol=tol)
+        is_psd(octopus_gap(4, 0, [1.0, 1.0, 1.0]), tol=tol)
     with pytest.raises(ParameterError):
         is_psd(PairOperator(np.zeros((2, 2))), tol=tol)
 
@@ -222,7 +220,7 @@ def test_octopus_star3_full_spectrum():
 
 
 def test_octopus_unit_arms_n4():
-    verdict = octopus_check(4, 0, [1.0, 1.0, 1.0])
+    verdict = is_psd(octopus_gap(4, 0, [1.0, 1.0, 1.0]))
     assert verdict.psd
 
 
@@ -230,6 +228,14 @@ def test_octopus_gap_scales_linearly():
     base = octopus_gap(4, 1, [0.5, 1.5, 2.0])
     scaled = octopus_gap(4, 1, [1.5, 4.5, 6.0])
     assert np.abs(scaled.c - 3.0 * base.c).max() <= 1e-12
+
+
+def test_octopus_gap_keeps_arm_terms_whose_products_underflow():
+    # a_i a_j is 2^-1200 or 2^-1199, below the float range, while
+    # a_i a_j / w_h is 2^-602 or 2^-601; scaling by a power of two is exact
+    gap = octopus_gap(4, 0, np.array([1.0, 1.0, 2.0]) * 2.0**-600)
+    assert np.array_equal(gap.c, octopus_gap(4, 0, [1.0, 1.0, 2.0]).c * 2.0**-600)
+    assert (gap.c[1:, 1:][~np.eye(3, dtype=bool)] < 0).all()
 
 
 def test_octopus_random_nonnegative_arms():
@@ -240,7 +246,7 @@ def test_octopus_random_nonnegative_arms():
             if arms.sum() <= 0:
                 continue
             hub = int(rng.integers(n))
-            verdict = octopus_check(n, hub, arms)
+            verdict = is_psd(octopus_gap(n, hub, arms))
             assert verdict.psd, (n, hub, arms)
 
 
@@ -252,10 +258,10 @@ def test_octopus_irrep_route_holds_few_blocks():
     # the reps cached; conjugating through copies and keeping the last block
     # took 7.19.
     block = 768 * 768 * 8
-    octopus_check(10, 0, [1.0] * 9)  # builds and caches the Young reps
+    is_psd(octopus_gap(10, 0, [1.0] * 9))  # builds and caches the Young reps
     tracemalloc.start()
     try:
-        verdict = octopus_check(10, 0, [1.0] * 9)
+        verdict = is_psd(octopus_gap(10, 0, [1.0] * 9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,13 +271,13 @@ def test_octopus_irrep_route_holds_few_blocks():
 
 def test_octopus_degenerate_and_invalid():
     with pytest.raises(DegenerateWeightError):
-        octopus_check(3, 0, [0.0, 0.0])
+        is_psd(octopus_gap(3, 0, [0.0, 0.0]))
     with pytest.raises(ParameterError):
-        octopus_check(3, 0, [1.0, -1.0])
+        is_psd(octopus_gap(3, 0, [1.0, -1.0]))
     with pytest.raises(ParameterError):
-        octopus_check(3, 0, [1.0])
+        is_psd(octopus_gap(3, 0, [1.0]))
     with pytest.raises(ParameterError):
-        octopus_check(3, 5, [1.0, 1.0])
+        is_psd(octopus_gap(3, 5, [1.0, 1.0]))
 
 
 def test_doubling_gap_complete3_value():
@@ -294,7 +300,7 @@ def test_doubling_check_random_lifted():
             u = LiftedWeight(matrix)
             if (u.vertex_weights <= 0).any():
                 continue
-            assert doubling_inequality_check(u).psd
+            assert is_psd(doubling_gap(u)).psd
 
 
 def test_doubling_zero_diagonal():
@@ -303,7 +309,7 @@ def test_doubling_zero_diagonal():
         w = random_connected(rng, 4)
         u = LiftedWeight(w.dense())
         assert u.epsilon == 0.0
-        assert doubling_inequality_check(u).psd
+        assert is_psd(doubling_gap(u)).psd
 
 
 def test_doubling_single_edge_with_spectator():
@@ -315,7 +321,7 @@ def test_doubling_single_edge_with_spectator():
     assert doubled.matrix[0, 2] == pytest.approx(0.0, abs=1e-15)
     assert doubled.matrix[1, 2] == pytest.approx(0.0, abs=1e-15)
     assert doubled.matrix[0, 1] > 0
-    assert doubling_inequality_check(u).psd
+    assert is_psd(doubling_gap(u)).psd
 
 
 def test_lift_lazy_refuses_an_isolated_vertex():
