@@ -108,24 +108,34 @@ TABLE_GRAPHS: tuple[tuple[str, WeightFunction], ...] = (
 )
 
 
+# Monte Carlo samples and the largest n of the scalarity check, by level
+_LEVEL_SETTINGS = {"desk": (MC_DEFAULT_SAMPLES, 8), "extended": (1_000_000, 10)}
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    level: str = "desk"
-    seed: int = 0
-    mc_samples: int = MC_DEFAULT_SAMPLES
-    scalarity_max_n: int = 8
+    level: str  # fixes every other setting
+    seed: int
+
+    def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= MAX_SEED:
+            raise ParameterError(f"suite seed must be an int in [0, 2**64 - 1], got {seed!r}")
+        if self.level not in _LEVEL_SETTINGS:
+            raise ParameterError(f"unknown suite level {self.level!r} (desk or extended)")
 
     @classmethod
     def for_level(cls, level: str, seed: int = 0) -> "SuiteConfig":
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= MAX_SEED:
-            raise ParameterError(f"suite seed must be an int in [0, 2**64 - 1], got {seed!r}")
-        if level == "desk":
-            return cls(level="desk", seed=seed)
-        if level == "extended":
-            return cls(
-                level="extended", seed=seed, mc_samples=1_000_000, scalarity_max_n=10
-            )
-        raise ParameterError(f"unknown suite level {level!r} (desk or extended)")
+        """Kept only because perfbench/ calls it by name."""
+        return cls(level, seed)
+
+    @property
+    def mc_samples(self) -> int:
+        return _LEVEL_SETTINGS[self.level][0]
+
+    @property
+    def scalarity_max_n(self) -> int:
+        return _LEVEL_SETTINGS[self.level][1]
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,7 @@ def check_doubling_inequality(config: SuiteConfig) -> CheckResult:
             kill = rng.random(len(off[0])) < 0.2
             u[off[0][kill], off[1][kill]] = 0.0
             u[off[1][kill], off[0][kill]] = 0.0
-            verdict = is_psd(doubling_gap(LiftedWeight(u)), tol=1e-9)
+            verdict = is_psd(doubling_gap(LiftedWeight(u)))
             worst = min(worst, verdict.min_eigenvalue)
             failures += not verdict.psd
     return _result(
@@ -583,24 +593,14 @@ ALL_CHECKS = {
 }
 
 
-def run_suite(
-    level: str = "desk", seed: int = 0, names: tuple[str, ...] | None = None
-) -> SuiteReport:
-    """Run the acceptance checks one after another and assemble the report.
-
-    `names` restricts the run to a subset (used by fast tests); the full
-    suite runs every check exactly once.
-    """
-    config = SuiteConfig.for_level(level, seed)
-    selected = tuple(ALL_CHECKS) if names is None else names
-    for name in selected:
-        if name not in ALL_CHECKS:
-            raise ParameterError(f"unknown check {name!r}")
+def run_suite(level: str = "desk", seed: int = 0) -> SuiteReport:
+    """Run every acceptance check once, one after another, and assemble the report."""
+    config = SuiteConfig(level, seed)
     checks = []
     timings = {}
-    for name in selected:
+    for name, check in ALL_CHECKS.items():
         start = time.perf_counter()
-        checks.append(ALL_CHECKS[name](config))
+        checks.append(check(config))
         timings[name] = round(time.perf_counter() - start, 3)
     return SuiteReport(
         level=config.level,

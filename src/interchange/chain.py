@@ -145,8 +145,8 @@ class LazyChain:
         Takes popcount(t) - 1 products once the dyadic powers are cached.
         The result may be a cached power itself, which is read-only.
         """
-        if t < 0:
-            raise ParameterError(f"time must be >= 0, got {t}")
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 0:
+            raise ParameterError(f"time must be an integer >= 0, got {t!r}")
         if t == 0:
             return np.eye(self.n)
         result = None
@@ -687,8 +687,10 @@ def verify_probability_bounds(chain: LazyChain, w: WeightFunction) -> BoundCheck
     t = 1 and t = lmix; an interval is dropped once both lower bounds reach
     the worst slacks found so far, and is otherwise split at its midpoint,
     where the slack is evaluated exactly from the dyadic powers.  Only max P^a
-    is kept of each evaluated power.
+    is kept of each evaluated power.  w must be the chain's own weight function.
     """
+    if w != chain.weights:
+        raise ParameterError("the probability bounds need the chain's own weight function")
     lm = lmix(chain)
     if math.isinf(lm):
         raise DisconnectedError("probability bounds apply to connected weights only")

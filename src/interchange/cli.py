@@ -14,9 +14,9 @@ interchange/schemas/.  A --csv table is written from the same rows the JSON
 carries: one column per field.
 
 Each subcommand is declared once, in `_SUBCOMMANDS`, with its handler,
-flags and help.  A handler imports the modules it runs when it runs, so a
-command-line call loads only what its subcommand needs: only mix, compare
-and suite load the lazy-chain module `chain`.
+flags and help.  Handlers import what they run when they run: only mix,
+compare and suite load `chain`; large-cycles and qhf draw by Monte Carlo
+alone, yet load `irreps` and `group_algebra`, which `cycles` imports.
 
 Exit status: 0 on success, 1 when a verified property fails or the requested
 quantity does not exist (for example mixing numbers of a disconnected
@@ -47,6 +47,7 @@ from .errors import (
 )
 from .graphs import MAX_SEED, WeightFunction, parse_graph_spec
 
+# group_algebra.PSD_TOL; importing it would load group_algebra for every subcommand
 _DEFAULT_TOL = 1e-9
 _USAGE_ERRORS = (ParameterError, CapError, DegenerateWeightError)
 
@@ -92,8 +93,6 @@ def _jsonable(value):
         return {str(key): _jsonable(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -162,20 +161,20 @@ class _Subcommand(NamedTuple):
     help: str
 
 
-# argparse destinations are RunConfig fields; --out goes on every subcommand,
-# --seed on those that draw random numbers, and a subcommand with --graph gets
-# the parsed WeightFunction
+# argparse destinations are RunConfig fields, whose defaults stand for the
+# flags left off; --out goes on every subcommand, --seed on those that draw
+# random numbers, and a subcommand with --graph gets the parsed WeightFunction
 _FLAGS = {
     "graph": {"required": True, "help": "family:params (e.g. complete:5) or file:path"},
     "t": {"type": float, "required": True, "help": "time, >= 0"},
     "k": {"type": int, "required": True, "help": "cycle length"},
-    "samples": {"type": int, "default": None, "help": "Monte Carlo trajectory count"},
-    "tol": {"type": float, "default": _DEFAULT_TOL,
+    "samples": {"type": int, "help": "Monte Carlo trajectory count"},
+    "tol": {"type": float,
             "help": "PSD tolerance, relative to the largest regular-representation entry"},
-    "csv": {"default": None, "help": "also write the table as CSV"},
-    "level": {"choices": ["desk", "extended"], "default": "desk"},
-    "seed": {"type": int, "default": 0, "help": "master seed"},
-    "out": {"default": None, "help": "write the JSON report here"},
+    "csv": {"help": "also write the table as CSV"},
+    "level": {"choices": ["desk", "extended"]},
+    "seed": {"type": int, "help": "master seed"},
+    "out": {"help": "write the JSON report here"},
 }
 _EVERY_SUBCOMMAND = ("out",)
 
@@ -319,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, subcommand in _SUBCOMMANDS.items():
-        sub = subparsers.add_parser(name, help=subcommand.help)
+        sub = subparsers.add_parser(name, help=subcommand.help, argument_default=argparse.SUPPRESS)
         for flag, options in _FLAGS.items():
             if flag in subcommand.flags + _EVERY_SUBCOMMAND:
                 sub.add_argument(f"--{flag}", **options)

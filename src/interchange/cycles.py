@@ -30,9 +30,11 @@ the few cells that a cumulative probability splits.
 Every pick equals the binary search's, so the streams are those of the plain
 searchsorted engine.  simulate_interchange runs one trajectory literally
 (exponential waiting times, one event at a time) and is kept as the
-reference oracle the tests compare the engine against.  exact_mean is the
-counterpart of mc_per_sample for n <= 5, with exact probabilities in place of
-trajectories.  Every route here counts cycles with cycle_counts_batch.
+reference oracle the tests compare the engine against; it takes the
+engine's argument check, and trajectory i draws from Philox keyed by
+(seed, i).  exact_mean is the counterpart of mc_per_sample for n <= 5, with
+exact probabilities in place of trajectories.  Every route here counts
+cycles with cycle_counts_batch.
 """
 
 import math
@@ -100,19 +102,12 @@ def cycle_coefficients(n: int, k: int) -> CycleFormula:
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     terms: list[tuple[Partition, int]] = [((n,), 1)]
-    seen = {(n,)}
-    for i in first_family_range(n, k):
-        p = family_partition(n, k, i, "first")
-        if p in seen:
-            raise ConsistencyError(f"duplicate partition {p} in coefficient table")
-        seen.add(p)
-        terms.append((p, (-1) ** (i + 1)))
-    for i in second_family_range(n, k):
-        p = family_partition(n, k, i, "second")
-        if p in seen:
-            raise ConsistencyError(f"duplicate partition {p} in coefficient table")
-        seen.add(p)
-        terms.append((p, (-1) ** i))
+    terms += [(family_partition(n, k, i, "first"), (-1) ** (i + 1))
+              for i in first_family_range(n, k)]
+    terms += [(family_partition(n, k, i, "second"), (-1) ** i)
+              for i in second_family_range(n, k)]
+    if len({p for p, _ in terms}) < len(terms):
+        raise ConsistencyError(f"duplicate partition in the coefficient table of n={n}, k={k}")
     return CycleFormula(n=n, k=k, terms=tuple(terms))
 
 
@@ -207,13 +202,29 @@ _GUIDE_MAX_CELLS = 1 << 20
 _GUIDE_CELLS_PER_EDGE = 4
 
 
+def _check_run(mean_events: float, samples: int, seed: int, index: int = 0) -> None:
+    """Refuse a run before it draws, and a Philox key word numpy would overflow on."""
+    if samples < 1:
+        raise ParameterError(f"need samples >= 1, got {samples}")
+    if samples > MC_MAX_SAMPLES:
+        raise CapError(f"Monte Carlo capped at {MC_MAX_SAMPLES} samples, got {samples}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ParameterError(f"seed must be in [0, 2**64 - 1], got {seed}")
+    if not 0 <= index <= MAX_SEED:
+        raise ParameterError(f"trajectory index must be in [0, 2**64 - 1], got {index}")
+    if samples * mean_events > MC_MAX_EVENTS:
+        raise CapError(
+            f"expected {samples * mean_events:.3g} events exceeds the Monte Carlo cap "
+            f"of {MC_MAX_EVENTS}; lower the samples or the time"
+        )
+
+
 # The generator annotations are strings: numpy loads numpy.random (about 6 MB)
 # on first use, which only the Monte Carlo routes need, not an import.
 def trajectory_rng(seed: int, index: int) -> "np.random.Generator":
     """Counter-based generator for one trajectory of the reference simulator."""
-    if seed < 0 or index < 0:
-        raise ParameterError("seed and trajectory index must be nonnegative")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    _check_run(0.0, 1, seed, index)
+    return _philox(seed, index, 0)
 
 
 @dataclass(frozen=True)
@@ -246,10 +257,7 @@ def simulate_interchange(
     rng = trajectory_rng(seed, index)
     edges = list(w.edges())
     rate = float(sum(weight for _, weight in edges))
-    if rate * t > MC_MAX_EVENTS:
-        raise CapError(
-            f"expected {rate * t:.3g} events exceeds the cap of {MC_MAX_EVENTS} per run"
-        )
+    _check_run(rate * t, 1, seed)
     marbles = list(range(w.n))
     events = 0
     if rate > 0.0 and t > 0.0:
@@ -423,18 +431,8 @@ def cycle_count_blocks(
     Arguments are checked when called, before any block is simulated.
     """
     check_time(t)
-    if samples < 1:
-        raise ParameterError(f"need samples >= 1, got {samples}")
-    if samples > MC_MAX_SAMPLES:
-        raise CapError(f"Monte Carlo capped at {MC_MAX_SAMPLES} samples, got {samples}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ParameterError(f"seed must be in [0, 2**64 - 1], got {seed}")
     mean_events = float(w.weights.sum()) * t if t > 0 else 0.0
-    if samples * mean_events > MC_MAX_EVENTS:
-        raise CapError(
-            f"expected {samples * mean_events:.3g} events exceeds the Monte Carlo cap "
-            f"of {MC_MAX_EVENTS}; lower the samples or the time"
-        )
+    _check_run(mean_events, samples, seed)
     guide = _guide_table(w.ends, w.weights) if w.weights.size else None
     return (
         _block_counts(w.n, guide, mean_events, seed, block,

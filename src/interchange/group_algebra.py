@@ -314,16 +314,16 @@ def interchange_tv_mix_exact(w: WeightFunction) -> float:
     Located by doubling and bisection on the continuous time axis; the
     result is accurate to TV_MIX_TIME_TOL.  Raises DisconnectedError when the
     weight function is disconnected (the process then never approaches
-    uniform).
+    uniform), and CapError when the doubling passes time 1e9 unmixed.
     """
     if not w.is_connected():
         raise DisconnectedError("interchange mixing needs a connected weight function")
     process = InterchangeExact(w)
     hi = 1.0 / w.total_weight
     while process.tv_from_uniform(hi) >= 0.25:
-        hi *= 2.0
         if hi > 1e9:
-            raise DegenerateWeightError("interchange process failed to mix")
+            raise CapError(f"interchange process not within 1/4 of uniform by time {hi:.6g}")
+        hi *= 2.0
     lo = 0.0
     while hi - lo > TV_MIX_TIME_TOL:
         mid = 0.5 * (lo + hi)

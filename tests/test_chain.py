@@ -166,6 +166,16 @@ def test_negative_time_is_a_parameter_error():
             call(-1)
 
 
+@pytest.mark.parametrize("t", [2.5, 3.0, True])
+def test_a_time_that_is_not_an_integer_is_a_parameter_error(t):
+    # a float stopped in a TypeError on t & 1, and True passed as t = 1
+    chain = lazy_chain(path(4))
+    for call in (chain.power, lambda t: min_stationary_ratio(chain, t),
+                 lambda t: tv_distance(chain, t)):
+        with pytest.raises(ParameterError, match="time must be an integer"):
+            call(t)
+
+
 def test_power_products_match_popcount(monkeypatch):
     chain = lazy_chain(cycle(6))
     oracle = np.eye(6)
@@ -1220,6 +1230,14 @@ def test_probability_bounds_disconnected_rejected():
         verify_probability_bounds(lazy_chain(w), w)
 
 
+@pytest.mark.parametrize("other", [complete(6), star(4)], ids=["complete:6", "star:4"])
+def test_probability_bounds_refuse_another_weight_function(other):
+    # complete(6) once lent path(6)'s chain its ratios and its regularity, and
+    # star(4) ended in numpy's broadcast error
+    with pytest.raises(ParameterError, match="the chain's own weight function"):
+        verify_probability_bounds(lazy_chain(path(6)), other)
+
+
 def sequential_probability_bounds(chain: LazyChain, w: WeightFunction) -> BoundCheckReport:
     """Reference: evaluate both slacks at every t up to lmix, one product per step."""
     constant = chain_module._PROBABILITY_CONSTANT
@@ -1227,7 +1245,7 @@ def sequential_probability_bounds(chain: LazyChain, w: WeightFunction) -> BoundC
     if math.isinf(lm):
         raise DisconnectedError("probability bounds apply to connected weights only")
     ratio = w.vertex_weights / w.min_positive_weight()
-    regular = is_regular(w)
+    regular = chain_module.is_regular(w)
     worst = math.inf
     worst_regular = math.inf
     power = np.eye(chain.n)
@@ -1275,22 +1293,24 @@ def test_probability_bounds_match_sequential_on_families(w):
 # tried, where it is evaluated exactly, so an unsound pruning would go unseen.
 # Smaller constants move the plain minimum inside the range.  The regular
 # minimum stays at an end on every regular graph tried, but not on irregular
-# chains, so a regular w (complete) is also checked against the random chain.
-# Both are fair inputs: the pruning rests on p_t <= max P^a for t >= a, which
-# holds for every chain and every constant.
+# chains, so the regular slack is also taken on the random chain, as if it
+# were regular.  Both are fair inputs: the pruning rests on p_t <= max P^a for
+# t >= a, which holds for every chain and every constant.
 @settings(max_examples=80)
 @given(
     connected_weights(),
     st.sampled_from([chain_module._PROBABILITY_CONSTANT, 1.0, 0.3, 0.1, 0.03]),
     st.booleans(),
 )
-def test_probability_bounds_match_sequential_oracle(w, constant, regular_w):
+def test_probability_bounds_match_sequential_oracle(w, constant, as_regular):
     chain = lazy_chain(w)
-    bound_w = complete(w.n) if regular_w else w
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chain_module, "_PROBABILITY_CONSTANT", constant)
-        got = verify_probability_bounds(chain, bound_w)
-        want = sequential_probability_bounds(chain, bound_w)
+        if as_regular:
+            patch.setattr(chain_module, "is_regular", lambda w: True)
+        got = verify_probability_bounds(chain, w)
+        want = sequential_probability_bounds(chain, w)
+    assert got.regular is (as_regular or is_regular(w))
     assert_reports_agree(got, want)
 
 

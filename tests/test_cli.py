@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -501,13 +502,25 @@ class TestErrorPaths:
         with pytest.raises(ParameterError):
             RunConfig(command="qhf", graph="complete:3", samples=0)
 
+    def test_absent_flags_take_the_run_config_defaults(self):
+        # the parsers suppress absent flags, so RunConfig alone holds defaults
+        parser = cli._build_parser()
+        args = vars(parser.parse_args(["octopus", "--graph", "star:5"]))
+        assert args == {"command": "octopus", "graph": "star:5"}
+        assert RunConfig(**args).tol == cli._DEFAULT_TOL == group_algebra.PSD_TOL
+        suite = RunConfig(**vars(parser.parse_args(["suite"])))
+        assert (suite.level, suite.seed, suite.csv, suite.out) == ("desk", 0, None, None)
+        assert not any("default" in options for options in cli._FLAGS.values())
+
 
 class TestSuitePlumbing:
     def test_check_registry(self):
         assert tuple(ALL_CHECKS) == EXPECTED_CHECKS
 
-    def test_subset_report_matches_schema(self):
-        report = run_suite(names=("mixing_numbers", "probability_bounds"))
+    def test_subset_report_matches_schema(self, monkeypatch):
+        names = ("mixing_numbers", "probability_bounds")
+        monkeypatch.setattr(acceptance, "ALL_CHECKS", {name: ALL_CHECKS[name] for name in names})
+        report = run_suite()
         payload = json.loads(render_json(report))
         check_against_schema(payload, "suite")
         assert payload["passed"] is True
@@ -516,9 +529,11 @@ class TestSuitePlumbing:
             "probability_bounds",
         ]
 
-    def test_subset_deterministic_modulo_timings(self):
-        a = json.loads(render_json(run_suite(names=("spectrum_assembly",))))
-        b = json.loads(render_json(run_suite(names=("spectrum_assembly",))))
+    def test_subset_deterministic_modulo_timings(self, monkeypatch):
+        name = "spectrum_assembly"
+        monkeypatch.setattr(acceptance, "ALL_CHECKS", {name: ALL_CHECKS[name]})
+        a = json.loads(render_json(run_suite()))
+        b = json.loads(render_json(run_suite()))
         a.pop("timings")
         b.pop("timings")
         assert render_json(a) == render_json(b)
@@ -551,13 +566,11 @@ class TestSuitePlumbing:
         for graph, w in acceptance.TABLE_GRAPHS:
             assert sum(s is w for s in solved) == 1, graph
 
-    def test_unknown_check_name(self):
-        with pytest.raises(ParameterError):
-            run_suite(names=("nonexistent",))
-
     def test_unknown_level(self):
         with pytest.raises(ParameterError):
             SuiteConfig.for_level("galactic")
+        with pytest.raises(ParameterError):
+            SuiteConfig("galactic", 0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "1", True, None])
     def test_seed_outside_the_suite_range(self, seed):
@@ -566,13 +579,14 @@ class TestSuitePlumbing:
             run_suite("desk", seed)
 
     def test_extended_level_fields(self):
-        # pinned without running the extended suite
-        assert SuiteConfig.for_level("extended", 2**64 - 1) == SuiteConfig(
-            level="extended", seed=2**64 - 1, mc_samples=1_000_000, scalarity_max_n=10
-        )
-        assert SuiteConfig.for_level("desk") == SuiteConfig(
-            level="desk", seed=0, mc_samples=100_000, scalarity_max_n=8
-        )
+        # pinned without running the extended suite; the level fixes the rest
+        assert [f.name for f in dataclasses.fields(SuiteConfig)] == ["level", "seed"]
+        extended = SuiteConfig.for_level("extended", 2**64 - 1)
+        assert (extended.level, extended.seed, extended.mc_samples,
+                extended.scalarity_max_n) == ("extended", 2**64 - 1, 1_000_000, 10)
+        desk = SuiteConfig.for_level("desk")
+        assert (desk.level, desk.seed, desk.mc_samples, desk.scalarity_max_n) == (
+            "desk", 0, 100_000, 8)
 
     def test_checks_run_in_the_calling_thread(self, monkeypatch):
         names = ("mixing_numbers", "probability_bounds")
@@ -584,10 +598,11 @@ class TestSuitePlumbing:
                 return check(config)
             return run
 
-        for name in names:
-            monkeypatch.setitem(acceptance.ALL_CHECKS, name, recorded(ALL_CHECKS[name]))
+        monkeypatch.setattr(
+            acceptance, "ALL_CHECKS", {name: recorded(ALL_CHECKS[name]) for name in names}
+        )
         start = time.perf_counter()
-        report = run_suite(names=names)
+        report = run_suite()
         wall = time.perf_counter() - start
         assert threads == [threading.current_thread()] * len(names)
         # each timing is rounded to the millisecond

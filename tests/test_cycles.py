@@ -329,6 +329,33 @@ class TestSimulator:
         with pytest.raises(ParameterError):
             trajectory_rng(-1, 0)
 
+    @pytest.mark.parametrize("seed, index", [(0, 0), (5, 7), (2**64 - 1, 3)])
+    def test_rng_is_the_philox_stream_of_its_key(self, seed, index):
+        key = np.array([seed, index], dtype=np.uint64)
+        plain = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(trajectory_rng(seed, index).random(8), plain.random(8))
+
+    @pytest.mark.parametrize("key", [{"seed": 2**64}, {"index": 2**64}])
+    def test_key_words_past_64_bits(self, key):
+        # numpy raised OverflowError on these
+        with pytest.raises(ParameterError, match=r"must be in \[0, 2\*\*64 - 1\]"):
+            simulate_interchange(complete(3), 1.0, **key)
+        with pytest.raises(ParameterError, match=r"must be in \[0, 2\*\*64 - 1\]"):
+            trajectory_rng(key.get("seed", 0), key.get("index", 0))
+
+    def test_a_long_run_draws_several_blocks_of_waiting_times(self):
+        # complete(3) rings at rate R = 3, so R t = 9e4 events, more than the
+        # 65536 waiting times one block draws
+        w, t = complete(3), 3e4
+        mean = 3.0 * t
+        a = simulate_interchange(w, t, seed=6, index=2)
+        b = simulate_interchange(w, t, seed=6, index=2)
+        assert a.events > 1 << 16
+        assert abs(a.events - mean) <= 5.0 * math.sqrt(mean)
+        assert sum(k * int(a.counts[k]) for k in range(1, 4)) == 3
+        assert (a.final, a.events) == (b.final, b.events)
+        assert np.array_equal(a.counts, b.counts)
+
 
 def _blocks(w, t, samples, seed):
     return np.concatenate(list(cycle_count_blocks(w, t, samples, seed)))

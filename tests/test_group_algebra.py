@@ -10,6 +10,7 @@ from interchange.errors import CapError, DegenerateWeightError, DisconnectedErro
 from interchange.graphs import WeightFunction, complete, path
 from interchange.group_algebra import (
     PSD_TOL,
+    TV_MIX_TIME_TOL,
     InterchangeExact,
     LiftedWeight,
     PairOperator,
@@ -375,3 +376,31 @@ def test_interchange_tv_mix_monotone_in_connectivity():
 
 def test_interchange_tv_mix_path_vs_complete():
     assert interchange_tv_mix_exact(path(4)) >= interchange_tv_mix_exact(complete(4))
+
+
+def _weak_first_edge(weight: float) -> WeightFunction:
+    return WeightFunction(4, {(0, 1): weight, (1, 2): 1.0, (2, 3): 1.0})
+
+
+def test_interchange_tv_mix_tests_the_last_doubled_time():
+    # imix is about 8.24e8, below the 1e9 guard, and the doubling first
+    # reaches past it at 2**31 / w_tot, about 1.07e9, where the process has
+    # mixed: that time is tested before the guard refuses
+    w = _weak_first_edge(1e-9)
+    imix = interchange_tv_mix_exact(w)
+    process = InterchangeExact(w)
+    assert 8.2e8 < imix < 8.3e8
+    assert process.tv_from_uniform(imix) < 0.25
+    assert process.tv_from_uniform(imix - TV_MIX_TIME_TOL) >= 0.25
+
+
+def test_interchange_tv_mix_past_the_guard_is_a_cap():
+    # a connected graph is not degenerate: the time reached is the cap
+    with pytest.raises(CapError, match="by time 1.07374e"):
+        interchange_tv_mix_exact(_weak_first_edge(1e-12))
+
+
+def test_interchange_tv_mix_below_the_guard_is_unchanged():
+    assert interchange_tv_mix_exact(_weak_first_edge(1e-6)) == pytest.approx(
+        823959.674, rel=0.0, abs=1e-3
+    )
