@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
-    lazy_chain,
+    LazyChain,
     min_stationary_ratio,
     mixing_report,
     tv_distance,
@@ -322,7 +322,7 @@ def check_mixing_numbers(config: SuiteConfig) -> CheckResult:
             sandwich_failures.append(name)
         if report.delta < 1.0 / (2.0 * report.lmix) - 1e-12:
             sandwich_failures.append(name + ":delta")
-        chain = lazy_chain(w)
+        chain = LazyChain(w)
         ratios = [min_stationary_ratio(chain, t) for t in range(1, report.lmix + 3)]
         tvs = [tv_distance(chain, t) for t in range(1, report.lmix + 3)]
         if any(b < a - 1e-12 for a, b in zip(ratios, ratios[1:])):
@@ -352,7 +352,7 @@ def check_probability_bounds(config: SuiteConfig) -> CheckResult:
     worst_regular_slack = math.inf
     regular_names = {name for name, _ in REGULAR_SUITE_GRAPHS}
     for name, w in SUITE_GRAPHS:
-        report = verify_probability_bounds(lazy_chain(w), w)
+        report = verify_probability_bounds(LazyChain(w), w)
         worst_slack = min(worst_slack, report.worst_slack)
         if not report.holds:
             failures.append(name)

@@ -630,7 +630,7 @@ def mixing_report(w: WeightFunction) -> MixingReport:
     the bound is representable; a bound below the normal float range raises
     CapError.  For disconnected w, delta and the theorem bound are None.
     """
-    chain = lazy_chain(w)
+    chain = LazyChain(w)
     if not chain.connected:
         return MixingReport(
             lmix=math.inf,

@@ -15,8 +15,8 @@ carries: one column per field.
 
 Each subcommand is declared once, in `_SUBCOMMANDS`, with its handler,
 flags and help.  Handlers import what they run when they run: only mix,
-compare and suite load `chain`; large-cycles and qhf draw by Monte Carlo
-alone, yet load `irreps` and `group_algebra`, which `cycles` imports.
+compare and suite load `chain`, and large-cycles and qhf, which draw by
+Monte Carlo alone, load neither `irreps` nor `group_algebra`.
 
 Exit status: 0 on success, 1 when a verified property fails or the requested
 quantity does not exist (for example mixing numbers of a disconnected

@@ -30,11 +30,14 @@ the few cells that a cumulative probability splits.
 Every pick equals the binary search's, so the streams are those of the plain
 searchsorted engine.  simulate_interchange runs one trajectory literally
 (exponential waiting times, one event at a time) and is kept as the
-reference oracle the tests compare the engine against; it takes the
-engine's argument check, and trajectory i draws from Philox keyed by
-(seed, i).  exact_mean is the counterpart of mc_per_sample for n <= 5, with
-exact probabilities in place of trajectories.  Every route here counts
-cycles with cycle_counts_batch.
+reference oracle the tests compare the engine against; it runs the
+engine's argument check once, and trajectory i draws from Philox keyed by
+(seed, i).  Sample counts, seeds and indices must be Python or numpy
+integers: a float or a bool raises ParameterError.  exact_mean is the
+counterpart of mc_per_sample for n <= 5, with exact probabilities in place
+of trajectories.  Every route here counts cycles with cycle_counts_batch.
+The Monte Carlo half (the engine, the estimators and the simulator) stands
+on graphs alone; the exact routes import irreps and group_algebra when run.
 """
 
 import math
@@ -45,17 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapError, ConsistencyError, ParameterError
-from .graphs import MAX_SEED, WeightFunction
-from .group_algebra import InterchangeExact, Perm, check_time, delta_of_weights
-from .irreps import (
-    IRREP_MAX_N,
-    Partition,
-    _block_spectra,
-    delta_on_irrep,
-    hook_dim,
-    standard_partition,
-    validate_partition,
-)
+from .graphs import MAX_SEED, WeightFunction, check_time
 
 
 @dataclass(frozen=True)
@@ -64,11 +57,13 @@ class CycleFormula:
 
     n: int
     k: int
-    terms: tuple[tuple[Partition, int], ...]
+    terms: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def family_partition(n: int, k: int, i: int, family: str) -> Partition:
+def family_partition(n: int, k: int, i: int, family: str) -> tuple[int, ...]:
     """Member i of a family: [k-i-1, n-k+1, 1^i] (first) or [n-k, k-i, 1^i] (second)."""
+    from .irreps import validate_partition
+
     if family == "first":
         parts = (k - i - 1, n - k + 1) + (1,) * i
     elif family == "second":
@@ -101,7 +96,7 @@ def cycle_coefficients(n: int, k: int) -> CycleFormula:
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    terms: list[tuple[Partition, int]] = [((n,), 1)]
+    terms: list[tuple[tuple[int, ...], int]] = [((n,), 1)]
     terms += [(family_partition(n, k, i, "first"), (-1) ** (i + 1))
               for i in first_family_range(n, k)]
     terms += [(family_partition(n, k, i, "second"), (-1) ** i)
@@ -113,6 +108,8 @@ def cycle_coefficients(n: int, k: int) -> CycleFormula:
 
 def coefficient_dimension_sum(n: int, k: int) -> int:
     """sum over the table of a_rho * dim(rho); zero for every k >= 2."""
+    from .irreps import hook_dim
+
     return sum(a * hook_dim(p) for p, a in cycle_coefficients(n, k).terms)
 
 
@@ -130,8 +127,9 @@ def expected_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, f
     t may be a scalar or an array.  The blocks that the formulas of all ks
     read are solved together, each once.
     """
-    if w.n > IRREP_MAX_N:
-        raise CapError(f"spectral route capped at n <= {IRREP_MAX_N}")
+    from .group_algebra import delta_of_weights
+    from .irreps import _block_spectra
+
     t_arr = check_time(t)
     formulas = {k: cycle_coefficients(w.n, k).terms for k in ks}
     targets = dict.fromkeys(p for terms in formulas.values() for p, _ in terms)
@@ -203,7 +201,10 @@ _GUIDE_CELLS_PER_EDGE = 4
 
 
 def _check_run(mean_events: float, samples: int, seed: int, index: int = 0) -> None:
-    """Refuse a run before it draws, and a Philox key word numpy would overflow on."""
+    """Refuse a run before it draws: a bool or non-integer argument, or one out of range."""
+    for name, value in (("samples", samples), ("seed", seed), ("trajectory index", index)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
     if samples > MC_MAX_SAMPLES:
@@ -235,7 +236,7 @@ class Trajectory:
     seed: int
     index: int
     t: float
-    final: Perm
+    final: tuple[int, ...]
     events: int
     counts: np.ndarray  # counts[k] = number of k-cycles, index 0 unused
 
@@ -254,13 +255,13 @@ def simulate_interchange(
     is returned.
     """
     check_time(t)
-    rng = trajectory_rng(seed, index)
     edges = list(w.edges())
     rate = float(sum(weight for _, weight in edges))
-    _check_run(rate * t, 1, seed)
+    _check_run(rate * t, 1, seed, index)
     marbles = list(range(w.n))
     events = 0
     if rate > 0.0 and t > 0.0:
+        rng = _philox(seed, index, 0)
         cumulative = np.cumsum([weight for _, weight in edges])
         cumulative /= cumulative[-1]
         elapsed = 0.0
@@ -433,6 +434,7 @@ def cycle_count_blocks(
     check_time(t)
     mean_events = float(w.weights.sum()) * t if t > 0 else 0.0
     _check_run(mean_events, samples, seed)
+    samples = int(samples)  # a numpy uint64 would turn the row offsets into floats
     guide = _guide_table(w.ends, w.weights) if w.weights.size else None
     return (
         _block_counts(w.n, guide, mean_events, seed, block,
@@ -514,6 +516,8 @@ def exact_mean(w: WeightFunction, t, reduce: Callable[[np.ndarray], np.ndarray])
     scalar t gets the loop's values bit for bit.  An array of times adds a
     leading axis.
     """
+    from .group_algebra import InterchangeExact
+
     process = InterchangeExact(w)
     values = reduce(cycle_counts_batch(np.array(process.permutations)))
     distribution = process.distribution(t)
@@ -529,6 +533,8 @@ def exact_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, floa
 
 def oracle_t_grid(w: WeightFunction) -> np.ndarray:
     """Times {0, 0.01, 0.1, 0.5, 1, 5} scaled by the spectral gap of w."""
+    from .irreps import delta_on_irrep, standard_partition
+
     gap = delta_on_irrep(w, standard_partition(w.n)).lambda_min
     if gap <= 1e-12:
         raise ParameterError("t grid needs a connected weight function")

@@ -29,6 +29,14 @@ MAX_TOTAL_WEIGHT = 1e150
 MAX_SEED = 2**64 - 1
 
 
+def check_time(t) -> np.ndarray:
+    """t (a time or an array of times) as a float array; each must be finite and >= 0."""
+    t_arr = np.asarray(t, dtype=float)
+    if not (np.isfinite(t_arr).all() and (t_arr >= 0).all()):
+        raise ParameterError(f"time must be finite and >= 0, got {t}")
+    return t_arr
+
+
 class WeightFunction:
     """Immutable symmetric weight function on vertices {0, ..., n-1}.
 

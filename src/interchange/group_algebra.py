@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import CapError, DegenerateWeightError, DisconnectedError, ParameterError
-from .graphs import MAX_TOTAL_WEIGHT, WeightFunction
+from .graphs import MAX_TOTAL_WEIGHT, WeightFunction, check_time
 
 Perm = tuple[int, ...]
 
@@ -258,14 +258,6 @@ def doubling_gap(u: LiftedWeight) -> PairOperator:
     """(2 + 2 eps) Delta_u - Delta_{u^(2)}, from the upper triangles of u and u^(2)."""
     upper = (2.0 + 2.0 * u.epsilon) * np.triu(u.matrix, 1) - np.triu(double_weight(u).matrix, 1)
     return PairOperator(upper + upper.T)
-
-
-def check_time(t) -> np.ndarray:
-    """t (a time or an array of times) as a float array; each must be finite and >= 0."""
-    t_arr = np.asarray(t, dtype=float)
-    if not (np.isfinite(t_arr).all() and (t_arr >= 0).all()):
-        raise ParameterError(f"time must be finite and >= 0, got {t}")
-    return t_arr
 
 
 class InterchangeExact:

@@ -454,8 +454,6 @@ def all_spectra(w: WeightFunction) -> list[IrrepSpectrum]:
 
     One eigensolve per partition; the blocks share their sub-blocks.
     """
-    if w.n > IRREP_MAX_N:
-        raise CapError(f"per-partition spectra capped at n <= {IRREP_MAX_N}")
     return list(_block_spectra(delta_of_weights(w), partitions(w.n), w.component_sizes()).values())
 
 

@@ -700,16 +700,17 @@ def test_cli_import_loads_no_subcommand_module():
 
 
 # the modules each subcommand loads beyond the CLI's own: only the mixing
-# routes (mix, compare's b(w) and the suite) load chain, and a PSD check
-# loads irreps only for a support of more than 5 points
+# routes (mix, compare's b(w) and the suite) load chain, a PSD check loads
+# irreps only for a support of more than 5 points, and the Monte Carlo
+# routes load no exact module
 SUBCOMMAND_MODULES = {
     "mix --graph path:4": {"chain"},
     "octopus --graph star:5": {"group_algebra"},
     "verify-doubling --graph complete:5": {"group_algebra"},
     "compare --graph path:5": {"chain", "group_algebra", "irreps"},
     "cycles --graph path:6 --k 2 --t 1": {"cycles", "group_algebra", "irreps"},
-    "large-cycles --graph path:6 --t 1 --samples 10": {"cycles", "group_algebra", "irreps"},
-    "qhf --graph path:4 --t 1 --samples 10": {"cycles", "group_algebra", "irreps", "qhf"},
+    "large-cycles --graph path:6 --t 1 --samples 10": {"cycles"},
+    "qhf --graph path:4 --t 1 --samples 10": {"cycles", "qhf"},
     "suite": {"acceptance", "chain", "cycles", "group_algebra", "irreps", "qhf"},
 }
 
@@ -739,6 +740,13 @@ def test_the_operator_modules_leave_chain_unloaded():
 
 def test_every_subcommand_has_its_modules_pinned():
     assert {command.split()[0] for command in SUBCOMMAND_MODULES} == set(cli._SUBCOMMANDS)
+
+
+def test_the_monte_carlo_layer_loads_no_exact_module():
+    # cycles imports irreps and group_algebra only inside its exact routes
+    assert _loaded_after("import interchange.cycles") == {
+        "interchange", "interchange.cycles", "interchange.errors", "interchange.graphs",
+    }
 
 
 def test_spectral_cycles_leave_numpy_random_unloaded():

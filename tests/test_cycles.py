@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from interchange import cycles as cycles_module
 from interchange.cycles import (
     MC_BLOCK,
     MC_MAX_EVENTS,
@@ -37,6 +38,7 @@ from interchange.errors import CapError, ConsistencyError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, parse_graph_spec, path, star
 from interchange.group_algebra import InterchangeExact
 from interchange.irreps import delta_on_irrep, hook_dim, lambda_kn
+from interchange.qhf import qhf_mc
 from oracles import cycle_counts
 
 # Upper 0.1% points of the chi-square law, by degrees of freedom.
@@ -343,6 +345,13 @@ class TestSimulator:
         with pytest.raises(ParameterError, match=r"must be in \[0, 2\*\*64 - 1\]"):
             trajectory_rng(key.get("seed", 0), key.get("index", 0))
 
+    def test_arguments_are_checked_once(self, monkeypatch):
+        calls = []
+        check = cycles_module._check_run
+        monkeypatch.setattr(cycles_module, "_check_run", lambda *a: calls.append(a) or check(*a))
+        simulate_interchange(complete(3), 1.0, seed=5, index=7)
+        assert calls == [(3.0, 1, 5, 7)]
+
     def test_a_long_run_draws_several_blocks_of_waiting_times(self):
         # complete(3) rings at rate R = 3, so R t = 9e4 events, more than the
         # 65536 waiting times one block draws
@@ -617,6 +626,61 @@ class TestMonteCarlo:
         for n in (6, 8):
             mass, stderr = large_cycle_mass(complete(n), 10.0 / n, 1200, seed=41)
             assert mass - 4 * stderr > 0, (n, mass, stderr)
+
+
+def _trajectory(samples, seed, index):
+    trajectory = simulate_interchange(complete(4), 2.0, seed, index)
+    return trajectory.final, trajectory.events, trajectory.counts.tolist()
+
+
+# Every Monte Carlo entry point as a call of (samples, seed, index) that
+# returns plain values, with the run arguments it takes.
+MC_ENTRY_POINTS = {
+    "cycle_count_blocks": (
+        lambda samples, seed, index: np.concatenate(
+            list(cycle_count_blocks(complete(4), 0.5, samples, seed))).tolist(),
+        ("samples", "seed")),
+    "expected_cycles_mc": (
+        lambda samples, seed, index: expected_cycles_mc(complete(4), (2,), 0.5, samples, seed),
+        ("samples", "seed")),
+    "large_cycle_probability": (
+        lambda samples, seed, index: large_cycle_probability(complete(4), 0.5, samples, seed),
+        ("samples", "seed")),
+    "large_cycle_mass": (
+        lambda samples, seed, index: large_cycle_mass(complete(6), 0.5, samples, seed),
+        ("samples", "seed")),
+    "qhf_mc": (
+        lambda samples, seed, index: qhf_mc(complete(4), 0.3, samples, seed),
+        ("samples", "seed")),
+    "simulate_interchange": (_trajectory, ("seed", "index")),
+    "trajectory_rng": (
+        lambda samples, seed, index: trajectory_rng(seed, index).random(4).tolist(),
+        ("seed", "index")),
+}
+RUN_ARGUMENTS = {"samples": 1000, "seed": 1, "index": 0}
+# each used to run as its integer part (a wrong stream) or end in a TypeError
+NOT_INTEGERS = [("seed", 1.5), ("index", 0.5), ("samples", 1000.0),
+                ("samples", True), ("seed", True)]
+
+
+@pytest.mark.parametrize(
+    "entry, argument, value",
+    [(entry, argument, value) for entry, (_, takes) in MC_ENTRY_POINTS.items()
+     for argument, value in NOT_INTEGERS if argument in takes],
+    ids=str,
+)
+def test_run_arguments_must_be_integers(entry, argument, value):
+    call, _ = MC_ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call(**{**RUN_ARGUMENTS, argument: value})
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint64], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("entry", sorted(MC_ENTRY_POINTS))
+def test_numpy_integer_run_arguments_draw_the_same_numbers(entry, integer):
+    call, _ = MC_ENTRY_POINTS[entry]
+    want = call(**RUN_ARGUMENTS)
+    assert call(**{name: integer(value) for name, value in RUN_ARGUMENTS.items()}) == want
 
 
 class TestBruteForce:
