@@ -30,6 +30,17 @@ a time.  Each lift is made and tested by row blocks through one buffer, so a
 lifted power that holds is never stored.  A search bracketed at k holds
 about ceil((k + 1) / 2) n x n arrays (2 on hypercube:10).
 
+Every product of powers of P, the search's squares and lifts and the
+chain's own powers, is made by row blocks of _LIFT_ROWS rows, one matmul
+per block written straight into its rows of the destination, so OpenBLAS
+packs a panel of that many rows rather than the whole left operand.  The
+blocks have the bits of the whole product at n <= _LIFT_ROWS, where one
+block is the whole product, and wherever the BLAS kernel tiles a block's
+rows as it tiles them in the whole product: on OpenBLAS's Haswell,
+SkylakeX and Sandybridge kernels at n = 200, 512 and 1024, for instance.
+Elsewhere a block may differ in the last bit (a block of one row is a
+matrix-vector product), within the rounding the module already allows.
+
 Reversibility and Cauchy-Schwarz in L^2(1 / pi) settle many tests without a
 product (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed., 4.7
 and ch. 12): with s(a)^2 = max_i sum_k p_a(i, k)^2 / pi(k) - 1, the worst
@@ -87,8 +98,10 @@ _DOUBLING_GUARD = 60
 # rows per block when summing total variation and chi-distances; subtracting
 # pi takes a buffer of numpy's own (up to 8192 entries) beside the block's
 _TV_ROWS = 16
-# rows per block of a lift, tested through one buffer; at most this many rows,
-# a lift is one product, bit for bit the product of the whole matrices
+# rows per block of every product of powers of P (see the module docstring):
+# each block is one matmul into its rows of the destination, or into a lift's
+# buffer, and at most this many rows a product is one block, bit for bit the
+# product of the whole matrices
 _LIFT_ROWS = 128
 
 
@@ -201,12 +214,21 @@ def _check_drift(drift: float, time: int, n: int) -> None:
         )
 
 
+def _row_slices(n: int, size: int = _LIFT_ROWS) -> list[slice]:
+    """n rows in blocks of size, as every product of powers of P is made."""
+    return [slice(start, start + size) for start in range(0, n, size)]
+
+
 def _checked_product(
     a: np.ndarray, b: np.ndarray, time: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """a @ b = P^time for two powers of P, in out if given, with the row sums checked."""
-    product = np.matmul(a, b, out=out)
-    _check_drift(_row_drift(product), time, len(b))
+    """a @ b = P^time for two powers of P, by row blocks written into out if
+    given, with the row sums checked; out must not share memory with a."""
+    product = np.empty((len(a), b.shape[1])) if out is None else out
+    drift = max(
+        _row_drift(np.matmul(a[rows], b, out=product[rows])) for rows in _row_slices(len(a))
+    )
+    _check_drift(drift, time, len(b))
     return product
 
 
@@ -314,8 +336,7 @@ def _lift(
     product that fails, so testing stops at its first failing block, which is
     returned.  The row sums of every block made are checked.
     """
-    size = len(buffer)
-    blocks = [slice(start, start + size) for start in range(0, len(failing), size)]
+    blocks = _row_slices(len(failing), len(buffer))
     drift = 0.0
 
     def product(rows: slice) -> np.ndarray:

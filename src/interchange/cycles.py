@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapError, ConsistencyError, ParameterError
-from .graphs import MAX_SEED, WeightFunction, check_time
+from .graphs import MAX_SEED, WeightFunction, check_one_time, check_time
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ def simulate_interchange(
     Zero total weight is not an error: no clock ever rings and the identity
     is returned.
     """
-    check_time(t)
+    t = check_one_time(t)
     edges = list(w.edges())
     rate = float(sum(weight for _, weight in edges))
     _check_run(rate * t, 1, seed, index)
@@ -431,7 +431,7 @@ def cycle_count_blocks(
     so the first N rows of a run with more samples equal a run with N.
     Arguments are checked when called, before any block is simulated.
     """
-    check_time(t)
+    t = check_one_time(t)
     mean_events = float(w.weights.sum()) * t if t > 0 else 0.0
     _check_run(mean_events, samples, seed)
     samples = int(samples)  # a numpy uint64 would turn the row offsets into floats

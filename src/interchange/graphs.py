@@ -8,6 +8,7 @@ parameterized by one of these.  It is stored as sorted pair arrays, which
 every consumer reads and which the graph families build with array code.
 """
 
+import numbers
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -30,11 +31,33 @@ MAX_SEED = 2**64 - 1
 
 
 def check_time(t) -> np.ndarray:
-    """t (a time or an array of times) as a float array; each must be finite and >= 0."""
-    t_arr = np.asarray(t, dtype=float)
+    """t (a time or an array of times) as a float array; each must be finite and >= 0.
+
+    A time is a real number: bool, str, complex and other input are refused,
+    not converted, and the routes go on with the array returned here.
+    """
+    values = np.asarray(t)
+    if values.dtype.kind == "O":
+        real = all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in values.flat)
+    else:
+        real = values.dtype.kind in "iuf"
+    if not real:
+        raise ParameterError(f"time must be a real number, got {t!r}")
+    try:
+        t_arr = values.astype(float)
+    except OverflowError:  # an int past the float range, refused as infinite
+        t_arr = np.array(np.inf)
     if not (np.isfinite(t_arr).all() and (t_arr >= 0).all()):
         raise ParameterError(f"time must be finite and >= 0, got {t}")
     return t_arr
+
+
+def check_one_time(t) -> float:
+    """A single time t as a float, checked as check_time checks it."""
+    t_arr = check_time(t)
+    if t_arr.ndim:
+        raise ParameterError(f"time must be a single number, got {t!r}")
+    return float(t_arr)
 
 
 class WeightFunction:

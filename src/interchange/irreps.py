@@ -29,13 +29,14 @@ in Horner form: (i, n-1) = s_{n-2} (i, n-2) s_{n-2} for i < n-2 gives
                   + rho_lambda(s_{n-2}) [(+)_mu Y_mu(a_{<n-2})] rho_lambda(s_{n-2}),
 one conjugation per partition and level.  The sub-blocks of one operator,
 and the Y_mu of one column of c, are built once and shared by every
-partition that branches to them.  The conjugation runs in place through one
-dim x dim temporary, each last-point sum is made before the block it enters,
-and each top-level block is dropped before the next is built.  Beside the
-shared sub-blocks and sums on S_{n-1}, a build then holds about three arrays
-the size of its block: the sum and the temporary, the block and the sum, or
-the block and the eigensolver's copy (3.1 blocks of 768 x 768 at the peak of
-an octopus check at n = 10).
+partition that branches to them.  Each block is built in the array that
+holds it: the last-point sum Y is made there, negated as 0 - Y, and
+D_mu + (sum_{i<n-1} c_{i,n-1}) I is added on the sub-blocks.  The
+conjugation runs in place, a block of partner rows at a time, through a
+scratch of _CONJUGATE_ROWS rows.  The top-level blocks of one operator
+share one buffer, sized for the largest: beside the shared sub-blocks and
+sums on S_{n-1}, a build holds that buffer and, while a block is solved,
+the eigensolver's copy of it.
 
 Conjugate partitions share one eigensolve.  rho_{lambda'} = sgn (x) rho_lambda
 (Sagan, The Symmetric Group, 2nd ed., 2.7), so the block of lambda' is
@@ -186,6 +187,10 @@ _CODE_BASE = IRREP_MAX_N
 # last-point sums Y_mu of one column of a pair operator, by partition mu
 _Memo = dict[Partition, np.ndarray]
 
+# rows per block of a conjugation by s_{n-2}, half of them partners of the other
+# half
+_CONJUGATE_ROWS = 64
+
 
 def _corners(p: Partition) -> list[tuple[int, Partition]]:
     """(row, p less that row's last cell) for each removable corner of p."""
@@ -256,19 +261,34 @@ class YoungOrthogonalRep:
         self._adjacent = _AdjacentAction(1.0 / d, off, partner)
 
     def _conjugate(self, m: np.ndarray) -> None:
-        """m <- rho(s_{n-2}) m rho(s_{n-2}) in place, through one dim x dim temporary.
+        """m <- rho(s_{n-2}) m rho(s_{n-2}) in place, a block of rows at a time.
 
-        Right, then left: each entry becomes diag m + off m[partner].
+        Right, then left: each entry becomes diag m + off m[partner].  Rows i
+        and partner[i] of the result read only those two rows of m, so a
+        block holds either pairs, the first rows in its first half and their
+        partners in its second, or rows that are their own partners.  Each is
+        conjugated in a scratch of at most _CONJUGATE_ROWS rows and written back.
         """
         diag, off, partner = self._adjacent
-        scratch = np.take(m, partner, axis=1)
-        scratch *= off
-        m *= diag
-        m += scratch
-        np.take(m, partner, axis=0, out=scratch, mode="clip")
-        scratch *= off[:, None]
-        m *= diag[:, None]
-        m += scratch
+        index = np.arange(self.dim)
+        firsts, alone = index[partner > index], index[partner == index]
+        half = _CONJUGATE_ROWS // 2
+        pairs = [firsts[start : start + half] for start in range(0, len(firsts), half)]
+        blocks = [(np.concatenate([first, partner[first]]), len(first)) for first in pairs]
+        blocks += [(alone[start : start + 2 * half], 0) for start in range(0, len(alone), 2 * half)]
+        for rows, shift in blocks:
+            block = m[rows]
+            scratch = np.take(block, partner, axis=1)
+            scratch *= off
+            block *= diag
+            block += scratch
+            # row r's partner is row r + shift of the block, cyclically
+            scratch[: len(rows) - shift] = block[shift:]
+            scratch[len(rows) - shift :] = block[:shift]
+            scratch *= off[rows, None]
+            block *= diag[rows, None]
+            block += scratch
+            m[rows] = block
 
     def _add_adjacent(self, m: np.ndarray, scale: float) -> None:
         """m += scale * rho(s_{n-2}), touching only the two entries per row."""
@@ -278,28 +298,41 @@ class YoungOrthogonalRep:
         m[idx, partner] += scale * off
 
     def _branch(
-        self, c: np.ndarray, below: Mapping[Partition, np.ndarray], memo: _Memo
+        self,
+        c: np.ndarray,
+        below: Mapping[Partition, np.ndarray],
+        memo: _Memo,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Block of c on its first self.n points, from its blocks on one point fewer.
 
         below maps each partition of self.n - 1 that this one branches to
         onto its block.  memo holds the last-point sums of column self.n - 1
         of c on smaller partitions (see _last_sum) and is shared by every
-        partition of self.n built from that column.
+        partition of self.n built from that column.  The block is written
+        into out (dim x dim) if given, else into a new array.
         """
+        if out is None:
+            out = np.empty((self.dim, self.dim))
         m = self.n - 1
         last = c[:m, m]
-        # the last-point sum is made before out, so their temporaries never meet
-        last_sum = self._last_sum(last, memo) if last.any() else None
-        out = np.zeros((self.dim, self.dim))
+        # 0 - Y in out (0 when the column is), then D_mu + last.sum() I added
+        # on the sub-blocks.  No block holds -0 (0 - Y never is, nor a sum of
+        # two terms that are not), so with D = D_mu + last.sum() I, D + (0 - Y)
+        # has the bits of D - Y
+        if last.any():
+            self._last_sum(last, memo, out)
+            np.subtract(0.0, out, out=out)
+        else:
+            out.fill(0.0)
+        total = last.sum()
         for mu, index in self.branches:
-            out[index[:, None], index] = below[mu]
-        if last_sum is not None:
-            out.flat[:: self.dim + 1] += last.sum()
-            out -= last_sum
+            block = below[mu].copy()
+            block.flat[:: len(index) + 1] += total
+            out[index[:, None], index] += block
         return out
 
-    def _last_sum(self, a: np.ndarray, memo: _Memo) -> np.ndarray:
+    def _last_sum(self, a: np.ndarray, memo: _Memo, out: np.ndarray | None = None) -> np.ndarray:
         """Y(a) = sum_{i<n-1} a_i rho((i, n-1)) for a vector a of length n-1.
 
         Horner form over the chain of subgroups: since (i, n-1) =
@@ -308,10 +341,14 @@ class YoungOrthogonalRep:
         where Y_mu(a_{<n-2}) lives on S_{n-1}, block diagonal over the
         corners mu.  One conjugation per partition; the Y_mu are looked up
         in memo (keyed by partition, which fixes the prefix of a) and the
-        recursion stops where the rest of a is zero.
+        recursion stops where the rest of a is zero.  Y is written into out
+        (dim x dim) if given, else into a new array.
         """
         s = self.n - 2
-        out = np.zeros((self.dim, self.dim))
+        if out is None:
+            out = np.zeros((self.dim, self.dim))
+        else:
+            out.fill(0.0)
         if a[:s].any():
             for mu, index in self.branches:
                 if mu not in memo:
@@ -346,14 +383,19 @@ def delta_blocks(
     """(partition, block of op) for each target partition of op.n, in order.
 
     The sub-blocks on S_{n-1} and below, and the last-point sums of the last
-    column on S_{n-1} and below, are built once and shared by every target;
-    each top-level block is built when it is reached and not kept.
+    column on S_{n-1} and below, are built once and shared by every target.
+    The top-level blocks are built, when each is reached, in one buffer sized
+    for the largest target: a yielded block is a view of that buffer, valid
+    until the next one is yielded.  Use each block, or copy it, before asking
+    for the next.
     """
     targets = [validate_partition(p, op.n) for p in targets]
     below = _sub_blocks(op.c, targets)
     memo: _Memo = {}
+    buffer = np.empty(max((_rep(p).dim ** 2 for p in targets), default=0))
     for p in targets:
-        yield p, _rep(p)._branch(op.c, below, memo)
+        dim = _rep(p).dim
+        yield p, _rep(p)._branch(op.c, below, memo, buffer[: dim * dim].reshape(dim, dim))
 
 
 # unbounded, but the cap IRREP_MAX_N bounds it to the 138 partitions of n <= 10
@@ -430,8 +472,6 @@ def _block_spectra(
     solved = [p for p in dict.fromkeys(targets) if p not in mirror.values()]
     for p, block in delta_blocks(op, solved):
         eigenvalues[p] = np.linalg.eigvalsh(block)
-        # the loop variable would hold this block while the next is built
-        del block
         if p in mirror:
             eigenvalues[mirror[p]] = total - eigenvalues[p][::-1]
     spectra = {}

@@ -3,7 +3,8 @@
 Each is the plain form of something the package does another way, or does
 not need: permutations as tuples, standard tableaux by enumeration, dense
 Young-rep matrices of any group element, a weight-file writer, the
-environment of a child interpreter, scaled weights, component sizes by
+environment of a child interpreter and the BLAS setting bit pins are made
+under, scaled weights, component sizes by
 breadth-first search, the shipped JSON schemas, the per-permutation loop that
 qhf_exact replaced by array reductions, the mixing search run for one
 condition alone, and closed forms of the lazy walk on hypercubes, paths and
@@ -195,6 +196,15 @@ def dump_weight_file(w: WeightFunction, path: str | Path) -> None:
     rows = [f"{w.n} {len(edges)}"]
     rows.extend(f"{i} {j} {weight!r}" for (i, j), weight in edges)
     Path(path).write_text("\n".join(rows) + "\n")
+
+
+# The last bits of a product or an eigensolve depend on the OpenBLAS kernel
+# and thread count: against the SkylakeX kernel, Haswell moves an epsilon of
+# hypercube:10 and path:20 by an ulp and Sandybridge moves six mixing reports.
+# So bit pins are made in a child process that picks both.  OPENBLAS_CORETYPE
+# selects among the kernels of a build for several CPUs, as numpy's bundled
+# OpenBLAS is.
+PINNED_BLAS = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 
 
 def child_env(**settings: str) -> dict[str, str]:

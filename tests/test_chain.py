@@ -52,6 +52,7 @@ from interchange.group_algebra import (
     lift_lazy,
 )
 from oracles import (
+    PINNED_BLAS,
     CosineWalk,
     child_env,
     dump_weight_file,
@@ -477,9 +478,9 @@ def test_mixing_search_allocates_two_arrays_on_hypercube10(monkeypatch):
     report = mixing_report(hypercube(10))
     assert (report.lmix, report.mix) == (35, 16)
     assert allocated.count((n, n)) == 2
-    # P four times, 8 squares, six lifts made whole in 8 row blocks each (the
-    # failing ones fail in their first block) and the first block of the last
-    assert len(outs) == 4 + 8 + 6 * 8 + 1
+    # P four times, 8 squares and six lifts made whole in 8 row blocks each (the
+    # failing ones fail in their first block), and the first block of the last
+    assert len(outs) == 4 + 8 * 8 + 6 * 8 + 1
     assert all(out is not None for out in outs)
 
 
@@ -1016,15 +1017,6 @@ RECORDED_REPORTS = {
         (0.0022682001941965084, False, 0.001557632398753894), 1.5977483510875777e-05,
     ),
 }
-
-
-# The last bits of a product depend on the OpenBLAS kernel and thread count:
-# against the SkylakeX kernel, Haswell moves an epsilon of hypercube:10 and
-# path:20 by an ulp and Sandybridge moves six of these reports.  So the
-# reports are made in a child process that picks both.  OPENBLAS_CORETYPE
-# selects among the kernels of a build for several CPUs, as numpy's bundled
-# OpenBLAS is.
-PINNED_BLAS = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 
 
 @pytest.fixture(scope="module")

@@ -157,6 +157,12 @@ class TestSpectralFormula:
         with pytest.raises(ParameterError):
             expected_cycles_spectral(complete(3), 2, -0.5)
 
+    @pytest.mark.parametrize("t", ["1", True, ["1", 0.5]], ids=repr)
+    def test_a_time_that_is_not_a_real_number(self, t):
+        # "1" once returned 0.4988
+        with pytest.raises(ParameterError, match="time must be a real number"):
+            expected_cycles_by_k(complete(3), (2,), t)
+
     def test_cap(self):
         with pytest.raises(CapError):
             expected_cycles_spectral(complete(11), 2, 1.0)
@@ -321,6 +327,12 @@ class TestSimulator:
     def test_non_finite_time(self, t):
         with pytest.raises(ParameterError):
             simulate_interchange(complete(4), t)
+
+    @pytest.mark.parametrize("t", ["1", True, [1.0]], ids=repr)
+    def test_a_time_that_is_not_one_real_number(self, t):
+        # "1" once ended in a TypeError and True ran as t = 1
+        with pytest.raises(ParameterError, match="time must be"):
+            simulate_interchange(complete(3), t)
 
     def test_event_cap(self):
         # complete(4) has total rate 6, so this asks for about 6e12 events
@@ -518,8 +530,9 @@ class TestEngine:
         identity[1] = w.n
         assert (_blocks(w, t, 600, seed=1) == identity).all()
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, "1", True, [1.0]], ids=repr)
     def test_bad_time(self, t):
+        # "1" once ended in a TypeError
         with pytest.raises(ParameterError):
             cycle_count_blocks(complete(4), t, 10, seed=0)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from interchange.errors import DegenerateWeightError, ParameterError
 from interchange.graphs import (
     MAX_TOTAL_WEIGHT,
     WeightFunction,
+    check_one_time,
+    check_time,
     complete,
     cycle,
     hamming2,
@@ -154,6 +157,37 @@ def test_regular_tree_degree_two_is_path():
     w = regular_tree(2, 3)
     assert w.n == 7
     assert sorted(w.vertex_weights) == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "t, want",
+    [(0, 0.0), (2, 2.0), (0.5, 0.5), (np.float32(0.25), 0.25), (Fraction(1, 4), 0.25),
+     ([0, 1.5], [0.0, 1.5]), (np.array([3, 4], dtype=np.uint8), [3.0, 4.0])],
+    ids=repr,
+)
+def test_check_time_returns_floats(t, want):
+    t_arr = check_time(t)
+    assert t_arr.dtype == np.float64
+    assert t_arr.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "t",
+    ["1", b"1", True, np.True_, [True, False], 1j, None, [0.5, "1"], {"t": 1},
+     -1.0, math.nan, math.inf, pytest.param(10**400, id="10**400"), [0.5, -0.5]],
+    ids=repr,
+)
+def test_check_time_refuses_what_is_not_a_time(t):
+    with pytest.raises(ParameterError, match="time must be"):
+        check_time(t)
+
+
+def test_check_one_time_refuses_an_array():
+    assert check_one_time(3) == 3.0
+    assert type(check_one_time(np.float64(0.5))) is float
+    for t in ([1.0], np.array([1.0, 2.0])):
+        with pytest.raises(ParameterError, match="a single number"):
+            check_one_time(t)
 
 
 def test_parse_graph_spec():

@@ -1,5 +1,9 @@
 import dataclasses
+import json
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from interchange.group_algebra import (
     PairOperator,
     delta_of_weights,
     is_psd,
+    octopus_gap,
     regular_rep_matrix,
 )
 from interchange.irreps import (
@@ -34,8 +39,10 @@ from interchange.irreps import (
     validate_partition,
 )
 from oracles import (
+    PINNED_BLAS,
     adjacent_action,
     adjacent_matrix,
+    child_env,
     compose,
     matrix,
     standard_tableaux,
@@ -224,6 +231,8 @@ def test_branching_blocks_match_transposition_sum(op):
         for i, j, c in op.pairs():
             want += c * (np.eye(rep.dim) - transposition_matrix(rep, i, j))
         assert np.abs(block - want).max() <= 1e-12 * scale
+        # no -0 entry, which _branch's order of operations relies on
+        assert not np.signbit(block[block == 0]).any()
         # built alone, without the other targets' shared sub-blocks
         assert np.array_equal(dict(delta_blocks(op, [p]))[p], block)
 
@@ -604,3 +613,64 @@ def test_irrep_cap():
         YoungOrthogonalRep((11,))
     with pytest.raises(CapError):
         all_spectra(complete(11))
+
+
+# SHA-256 of the eigenvalue bytes of all_spectra, partition after partition,
+# and the octopus verdict at n = 10, all made under PINNED_BLAS
+RECORDED_SPECTRA = {
+    "star:10": "f0b9689c5446820f6528503a1039029d27908738feecfa4db3436c30028047ed",
+    "hamming2:3": "7a1d9b07acf7f6a59e3e4c2bfe721d1fefa7c635e0d1ebc28c366eb9d04757c4",
+    "path:10": "018c94db331d84eea2db0bd7b219a355f793352d2ae27750f7605d5eae729465",
+}
+RECORDED_OCTOPUS_10 = [True, -1.2434497875801753e-14]
+
+
+def test_irrep_spectra_are_bit_for_bit_the_recorded_ones():
+    # the blocks are built in place, in one buffer, with every zero's sign
+    # kept: a flipped zero moves LAPACK's reflectors and so the spectra's bits
+    code = (
+        "import hashlib, json, sys\n"
+        "from interchange.graphs import parse_graph_spec\n"
+        "from interchange.group_algebra import is_psd, octopus_gap\n"
+        "from interchange.irreps import all_spectra\n"
+        "digests = {}\n"
+        "for spec in json.loads(sys.argv[1]):\n"
+        "    digest = hashlib.sha256()\n"
+        "    for spectrum in all_spectra(parse_graph_spec(spec)):\n"
+        "        digest.update(spectrum.eigenvalues.tobytes())\n"
+        "    digests[spec] = digest.hexdigest()\n"
+        "verdict = is_psd(octopus_gap(10, 0, [1.0] * 9))\n"
+        "print(json.dumps([digests, list(verdict)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(sorted(RECORDED_SPECTRA))],
+        capture_output=True, text=True, check=True, env=child_env(**PINNED_BLAS),
+    )
+    digests, verdict = json.loads(proc.stdout)
+    assert digests == RECORDED_SPECTRA
+    assert verdict == RECORDED_OCTOPUS_10
+
+
+def test_octopus_check_at_n10_holds_one_top_level_block():
+    # every partition of 10 branches to the partitions of 9, so the shared
+    # sub-blocks and last-point sums on S_9 take 2 * 9! entries (5.5 MiB); the
+    # top-level blocks share one buffer of 768 x 768 (4.5 MiB).  A second
+    # array that size, such as a separate last-point sum, would pass 12 MiB:
+    # 11.3 MiB measured, with the Young reps built inside
+    tracemalloc.start()
+    try:
+        verdict = is_psd(octopus_gap(10, 0, [1.0] * 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.psd
+    assert peak <= 12 * 2**20
+
+
+def test_delta_blocks_yields_views_of_one_buffer():
+    # a block is valid until the next is yielded: copy it to keep it
+    op = delta_of_weights(path(5))
+    blocks = [(p, block.copy(), block) for p, block in delta_blocks(op, partitions(5))]
+    for p, kept, view in blocks:
+        assert np.array_equal(kept, dict(delta_blocks(op, [p]))[p])
+        assert np.shares_memory(view, blocks[0][2])
