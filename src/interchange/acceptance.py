@@ -29,11 +29,8 @@ from .cycles import (
     exact_cycles_by_k,
     expected_cycles_by_k,
     expected_cycles_mc,
-    family_lambda_dim,
-    family_partition,
-    first_family_range,
+    family_members,
     oracle_t_grid,
-    second_family_range,
 )
 from .errors import ParameterError
 from .graphs import (
@@ -264,15 +261,10 @@ def check_schur_scalarity(config: SuiteConfig) -> CheckResult:
     formula_failures = 0
     for n in range(2, 11):
         for k in range(1, n + 1):
-            for family, rng_ in (
-                ("first", first_family_range(n, k)),
-                ("second", second_family_range(n, k)),
-            ):
-                for i in rng_:
-                    lam, dim = family_lambda_dim(n, k, i, family)
-                    p = family_partition(n, k, i, family)
-                    families += 1
-                    formula_failures += lam != lambda_kn(p) or dim != hook_dim(p)
+            for member in family_members(n, k):
+                p = member.partition
+                families += 1
+                formula_failures += member.eigenvalue != lambda_kn(p) or member.dim != hook_dim(p)
     passed = worst_off <= 1e-9 and worst_value <= 1e-9 and formula_failures == 0
     return _result(
         "schur_scalarity",

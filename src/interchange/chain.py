@@ -84,7 +84,7 @@ from .errors import (
     DisconnectedError,
     ParameterError,
 )
-from .graphs import WeightFunction
+from .graphs import WeightFunction, check_integer
 
 TIE_GUARD = 1e-12
 _ROW_SUM_TOL = 1e-10
@@ -158,7 +158,8 @@ class LazyChain:
         Takes popcount(t) - 1 products once the dyadic powers are cached.
         The result may be a cached power itself, which is read-only.
         """
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 0:
+        check_integer(t, "time")
+        if t < 0:
             raise ParameterError(f"time must be an integer >= 0, got {t!r}")
         if t == 0:
             return np.eye(self.n)

@@ -9,9 +9,14 @@ hook-augmented two-row partitions:
 * [k-i-1, n-k+1, 1^i] for i in {0, ..., 2k-n-2}, coefficient (-1)^(i+1),
 * [n-k, k-i, 1^i] for i in {max(2k-n, 0), ..., k-1}, coefficient (-1)^i.
 
-The same partitions admit closed forms for the complete graph eigenvalue and
-the dimension, which this module exposes and cross-checks against the content
-sum and hook length routes.
+family_members is the one table of the two families: each member with its
+partition, sign and closed forms for the complete graph eigenvalue and the
+dimension, which the suite checks against the content sum and hook length
+routes.  cycle_coefficients, the suite and the tests read it.  Every route
+that takes k checks it with check_cycle_lengths: an integer (not a bool)
+with 1 <= k <= n.  Both exact routes take exp(-t lambda) from
+group_algebra.generator_decays, which refuses a generator eigenvalue that
+rounding left below 0 once t would blow it up.
 
 Every Monte Carlo estimator here (and in qhf and acceptance) is a reduction
 over cycle_count_blocks, which simulates trajectories MC_BLOCK at a time by
@@ -48,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapError, ConsistencyError, ParameterError
-from .graphs import MAX_SEED, WeightFunction, check_one_time, check_time
+from .graphs import MAX_SEED, WeightFunction, check_integer, check_one_time, check_time
 
 
 @dataclass(frozen=True)
@@ -60,50 +65,82 @@ class CycleFormula:
     terms: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def family_partition(n: int, k: int, i: int, family: str) -> tuple[int, ...]:
-    """Member i of a family: [k-i-1, n-k+1, 1^i] (first) or [n-k, k-i, 1^i] (second)."""
+class FamilyMember(NamedTuple):
+    """Member i of a hook-augmented family, with its closed forms."""
+
+    family: str  # "first" or "second"
+    i: int
+    partition: tuple[int, ...]
+    sign: int  # its coefficient a_rho
+    eigenvalue: int  # of the complete graph's generator on the partition
+    dim: int
+
+
+def check_cycle_lengths(ks: Iterable[int], n: int) -> list[int]:
+    """ks as a list, each an integer k (not a bool) with 1 <= k <= n."""
+    ks = list(ks)
+    for k in ks:
+        check_integer(k, "k")
+        if not 1 <= k <= n:
+            raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return ks
+
+
+def family_members(n: int, k: int) -> list[FamilyMember]:
+    """Both families for k-cycles among n marbles, first family first, i ascending.
+
+    Both share the complete graph eigenvalue
+        lambda = C(n, 2) + i k + k - ((n-k)^2 + k^2 - n) / 2,
+    and their dimensions are
+        first:  n! (2k - n - i - 1) / (i! k (n-k)! (k-i-1)! (n-k+i+1)),
+        second: n! (n - 2k + i + 1) / (i! k (n-k)! (k-i-1)! (n-k+i+1)).
+    Index ranges are taken literally: a malformed partition or a dimension
+    that is not an integer raises ConsistencyError rather than being dropped.
+    """
     from .irreps import validate_partition
 
-    if family == "first":
-        parts = (k - i - 1, n - k + 1) + (1,) * i
-    elif family == "second":
-        parts = (n - k, k - i) + (1,) * i
-    else:
-        raise ParameterError(f"unknown family {family!r} (expected 'first' or 'second')")
-    try:
-        return validate_partition(parts, n)
-    except ParameterError as exc:
-        raise ConsistencyError(
-            f"index table produced invalid partition {parts} "
-            f"(n={n}, k={k}, i={i}, family={family})"
-        ) from exc
-
-
-def first_family_range(n: int, k: int) -> range:
-    return range(0, 2 * k - n - 1)
-
-
-def second_family_range(n: int, k: int) -> range:
-    return range(max(2 * k - n, 0), k)
+    check_cycle_lengths((k,), n)
+    # (family, i, its first two parts, sign, the dimension's numerator factor)
+    rows = [("first", i, (k - i - 1, n - k + 1), (-1) ** (i + 1), 2 * k - n - i - 1)
+            for i in range(0, 2 * k - n - 1)]
+    rows += [("second", i, (n - k, k - i), (-1) ** i, n - 2 * k + i + 1)
+             for i in range(max(2 * k - n, 0), k)]
+    half = ((n - k) ** 2 + k * k - n) // 2  # (n-k)^2 + k^2 - n is even
+    members = []
+    for family, i, head, sign, factor in rows:
+        parts = head + (1,) * i
+        try:
+            partition = validate_partition(parts, n)
+        except ParameterError as exc:
+            raise ConsistencyError(
+                f"index table produced invalid partition {parts} "
+                f"(n={n}, k={k}, i={i}, family={family})"
+            ) from exc
+        dim, remainder = divmod(
+            math.factorial(n) * factor,
+            math.factorial(i) * k * math.factorial(n - k) * math.factorial(k - i - 1)
+            * (n - k + i + 1),
+        )
+        if remainder != 0:
+            raise ConsistencyError(
+                f"dimension formula not integral at n={n}, k={k}, i={i}, family={family}"
+            )
+        eigenvalue = n * (n - 1) // 2 + i * k + k - half
+        members.append(FamilyMember(family, i, partition, sign, eigenvalue, dim))
+    return members
 
 
 def cycle_coefficients(n: int, k: int) -> CycleFormula:
     """The a_rho table for counting k-cycles among n marbles.
 
-    Index ranges are taken literally; if a range ever emitted a malformed
-    partition this would raise ConsistencyError rather than dropping the
-    term.  Duplicate partitions across families would likewise be an error.
+    [n] with coefficient +1, then each of family_members(n, k) with its sign.
+    A partition in both families would raise ConsistencyError rather than
+    merge the terms.
     """
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    terms: list[tuple[tuple[int, ...], int]] = [((n,), 1)]
-    terms += [(family_partition(n, k, i, "first"), (-1) ** (i + 1))
-              for i in first_family_range(n, k)]
-    terms += [(family_partition(n, k, i, "second"), (-1) ** i)
-              for i in second_family_range(n, k)]
+    terms = (((n,), 1),) + tuple((m.partition, m.sign) for m in family_members(n, k))
     if len({p for p, _ in terms}) < len(terms):
         raise ConsistencyError(f"duplicate partition in the coefficient table of n={n}, k={k}")
-    return CycleFormula(n=n, k=k, terms=tuple(terms))
+    return CycleFormula(n=n, k=k, terms=terms)
 
 
 def coefficient_dimension_sum(n: int, k: int) -> int:
@@ -127,18 +164,17 @@ def expected_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, f
     t may be a scalar or an array.  The blocks that the formulas of all ks
     read are solved together, each once.
     """
-    from .group_algebra import delta_of_weights
+    from .group_algebra import delta_of_weights, generator_decays
     from .irreps import _block_spectra
 
     t_arr = check_time(t)
     formulas = {k: cycle_coefficients(w.n, k).terms for k in ks}
     targets = dict.fromkeys(p for terms in formulas.values() for p, _ in terms)
     spectra = _block_spectra(delta_of_weights(w), list(targets), w.component_sizes())
-    with np.errstate(over="ignore"):  # t * lambda = inf gives exp(-inf) = 0
-        decays = {
-            p: np.exp(-t_arr[..., None] * spectrum.eigenvalues).sum(axis=-1)
-            for p, spectrum in spectra.items()
-        }
+    decays = {
+        p: generator_decays(spectrum.eigenvalues, t_arr, w).sum(axis=-1)
+        for p, spectrum in spectra.items()
+    }
     results = {}
     for k, terms in formulas.items():
         total = np.zeros_like(t_arr)
@@ -147,47 +183,6 @@ def expected_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, f
         result = total / k
         results[k] = float(result) if np.isscalar(t) or t_arr.ndim == 0 else result
     return results
-
-
-def family_lambda_dim(n: int, k: int, i: int, family: str) -> tuple[int, int]:
-    """Closed-form (complete graph eigenvalue, dimension) for a family member.
-
-    Both families share
-        lambda = C(n, 2) + i k + k - ((n-k)^2 + k^2 - n) / 2,
-    and their dimensions are
-        first:  n! (2k - n - i - 1) / (i! k (n-k)! (k-i-1)! (n-k+i+1)),
-        second: n! (n - 2k + i + 1) / (i! k (n-k)! (k-i-1)! (n-k+i+1)).
-    """
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if family == "first":
-        valid = first_family_range(n, k)
-        numerator = math.factorial(n) * (2 * k - n - i - 1)
-    elif family == "second":
-        valid = second_family_range(n, k)
-        numerator = math.factorial(n) * (n - 2 * k + i + 1)
-    else:
-        raise ParameterError(f"unknown family {family!r} (expected 'first' or 'second')")
-    if i not in valid:
-        raise ParameterError(
-            f"index i={i} outside {family} family range {valid} for n={n}, k={k}"
-        )
-    half, parity = divmod((n - k) ** 2 + k * k - n, 2)
-    assert parity == 0, "eigenvalue formula must be integral"
-    lam = n * (n - 1) // 2 + i * k + k - half
-    denominator = (
-        math.factorial(i)
-        * k
-        * math.factorial(n - k)
-        * math.factorial(k - i - 1)
-        * (n - k + i + 1)
-    )
-    dim, remainder = divmod(numerator, denominator)
-    if remainder != 0:
-        raise ConsistencyError(
-            f"dimension formula not integral at n={n}, k={k}, i={i}, family={family}"
-        )
-    return lam, dim
 
 
 MC_BLOCK = 512  # trajectories per block; fixed, because it keys the streams
@@ -203,8 +198,7 @@ _GUIDE_CELLS_PER_EDGE = 4
 def _check_run(mean_events: float, samples: int, seed: int, index: int = 0) -> None:
     """Refuse a run before it draws: a bool or non-integer argument, or one out of range."""
     for name, value in (("samples", samples), ("seed", seed), ("trajectory index", index)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        check_integer(value, name)
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
     if samples > MC_MAX_SAMPLES:
@@ -476,9 +470,7 @@ def expected_cycles_mc(
 
     Every k is read off the same trajectories.
     """
-    ks = list(ks)
-    if not all(1 <= k <= w.n for k in ks):
-        raise ParameterError(f"need 1 <= k <= n = {w.n}, got {ks}")
+    ks = check_cycle_lengths(ks, w.n)
     means, stderrs = mean_stderr(mc_per_sample(w, t, samples, seed, lambda c: c[:, ks]))
     return {k: (float(means[c]), float(stderrs[c])) for c, k in enumerate(ks)}
 
@@ -526,7 +518,7 @@ def exact_mean(w: WeightFunction, t, reduce: Callable[[np.ndarray], np.ndarray])
 
 def exact_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, float | np.ndarray]:
     """E(s_k(t)) by exact_mean (n <= 5) for each k in ks, keyed by k; t may be an array."""
-    ks = list(ks)
+    ks = check_cycle_lengths(ks, w.n)
     totals = np.moveaxis(exact_mean(w, t, lambda counts: counts[:, ks]), -1, 0)
     return {k: float(total) if total.ndim == 0 else total for k, total in zip(ks, totals)}
 

@@ -30,6 +30,12 @@ MAX_TOTAL_WEIGHT = 1e150
 MAX_SEED = 2**64 - 1
 
 
+def check_integer(value, what: str) -> None:
+    """Refuse a value that is not a Python or numpy integer; a bool is refused too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
 def check_time(t) -> np.ndarray:
     """t (a time or an array of times) as a float array; each must be finite and >= 0.
 

@@ -28,6 +28,9 @@ the diagonal of w, and double_weight(u) = u^(2) holds its two-step law.
 
 Exact distributions exp(-t Delta_w) of the process are available for n <= 5
 via the symmetric eigendecomposition of the regular representation matrix.
+generator_decays is the one exp(-t lambda) of generator eigenvalues, for this
+route and the spectral cycle formula: it refuses an eigenvalue that rounding
+left below 0 once t would blow it up.
 """
 
 import itertools
@@ -38,7 +41,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import CapError, DegenerateWeightError, DisconnectedError, ParameterError
-from .graphs import MAX_TOTAL_WEIGHT, WeightFunction, check_time
+from .graphs import MAX_TOTAL_WEIGHT, WeightFunction, check_integer, check_time
 
 Perm = tuple[int, ...]
 
@@ -173,12 +176,15 @@ def octopus_gap(n: int, hub: int, arm_weights: Iterable[float]) -> PairOperator:
     order.  Returns sum_i w_hi (1 - (h i)) minus
     sum_{i<j} (w_hi w_hj / w_h) (1 - (i j)).
     """
-    arms = [float(x) for x in arm_weights]
-    others = [v for v in range(n) if v != hub]
+    check_integer(hub, "hub")
     if not 0 <= hub < n:
         raise ParameterError(f"hub {hub} out of range for n={n}")
+    arms = [float(x) for x in arm_weights]
+    others = [v for v in range(n) if v != hub]
     if len(arms) != len(others):
         raise ParameterError(f"expected {len(others)} arm weights, got {len(arms)}")
+    if not all(map(math.isfinite, arms)):
+        raise ParameterError(f"arm weights must be finite, got {arms}")
     if any(a < 0 for a in arms):
         raise ParameterError("arm weights must be nonnegative")
     hub_weight = sum(arms)
@@ -260,6 +266,26 @@ def doubling_gap(u: LiftedWeight) -> PairOperator:
     return PairOperator(upper + upper.T)
 
 
+def generator_decays(eigenvalues: np.ndarray, t: np.ndarray, w: WeightFunction) -> np.ndarray:
+    """exp(-t lambda) for each eigenvalue lambda of Delta_w, one row per time of check_time(t).
+
+    Delta_w is positive semidefinite, so a negative eigenvalue left once the
+    known kernel is set to 0 is one the eigensolver could not tell from 0,
+    and exp(-t lambda) would scale its term by exp(t |lambda|): CapError
+    once t |lambda| > 1e-9 for the latest t and the most negative lambda.
+    """
+    lowest = float(eigenvalues.min(initial=0.0))
+    latest = float(t.max(initial=0.0))
+    if latest * -lowest > 1e-9:
+        ratio = float(w.weights.max()) / w.min_positive_weight()
+        raise CapError(
+            f"exact routes refuse t = {latest:.6g}: generator eigenvalue {lowest:.3g} is "
+            f"rounding below 0, which exp(-t lambda) would blow up (weight ratio {ratio:.3g})"
+        )
+    with np.errstate(over="ignore"):  # t * lambda = inf gives exp(-inf) = 0
+        return np.exp(-t[..., None] * eigenvalues)
+
+
 class InterchangeExact:
     """Exact distribution of the interchange process started at the identity.
 
@@ -290,9 +316,7 @@ class InterchangeExact:
 
         For an array of times, one row of probabilities per time.
         """
-        t_arr = check_time(t)
-        with np.errstate(over="ignore"):  # t * lambda = inf gives exp(-inf) = 0
-            weights = np.exp(-t_arr[..., None] * self.eigenvalues) * self._id_row
+        weights = generator_decays(self.eigenvalues, check_time(t), self.weights) * self._id_row
         return (self.eigenvectors @ weights.T).T
 
     def tv_from_uniform(self, t: float) -> float:

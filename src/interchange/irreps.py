@@ -48,7 +48,7 @@ other's spectrum, c.sum() minus the eigenvalues reversed; the conjugate's rep
 and top-level block are never built.  At n = 10 that is 22 eigensolves for
 the 42 partitions.  It returns one IrrepSpectrum per target, and every
 spectral route (delta_on_irrep, all_spectra, min_eigenvalue_on_irreps,
-cycles.expected_cycles_spectral) reads that record.  The PSD tolerance is not
+cycles.expected_cycles_by_k) reads that record.  The PSD tolerance is not
 decided here: group_algebra.is_psd reads it off the operator's coefficients.
 
 All representation matrices are symmetric orthogonal involutions on

@@ -332,6 +332,12 @@ class TestErrorPaths:
             (["compare", "--graph", "file:{tmp}/slower.w"], "no mixing condition holds by t = 2^60"),
             (["cycles", "--graph", "path:11", "--k", "1", "--t", "1"],
              "capped at n <= 10, got n = 11; give --samples"),
+            # rounding left a negative generator eigenvalue that t would blow
+            # up: brute read 1.25e88, and at 1e200 NaN ended in a traceback
+            (["cycles", "--graph", "file:{tmp}/stiff.w", "--k", "2", "--t", "1e17"],
+             "exact routes refuse t = 1e+17"),
+            (["cycles", "--graph", "file:{tmp}/stiff.w", "--k", "2", "--t", "1e200"],
+             "exact routes refuse t = 1e+200"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
@@ -344,6 +350,7 @@ class TestErrorPaths:
         (tmp_path / "big2.w").write_text("2 1\n0 1 1e308\n")
         (tmp_path / "slow.w").write_text("4 3\n0 1 1\n1 2 1e-7\n2 3 1\n")
         (tmp_path / "slower.w").write_text("4 3\n0 1 1\n1 2 1e-30\n2 3 1\n")
+        (tmp_path / "stiff.w").write_text("4 3\n0 1 1\n1 2 1\n2 3 1e-300\n")
         code = main([arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
         assert code == 2

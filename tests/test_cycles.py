@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -25,12 +26,10 @@ from interchange.cycles import (
     expected_cycles_by_k,
     expected_cycles_mc,
     expected_cycles_spectral,
-    family_lambda_dim,
-    first_family_range,
+    family_members,
     large_cycle_mass,
     large_cycle_probability,
     oracle_t_grid,
-    second_family_range,
     simulate_interchange,
     trajectory_rng,
 )
@@ -38,7 +37,7 @@ from interchange.errors import CapError, ConsistencyError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, parse_graph_spec, path, star
 from interchange.group_algebra import InterchangeExact
 from interchange.irreps import delta_on_irrep, hook_dim, lambda_kn
-from interchange.qhf import qhf_mc
+from interchange.qhf import qhf_exact, qhf_mc
 from oracles import cycle_counts
 
 # Upper 0.1% points of the chi-square law, by degrees of freedom.
@@ -214,42 +213,38 @@ class TestSpectralFormula:
 
 
 class TestFamilyFormulas:
+    @staticmethod
+    def member(n, k, family, i):
+        [member] = [m for m in family_members(n, k) if (m.family, m.i) == (family, i)]
+        return member
+
     def test_second_family_3_3(self):
-        lam, dim = family_lambda_dim(6, 3, 0, "second")
-        assert (lam, dim) == (12, 5)
+        member = self.member(6, 3, "second", 0)
+        assert (member.eigenvalue, member.dim) == (12, 5)
 
     def test_standard_partition_eigenvalue(self):
         for n in range(2, 11):
-            lam, dim = family_lambda_dim(n, 1, 0, "second")
-            assert lam == n
-            assert dim == n - 1
+            member = self.member(n, 1, "second", 0)
+            assert member.eigenvalue == n
+            assert member.dim == n - 1
 
     def test_matches_content_and_hook_routes(self):
         for n in range(2, 11):
             for k in range(1, n + 1):
-                formula = cycle_coefficients(n, k)
-                by_partition = dict(formula.terms)
-                for family, rng in [
-                    ("first", first_family_range(n, k)),
-                    ("second", second_family_range(n, k)),
-                ]:
-                    for i in rng:
-                        lam, dim = family_lambda_dim(n, k, i, family)
-                        if family == "first":
-                            p = (k - i - 1, n - k + 1) + (1,) * i
-                        else:
-                            p = (n - k, k - i) + (1,) * i
-                        assert p in by_partition
-                        assert lam == lambda_kn(p), (n, k, i, family)
-                        assert dim == hook_dim(p), (n, k, i, family)
-
-    def test_out_of_range_index(self):
-        with pytest.raises(ParameterError):
-            family_lambda_dim(6, 4, 1, "first")
-        with pytest.raises(ParameterError):
-            family_lambda_dim(6, 4, 4, "second")
-        with pytest.raises(ParameterError):
-            family_lambda_dim(6, 4, 1, "both")
+                members = family_members(n, k)
+                # first family first, i ascending; the coefficient table follows it
+                assert [(m.family, m.i) for m in members] == sorted(
+                    (m.family, m.i) for m in members)
+                assert cycle_coefficients(n, k).terms[1:] == tuple(
+                    (m.partition, m.sign) for m in members)
+                for m in members:
+                    if m.family == "first":
+                        p, sign = (k - m.i - 1, n - k + 1) + (1,) * m.i, (-1) ** (m.i + 1)
+                    else:
+                        p, sign = (n - k, k - m.i) + (1,) * m.i, (-1) ** m.i
+                    assert (m.partition, m.sign) == (p, sign), (n, k, m)
+                    assert m.eigenvalue == lambda_kn(p), (n, k, m)
+                    assert m.dim == hook_dim(p), (n, k, m)
 
 
 class TestSimulator:
@@ -811,6 +806,80 @@ def test_exact_routes_reach_the_young_subgroup_law(w):
             if w.n <= 5:
                 for t in ts:
                     assert abs(exact_cycles_by_k(w, (k,), t)[k] - want) <= 1e-12, (k, t)
+
+
+# the exact route answered k = 0 with 0.0 and k = -1 with the n-cycle count;
+# k = n + 1, 1.5 and True ended in tracebacks, or ran as k = 1 under the key True
+CYCLE_ROUTES = {
+    "table": lambda ks: [cycle_coefficients(4, k) for k in ks],
+    "spectral": lambda ks: expected_cycles_by_k(complete(4), ks, 1.0),
+    "exact": lambda ks: exact_cycles_by_k(complete(4), ks, 1.0),
+    "mc": lambda ks: expected_cycles_mc(complete(4), ks, 1.0, 1000, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [(0, "need 1 <= k <= n, got k=0, n=4"), (-1, "need 1 <= k <= n, got k=-1, n=4"),
+     (5, "need 1 <= k <= n, got k=5, n=4"), (1.5, "k must be an integer, got 1.5"),
+     (True, "k must be an integer, got True")],
+    ids=repr,
+)
+@pytest.mark.parametrize("route", sorted(CYCLE_ROUTES))
+def test_every_cycle_route_refuses_a_bad_k(route, k, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        CYCLE_ROUTES[route]((2, k))
+
+
+@pytest.mark.parametrize("route", sorted(CYCLE_ROUTES))
+def test_a_numpy_integer_k_gives_the_same_numbers(route):
+    assert CYCLE_ROUTES[route]((np.int64(2), 4)) == CYCLE_ROUTES[route]((2, 4))
+
+
+# A path whose last edge weighs 1e-300: eigh leaves its regular representation
+# with eigenvalues 0, -2.06e-15, -4.4e-16, -2.2e-16, and exp(-t lambda) blew
+# the -2e-15 up, so the brute sum read 1.25e88 at t = 1e17 (and NaN at 1e200)
+STIFF_PATH = WeightFunction(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1e-300})
+
+
+def stiff_paths(count: int, seed: int = 3) -> list[WeightFunction]:
+    """Paths of 4 to 8 points; each edge weighs 10^U(-300, 0) with probability
+    0.3, else U(0.5, 2), and half of them get a closing edge of 10^U(-300, 0)."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(count):
+        n = int(rng.integers(4, 9))
+        entries = {}
+        for i in range(n - 1):
+            tiny = rng.random() < 0.3
+            entries[(i, i + 1)] = float(10 ** rng.uniform(-300, 0) if tiny else rng.uniform(0.5, 2))
+        if rng.random() < 0.5:
+            entries[(0, n - 1)] = float(10 ** rng.uniform(-300, 0))
+        graphs.append(WeightFunction(n, entries))
+    return graphs
+
+
+@pytest.mark.parametrize("t", [1e17, 1e200], ids=repr)
+def test_exact_routes_refuse_a_negative_eigenvalue_that_t_blows_up(t):
+    with pytest.raises(CapError, match=re.escape(f"exact routes refuse t = {t:.6g}: ")) as refusal:
+        exact_cycles_by_k(STIFF_PATH, (2,), t)
+    assert str(refusal.value).endswith("(weight ratio 1e+300)")
+    with pytest.raises(CapError, match="exact routes refuse"):
+        qhf_exact(STIFF_PATH, t)
+
+
+def test_a_stiff_path_still_answers_where_rounding_cannot_grow():
+    assert exact_cycles_by_k(STIFF_PATH, (2,), 1e3)[2] == pytest.approx(0.5, abs=1e-9)
+    assert expected_cycles_by_k(STIFF_PATH, (2,), 1e3)[2] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_the_spectral_route_refuses_a_negative_block_eigenvalue():
+    # 104 of this graph's block eigenvalues are rounding below 0 once the kernel
+    # is set to 0; at t = 1e17 the formula over every k reached 2.1e86
+    w = stiff_paths(195)[194]
+    assert w.n == 8
+    with pytest.raises(CapError, match=r"exact routes refuse t = 1e\+17"):
+        expected_cycles_by_k(w, range(1, 9), 1e17)
 
 
 class TestOracleGrid:

@@ -13,6 +13,7 @@ from interchange.errors import DegenerateWeightError, ParameterError
 from interchange.graphs import (
     MAX_TOTAL_WEIGHT,
     WeightFunction,
+    check_integer,
     check_one_time,
     check_time,
     complete,
@@ -180,6 +181,18 @@ def test_check_time_returns_floats(t, want):
 def test_check_time_refuses_what_is_not_a_time(t):
     with pytest.raises(ParameterError, match="time must be"):
         check_time(t)
+
+
+@pytest.mark.parametrize("value", [0, -3, 2**64, np.int64(2), np.uint64(2**64 - 1)], ids=repr)
+def test_check_integer_takes_python_and_numpy_integers(value):
+    check_integer(value, "k")
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.True_, 1.0, 1.5, np.float64(2.0), "1", None, Fraction(2, 1)], ids=repr)
+def test_check_integer_refuses_bools_and_non_integers(value):
+    with pytest.raises(ParameterError, match=r"^k must be an integer, got "):
+        check_integer(value, "k")
 
 
 def test_check_one_time_refuses_an_array():

@@ -279,6 +279,16 @@ def test_octopus_degenerate_and_invalid():
         is_psd(octopus_gap(3, 0, [1.0]))
     with pytest.raises(ParameterError):
         is_psd(octopus_gap(3, 5, [1.0, 1.0]))
+    # each used to reach the arithmetic: a RuntimeWarning and a message about
+    # pair coefficients, numpy's shape-mismatch ValueError, or a count of arms
+    with pytest.raises(ParameterError, match=r"arm weights must be finite, got \[1.0, inf\]"):
+        octopus_gap(3, 0, [1.0, math.inf])
+    with pytest.raises(ParameterError, match="arm weights must be finite"):
+        octopus_gap(3, 0, [math.nan, 1.0])
+    with pytest.raises(ParameterError, match="hub must be an integer, got True"):
+        octopus_gap(3, True, [1.0, 1.0])
+    with pytest.raises(ParameterError, match="hub must be an integer, got 0.5"):
+        octopus_gap(3, 0.5, [1.0, 1.0])
 
 
 def test_doubling_gap_complete3_value():
