@@ -89,6 +89,7 @@ from .graphs import WeightFunction, check_integer
 TIE_GUARD = 1e-12
 _ROW_SUM_TOL = 1e-10
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 # what a chi-distance certificate keeps to spare over its threshold, and the
 # rounding it allows in a computed s^2 (see the module docstring)
 _CERTIFICATE_MARGIN = 1e-9
@@ -122,17 +123,18 @@ class LazyChain:
                 f"vertex {isolated} has zero total weight; lazy chain undefined"
             )
         # P's two entries of each edge, w_ij / (2 w_i) and w_ij / (2 w_j), as
-        # _transition divides them
-        if any((w.weights / (2.0 * wi[ends]) == 0).any() for ends in w.ends):
+        # _transition divides them.  A subnormal one has lost digits, and a
+        # subnormal pi_i overflows _chi_squared's 1 / pi
+        if any((w.weights / (2.0 * wi[ends]) < _TINY).any() for ends in w.ends):
             raise DegenerateWeightError(
-                "a transition probability underflows to zero on a weighted edge; "
-                "the weight ratios are too extreme"
+                "a transition probability on a weighted edge is below the normal float "
+                "range; the weight ratios are too extreme"
             )
         pi = wi / wi.sum()
-        if (pi == 0).any():
+        if (pi < _TINY).any():
             raise DegenerateWeightError(
-                f"the stationary weight of vertex {int(np.argmin(pi))} underflows to zero; "
-                "the weight ratios are too extreme"
+                f"the stationary weight of vertex {int(np.argmin(pi))} is below the normal "
+                "float range; the weight ratios are too extreme"
             )
         self.weights = w
         self.n = w.n

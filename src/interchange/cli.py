@@ -238,25 +238,22 @@ def _compare(w: WeightFunction, config: RunConfig):
 
 def _cycles(w: WeightFunction, config: RunConfig):
     from .cycles import exact_cycles_by_k, expected_cycles_by_k, expected_cycles_mc
-    from .group_algebra import EXACT_SEMIGROUP_MAX_N
-    from .irreps import IRREP_MAX_N
 
     k, ks = config.k, (config.k,)
-    # past the irrep cap only the Monte Carlo route answers
-    spectral = None
-    if w.n <= IRREP_MAX_N:
-        spectral = expected_cycles_by_k(w, ks, config.t)[k]
-    elif config.samples is None:
-        raise CapError(
-            f"spectral route capped at n <= {IRREP_MAX_N}, got n = {w.n}; "
-            "give --samples for a Monte Carlo estimate"
-        )
+    # each exact route decides its own reach: one that refuses reads null
+    answers, refusals = [], []
+    for route in (expected_cycles_by_k, exact_cycles_by_k):
+        try:
+            answers.append(route(w, ks, config.t)[k])
+        except CapError as exc:
+            answers.append(None)
+            refusals.append(exc)
+    spectral, brute = answers
     mc = stderr = None
     if config.samples is not None:
         mc, stderr = expected_cycles_mc(w, ks, config.t, config.samples, config.seed)[k]
-    brute = None
-    if w.n <= EXACT_SEMIGROUP_MAX_N:
-        brute = exact_cycles_by_k(w, ks, config.t)[k]
+    elif len(refusals) == len(answers):
+        raise CapError(f"{refusals[0]}; give --samples for a Monte Carlo estimate")
     payload = {"k": k, "t": config.t, "spectral": spectral, "mc": mc, "stderr": stderr,
                "brute": brute, "samples": config.samples, "seed": config.seed}
     return payload, True

@@ -16,7 +16,10 @@ routes.  cycle_coefficients, the suite and the tests read it.  Every route
 that takes k checks it with check_cycle_lengths: an integer (not a bool)
 with 1 <= k <= n.  Both exact routes take exp(-t lambda) from
 group_algebra.generator_decays, which refuses a generator eigenvalue that
-rounding left below 0 once t would blow it up.
+rounding left below 0 once t would blow it up.  Each exact route decides its
+own reach and says so by CapError: expected_cycles_by_k past IRREP_MAX_N
+vertices, before it builds any operator, and exact_cycles_by_k past
+EXACT_SEMIGROUP_MAX_N.  A caller asks the routes rather than reading their caps.
 
 Every Monte Carlo estimator here (and in qhf and acceptance) is a reduction
 over cycle_count_blocks, which simulates trajectories MC_BLOCK at a time by
@@ -162,11 +165,14 @@ def expected_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, f
     """E(s_k(t)) by the spectral formula for each k in ks, keyed by k.
 
     t may be a scalar or an array.  The blocks that the formulas of all ks
-    read are solved together, each once.
+    read are solved together, each once.  Past IRREP_MAX_N vertices it raises
+    CapError before any operator is built.
     """
     from .group_algebra import delta_of_weights, generator_decays
-    from .irreps import _block_spectra
+    from .irreps import IRREP_MAX_N, _block_spectra
 
+    if w.n > IRREP_MAX_N:
+        raise CapError(f"spectral route capped at n <= {IRREP_MAX_N}, got n = {w.n}")
     t_arr = check_time(t)
     formulas = {k: cycle_coefficients(w.n, k).terms for k in ks}
     targets = dict.fromkeys(p for terms in formulas.values() for p, _ in terms)
@@ -212,14 +218,6 @@ def _check_run(mean_events: float, samples: int, seed: int, index: int = 0) -> N
             f"expected {samples * mean_events:.3g} events exceeds the Monte Carlo cap "
             f"of {MC_MAX_EVENTS}; lower the samples or the time"
         )
-
-
-# The generator annotations are strings: numpy loads numpy.random (about 6 MB)
-# on first use, which only the Monte Carlo routes need, not an import.
-def trajectory_rng(seed: int, index: int) -> "np.random.Generator":
-    """Counter-based generator for one trajectory of the reference simulator."""
-    _check_run(0.0, 1, seed, index)
-    return _philox(seed, index, 0)
 
 
 @dataclass(frozen=True)
@@ -313,6 +311,8 @@ def cycle_counts_batch(perms: np.ndarray) -> np.ndarray:
     return counts
 
 
+# The annotation is a string: numpy loads numpy.random (about 6 MB) on first
+# use, which only the Monte Carlo routes need, not an import.
 def _philox(seed: int, block: int, region: int) -> "np.random.Generator":
     """Counter region `region` of block `block`'s Philox stream."""
     return np.random.Generator(
@@ -485,18 +485,6 @@ def large_cycle_probability(
     )
     p = int(hits.sum()) / samples
     return p, math.sqrt(p * (1.0 - p) / samples)
-
-
-def large_cycle_mass(
-    w: WeightFunction, t: float, samples: int, seed: int = 0
-) -> tuple[float, float]:
-    """MC estimate of the expected number of cycles with n/2 <= length <= 3n/4."""
-    lo = (w.n + 1) // 2
-    hi = (3 * w.n) // 4
-    mean, stderr = mean_stderr(
-        mc_per_sample(w, t, samples, seed, lambda c: c[:, lo : hi + 1].sum(axis=1))
-    )
-    return float(mean), float(stderr)
 
 
 def exact_mean(w: WeightFunction, t, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

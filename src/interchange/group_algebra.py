@@ -212,7 +212,8 @@ class LiftedWeight:
     two-step transition probabilities of the lazy walk.  The matrix must be
     finite, nonnegative and exactly symmetric (doubling_gap reads only the
     upper triangle), with a total mass of at most 2 MAX_TOTAL_WEIGHT (up to
-    rounding), the most lift_lazy can produce.
+    rounding), the most lift_lazy can produce, and every row mass positive:
+    doubling and epsilon divide by them.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -232,12 +233,12 @@ class LiftedWeight:
         self.matrix = matrix
         self.n = matrix.shape[0]
         self.vertex_weights = matrix.sum(axis=1)
+        if (self.vertex_weights <= 0).any():
+            raise DegenerateWeightError("a lifted weight needs every row mass positive")
 
     @property
     def epsilon(self) -> float:
         """max_i u_ii / u_i, the diagonal mass fraction."""
-        if (self.vertex_weights <= 0).any():
-            raise DegenerateWeightError("epsilon undefined with a zero-mass vertex")
         return float((np.diag(self.matrix) / self.vertex_weights).max())
 
 
@@ -253,8 +254,6 @@ def lift_lazy(w: WeightFunction) -> LiftedWeight:
 
 def double_weight(u: LiftedWeight) -> LiftedWeight:
     """One doubling step: u2_ij = sum_k u_ik u_kj / u_k."""
-    if (u.vertex_weights <= 0).any():
-        raise DegenerateWeightError("doubling needs every row mass positive")
     doubled = (u.matrix / u.vertex_weights[None, :]) @ u.matrix
     doubled = 0.5 * (doubled + doubled.T)
     return LiftedWeight(doubled)

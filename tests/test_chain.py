@@ -1105,11 +1105,11 @@ def test_lazy_chain_builds_its_matrix_on_first_read():
     "entries, message",
     [
         # p(0, 1) = 1e-320 / 2e10 underflows
-        ({(0, 1): 1e-320, (0, 2): 1e10}, "a transition probability underflows to zero"),
-        # every p(i, j) is positive, but pi(0) = 1e-320 / 2.002e6 underflows
+        ({(0, 1): 1e-320, (0, 2): 1e10}, "a transition probability on a weighted edge is below"),
+        # every p(i, j) is at least 5e-301, but pi(0) = 1e-300 / 2e10 is subnormal
         (
-            {(0, 1): 1e-320, (1, 2): 1000.0, (2, 3): 1e6},
-            "the stationary weight of vertex 0 underflows to zero",
+            {(0, 1): 1e-300, (1, 2): 1e-290, (2, 3): 1e10},
+            "the stationary weight of vertex 0 is below the normal float range",
         ),
     ],
 )

@@ -193,6 +193,21 @@ class TestReports:
         assert abs(payload["mc"] - want) <= 4 * payload["stderr"]
         check_against_schema(payload, "cycles")
 
+    @pytest.mark.parametrize("t", ["1e17", "1e200"])
+    def test_cycles_reports_each_exact_route_on_its_own(self, capsys, tmp_path, t):
+        # rounding leaves the regular representation a negative eigenvalue
+        # that t would blow up, so brute refuses; the spectral blocks hold
+        # none.  Vertex 3 stays put and the others are uniform on S_3, so
+        # E s_2 = 1/2
+        path = tmp_path / "stiff.w"
+        path.write_text("4 3\n0 1 1\n1 2 1\n2 3 1e-300\n")
+        code, out = run_cli(capsys, ["cycles", "--graph", f"file:{path}", "--k", "2", "--t", t])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["spectral"] == pytest.approx(0.5, rel=0.0, abs=1e-12)
+        assert payload["brute"] is None and payload["mc"] is None
+        check_against_schema(payload, "cycles")
+
     def test_large_cycles(self, capsys):
         code, out = run_cli(
             capsys,
@@ -332,12 +347,14 @@ class TestErrorPaths:
             (["compare", "--graph", "file:{tmp}/slower.w"], "no mixing condition holds by t = 2^60"),
             (["cycles", "--graph", "path:11", "--k", "1", "--t", "1"],
              "capped at n <= 10, got n = 11; give --samples"),
-            # rounding left a negative generator eigenvalue that t would blow
-            # up: brute read 1.25e88, and at 1e200 NaN ended in a traceback
-            (["cycles", "--graph", "file:{tmp}/stiff.w", "--k", "2", "--t", "1e17"],
-             "exact routes refuse t = 1e+17"),
-            (["cycles", "--graph", "file:{tmp}/stiff.w", "--k", "2", "--t", "1e200"],
-             "exact routes refuse t = 1e+200"),
+            # a subnormal transition probability or stationary weight, whose
+            # 1 / pi would overflow in the chi-distance certificates
+            (["mix", "--graph", "file:{tmp}/subnormal.w"],
+             "a transition probability on a weighted edge is below the normal float range"),
+            (["compare", "--graph", "file:{tmp}/subnormal2.w"],
+             "a transition probability on a weighted edge is below the normal float range"),
+            (["mix", "--graph", "file:{tmp}/subnormal_pi.w"],
+             "the stationary weight of vertex 0 is below the normal float range"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
@@ -350,7 +367,9 @@ class TestErrorPaths:
         (tmp_path / "big2.w").write_text("2 1\n0 1 1e308\n")
         (tmp_path / "slow.w").write_text("4 3\n0 1 1\n1 2 1e-7\n2 3 1\n")
         (tmp_path / "slower.w").write_text("4 3\n0 1 1\n1 2 1e-30\n2 3 1\n")
-        (tmp_path / "stiff.w").write_text("4 3\n0 1 1\n1 2 1\n2 3 1e-300\n")
+        (tmp_path / "subnormal.w").write_text("3 2\n1 2 0.5\n0 2 5e-324\n")
+        (tmp_path / "subnormal2.w").write_text("4 4\n0 3 1e-320\n1 2 1e-320\n0 2 2\n1 3 1e-320\n")
+        (tmp_path / "subnormal_pi.w").write_text("4 3\n0 1 1e-300\n1 2 1e-290\n2 3 1e10\n")
         code = main([arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
         assert code == 2
@@ -766,5 +785,7 @@ def test_spectral_cycles_leave_numpy_random_unloaded():
         "numpy.random",
     )
     assert _loaded_after(
-        "from interchange.cycles import trajectory_rng; trajectory_rng(0, 0)", "numpy.random"
+        "from interchange.cli import main\n"
+        "main(['cycles', '--graph', 'path:10', '--k', '2', '--t', '1', '--samples', '1'])",
+        "numpy.random",
     )

@@ -27,11 +27,9 @@ from interchange.cycles import (
     expected_cycles_mc,
     expected_cycles_spectral,
     family_members,
-    large_cycle_mass,
     large_cycle_probability,
     oracle_t_grid,
     simulate_interchange,
-    trajectory_rng,
 )
 from interchange.errors import CapError, ConsistencyError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, parse_graph_spec, path, star
@@ -335,22 +333,21 @@ class TestSimulator:
             simulate_interchange(complete(4), 1e12)
 
     def test_rng_rejects_negative_keys(self):
-        with pytest.raises(ParameterError):
-            trajectory_rng(-1, 0)
+        for key in ({"seed": -1}, {"index": -1}):
+            with pytest.raises(ParameterError, match=r"must be in \[0, 2\*\*64 - 1\]"):
+                simulate_interchange(complete(3), 1.0, **key)
 
     @pytest.mark.parametrize("seed, index", [(0, 0), (5, 7), (2**64 - 1, 3)])
     def test_rng_is_the_philox_stream_of_its_key(self, seed, index):
         key = np.array([seed, index], dtype=np.uint64)
         plain = np.random.Generator(np.random.Philox(key=key))
-        assert np.array_equal(trajectory_rng(seed, index).random(8), plain.random(8))
+        assert np.array_equal(cycles_module._philox(seed, index, 0).random(8), plain.random(8))
 
     @pytest.mark.parametrize("key", [{"seed": 2**64}, {"index": 2**64}])
     def test_key_words_past_64_bits(self, key):
         # numpy raised OverflowError on these
         with pytest.raises(ParameterError, match=r"must be in \[0, 2\*\*64 - 1\]"):
             simulate_interchange(complete(3), 1.0, **key)
-        with pytest.raises(ParameterError, match=r"must be in \[0, 2\*\*64 - 1\]"):
-            trajectory_rng(key.get("seed", 0), key.get("index", 0))
 
     def test_arguments_are_checked_once(self, monkeypatch):
         calls = []
@@ -579,13 +576,6 @@ class TestMonteCarlo:
         upper = sum(expected_cycles_spectral(w, k, t) for k in (3, 4))
         assert p <= upper + 4 * stderr
 
-    def test_large_cycle_mass_matches_spectral(self):
-        w = complete(6)
-        t, samples = 0.3, 1500
-        got, stderr = large_cycle_mass(w, t, samples, seed=29)
-        want = sum(expected_cycles_spectral(w, k, t) for k in (3, 4))
-        assert abs(got - want) < 4 * stderr
-
     @pytest.mark.parametrize("samples", [1, 7, 20_000])
     @pytest.mark.parametrize("spec", ["hamming2:3", "complete:8"])
     def test_every_k_from_one_set_of_trajectories(self, spec, samples):
@@ -625,15 +615,6 @@ class TestMonteCarlo:
             expected_cycles_mc(complete(4), (2,), t, 10)
         with pytest.raises(ParameterError):
             large_cycle_probability(complete(4), t, 10)
-        with pytest.raises(ParameterError):
-            large_cycle_mass(complete(4), t, 10)
-
-    def test_large_cycle_mass_positive_after_burn_in(self):
-        # at t = 10/n the mass of cycles with n/2 <= length <= 3n/4 is
-        # decisively positive; no particular constant is asserted
-        for n in (6, 8):
-            mass, stderr = large_cycle_mass(complete(n), 10.0 / n, 1200, seed=41)
-            assert mass - 4 * stderr > 0, (n, mass, stderr)
 
 
 def _trajectory(samples, seed, index):
@@ -654,16 +635,10 @@ MC_ENTRY_POINTS = {
     "large_cycle_probability": (
         lambda samples, seed, index: large_cycle_probability(complete(4), 0.5, samples, seed),
         ("samples", "seed")),
-    "large_cycle_mass": (
-        lambda samples, seed, index: large_cycle_mass(complete(6), 0.5, samples, seed),
-        ("samples", "seed")),
     "qhf_mc": (
         lambda samples, seed, index: qhf_mc(complete(4), 0.3, samples, seed),
         ("samples", "seed")),
     "simulate_interchange": (_trajectory, ("seed", "index")),
-    "trajectory_rng": (
-        lambda samples, seed, index: trajectory_rng(seed, index).random(4).tolist(),
-        ("seed", "index")),
 }
 RUN_ARGUMENTS = {"samples": 1000, "seed": 1, "index": 0}
 # each used to run as its integer part (a wrong stream) or end in a TypeError
