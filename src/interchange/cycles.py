@@ -17,9 +17,9 @@ that takes k checks it with check_cycle_lengths: an integer (not a bool)
 with 1 <= k <= n.  Both exact routes take exp(-t lambda) from
 group_algebra.generator_decays, which refuses a generator eigenvalue that
 rounding left below 0 once t would blow it up.  Each exact route decides its
-own reach and says so by CapError: expected_cycles_by_k past IRREP_MAX_N
-vertices, before it builds any operator, and exact_cycles_by_k past
-EXACT_SEMIGROUP_MAX_N.  A caller asks the routes rather than reading their caps.
+own reach and says so by CapError: expected_cycles_by_k where irreps' blocks
+end, learnt from irreps before any operator is built, and exact_cycles_by_k
+past EXACT_SEMIGROUP_MAX_N.  A caller asks the routes rather than reading their caps.
 
 Every Monte Carlo estimator here (and in qhf and acceptance) is a reduction
 over cycle_count_blocks, which simulates trajectories MC_BLOCK at a time by
@@ -165,18 +165,16 @@ def expected_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, f
     """E(s_k(t)) by the spectral formula for each k in ks, keyed by k.
 
     t may be a scalar or an array.  The blocks that the formulas of all ks
-    read are solved together, each once.  Past IRREP_MAX_N vertices it raises
-    CapError before any operator is built.
+    read are solved together, each once.  Past the reach of the irreducible
+    blocks, irreps raises CapError before any operator is built.
     """
-    from .group_algebra import delta_of_weights, generator_decays
-    from .irreps import IRREP_MAX_N, _block_spectra
+    from .group_algebra import generator_decays
+    from .irreps import _weight_spectra
 
-    if w.n > IRREP_MAX_N:
-        raise CapError(f"spectral route capped at n <= {IRREP_MAX_N}, got n = {w.n}")
     t_arr = check_time(t)
     formulas = {k: cycle_coefficients(w.n, k).terms for k in ks}
     targets = dict.fromkeys(p for terms in formulas.values() for p, _ in terms)
-    spectra = _block_spectra(delta_of_weights(w), list(targets), w.component_sizes())
+    spectra = _weight_spectra(w, list(targets))
     decays = {
         p: generator_decays(spectrum.eigenvalues, t_arr, w).sum(axis=-1)
         for p, spectrum in spectra.items()

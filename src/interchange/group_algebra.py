@@ -16,7 +16,7 @@ with c = w, which is positive semidefinite.  Two operator inequalities are
 checked exactly here by building the signed gap operator and testing
 positive semidefiniteness on its support, the points whose row of c is
 nonzero: on the regular representation of a support of at most 5 points,
-and on every irreducible block of a support of 6 to 10 points:
+and on every irreducible block of a larger support, as far as irreps reaches:
 
 * the octopus inequality: for a hub vertex h,
       sum_i w_hi (1 - (h i))  >=  sum_{i<j} (w_hi w_hj / w_h) (1 - (i j)),
@@ -138,13 +138,13 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL) -> PsdVerdict:
     matrix entry: relabeling conjugates by a group element, and the regular
     representation of S_n restricted to S_k is a multiple of that of S_k.
     A support of at most 5 points is decided on its k! x k! regular
-    representation, a larger one on its irreducible blocks, capped at
-    IRREP_MAX_N points whatever n is.  The zero operator is PSD with minimum
-    eigenvalue 0.  On both routes, eigenvalues down to -tol times the largest
-    entry of the regular representation in absolute value are tolerated.
-    That entry is read off the coefficients: every diagonal entry is
-    sum_{i<j} c_ij and every other nonzero entry a single -c_ij, so it is
-    max(|sum_{i<j} c_ij|, max_{i<j} |c_ij|).  tol must be finite and > 0.
+    representation, a larger one on its irreducible blocks, as far as irreps
+    reaches: its CapError names the support's size.  The zero operator is PSD
+    with minimum eigenvalue 0.  On both routes, eigenvalues down to -tol
+    times the largest entry of the regular representation in absolute value
+    are tolerated.  That entry is read off the coefficients: every diagonal
+    entry is sum_{i<j} c_ij and every other nonzero entry a single -c_ij, so
+    it is max(|sum_{i<j} c_ij|, max_{i<j} |c_ij|).  tol must be finite and > 0.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"PSD tolerance must be finite and > 0, got {tol}")
@@ -158,13 +158,8 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL) -> PsdVerdict:
         min_eig = float(np.linalg.eigvalsh(regular_rep_matrix(op)).min())
     else:
         # loaded only here: supports of at most 5 points never need irreps
-        from .irreps import IRREP_MAX_N, min_eigenvalue_on_irreps
+        from .irreps import min_eigenvalue_on_irreps
 
-        if op.n > IRREP_MAX_N:
-            raise CapError(
-                f"per-partition route capped at a support of {IRREP_MAX_N} points, "
-                f"got {op.n}"
-            )
         min_eig = min_eigenvalue_on_irreps(op)
     return PsdVerdict(psd=min_eig >= -tol * scale, min_eigenvalue=min_eig)
 

@@ -48,8 +48,10 @@ other's spectrum, c.sum() minus the eigenvalues reversed; the conjugate's rep
 and top-level block are never built.  At n = 10 that is 22 eigensolves for
 the 42 partitions.  It returns one IrrepSpectrum per target, and every
 spectral route (delta_on_irrep, all_spectra, min_eigenvalue_on_irreps,
-cycles.expected_cycles_by_k) reads that record.  The PSD tolerance is not
-decided here: group_algebra.is_psd reads it off the operator's coefficients.
+cycles.expected_cycles_by_k) reads that record, a weight function's through
+_weight_spectra.  _check_reach is the one test of the blocks' reach, IRREP_MAX_N
+points, met before any operator is built.  The PSD tolerance is not decided
+here: group_algebra.is_psd reads it off the operator's coefficients.
 
 All representation matrices are symmetric orthogonal involutions on
 transpositions, so the generator restricted to a partition,
@@ -102,6 +104,12 @@ def validate_partition(parts: Sequence[int], n: int | None = None) -> Partition:
     if n is not None and sum(p) != n:
         raise ParameterError(f"{parts} is not a partition of {n}")
     return p
+
+
+def _check_reach(points: int) -> None:
+    """The one reach of the irreducible blocks: CapError past IRREP_MAX_N points."""
+    if points > IRREP_MAX_N:
+        raise CapError(f"irreducible blocks capped at {IRREP_MAX_N} points, got {points}")
 
 
 def partitions(n: int) -> list[Partition]:
@@ -222,8 +230,7 @@ class YoungOrthogonalRep:
     def __init__(self, partition: Sequence[int]):
         p = validate_partition(partition)
         n = sum(p)
-        if n > IRREP_MAX_N:
-            raise CapError(f"representation matrices capped at n <= {IRREP_MAX_N}")
+        _check_reach(n)
         self.partition = p
         self.n = n
         if n == 1:
@@ -483,9 +490,17 @@ def _block_spectra(
     return {p: spectra[p] for p in targets}
 
 
+def _weight_spectra(w: WeightFunction, targets=None) -> dict[Partition, IrrepSpectrum]:
+    """Spectra of w's generator on targets (None: every partition), reach checked first."""
+    _check_reach(w.n)
+    if targets is None:
+        targets = partitions(w.n)
+    return _block_spectra(delta_of_weights(w), targets, w.component_sizes())
+
+
 def delta_on_irrep(w: WeightFunction, p: Sequence[int]) -> IrrepSpectrum:
     """Eigenvalues of the generator block for weights w and partition p."""
-    [spectrum] = _block_spectra(delta_of_weights(w), [p], w.component_sizes()).values()
+    [spectrum] = _weight_spectra(w, [p]).values()
     return spectrum
 
 
@@ -494,7 +509,7 @@ def all_spectra(w: WeightFunction) -> list[IrrepSpectrum]:
 
     One eigensolve per partition; the blocks share their sub-blocks.
     """
-    return list(_block_spectra(delta_of_weights(w), partitions(w.n), w.component_sizes()).values())
+    return list(_weight_spectra(w).values())
 
 
 def assembled_spectrum(w: WeightFunction) -> np.ndarray:
@@ -511,9 +526,10 @@ def assembled_spectrum(w: WeightFunction) -> np.ndarray:
 def min_eigenvalue_on_irreps(a: PairOperator) -> float:
     """Smallest eigenvalue of a pair operator across all irreducible blocks.
 
-    group_algebra.is_psd calls this on an operator's support.  Only one block
-    of each conjugate pair is built and solved (see _block_spectra).
+    group_algebra.is_psd calls this on an operator's support, so a refusal
+    names the support's size.  One block per conjugate pair is solved.
     """
+    _check_reach(a.n)
     return min(s.lambda_min for s in _block_spectra(a, partitions(a.n)).values())
 
 

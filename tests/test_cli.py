@@ -339,14 +339,14 @@ class TestErrorPaths:
             (["mix", "--graph", "file:{tmp}/big.w"], "exceeds the cap"),
             (["octopus", "--graph", "file:{tmp}/big2.w"], "exceeds the cap"),
             (["octopus", "--graph", "file:{tmp}/overflow.w"], "exceeds the cap"),
-            (["octopus", "--graph", "star:11"], "capped at a support of 10 points"),
+            (["octopus", "--graph", "star:11"], "irreducible blocks capped at 10 points, got 11"),
             # valid weights that mix too slowly for double precision
             (["mix", "--graph", "file:{tmp}/slow.w"], "rounding drifted the row sums of P^"),
             (["compare", "--graph", "file:{tmp}/slow.w"], "rounding drifted the row sums of P^"),
             (["mix", "--graph", "file:{tmp}/slower.w"], "no mixing condition holds by t = 2^60"),
             (["compare", "--graph", "file:{tmp}/slower.w"], "no mixing condition holds by t = 2^60"),
             (["cycles", "--graph", "path:11", "--k", "1", "--t", "1"],
-             "capped at n <= 10, got n = 11; give --samples"),
+             "irreducible blocks capped at 10 points, got 11; give --samples"),
             # a subnormal transition probability or stationary weight, whose
             # 1 / pi would overflow in the chi-distance certificates
             (["mix", "--graph", "file:{tmp}/subnormal.w"],
@@ -376,6 +376,26 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, points",
+        [
+            (["compare", "--graph", "path:11"], 11),
+            (["compare", "--graph", "path:13"], 13),
+            (["compare", "--graph", "path:1024"], 1024),
+            (["octopus", "--graph", "star:11"], 11),
+            (["verify-doubling", "--graph", "path:11"], 11),
+            (["cycles", "--graph", "path:11", "--k", "2", "--t", "1"], 11),
+        ],
+    )
+    def test_every_spectral_route_names_one_reach(self, capsys, argv, points):
+        # one reach, one message: only the count differs, and cycles adds the
+        # Monte Carlo hint because its other route is refused too
+        suffix = "; give --samples for a Monte Carlo estimate" if argv[0] == "cycles" else ""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: irreducible blocks capped at 10 points, got {points}{suffix}\n"
 
     @pytest.mark.parametrize(
         "body, message",

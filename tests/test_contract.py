@@ -5,22 +5,28 @@ small random weight file.  Whatever the input, `interchange` must end in exit 0
 or 1 with a document its shipped schema accepts (or, at exit 1, the error
 document of a DisconnectedError), or in exit 2 with one `error:` line on stderr
 and nothing on stdout.  It must never end in a traceback or raise a warning.
-Work is capped so that the search takes a few seconds: at most 7 vertices, at
-most 200 samples, no Monte Carlo run whose expected event count is large but
-under the engine's cap, and a suite of the one cheapest check.
+Work is capped so that the search takes a few seconds: weight files of at
+most 7 vertices or of 11 (past the reach of the irreducible blocks), at most
+200 samples, no Monte Carlo run whose expected event count is large but under
+the engine's cap, and a suite of the one cheapest check.
+
+Every run tries the same 400 cases.  A longer search sets CONTRACT_SEED to
+draw random cases from that seed instead, CONTRACT_EXAMPLES of them (400 if
+unset); a case it breaks becomes a fixed example below.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -43,8 +49,9 @@ TOLS = ([None, "1e-9", "5e-324", "1e308"], ["0", "-1", "nan", "inf"])
 CSVS = ([None, "{tmp}/rows.csv"], ["{tmp}/missing/rows.csv", "{tmp}"])
 LEVELS = ([None, "desk", "extended"], ["galactic"])
 OUTS = ([None, "{tmp}/report.json"], ["{tmp}/missing/report.json", "{tmp}"])
+# path:11, star:11 and path:13 lie past the reach of the irreducible blocks
 SPECS = (["complete:2", "complete:5", "cycle:6", "path:7", "star:6", "hypercube:2",
-          "hamming2:2", "regular-tree:3,1", "complete:1"],
+          "hamming2:2", "regular-tree:3,1", "complete:1", "path:11", "star:11", "path:13"],
          ["complete:0", "path:-1", "complete:1.5", "nosuch:3", "hypercube:40"])
 # expected swap events past which a Monte Carlo case is skipped, unless the
 # engine's own cap refuses it before drawing
@@ -57,11 +64,12 @@ SUBNORMAL_FILES = [
     ("mix", "4 3\n0 1 1e-300\n1 2 1e-290\n2 3 1e10\n"),
 ]
 STIFF_FILE = "4 3\n0 1 1\n1 2 1\n2 3 1e-300\n"
+SEARCH_SEED = os.environ.get("CONTRACT_SEED")
 
 
 @st.composite
 def weight_files(draw) -> str:
-    n = draw(st.integers(2, 7))
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 11]))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     lines = [f"{i} {j} {draw(st.sampled_from(WEIGHTS))!r}" for i, j in chosen]
@@ -125,7 +133,10 @@ def _run(argv: list[str]) -> tuple[int, str, str, bool]:
             return exc.code, out.getvalue(), err.getvalue(), True
 
 
-@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=int(os.environ.get("CONTRACT_EXAMPLES", "400")),
+          derandomize=SEARCH_SEED is None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@(seed(int(SEARCH_SEED)) if SEARCH_SEED else lambda test: test)
 @given(case=cases())
 @example(case=(["mix", "--graph", WEIGHT_FILE], SUBNORMAL_FILES[0][1]))
 @example(case=(["compare", "--graph", WEIGHT_FILE], SUBNORMAL_FILES[1][1]))

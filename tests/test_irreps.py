@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from interchange.cycles import oracle_t_grid
 from interchange.errors import CapError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, hamming2, path, star
 from interchange.group_algebra import (
@@ -613,6 +614,27 @@ def test_irrep_cap():
         YoungOrthogonalRep((11,))
     with pytest.raises(CapError):
         all_spectra(complete(11))
+
+
+@pytest.mark.parametrize(
+    "route",
+    [comparison_constant, lambda w: delta_on_irrep(w, (w.n - 1, 1)), oracle_t_grid],
+    ids=["comparison_constant", "delta_on_irrep", "oracle_t_grid"],
+)
+def test_spectral_routes_refuse_before_building(route):
+    # path(1024)'s dense generator and PairOperator's copy of it take 17 MB, so
+    # a route must refuse before it builds them
+    w = path(1024)
+    with pytest.raises(CapError):
+        route(w)  # loads whatever the route imports
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapError, match="^irreducible blocks capped at 10 points, got 1024$"):
+            route(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # SHA-256 of the eigenvalue bytes of all_spectra, partition after partition,
