@@ -187,7 +187,7 @@ def random_connected_weights(rng: np.random.Generator, n: int) -> WeightFunction
         if not entries:
             continue
         w = WeightFunction(n, entries)
-        if w.is_connected() and (w.vertex_weights > 0).all():
+        if w.is_connected():
             return w
 
 

@@ -109,6 +109,10 @@ _LIFT_ROWS = 128
 class LazyChain:
     """Stationary law, and the transition matrix and its dyadic powers on demand.
 
+    The constructor refuses a w without a lazy chain (an isolated vertex, or
+    weights past the normal float range), then a disconnected w, whose lmix is
+    infinite: DegenerateWeightError, then DisconnectedError.
+
     The cache serves power(), that is the heat-kernel bounds and the
     profiles min_stationary_ratio and tv_distance; P itself is built on its
     first read.  The mixing search does not fill it: it makes P from the
@@ -136,10 +140,13 @@ class LazyChain:
                 f"the stationary weight of vertex {int(np.argmin(pi))} is below the normal "
                 "float range; the weight ratios are too extreme"
             )
+        if not w.is_connected():
+            raise DisconnectedError(
+                "mixing numbers are infinite on a disconnected weight function"
+            )
         self.weights = w
         self.n = w.n
         self.pi = pi
-        self.connected = w.is_connected()
         self._dyadic: dict[int, np.ndarray] = {}
 
     def dyadic_power(self, k: int) -> np.ndarray:
@@ -236,7 +243,7 @@ def _checked_product(
 
 
 def lazy_chain(w: WeightFunction) -> LazyChain:
-    """Build the lazy walk for w.  Raises if any vertex has zero weight.
+    """The lazy walk for w: LazyChain(w), with its refusals.
 
     Kept only because perfbench/ imports it by name.
     """
@@ -579,15 +586,13 @@ class _Search:
         return False
 
 
-def lmix(chain: LazyChain) -> int | float:
+def lmix(chain: LazyChain) -> int:
     """First time every p_t(i, j) strictly exceeds (3/4) pi(j).
 
-    Returns math.inf when the weight function is disconnected.  The strict
+    Finite on every chain: LazyChain refused a disconnected w.  The strict
     comparison is applied to the ratio p_t(i, j) / pi(j) with the tie guard,
     so a ratio within the guard of 3/4 does not count as exceeding it.
     """
-    if not chain.connected:
-        return math.inf
     return _Search(chain, (_mixes(chain),)).run()[0][0]
 
 
@@ -601,6 +606,10 @@ def _delta_result(epsilons: tuple[float, ...], lmix_value: int) -> tuple[float, 
 
 
 class ClauseDiagnostics(NamedTuple):
+    """Lower bound diagnostics for delta: (min positive w_ij / max_i w_i)^2,
+    whether w is regular (then delta is bounded below by an absolute
+    constant), and 1 / (2 lmix)."""
+
     edge_degree_ratio_sq: float
     regular: bool
     half_inverse_lmix: float
@@ -621,27 +630,12 @@ def is_regular(w: WeightFunction) -> bool:
 class MixingReport:
     """Everything the mix entry point reports for one weight function."""
 
-    lmix: int | float
-    mix: int | float
-    delta: float | None
+    lmix: int
+    mix: int
+    delta: float
     epsilons: tuple[float, ...]
-    clause_bounds: ClauseDiagnostics | None
-    theorem_bound: float | None
-
-
-def _clause_diagnostics(w: WeightFunction, lmix_value: int | float) -> ClauseDiagnostics:
-    """Lower bound diagnostics for delta.
-
-    Reports (min positive w_ij / max_i w_i)^2, whether w is regular (in which
-    case delta is bounded below by an absolute constant), and 1 / (2 lmix).
-    """
-    ratio = w.min_positive_weight() / float(w.vertex_weights.max())
-    half_inv = 0.0 if math.isinf(lmix_value) else 1.0 / (2.0 * lmix_value)
-    return ClauseDiagnostics(
-        edge_degree_ratio_sq=ratio * ratio,
-        regular=is_regular(w),
-        half_inverse_lmix=half_inv,
-    )
+    clause_bounds: ClauseDiagnostics
+    theorem_bound: float
 
 
 def mixing_report(w: WeightFunction) -> MixingReport:
@@ -652,18 +646,10 @@ def mixing_report(w: WeightFunction) -> MixingReport:
     bound; no universal constant is folded in.  It is formed from the
     mantissas of min_i w_i and w_tot, so (min_i w_i)^2 cannot underflow where
     the bound is representable; a bound below the normal float range raises
-    CapError.  For disconnected w, delta and the theorem bound are None.
+    CapError.  A w without a lazy chain or without finite mixing numbers is
+    refused where its LazyChain is built.
     """
     chain = LazyChain(w)
-    if not chain.connected:
-        return MixingReport(
-            lmix=math.inf,
-            mix=math.inf,
-            delta=None,
-            epsilons=(),
-            clause_bounds=_clause_diagnostics(w, math.inf),
-            theorem_bound=None,
-        )
     (lm, mix), epsilons = _Search(chain, (_mixes(chain), _tv_mixes(chain))).run()
     delta, epsilons = _delta_result(epsilons, lm)
     m_min, e_min = math.frexp(float(w.vertex_weights.min()))
@@ -672,12 +658,13 @@ def mixing_report(w: WeightFunction) -> MixingReport:
     if not bound >= np.finfo(float).tiny:
         ratio = math.ldexp(m_min / m_tot, e_min - e_tot)
         raise CapError(f"theorem bound below the float range: min_i w_i / w_tot = {ratio:.3g}")
+    edge_ratio = w.min_positive_weight() / float(w.vertex_weights.max())
     return MixingReport(
         lmix=lm,
         mix=mix,
         delta=delta,
         epsilons=epsilons,
-        clause_bounds=_clause_diagnostics(w, lm),
+        clause_bounds=ClauseDiagnostics(edge_ratio * edge_ratio, is_regular(w), 1.0 / (2.0 * lm)),
         theorem_bound=bound,
     )
 
@@ -716,9 +703,6 @@ def verify_probability_bounds(chain: LazyChain, w: WeightFunction) -> BoundCheck
     if w != chain.weights:
         raise ParameterError("the probability bounds need the chain's own weight function")
     lm = lmix(chain)
-    if math.isinf(lm):
-        raise DisconnectedError("probability bounds apply to connected weights only")
-    lm = int(lm)
     ratio = w.vertex_weights / w.min_positive_weight()
     ratio_min = float(ratio.min())
     regular = is_regular(w)

@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapError, ConsistencyError, ParameterError
+from .errors import CapError, ConsistencyError, DisconnectedError, ParameterError
 from .graphs import MAX_SEED, WeightFunction, check_integer, check_one_time, check_time
 
 
@@ -510,10 +510,16 @@ def exact_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, floa
 
 
 def oracle_t_grid(w: WeightFunction) -> np.ndarray:
-    """Times {0, 0.01, 0.1, 0.5, 1, 5} scaled by the spectral gap of w."""
+    """Times {0, 0.01, 0.1, 0.5, 1, 5} scaled by the spectral gap of w.
+
+    The gap is positive exactly when w is connected: a disconnected w raises
+    DisconnectedError, and a computed gap that rounding left <= 0 CapError.
+    """
     from .irreps import delta_on_irrep, standard_partition
 
+    if not w.is_connected():
+        raise DisconnectedError("the t grid needs a connected weight function")
     gap = delta_on_irrep(w, standard_partition(w.n)).lambda_min
-    if gap <= 1e-12:
-        raise ParameterError("t grid needs a connected weight function")
+    if not gap > 0:
+        raise CapError(f"the spectral gap of a connected weight function rounded to {gap:.3g}")
     return np.array([0.0, 0.01, 0.1, 0.5, 1.0, 5.0]) / gap

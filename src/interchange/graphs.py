@@ -99,7 +99,9 @@ class WeightFunction:
         return w
 
     def _assign(self, n: int, first, second, weights) -> None:
-        if not isinstance(n, int) or n < 2:
+        check_integer(n, "vertex count")
+        n = int(n)
+        if n < 2:
             raise ParameterError(f"need at least 2 vertices, got n={n}")
         try:
             first = np.asarray(first, dtype=np.intp)
@@ -227,22 +229,28 @@ def _check_vertex_count(n: int, what: str) -> None:
         raise CapError(f"{what} has {n} vertices; graphs are capped at {MAX_VERTICES}")
 
 
+def _size(value, least: int, family: str, name: str) -> int:
+    """A family's size parameter as an int: an integer (check_integer), >= least."""
+    check_integer(value, f"{family} {name}")
+    if value < least:
+        raise ParameterError(f"{family} needs {name} >= {least}, got {value}")
+    return int(value)
+
+
 def _unit_weights(n: int, first: np.ndarray, second: np.ndarray) -> WeightFunction:
     return WeightFunction._from_arrays(n, first, second, np.ones(len(first)))
 
 
 def complete(n: int) -> WeightFunction:
     """Unit weights on every pair of n vertices."""
-    if n < 2:
-        raise ParameterError(f"complete graph needs n >= 2, got {n}")
+    n = _size(n, 2, "complete graph", "n")
     _check_vertex_count(n, f"complete:{n}")
     return _unit_weights(n, *np.triu_indices(n, 1))
 
 
 def cycle(n: int) -> WeightFunction:
     """Unit weights along a single n-cycle."""
-    if n < 3:
-        raise ParameterError(f"cycle needs n >= 3, got {n}")
+    n = _size(n, 3, "cycle", "n")
     _check_vertex_count(n, f"cycle:{n}")
     vertices = np.arange(n)
     return _unit_weights(n, vertices, (vertices + 1) % n)
@@ -250,24 +258,21 @@ def cycle(n: int) -> WeightFunction:
 
 def path(n: int) -> WeightFunction:
     """Unit weights along a path 0 - 1 - ... - (n-1)."""
-    if n < 2:
-        raise ParameterError(f"path needs n >= 2, got {n}")
+    n = _size(n, 2, "path", "n")
     _check_vertex_count(n, f"path:{n}")
     return _unit_weights(n, np.arange(n - 1), np.arange(1, n))
 
 
 def star(n: int) -> WeightFunction:
     """Unit weights from center 0 to each of the n - 1 leaves."""
-    if n < 2:
-        raise ParameterError(f"star needs n >= 2, got {n}")
+    n = _size(n, 2, "star", "n")
     _check_vertex_count(n, f"star:{n}")
     return _unit_weights(n, np.zeros(n - 1, dtype=np.intp), np.arange(1, n))
 
 
 def hypercube(d: int) -> WeightFunction:
     """Unit weights on the d-dimensional Boolean hypercube (n = 2^d vertices)."""
-    if d < 1:
-        raise ParameterError(f"hypercube needs dimension >= 1, got {d}")
+    d = _size(d, 1, "hypercube", "dimension")
     # compare exponents: 2^d itself is unbounded in d
     if d >= MAX_VERTICES.bit_length():
         raise CapError(f"hypercube:{d} has 2^{d} vertices; graphs are capped at {MAX_VERTICES}")
@@ -285,8 +290,7 @@ def hamming2(m: int) -> WeightFunction:
     vertices carry weight 1 exactly when they agree in one coordinate, so the
     graph is 2(m - 1)-regular and hamming2(2) is the 4-cycle.
     """
-    if m < 2:
-        raise ParameterError(f"hamming2 needs alphabet size >= 2, got {m}")
+    m = _size(m, 2, "hamming2", "alphabet size")
     n = m * m
     _check_vertex_count(n, f"hamming2:{m}")
     x, y = np.arange(n)[:, None], np.arange(n)[None, :]
@@ -301,10 +305,8 @@ def regular_tree(degree: int, depth: int) -> WeightFunction:
     degree - 1 children; vertices at distance `depth` from the root are
     leaves.  degree = 2 degenerates to a path.
     """
-    if degree < 2:
-        raise ParameterError(f"tree degree must be >= 2, got {degree}")
-    if depth < 1:
-        raise ParameterError(f"tree depth must be >= 1, got {depth}")
+    degree = _size(degree, 2, "regular tree", "degree")
+    depth = _size(depth, 1, "regular tree", "depth")
     # count level by level, stopping once past the cap (each level adds >= 2)
     n, level = 1, degree
     for _ in range(depth):

@@ -125,6 +125,15 @@ def regular_rep_matrix(a: PairOperator) -> np.ndarray:
     return m
 
 
+def check_psd_reach(points: int) -> None:
+    """is_psd's one reach, checked before any operator is built: every support
+    up to 5 points, then as far as the irreducible blocks reach (CapError)."""
+    if points > EXACT_SEMIGROUP_MAX_N:
+        from .irreps import _check_reach  # supports of at most 5 points never load irreps
+
+        _check_reach(points)
+
+
 class PsdVerdict(NamedTuple):
     psd: bool
     min_eigenvalue: float
@@ -139,7 +148,8 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL) -> PsdVerdict:
     representation of S_n restricted to S_k is a multiple of that of S_k.
     A support of at most 5 points is decided on its k! x k! regular
     representation, a larger one on its irreducible blocks, as far as irreps
-    reaches: its CapError names the support's size.  The zero operator is PSD
+    reaches: check_psd_reach refuses past it, naming the support's size,
+    before the relabeled copy is made.  The zero operator is PSD
     with minimum eigenvalue 0.  On both routes, eigenvalues down to -tol
     times the largest entry of the regular representation in absolute value
     are tolerated.  That entry is read off the coefficients: every diagonal
@@ -151,13 +161,13 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL) -> PsdVerdict:
     support = np.flatnonzero(a.c.any(axis=1))
     if not support.size:
         return PsdVerdict(psd=True, min_eigenvalue=0.0)
+    check_psd_reach(support.size)
     op = PairOperator(a.c[np.ix_(support, support)])
     upper = op.c[np.triu_indices(op.n, 1)]
     scale = max(abs(float(upper.sum())), float(np.abs(upper).max()))
     if op.n <= EXACT_SEMIGROUP_MAX_N:
         min_eig = float(np.linalg.eigvalsh(regular_rep_matrix(op)).min())
     else:
-        # loaded only here: supports of at most 5 points never need irreps
         from .irreps import min_eigenvalue_on_irreps
 
         min_eig = min_eigenvalue_on_irreps(op)
@@ -228,8 +238,10 @@ class LiftedWeight:
         self.matrix = matrix
         self.n = matrix.shape[0]
         self.vertex_weights = matrix.sum(axis=1)
-        if (self.vertex_weights <= 0).any():
-            raise DegenerateWeightError("a lifted weight needs every row mass positive")
+        row = int(np.argmin(self.vertex_weights))
+        if self.vertex_weights[row] <= 0:
+            raise DegenerateWeightError(
+                f"a lifted weight needs every row mass positive: row {row} is an isolated vertex")
 
     @property
     def epsilon(self) -> float:
@@ -238,12 +250,9 @@ class LiftedWeight:
 
 
 def lift_lazy(w: WeightFunction) -> LiftedWeight:
-    """Lift w to the lazy weight with u_ii = w_i on the diagonal."""
-    wi = w.vertex_weights
-    if (wi <= 0).any():
-        raise DegenerateWeightError("cannot lift weights with an isolated vertex")
+    """Lift w to the lazy weight with u_ii = w_i; LiftedWeight refuses an isolated vertex."""
     matrix = w.dense()
-    np.fill_diagonal(matrix, wi)
+    np.fill_diagonal(matrix, w.vertex_weights)
     return LiftedWeight(matrix)
 
 

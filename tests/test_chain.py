@@ -268,13 +268,14 @@ def test_lmix_matches_brute_force_on_random_graphs():
 
 
 def test_disconnected_mixing_times_infinite():
+    # lmix is infinite on a disconnected w, so its chain is refused when built
     w = WeightFunction(4, {(0, 1): 1.0, (2, 3): 1.0})
-    assert lmix(lazy_chain(w)) == math.inf
-    report = mixing_report(w)
-    assert (report.mix, report.delta) == (math.inf, None)
+    with pytest.raises(DisconnectedError, match="^mixing numbers are infinite on a disconnected"):
+        lazy_chain(w)
 
 
 def test_isolated_vertex_rejected():
+    # w is disconnected too, but the isolated vertex is refused first
     w = WeightFunction(3, {(0, 1): 1.0})
     with pytest.raises(DegenerateWeightError):
         lazy_chain(w)
@@ -1111,6 +1112,11 @@ def test_lazy_chain_builds_its_matrix_on_first_read():
             {(0, 1): 1e-300, (1, 2): 1e-290, (2, 3): 1e10},
             "the stationary weight of vertex 0 is below the normal float range",
         ),
+        # disconnected as well: the degenerate weights are refused first
+        (
+            {(0, 1): 1e-300, (1, 2): 1e-290, (2, 3): 1e10, (4, 5): 1.0},
+            "the stationary weight of vertex 0 is below the normal float range",
+        ),
     ],
 )
 def test_underflowing_chains_are_rejected_when_built(entries, message):
@@ -1120,12 +1126,8 @@ def test_underflowing_chains_are_rejected_when_built(entries, message):
 
 
 def test_mixing_report_disconnected():
-    report = mixing_report(WeightFunction(4, {(0, 1): 1.0, (2, 3): 1.0}))
-    assert math.isinf(report.lmix)
-    assert math.isinf(report.mix)
-    assert report.epsilons == ()
-    assert report.delta is None
-    assert report.theorem_bound is None
+    with pytest.raises(DisconnectedError, match="^mixing numbers are infinite on a disconnected"):
+        mixing_report(WeightFunction(4, {(0, 1): 1.0, (2, 3): 1.0}))
 
 
 def test_lift_lazy_complete3():
@@ -1234,8 +1236,6 @@ def sequential_probability_bounds(chain: LazyChain, w: WeightFunction) -> BoundC
     """Reference: evaluate both slacks at every t up to lmix, one product per step."""
     constant = chain_module._PROBABILITY_CONSTANT
     lm = lmix(chain)
-    if math.isinf(lm):
-        raise DisconnectedError("probability bounds apply to connected weights only")
     ratio = w.vertex_weights / w.min_positive_weight()
     regular = chain_module.is_regular(w)
     worst = math.inf

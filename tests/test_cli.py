@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,9 @@ from interchange.cli import RunConfig, main, render_json
 from interchange.errors import ParameterError
 from interchange.graphs import WeightFunction, parse_graph_spec
 from oracles import child_env, dump_weight_file, schema_for
+
+# a device every write to which fails, where the system has one
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 EXPECTED_CHECKS = (
     "octopus_psd",
@@ -355,6 +359,7 @@ class TestErrorPaths:
              "a transition probability on a weighted edge is below the normal float range"),
             (["mix", "--graph", "file:{tmp}/subnormal_pi.w"],
              "the stationary weight of vertex 0 is below the normal float range"),
+            (["mix", "--graph", "file:{tmp}/one_vertex.w"], "need at least 2 vertices, got n=1"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
@@ -370,6 +375,7 @@ class TestErrorPaths:
         (tmp_path / "subnormal.w").write_text("3 2\n1 2 0.5\n0 2 5e-324\n")
         (tmp_path / "subnormal2.w").write_text("4 4\n0 3 1e-320\n1 2 1e-320\n0 2 2\n1 3 1e-320\n")
         (tmp_path / "subnormal_pi.w").write_text("4 3\n0 1 1e-300\n1 2 1e-290\n2 3 1e10\n")
+        (tmp_path / "one_vertex.w").write_text("1 0\n")
         code = main([arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
         assert code == 2
@@ -396,6 +402,27 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: irreducible blocks capped at 10 points, got {points}{suffix}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["octopus", "--graph", "star:1024"], ["verify-doubling", "--graph", "path:1024"]],
+        ids=["octopus", "verify-doubling"],
+    )
+    def test_psd_commands_refuse_before_building_a_gap(self, capsys, argv):
+        # a gap on 1024 points and its copies take tens of MB, so each command
+        # asks the PSD routes' reach with its largest support first
+        main(argv)  # loads whatever the command imports
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: irreducible blocks capped at 10 points, got 1024\n"
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize(
         "body, message",
@@ -440,6 +467,10 @@ class TestErrorPaths:
             ["compare", "--graph", "path:3", "--csv", "{tmp}"],
             # the error document of a DisconnectedError
             ["mix", "--graph", "file:{tmp}/disc.w", "--out", "{tmp}/missing/error.json"],
+            # paths that pass the check before the work and fail when written
+            pytest.param(["mix", "--graph", "complete:3", "--out", "/dev/full"], marks=DEV_FULL),
+            pytest.param(["mix", "--graph", "file:{tmp}/disc.w", "--out", "/dev/full"],
+                         marks=DEV_FULL),
         ],
     )
     def test_unwritable_output_exits_2(self, capsys, tmp_path, argv):
@@ -449,8 +480,10 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        target = next(arg for arg in argv if arg.startswith(str(tmp_path)))
+        target = argv[-1]  # every case ends with its output path
         assert captured.err.startswith(f"error: cannot write {target}: ")
+        if target == "/dev/full":
+            assert captured.err == "error: cannot write /dev/full: No space left on device\n"
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 

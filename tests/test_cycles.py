@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from interchange import cycles as cycles_module
+from interchange import irreps as irreps_module
 from interchange.cycles import (
     MC_BLOCK,
     MC_MAX_EVENTS,
@@ -31,7 +33,7 @@ from interchange.cycles import (
     oracle_t_grid,
     simulate_interchange,
 )
-from interchange.errors import CapError, ConsistencyError, ParameterError
+from interchange.errors import CapError, ConsistencyError, DisconnectedError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, parse_graph_spec, path, star
 from interchange.group_algebra import InterchangeExact
 from interchange.irreps import delta_on_irrep, hook_dim, lambda_kn
@@ -865,5 +867,23 @@ class TestOracleGrid:
 
     def test_disconnected_rejected(self):
         w = WeightFunction(4, {(0, 1): 1.0, (2, 3): 1.0})
-        with pytest.raises(ParameterError):
+        with pytest.raises(DisconnectedError):
             oracle_t_grid(w)
+
+    def test_tiny_connected_weights_get_a_scaled_grid(self):
+        # connectivity is read off the graph, not off a float gap, so the
+        # grid of path:3 with weights 1e-13 is that of path:3 scaled by 1e13
+        w = WeightFunction(3, {(0, 1): 1e-13, (1, 2): 1e-13})
+        ts = oracle_t_grid(w)
+        assert np.allclose(ts * 1e-13, oracle_t_grid(path(3)), rtol=1e-12)
+        ks = range(1, 4)
+        spectral, brute = expected_cycles_by_k(w, ks, ts), exact_cycles_by_k(w, ks, ts)
+        assert max(float(np.abs(spectral[k] - brute[k]).max()) for k in ks) <= 1e-12
+
+    def test_a_gap_lost_to_rounding_is_a_cap_error(self, monkeypatch):
+        # a connected w whose computed [n-1, 1] gap is not positive
+        block = delta_on_irrep(path(3), (2, 1))
+        zero = dataclasses.replace(block, eigenvalues=np.zeros_like(block.eigenvalues))
+        monkeypatch.setattr(irreps_module, "delta_on_irrep", lambda w, p: zero)
+        with pytest.raises(CapError, match="spectral gap of a connected weight function"):
+            oracle_t_grid(path(3))

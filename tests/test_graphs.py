@@ -195,6 +195,23 @@ def test_check_integer_refuses_bools_and_non_integers(value):
         check_integer(value, "k")
 
 
+@pytest.mark.parametrize(
+    "build, size",
+    [(complete, 4), (cycle, 4), (path, 4), (star, 4), (hypercube, 2), (hamming2, 2),
+     (lambda n: regular_tree(3, n), 2), (lambda n: regular_tree(n, 2), 3),
+     (lambda n: WeightFunction(n, {(0, 1): 1.0}), 3)],
+    ids=["complete", "cycle", "path", "star", "hypercube", "hamming2", "tree-depth",
+         "tree-degree", "WeightFunction"],
+)
+def test_graph_sizes_follow_check_integer(build, size):
+    # a numpy integer is taken and stored as an int; a float or a bool is refused
+    w = build(np.int64(size))
+    assert type(w.n) is int and w == build(size)
+    for value in (float(size), size + 0.5, True, np.True_):
+        with pytest.raises(ParameterError, match=r" must be an integer, got "):
+            build(value)
+
+
 def test_check_one_time_refuses_an_array():
     assert check_one_time(3) == 3.0
     assert type(check_one_time(np.float64(0.5))) is float

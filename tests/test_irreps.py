@@ -72,6 +72,8 @@ def test_partitions_order_and_counts():
     assert len(partitions(12)) == 77
     with pytest.raises(CapError):
         partitions(13)
+    with pytest.raises(CapError, match="^hook_dim capped at n <= 12, got 13$"):
+        hook_dim((13,))
     with pytest.raises(CapError):
         partitions(0)
 
