@@ -60,11 +60,9 @@ from .irreps import (
     comparison_constant,
     content_sum,
     delta_blocks,
-    delta_on_irrep,
     hook_dim,
     lambda_kn,
     partitions,
-    standard_partition,
 )
 from .qhf import qhf_exact, qhf_mc
 
@@ -405,8 +403,7 @@ def check_cycle_formula_routes(config: SuiteConfig) -> CheckResult:
         ("hamming2:2", hamming2(2)),
         ("hamming2:3", hamming2(3)),
     ):
-        gap = delta_on_irrep(w, standard_partition(w.n)).lambda_min
-        t = 0.5 / gap
+        t = oracle_t_grid(w)[3]  # 0.5 / gap
         ks = (2, w.n // 2 + 1)
         table = expected_cycles_mc(w, ks, t, config.mc_samples, config.seed)
         spectral = expected_cycles_by_k(w, ks, t)

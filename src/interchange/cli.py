@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapError, DegenerateWeightError, InterchangeError, ParameterError
-from .graphs import MAX_SEED, WeightFunction, parse_graph_spec
+from .graphs import MAX_SEED, WeightFunction, check_irrep_reach, parse_graph_spec
 
 # group_algebra.PSD_TOL; importing it would load group_algebra for every subcommand
 _DEFAULT_TOL = 1e-9
@@ -180,7 +180,7 @@ def _mix(w: WeightFunction, config: RunConfig):
 
 
 def _octopus(w: WeightFunction, config: RunConfig):
-    from .group_algebra import check_psd_reach, is_psd, octopus_gap
+    from .group_algebra import is_psd, octopus_gap
 
     # edges() runs in (i, j) order, so each hub lists its arms by neighbour
     arms: list[list[float]] = [[] for _ in range(w.n)]
@@ -188,7 +188,7 @@ def _octopus(w: WeightFunction, config: RunConfig):
         arms[i].append(weight)
         arms[j].append(weight)
     # each hub's gap has the hub and its neighbours as its support
-    check_psd_reach(max(map(len, arms)) + 1)
+    check_irrep_reach(max(map(len, arms)) + 1)
     hubs = []
     for hub, hub_arms in enumerate(arms):
         # the gap lives on the hub and its neighbours: hub 0, arms 1 .. deg
@@ -202,11 +202,11 @@ def _octopus(w: WeightFunction, config: RunConfig):
 
 
 def _verify_doubling(w: WeightFunction, config: RunConfig):
-    from .group_algebra import check_psd_reach, doubling_gap, is_psd, lift_lazy
+    from .group_algebra import doubling_gap, is_psd, lift_lazy
 
     # row i of the gap has off-diagonal sum 2 eps w_i + u2_ii, so its support
     # is every vertex of positive weight
-    check_psd_reach(int(np.count_nonzero(w.vertex_weights)))
+    check_irrep_reach(int(np.count_nonzero(w.vertex_weights)))
     u = lift_lazy(w)
     verdict = is_psd(doubling_gap(u), tol=config.tol)
     payload = {"tol": config.tol, "epsilon": u.epsilon, **verdict._asdict(), "passed": verdict.psd}

@@ -17,9 +17,9 @@ that takes k checks it with check_cycle_lengths: an integer (not a bool)
 with 1 <= k <= n.  Both exact routes take exp(-t lambda) from
 group_algebra.generator_decays, which refuses a generator eigenvalue that
 rounding left below 0 once t would blow it up.  Each exact route decides its
-own reach and says so by CapError: expected_cycles_by_k where irreps' blocks
-end, learnt from irreps before any operator is built, and exact_cycles_by_k
-past EXACT_SEMIGROUP_MAX_N.  A caller asks the routes rather than reading their caps.
+own reach and says so by CapError: expected_cycles_by_k past graphs'
+IRREP_MAX_N, checked before it loads irreps, and exact_cycles_by_k past
+EXACT_SEMIGROUP_MAX_N.  A caller asks the routes rather than reading their caps.
 
 Every Monte Carlo estimator here (and in qhf and acceptance) is a reduction
 over cycle_count_blocks, which simulates trajectories MC_BLOCK at a time by
@@ -44,8 +44,9 @@ engine's argument check once, and trajectory i draws from Philox keyed by
 integers: a float or a bool raises ParameterError.  exact_mean is the
 counterpart of mc_per_sample for n <= 5, with exact probabilities in place
 of trajectories.  Every route here counts cycles with cycle_counts_batch.
-The Monte Carlo half (the engine, the estimators and the simulator) stands
-on graphs alone; the exact routes import irreps and group_algebra when run.
+The Monte Carlo half (the engine, the estimators and the simulator) and
+oracle_t_grid stand on graphs alone; the exact routes import irreps and
+group_algebra when run.
 """
 
 import math
@@ -56,7 +57,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapError, ConsistencyError, DisconnectedError, ParameterError
-from .graphs import MAX_SEED, WeightFunction, check_integer, check_one_time, check_time
+from .graphs import (
+    MAX_SEED,
+    WeightFunction,
+    check_integer,
+    check_irrep_reach,
+    check_one_time,
+    check_time,
+)
 
 
 @dataclass(frozen=True)
@@ -166,12 +174,14 @@ def expected_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, f
 
     t may be a scalar or an array.  The blocks that the formulas of all ks
     read are solved together, each once.  Past the reach of the irreducible
-    blocks, irreps raises CapError before any operator is built.
+    blocks it raises CapError once t and ks pass, before it loads irreps.
     """
+    t_arr = check_time(t)
+    ks = check_cycle_lengths(ks, w.n)
+    check_irrep_reach(w.n)
     from .group_algebra import generator_decays
     from .irreps import _weight_spectra
 
-    t_arr = check_time(t)
     formulas = {k: cycle_coefficients(w.n, k).terms for k in ks}
     targets = dict.fromkeys(p for terms in formulas.values() for p, _ in terms)
     spectra = _weight_spectra(w, list(targets))
@@ -510,16 +520,17 @@ def exact_cycles_by_k(w: WeightFunction, ks: Iterable[int], t) -> dict[int, floa
 
 
 def oracle_t_grid(w: WeightFunction) -> np.ndarray:
-    """Times {0, 0.01, 0.1, 0.5, 1, 5} scaled by the spectral gap of w.
+    """Times {0, 0.01, 0.1, 0.5, 1, 5} divided by the spectral gap of w.
 
-    The gap is positive exactly when w is connected: a disconnected w raises
-    DisconnectedError, and a computed gap that rounding left <= 0 CapError.
+    The gap is lambda_2 of the weighted Laplacian L_w = diag(w_i) - W, which is
+    the generator's [n-1, 1] block on the vectors summing to zero.  A
+    disconnected w raises DisconnectedError, and a gap not above eigvalsh's
+    absolute error bound n u lambda_max(L_w), u = 2^-53, CapError naming both.
     """
-    from .irreps import delta_on_irrep, standard_partition
-
     if not w.is_connected():
         raise DisconnectedError("the t grid needs a connected weight function")
-    gap = delta_on_irrep(w, standard_partition(w.n)).lambda_min
-    if not gap > 0:
-        raise CapError(f"the spectral gap of a connected weight function rounded to {gap:.3g}")
+    eigenvalues = np.linalg.eigvalsh(np.diag(w.vertex_weights) - w.dense())
+    gap, bound = eigenvalues[1], w.n * 2.0**-53 * eigenvalues[-1]
+    if not gap > bound:
+        raise CapError(f"Laplacian gap {gap:.3g} is not above eigvalsh's error bound {bound:.3g}")
     return np.array([0.0, 0.01, 0.1, 0.5, 1.0, 5.0]) / gap

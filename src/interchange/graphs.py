@@ -20,6 +20,9 @@ from .errors import CapError, DegenerateWeightError, ParameterError
 # matrices, and hypercube:10, the largest graph in use, has 1024 vertices.
 MAX_VERTICES = 1024
 
+# Largest point count of the irreducible blocks: a route checks it before loading irreps.
+IRREP_MAX_N = 10
+
 # Largest total weight w_tot = sum_i w_i.  Below it every vertex weight, the
 # total, products of two of them (w_hi w_hj in the octopus gap, w_i^2 in the
 # theorem bound) and small multiples of those stay finite.
@@ -34,6 +37,12 @@ def check_integer(value, what: str) -> None:
     """Refuse a value that is not a Python or numpy integer; a bool is refused too."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
+def check_irrep_reach(points: int) -> None:
+    """The one reach of the irreducible blocks: CapError past IRREP_MAX_N points."""
+    if points > IRREP_MAX_N:
+        raise CapError(f"irreducible blocks capped at {IRREP_MAX_N} points, got {points}")
 
 
 def check_time(t) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import CapError, DegenerateWeightError, DisconnectedError, ParameterError
-from .graphs import MAX_TOTAL_WEIGHT, WeightFunction, check_integer, check_time
+from .graphs import MAX_TOTAL_WEIGHT, WeightFunction, check_integer, check_irrep_reach, check_time
 
 Perm = tuple[int, ...]
 
@@ -125,15 +125,6 @@ def regular_rep_matrix(a: PairOperator) -> np.ndarray:
     return m
 
 
-def check_psd_reach(points: int) -> None:
-    """is_psd's one reach, checked before any operator is built: every support
-    up to 5 points, then as far as the irreducible blocks reach (CapError)."""
-    if points > EXACT_SEMIGROUP_MAX_N:
-        from .irreps import _check_reach  # supports of at most 5 points never load irreps
-
-        _check_reach(points)
-
-
 class PsdVerdict(NamedTuple):
     psd: bool
     min_eigenvalue: float
@@ -147,21 +138,22 @@ def is_psd(a: PairOperator, tol: float = PSD_TOL) -> PsdVerdict:
     matrix entry: relabeling conjugates by a group element, and the regular
     representation of S_n restricted to S_k is a multiple of that of S_k.
     A support of at most 5 points is decided on its k! x k! regular
-    representation, a larger one on its irreducible blocks, as far as irreps
-    reaches: check_psd_reach refuses past it, naming the support's size,
-    before the relabeled copy is made.  The zero operator is PSD
-    with minimum eigenvalue 0.  On both routes, eigenvalues down to -tol
-    times the largest entry of the regular representation in absolute value
-    are tolerated.  That entry is read off the coefficients: every diagonal
-    entry is sum_{i<j} c_ij and every other nonzero entry a single -c_ij, so
-    it is max(|sum_{i<j} c_ij|, max_{i<j} |c_ij|).  tol must be finite and > 0.
+    representation, a larger one on its irreducible blocks.  Past their reach
+    graphs.check_irrep_reach refuses, naming the support's size, before the
+    relabeled copy is made.  The zero operator
+    is PSD with minimum eigenvalue 0.  On both routes, eigenvalues down to
+    -tol times the largest entry of the regular representation in absolute
+    value are tolerated.  That entry is read off the coefficients: every
+    diagonal entry is sum_{i<j} c_ij and every other nonzero entry a single
+    -c_ij, so it is max(|sum_{i<j} c_ij|, max_{i<j} |c_ij|).  tol must be
+    finite and > 0.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"PSD tolerance must be finite and > 0, got {tol}")
     support = np.flatnonzero(a.c.any(axis=1))
     if not support.size:
         return PsdVerdict(psd=True, min_eigenvalue=0.0)
-    check_psd_reach(support.size)
+    check_irrep_reach(support.size)
     op = PairOperator(a.c[np.ix_(support, support)])
     upper = op.c[np.triu_indices(op.n, 1)]
     scale = max(abs(float(upper.sum())), float(np.abs(upper).max()))

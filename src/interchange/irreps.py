@@ -47,11 +47,11 @@ the first of each conjugate pair of targets in tuple order and reads the
 other's spectrum, c.sum() minus the eigenvalues reversed; the conjugate's rep
 and top-level block are never built.  At n = 10 that is 22 eigensolves for
 the 42 partitions.  It returns one IrrepSpectrum per target, and every
-spectral route (delta_on_irrep, all_spectra, min_eigenvalue_on_irreps,
+spectral route (all_spectra, min_eigenvalue_on_irreps,
 cycles.expected_cycles_by_k) reads that record, a weight function's through
-_weight_spectra.  _check_reach is the one test of the blocks' reach, IRREP_MAX_N
-points, met before any operator is built.  The PSD tolerance is not decided
-here: group_algebra.is_psd reads it off the operator's coefficients.
+_weight_spectra, and meets graphs.check_irrep_reach, the blocks' one reach
+(IRREP_MAX_N points), before any operator is built.  The PSD tolerance is not
+decided here: group_algebra.is_psd reads it off the operator's coefficients.
 
 All representation matrices are symmetric orthogonal involutions on
 transpositions, so the generator restricted to a partition,
@@ -84,13 +84,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapError, ConsistencyError, ParameterError
-from .graphs import WeightFunction
+from .graphs import IRREP_MAX_N, WeightFunction, check_irrep_reach
 from .group_algebra import PairOperator, delta_of_weights
 
 Partition = tuple[int, ...]
 
 PARTITION_MAX_N = 12
-IRREP_MAX_N = 10
 ALDOUS_TOL = 1e-9
 
 
@@ -104,12 +103,6 @@ def validate_partition(parts: Sequence[int], n: int | None = None) -> Partition:
     if n is not None and sum(p) != n:
         raise ParameterError(f"{parts} is not a partition of {n}")
     return p
-
-
-def _check_reach(points: int) -> None:
-    """The one reach of the irreducible blocks: CapError past IRREP_MAX_N points."""
-    if points > IRREP_MAX_N:
-        raise CapError(f"irreducible blocks capped at {IRREP_MAX_N} points, got {points}")
 
 
 def partitions(n: int) -> list[Partition]:
@@ -230,7 +223,7 @@ class YoungOrthogonalRep:
     def __init__(self, partition: Sequence[int]):
         p = validate_partition(partition)
         n = sum(p)
-        _check_reach(n)
+        check_irrep_reach(n)
         self.partition = p
         self.n = n
         if n == 1:
@@ -492,16 +485,10 @@ def _block_spectra(
 
 def _weight_spectra(w: WeightFunction, targets=None) -> dict[Partition, IrrepSpectrum]:
     """Spectra of w's generator on targets (None: every partition), reach checked first."""
-    _check_reach(w.n)
+    check_irrep_reach(w.n)
     if targets is None:
         targets = partitions(w.n)
     return _block_spectra(delta_of_weights(w), targets, w.component_sizes())
-
-
-def delta_on_irrep(w: WeightFunction, p: Sequence[int]) -> IrrepSpectrum:
-    """Eigenvalues of the generator block for weights w and partition p."""
-    [spectrum] = _weight_spectra(w, [p]).values()
-    return spectrum
 
 
 def all_spectra(w: WeightFunction) -> list[IrrepSpectrum]:
@@ -529,7 +516,7 @@ def min_eigenvalue_on_irreps(a: PairOperator) -> float:
     group_algebra.is_psd calls this on an operator's support, so a refusal
     names the support's size.  One block per conjugate pair is solved.
     """
-    _check_reach(a.n)
+    check_irrep_reach(a.n)
     return min(s.lambda_min for s in _block_spectra(a, partitions(a.n)).values())
 
 

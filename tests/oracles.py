@@ -2,7 +2,8 @@
 
 Each is the plain form of something the package does another way, or does
 not need: permutations as tuples, standard tableaux by enumeration, dense
-Young-rep matrices of any group element, a weight-file writer, the
+Young-rep matrices of any group element, the generator's block on one
+partition read off all_spectra, a weight-file writer, the
 environment of a child interpreter and the BLAS setting bit pins are made
 under, scaled weights, component sizes by
 breadth-first search, the shipped JSON schemas, the per-permutation loop that
@@ -28,7 +29,14 @@ from interchange.cli import _SUBCOMMANDS
 from interchange.errors import ParameterError
 from interchange.graphs import WeightFunction
 from interchange.group_algebra import InterchangeExact
-from interchange.irreps import Partition, YoungOrthogonalRep, _rep, validate_partition
+from interchange.irreps import (
+    IrrepSpectrum,
+    Partition,
+    YoungOrthogonalRep,
+    _rep,
+    all_spectra,
+    validate_partition,
+)
 from interchange.qhf import _cycle_observables
 
 Perm = tuple[int, ...]
@@ -188,6 +196,12 @@ def matrix(rep: YoungOrthogonalRep, perm: Sequence[int]) -> np.ndarray:
     for a in word:
         m = _apply_left(adjacent_action(rep, a), m)
     return m
+
+
+def irrep_block(w: WeightFunction, p: Sequence[int]) -> IrrepSpectrum:
+    """The spectrum of w's generator on the block of partition p, from all_spectra."""
+    p = validate_partition(p, w.n)
+    return next(s for s in all_spectra(w) if s.partition == p)
 
 
 def dump_weight_file(w: WeightFunction, path: str | Path) -> None:

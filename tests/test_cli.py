@@ -410,7 +410,7 @@ class TestErrorPaths:
     )
     def test_psd_commands_refuse_before_building_a_gap(self, capsys, argv):
         # a gap on 1024 points and its copies take tens of MB, so each command
-        # asks the PSD routes' reach with its largest support first
+        # asks the irreducible blocks' reach with its largest support first
         main(argv)  # loads whatever the command imports
         capsys.readouterr()
         tracemalloc.start()
@@ -772,10 +772,11 @@ def _loaded_after(code: str, package: str = "interchange") -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+CLI_MODULES = {"interchange", "interchange.cli", "interchange.errors", "interchange.graphs"}
+
+
 def test_cli_import_loads_no_subcommand_module():
-    assert _loaded_after("import interchange.cli") == {
-        "interchange", "interchange.cli", "interchange.errors", "interchange.graphs",
-    }
+    assert _loaded_after("import interchange.cli") == CLI_MODULES
 
 
 # the modules each subcommand loads beyond the CLI's own: only the mixing
@@ -802,8 +803,33 @@ def test_subcommand_loads_only_what_it_runs(command):
         f"{setup if command == 'suite' else ''}"
         f"from interchange.cli import main; main({command.split()!r})"
     )
-    base = {"interchange", "interchange.cli", "interchange.errors", "interchange.graphs"}
-    assert loaded == base | {f"interchange.{name}" for name in SUBCOMMAND_MODULES[command]}
+    assert loaded == CLI_MODULES | {f"interchange.{name}" for name in SUBCOMMAND_MODULES[command]}
+
+
+# past the irreducible blocks' reach, which graphs holds, a command refuses or
+# answers by Monte Carlo without loading irreps; cycles still loads
+# group_algebra, whose brute-force route decides its own reach of 5 points
+PAST_THE_BLOCKS_MODULES = {
+    "cycles --graph path:11 --k 2 --t 1 --samples 10": {"cycles", "group_algebra"},
+    "octopus --graph star:11": {"group_algebra"},
+    "verify-doubling --graph path:11": {"group_algebra"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PAST_THE_BLOCKS_MODULES), ids=lambda c: c.split()[0])
+def test_commands_past_the_blocks_leave_irreps_unloaded(command):
+    loaded = _loaded_after(f"from interchange.cli import main; main({command.split()!r})")
+    modules = PAST_THE_BLOCKS_MODULES[command]
+    assert loaded == CLI_MODULES | {f"interchange.{name}" for name in modules}
+
+
+def test_the_oracle_grid_loads_no_exact_module():
+    loaded = _loaded_after(
+        "from interchange.cycles import oracle_t_grid\n"
+        "from interchange.graphs import path\n"
+        "oracle_t_grid(path(11))"
+    )
+    assert not loaded & {"interchange.irreps", "interchange.group_algebra"}
 
 
 def test_the_operator_modules_leave_chain_unloaded():

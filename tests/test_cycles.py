@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -11,7 +10,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from interchange import cycles as cycles_module
-from interchange import irreps as irreps_module
 from interchange.cycles import (
     MC_BLOCK,
     MC_MAX_EVENTS,
@@ -36,9 +34,9 @@ from interchange.cycles import (
 from interchange.errors import CapError, ConsistencyError, DisconnectedError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, parse_graph_spec, path, star
 from interchange.group_algebra import InterchangeExact
-from interchange.irreps import delta_on_irrep, hook_dim, lambda_kn
+from interchange.irreps import hook_dim, lambda_kn
 from interchange.qhf import qhf_exact, qhf_mc
-from oracles import cycle_counts
+from oracles import cycle_counts, irrep_block
 
 # Upper 0.1% points of the chi-square law, by degrees of freedom.
 CHI2_CRITICAL_1E3 = {4: 18.467, 6: 22.458}
@@ -482,7 +480,7 @@ class TestEngine:
         # chi-square over cycle types at t = 0.5 / gap; every expected cell
         # holds about 100 or more of the 20k samples
         w = CHI2_GRAPHS[name]
-        t = 0.5 / delta_on_irrep(w, (w.n - 1, 1)).lambda_min
+        t = oracle_t_grid(w)[3]
         process = InterchangeExact(w)
         want: dict[tuple, float] = {}
         for p, perm in zip(process.distribution(t), process.permutations):
@@ -586,7 +584,7 @@ class TestMonteCarlo:
         # rounding only, because numpy sums a column of a 2-D array in another
         # order than a 1-D array.  One sample reports a standard error of 0.
         w = parse_graph_spec(spec)
-        t = 0.5 / delta_on_irrep(w, (w.n - 1, 1)).lambda_min
+        t = oracle_t_grid(w)[3]  # 0.5 / gap, the suite's rule
         ks = (2, w.n // 2 + 1)
         table = expected_cycles_mc(w, ks, t, samples, seed=3)
         assert list(table) == list(ks)
@@ -880,10 +878,44 @@ class TestOracleGrid:
         spectral, brute = expected_cycles_by_k(w, ks, ts), exact_cycles_by_k(w, ks, ts)
         assert max(float(np.abs(spectral[k] - brute[k]).max()) for k in ks) <= 1e-12
 
-    def test_a_gap_lost_to_rounding_is_a_cap_error(self, monkeypatch):
-        # a connected w whose computed [n-1, 1] gap is not positive
-        block = delta_on_irrep(path(3), (2, 1))
-        zero = dataclasses.replace(block, eigenvalues=np.zeros_like(block.eigenvalues))
-        monkeypatch.setattr(irreps_module, "delta_on_irrep", lambda w, p: zero)
-        with pytest.raises(CapError, match="spectral gap of a connected weight function"):
-            oracle_t_grid(path(3))
+    @staticmethod
+    def cliques_joined_by_a_whisker(a: int, b: int) -> WeightFunction:
+        # unit cliques on a and on b vertices, joined by one 1e-20 edge: the
+        # true gap is about 1e-20, far below the eigensolver's resolution
+        entries = {pair: 1.0 for pair in itertools.combinations(range(a), 2)}
+        entries |= {(a + i, a + j): 1.0 for i, j in itertools.combinations(range(b), 2)}
+        return WeightFunction(a + b, entries | {(a - 1, a): 1e-20})
+
+    def test_a_gap_lost_to_rounding_is_a_cap_error(self):
+        # with one OpenBLAS thread the [n-1, 1] block read these gaps as
+        # 5.6e-17, -5.6e-17 and -2.8e-16, where the true ones are about 1e-20
+        for a, b in [(2, 2), (3, 2), (3, 3)]:
+            w = self.cliques_joined_by_a_whisker(a, b)
+            assert w.is_connected()
+            with pytest.raises(CapError, match=(
+                r"^Laplacian gap \S+ is not above eigvalsh's error bound \S+e-1[56]$"
+            )):
+                oracle_t_grid(w)
+
+    def test_a_stiff_path_above_the_resolution_gets_its_grid(self):
+        # L_w's gap is 1.3333333327e-9 (to 50 digits by mpmath), above the
+        # bound 4 u lambda_max = 8.9e-11, and the computed gap is within it
+        w = WeightFunction(4, {(0, 1): 1e-9, (1, 2): 1.0, (2, 3): 1e5})
+        assert abs(1 / oracle_t_grid(w)[4] - 1.3333333327407e-9) <= 4 * 2.0**-53 * 2e5
+
+    @pytest.mark.parametrize("n", [3, 10, 11, 128, 1024])
+    def test_path_grids_follow_the_cosine_gap(self, n):
+        # the gap of path:n is 2 (1 - cos(pi / n)), past the blocks' reach too
+        assert oracle_t_grid(path(n))[4] * 2 * (1 - math.cos(math.pi / n)) == pytest.approx(
+            1.0, abs=1e-9)
+
+    def test_the_laplacian_gap_is_the_standard_block_gap(self):
+        # the pair of routes to the gap: L_w's lambda_2 and the [n-1, 1] block
+        from interchange.acceptance import SUITE_GRAPHS, random_connected_weights
+
+        rng = np.random.default_rng(7)
+        graphs = [w for _, w in SUITE_GRAPHS if w.n <= 10] + [complete(6), star(4)]
+        graphs += [random_connected_weights(rng, n) for n in range(2, 11) for _ in range(4)]
+        for w in graphs:
+            block = irrep_block(w, (w.n - 1, 1) if w.n > 2 else (1, 1)).lambda_min
+            assert 1 / oracle_t_grid(w)[4] == pytest.approx(block, rel=1e-12, abs=0.0), w

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from interchange.cycles import oracle_t_grid
 from interchange.errors import CapError, ParameterError
 from interchange.graphs import WeightFunction, complete, cycle, hamming2, path, star
 from interchange.group_algebra import (
@@ -31,7 +30,6 @@ from interchange.irreps import (
     conjugate_partition,
     content_sum,
     delta_blocks,
-    delta_on_irrep,
     hook_dim,
     kostka_number,
     lambda_kn,
@@ -45,6 +43,7 @@ from oracles import (
     adjacent_matrix,
     child_env,
     compose,
+    irrep_block,
     matrix,
     standard_tableaux,
     transposition_matrix,
@@ -301,7 +300,7 @@ def test_generator_kernels_are_exactly_zero():
         kernel = kostka_number(s.partition, (3, 2, 1))
         assert (s.eigenvalues[:kernel] == 0.0).all()
         assert (s.eigenvalues[kernel:] > 1e-3).all()
-    assert delta_on_irrep(path(5), (5,)).eigenvalues.tolist() == [0.0]
+    assert irrep_block(path(5), (5,)).eigenvalues.tolist() == [0.0]
 
 
 def test_is_psd_solves_one_block_per_conjugate_pair(monkeypatch):
@@ -448,23 +447,23 @@ def test_transposition_matrix_two_one_shape():
 
 
 def test_delta_on_irrep_path3():
-    spectrum = delta_on_irrep(path(3), (2, 1))
+    spectrum = irrep_block(path(3), (2, 1))
     assert np.allclose(spectrum.eigenvalues, [1.0, 3.0], atol=1e-10)
-    sign = delta_on_irrep(path(3), (1, 1, 1))
+    sign = irrep_block(path(3), (1, 1, 1))
     assert np.allclose(sign.eigenvalues, [4.0], atol=1e-10)
 
 
 def test_delta_on_trivial_block_is_zero():
     rng = np.random.default_rng(11)
     w = random_connected(rng, 5)
-    spectrum = delta_on_irrep(w, (5,))
+    spectrum = irrep_block(w, (5,))
     assert np.allclose(spectrum.eigenvalues, [0.0], atol=1e-12)
 
 
 def test_delta_on_sign_block_is_total_weight():
     rng = np.random.default_rng(12)
     w = random_connected(rng, 4)
-    spectrum = delta_on_irrep(w, (1, 1, 1, 1))
+    spectrum = irrep_block(w, (1, 1, 1, 1))
     assert np.allclose(spectrum.eigenvalues, [w.total_weight], atol=1e-10)
 
 
@@ -481,7 +480,7 @@ def test_standard_block_matches_graph_laplacian():
         w = random_connected(rng, n)
         laplacian = np.diag(w.vertex_weights) - w.dense()
         lap_eigs = np.sort(np.linalg.eigvalsh(laplacian))
-        block = delta_on_irrep(w, (n - 1, 1) if n > 2 else (1, 1))
+        block = irrep_block(w, (n - 1, 1) if n > 2 else (1, 1))
         assert np.allclose(block.eigenvalues, lap_eigs[1:], atol=1e-9)
 
 
@@ -618,11 +617,7 @@ def test_irrep_cap():
         all_spectra(complete(11))
 
 
-@pytest.mark.parametrize(
-    "route",
-    [comparison_constant, lambda w: delta_on_irrep(w, (w.n - 1, 1)), oracle_t_grid],
-    ids=["comparison_constant", "delta_on_irrep", "oracle_t_grid"],
-)
+@pytest.mark.parametrize("route", [comparison_constant, all_spectra], ids=lambda f: f.__name__)
 def test_spectral_routes_refuse_before_building(route):
     # path(1024)'s dense generator and PairOperator's copy of it take 17 MB, so
     # a route must refuse before it builds them
