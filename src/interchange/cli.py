@@ -14,9 +14,12 @@ interchange/schemas/.  A --csv table is written from the same rows the JSON
 carries: one column per field.
 
 Each subcommand is declared once, in `_SUBCOMMANDS`, with its handler,
-flags and help.  Handlers import what they run when they run: only mix,
-compare and suite load `chain`, and large-cycles and qhf, which draw by
-Monte Carlo alone, load neither `irreps` nor `group_algebra`.
+flags and help.  Handlers import what they run when they run, and refuse
+before they import or compute: only mix, compare and suite load `chain`;
+large-cycles and qhf, which draw by Monte Carlo alone, load neither `irreps`
+nor `group_algebra`; octopus and verify-doubling import `group_algebra` after
+their irreducible-block reach check; and cycles runs its Monte Carlo
+estimate, whose argument and cap checks come first, before its exact routes.
 
 Exit status: 0 on success, 1 when a verified property fails or the requested
 quantity does not exist (for example mixing numbers of a disconnected
@@ -39,10 +42,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapError, DegenerateWeightError, InterchangeError, ParameterError
-from .graphs import MAX_SEED, WeightFunction, check_irrep_reach, parse_graph_spec
+from .graphs import MAX_SEED, PSD_TOL, WeightFunction, check_irrep_reach, parse_graph_spec
 
-# group_algebra.PSD_TOL; importing it would load group_algebra for every subcommand
-_DEFAULT_TOL = 1e-9
 _USAGE_ERRORS = (ParameterError, CapError, DegenerateWeightError)
 
 
@@ -56,7 +57,7 @@ class RunConfig:
     k: int | None = None
     samples: int | None = None
     seed: int = 0
-    tol: float = _DEFAULT_TOL
+    tol: float = PSD_TOL
     csv: str | None = None
     out: str | None = None
     level: str = "desk"
@@ -180,21 +181,21 @@ def _mix(w: WeightFunction, config: RunConfig):
 
 
 def _octopus(w: WeightFunction, config: RunConfig):
-    from .group_algebra import is_psd, octopus_gap
-
     # edges() runs in (i, j) order, so each hub lists its arms by neighbour
     arms: list[list[float]] = [[] for _ in range(w.n)]
     for (i, j), weight in w.edges():
         arms[i].append(weight)
         arms[j].append(weight)
+    shapes = [tuple(hub_arms) for hub_arms in arms]
     # each hub's gap has the hub and its neighbours as its support
-    check_irrep_reach(max(map(len, arms)) + 1)
-    hubs = []
-    for hub, hub_arms in enumerate(arms):
-        # the gap lives on the hub and its neighbours: hub 0, arms 1 .. deg
-        if hub_arms:
-            verdict = is_psd(octopus_gap(len(hub_arms) + 1, 0, hub_arms), tol=config.tol)
-            hubs.append({"hub": hub, **verdict._asdict()})
+    check_irrep_reach(max(map(len, shapes)) + 1)
+    from .group_algebra import is_psd, octopus_gap
+
+    # the gap lives on the hub and its neighbours: hub 0, arms 1 .. deg, so
+    # hubs with equal arm tuples share one gap, decided once
+    verdicts = {shape: is_psd(octopus_gap(len(shape) + 1, 0, shape), tol=config.tol)
+                for shape in dict.fromkeys(shapes) if shape}
+    hubs = [{"hub": hub, **verdicts[shape]._asdict()} for hub, shape in enumerate(shapes) if shape]
     if not hubs:
         raise DegenerateWeightError("octopus needs at least one vertex with an edge")
     passed = all(entry["psd"] for entry in hubs)
@@ -202,11 +203,11 @@ def _octopus(w: WeightFunction, config: RunConfig):
 
 
 def _verify_doubling(w: WeightFunction, config: RunConfig):
-    from .group_algebra import doubling_gap, is_psd, lift_lazy
-
     # row i of the gap has off-diagonal sum 2 eps w_i + u2_ii, so its support
     # is every vertex of positive weight
     check_irrep_reach(int(np.count_nonzero(w.vertex_weights)))
+    from .group_algebra import doubling_gap, is_psd, lift_lazy
+
     u = lift_lazy(w)
     verdict = is_psd(doubling_gap(u), tol=config.tol)
     payload = {"tol": config.tol, "epsilon": u.epsilon, **verdict._asdict(), "passed": verdict.psd}
@@ -234,6 +235,10 @@ def _cycles(w: WeightFunction, config: RunConfig):
     from .cycles import exact_cycles_by_k, expected_cycles_by_k, expected_cycles_mc
 
     k, ks = config.k, (config.k,)
+    # the Monte Carlo run checks its arguments and caps before any exact work
+    mc = stderr = None
+    if config.samples is not None:
+        mc, stderr = expected_cycles_mc(w, ks, config.t, config.samples, config.seed)[k]
     # each exact route decides its own reach: one that refuses reads null
     answers, refusals = [], []
     for route in (expected_cycles_by_k, exact_cycles_by_k):
@@ -243,10 +248,7 @@ def _cycles(w: WeightFunction, config: RunConfig):
             answers.append(None)
             refusals.append(exc)
     spectral, brute = answers
-    mc = stderr = None
-    if config.samples is not None:
-        mc, stderr = expected_cycles_mc(w, ks, config.t, config.samples, config.seed)[k]
-    elif len(refusals) == len(answers):
+    if config.samples is None and len(refusals) == len(answers):
         raise CapError(f"{refusals[0]}; give --samples for a Monte Carlo estimate")
     payload = {"k": k, "t": config.t, "spectral": spectral, "mc": mc, "stderr": stderr,
                "brute": brute, "samples": config.samples, "seed": config.seed}

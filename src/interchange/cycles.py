@@ -17,9 +17,10 @@ that takes k checks it with check_cycle_lengths: an integer (not a bool)
 with 1 <= k <= n.  Both exact routes take exp(-t lambda) from
 group_algebra.generator_decays, which refuses a generator eigenvalue that
 rounding left below 0 once t would blow it up.  Each exact route decides its
-own reach and says so by CapError: expected_cycles_by_k past graphs'
-IRREP_MAX_N, checked before it loads irreps, and exact_cycles_by_k past
-EXACT_SEMIGROUP_MAX_N.  A caller asks the routes rather than reading their caps.
+own reach and says so by CapError before it loads a module of its own:
+expected_cycles_by_k past graphs' IRREP_MAX_N, before irreps, and exact_mean
+(so exact_cycles_by_k and qhf.qhf_exact) past graphs' EXACT_SEMIGROUP_MAX_N,
+before group_algebra.  A caller asks the routes rather than reading their caps.
 
 Every Monte Carlo estimator here (and in qhf and acceptance) is a reduction
 over cycle_count_blocks, which simulates trajectories MC_BLOCK at a time by
@@ -46,7 +47,7 @@ counterpart of mc_per_sample for n <= 5, with exact probabilities in place
 of trajectories.  Every route here counts cycles with cycle_counts_batch.
 The Monte Carlo half (the engine, the estimators and the simulator) and
 oracle_t_grid stand on graphs alone; the exact routes import irreps and
-group_algebra when run.
+group_algebra when run, within their reach.
 """
 
 import math
@@ -60,6 +61,7 @@ from .errors import CapError, ConsistencyError, DisconnectedError, ParameterErro
 from .graphs import (
     MAX_SEED,
     WeightFunction,
+    check_exact_reach,
     check_integer,
     check_irrep_reach,
     check_one_time,
@@ -217,10 +219,9 @@ def _check_run(mean_events: float, samples: int, seed: int, index: int = 0) -> N
         raise ParameterError(f"need samples >= 1, got {samples}")
     if samples > MC_MAX_SAMPLES:
         raise CapError(f"Monte Carlo capped at {MC_MAX_SAMPLES} samples, got {samples}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ParameterError(f"seed must be in [0, 2**64 - 1], got {seed}")
-    if not 0 <= index <= MAX_SEED:
-        raise ParameterError(f"trajectory index must be in [0, 2**64 - 1], got {index}")
+    for name, value in (("seed", seed), ("trajectory index", index)):
+        if not 0 <= value <= MAX_SEED:
+            raise ParameterError(f"{name} must be in [0, 2**64 - 1], got {value}")
     if samples * mean_events > MC_MAX_EVENTS:
         raise CapError(
             f"expected {samples * mean_events:.3g} events exceeds the Monte Carlo cap "
@@ -502,8 +503,9 @@ def exact_mean(w: WeightFunction, t, reduce: Callable[[np.ndarray], np.ndarray])
     rows are weighted by the exact probabilities of one solve and added in
     permutation order (a cumulative sum, the order of a plain loop), so a
     scalar t gets the loop's values bit for bit.  An array of times adds a
-    leading axis.
+    leading axis.  Past the exact reach it raises CapError before it loads group_algebra.
     """
+    check_exact_reach(w.n)
     from .group_algebra import InterchangeExact
 
     process = InterchangeExact(w)

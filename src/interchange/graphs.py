@@ -23,6 +23,13 @@ MAX_VERTICES = 1024
 # Largest point count of the irreducible blocks: a route checks it before loading irreps.
 IRREP_MAX_N = 10
 
+# Largest point count of the exact distribution, which diagonalizes the n! x n!
+# regular representation: a route checks it before loading group_algebra.
+EXACT_SEMIGROUP_MAX_N = 5
+
+# Default PSD tolerance, relative to the largest regular-representation entry.
+PSD_TOL = 1e-9
+
 # Largest total weight w_tot = sum_i w_i.  Below it every vertex weight, the
 # total, products of two of them (w_hi w_hj in the octopus gap, w_i^2 in the
 # theorem bound) and small multiples of those stay finite.
@@ -43,6 +50,12 @@ def check_irrep_reach(points: int) -> None:
     """The one reach of the irreducible blocks: CapError past IRREP_MAX_N points."""
     if points > IRREP_MAX_N:
         raise CapError(f"irreducible blocks capped at {IRREP_MAX_N} points, got {points}")
+
+
+def check_exact_reach(n: int) -> None:
+    """The one reach of the exact distribution: CapError past EXACT_SEMIGROUP_MAX_N points."""
+    if n > EXACT_SEMIGROUP_MAX_N:
+        raise CapError(f"exact distribution capped at n <= {EXACT_SEMIGROUP_MAX_N}, got {n}")
 
 
 def check_time(t) -> np.ndarray:

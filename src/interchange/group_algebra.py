@@ -28,6 +28,9 @@ the diagonal of w, and double_weight(u) = u^(2) holds its two-step law.
 
 Exact distributions exp(-t Delta_w) of the process are available for n <= 5
 via the symmetric eigendecomposition of the regular representation matrix.
+That reach (EXACT_SEMIGROUP_MAX_N, check_exact_reach) and the default PSD
+tolerance PSD_TOL live in graphs, beside IRREP_MAX_N, so a caller refuses
+or takes the default without loading this module.
 generator_decays is the one exp(-t lambda) of generator eigenvalues, for this
 route and the spectral cycle formula: it refuses an eigenvalue that rounding
 left below 0 once t would blow it up.
@@ -41,13 +44,12 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import CapError, DegenerateWeightError, DisconnectedError, ParameterError
-from .graphs import MAX_TOTAL_WEIGHT, WeightFunction, check_integer, check_irrep_reach, check_time
+from .graphs import EXACT_SEMIGROUP_MAX_N, MAX_TOTAL_WEIGHT, PSD_TOL, WeightFunction
+from .graphs import check_exact_reach, check_integer, check_irrep_reach, check_time
 
 Perm = tuple[int, ...]
 
 REGULAR_REP_MAX_N = 7
-EXACT_SEMIGROUP_MAX_N = 5
-PSD_TOL = 1e-9
 TV_MIX_TIME_TOL = 1e-6
 # Largest total mass of a lifted weight, what lift_lazy can produce (doubling
 # keeps the mass); the allowance absorbs a few ulps of rounding in the sum.
@@ -293,10 +295,7 @@ class InterchangeExact:
     """
 
     def __init__(self, w: WeightFunction):
-        if w.n > EXACT_SEMIGROUP_MAX_N:
-            raise CapError(
-                f"exact distribution capped at n <= {EXACT_SEMIGROUP_MAX_N}, got {w.n}"
-            )
+        check_exact_reach(w.n)
         self.weights = w
         self.permutations = all_perms(w.n)
         m = regular_rep_matrix(delta_of_weights(w))

@@ -17,7 +17,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import interchange
-from interchange import acceptance, chain, cli, group_algebra, irreps
+from interchange import acceptance, chain, cli, graphs, group_algebra, irreps
 from interchange.acceptance import ALL_CHECKS, SuiteConfig, run_suite
 from interchange.cli import RunConfig, main, render_json
 from interchange.errors import ParameterError
@@ -82,7 +82,8 @@ class TestReports:
         check_against_schema(payload, "octopus")
 
     def test_octopus_gaps_live_on_the_hub_star(self, capsys, monkeypatch):
-        # a cycle hub has two neighbours, so no gap may span more than 3 points
+        # a cycle hub has two neighbours, so no gap may span more than 3 points,
+        # and every hub has the arms (1, 1): one gap, decided once
         sizes = []
         decide = group_algebra.is_psd
 
@@ -91,12 +92,34 @@ class TestReports:
             return decide(a, *args, **kwargs)
 
         monkeypatch.setattr(group_algebra, "is_psd", counted)
-        code, _ = run_cli(capsys, ["octopus", "--graph", "cycle:64"])
+        code, out = run_cli(capsys, ["octopus", "--graph", "cycle:64"])
         assert code == 0
-        assert len(sizes) == 64
-        assert max(sizes) <= 3
+        assert len(json.loads(out)["hubs"]) == 64
+        assert sizes == [3]
 
-    @pytest.mark.parametrize("graph", ["star:10", "path:1024", "file"])
+    @pytest.mark.parametrize("graph", ["hypercube:6", "complete:9", "path:1024", "file"])
+    def test_octopus_decides_each_arm_tuple_once(self, capsys, monkeypatch, tmp_path, graph):
+        # hubs whose arms, in neighbour order, are equal share one gap
+        if graph == "file":
+            (tmp_path / "w.txt").write_text("5 5\n0 1 2\n1 2 2\n2 3 0.5\n3 4 2\n0 4 2\n")
+            graph = f"file:{tmp_path / 'w.txt'}"
+        rows = parse_graph_spec(graph).dense()
+        shapes = {tuple(row[row > 0].tolist()) for row in rows}
+        calls = []
+        decide = group_algebra.is_psd
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.n)
+            return decide(a, *args, **kwargs)
+
+        monkeypatch.setattr(group_algebra, "is_psd", counted)
+        code, out = run_cli(capsys, ["octopus", "--graph", graph])
+        assert code == 0
+        assert len(json.loads(out)["hubs"]) == len(rows)
+        assert len(calls) == len(shapes) < len(rows)
+
+    @pytest.mark.parametrize(
+        "graph", ["star:10", "path:1024", "file", "hypercube:4", "complete:7"])
     def test_octopus_arms_from_the_edge_list(self, capsys, monkeypatch, tmp_path, graph):
         # the same JSON, byte for byte, as listing each hub's arms off its row
         # of the dense weight matrix
@@ -173,14 +196,14 @@ class TestReports:
         check_against_schema(payload, "cycles")
 
     def test_cycles_without_mc_or_brute(self, capsys):
-        code, out = run_cli(
-            capsys, ["cycles", "--graph", "complete:6", "--k", "2", "--t", "0.1"]
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["mc"] is None
-        assert payload["brute"] is None  # n = 6 is over the exact cap
-        check_against_schema(payload, "cycles")
+        for graph, k, t in (("complete:6", "2", "0.1"), ("path:6", "1", "1")):
+            code, out = run_cli(capsys, ["cycles", "--graph", graph, "--k", k, "--t", t])
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["mc"] is None
+            assert payload["brute"] is None  # n = 6 is over the exact cap
+            assert payload["spectral"] is not None
+            check_against_schema(payload, "cycles")
 
     def test_cycles_past_the_irrep_cap_by_monte_carlo(self, capsys):
         code, out = run_cli(
@@ -586,7 +609,8 @@ class TestErrorPaths:
         parser = cli._build_parser()
         args = vars(parser.parse_args(["octopus", "--graph", "star:5"]))
         assert args == {"command": "octopus", "graph": "star:5"}
-        assert RunConfig(**args).tol == cli._DEFAULT_TOL == group_algebra.PSD_TOL
+        assert RunConfig(**args).tol == graphs.PSD_TOL
+        assert group_algebra.PSD_TOL is graphs.PSD_TOL
         suite = RunConfig(**vars(parser.parse_args(["suite"])))
         assert (suite.level, suite.seed, suite.csv, suite.out) == ("desk", 0, None, None)
         assert not any("default" in options for options in cli._FLAGS.values())
@@ -806,13 +830,13 @@ def test_subcommand_loads_only_what_it_runs(command):
     assert loaded == CLI_MODULES | {f"interchange.{name}" for name in SUBCOMMAND_MODULES[command]}
 
 
-# past the irreducible blocks' reach, which graphs holds, a command refuses or
-# answers by Monte Carlo without loading irreps; cycles still loads
-# group_algebra, whose brute-force route decides its own reach of 5 points
+# past the irreducible blocks' reach, which graphs holds with the exact
+# reach, a command refuses or answers by Monte Carlo without loading irreps
+# or group_algebra
 PAST_THE_BLOCKS_MODULES = {
-    "cycles --graph path:11 --k 2 --t 1 --samples 10": {"cycles", "group_algebra"},
-    "octopus --graph star:11": {"group_algebra"},
-    "verify-doubling --graph path:11": {"group_algebra"},
+    "cycles --graph path:11 --k 2 --t 1 --samples 10": {"cycles"},
+    "octopus --graph star:11": set(),
+    "verify-doubling --graph path:11": set(),
 }
 
 
@@ -821,6 +845,43 @@ def test_commands_past_the_blocks_leave_irreps_unloaded(command):
     loaded = _loaded_after(f"from interchange.cli import main; main({command.split()!r})")
     modules = PAST_THE_BLOCKS_MODULES[command]
     assert loaded == CLI_MODULES | {f"interchange.{name}" for name in modules}
+
+
+def test_cycles_within_the_blocks_loads_the_spectral_route():
+    # past the exact reach the brute route refuses without a load of its own,
+    # and the spectral route still loads irreps and group_algebra's
+    # generator_decays
+    loaded = _loaded_after(
+        "from interchange.cli import main\n"
+        "main(['cycles', '--graph', 'path:7', '--k', '1', '--t', '1'])"
+    )
+    modules = {"cycles", "irreps", "group_algebra"}
+    assert loaded == CLI_MODULES | {f"interchange.{name}" for name in modules}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--t", "1", "--samples", "20000000"],
+         "Monte Carlo capped at 10000000 samples, got 20000000"),
+        (["--t", "1000000", "--samples", "1000"],
+         "expected 1e+10 events exceeds the Monte Carlo cap of 100000000; "
+         "lower the samples or the time"),
+    ],
+    ids=["samples", "events"],
+)
+def test_a_monte_carlo_cap_refuses_before_the_exact_routes(capsys, monkeypatch, argv, message):
+    from interchange import cycles
+
+    def spy(w, ks, t):
+        raise AssertionError("an exact route ran before the Monte Carlo caps")
+
+    monkeypatch.setattr(cycles, "expected_cycles_by_k", spy)
+    monkeypatch.setattr(cycles, "exact_cycles_by_k", spy)
+    code = main(["cycles", "--graph", "complete:5", "--k", "2", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_the_oracle_grid_loads_no_exact_module():

@@ -919,3 +919,17 @@ class TestOracleGrid:
         for w in graphs:
             block = irrep_block(w, (w.n - 1, 1) if w.n > 2 else (1, 1)).lambda_min
             assert 1 / oracle_t_grid(w)[4] == pytest.approx(block, rel=1e-12, abs=0.0), w
+
+
+@pytest.mark.parametrize(
+    "route",
+    [lambda: InterchangeExact(complete(6)),
+     lambda: exact_cycles_by_k(path(6), (1,), 1.0),
+     lambda: qhf_exact(complete(6), 0.3)],
+    ids=["InterchangeExact", "exact_cycles_by_k", "qhf_exact"],
+)
+def test_every_exact_route_names_one_reach(route):
+    # graphs.check_exact_reach holds the one message of the exact distribution
+    with pytest.raises(CapError) as refusal:
+        route()
+    assert str(refusal.value) == "exact distribution capped at n <= 5, got 6"
